@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from .fgl import Context
 from .quotient import FormalP
@@ -81,10 +80,6 @@ class ConfluentMatrix:
         return tuple(tuple(row[j] for j in columns) for row in self.rows)
 
 
-def build_matrix_A(blocks, width):
-    return ConfluentMatrix(blocks, width)
-
-
 def bareiss_det(rows, one):
     """Fraction-free determinant; every division is exact over the integers."""
     n = len(rows)
@@ -142,7 +137,7 @@ def check_minor_determinant(blocks, exhaustive_minors=False, width=None):
     """
     blocks = tuple(blocks)
     n_total = sum(blocks)
-    square = build_matrix_A(blocks, n_total)
+    square = ConfluentMatrix(blocks, n_total)
     det = bareiss_det(square.rows, square.one())
     prod = vandermonde_product(square)
     verdict = det == prod
@@ -153,7 +148,7 @@ def check_minor_determinant(blocks, exhaustive_minors=False, width=None):
                                                n_total)
     if exhaustive_minors and verdict:
         m = width if width is not None else n_total + 2
-        wide = build_matrix_A(blocks, m)
+        wide = ConfluentMatrix(blocks, m)
         wprod = vandermonde_product(wide)
         for cols in itertools.combinations(range(m), n_total):
             cases += 1
@@ -186,46 +181,6 @@ def minors_suite(max_square=6, max_minor=5):
 
 # ---------------------------------------------------------------------------
 # the shift automorphism and invariant decomposition
-
-
-class ContinuousAutomorphism:
-    """x -> sum lambda_j x^j acting on series by substitution."""
-
-    __slots__ = ("ctx", "image", "var")
-
-    def __init__(self, ctx, image, var="x", p=None):
-        lam1 = image.coeff_of(var, 1)
-        c0 = lam1.constant()
-        if c0 == 0 or (p is not None and Fraction(c0).numerator % p == 0):
-            raise SeriesError("lambda_1 must be a unit")
-        if image.coeff_of(var, 0).constant() != 0:
-            raise SeriesError("lambda_0 must be topologically nilpotent")
-        self.ctx = ctx
-        self.image = image
-        self.var = var
-
-    @property
-    def t_sigma(self):
-        return self.image.coeff_of(self.var, 0)
-
-    def apply(self, series):
-        return series.substitute({self.var: self.image})
-
-    def compose(self, other):
-        """First self, then other (images compose by substitution)."""
-        return ContinuousAutomorphism(self.ctx, other.apply(self.image),
-                                      var=self.var)
-
-    def iterate(self, k):
-        out = self
-        for _ in range(k - 1):
-            out = out.compose(self)
-        return out
-
-
-def make_shift_automorphism(ctx, p=None):
-    """x -> x +_F t over the universal law; order p modulo ([p]_F/t)."""
-    return ContinuousAutomorphism(ctx, ctx.fgl("x", "t"), var="x", p=p)
 
 
 def action_context(p, deg=6, bweight=6, xcap=None):

@@ -200,10 +200,10 @@ def _cmd_op(args):
                "result": series.to_json_dict()}
         _emit(args, series.render(), doc)
         return 0
-    ctx = ops.make_context(p, deg, bweight, tfloor=args.tfloor)
     reps = _parse_reps(args.reps, p)
+    ctx = ops.make_context(p, deg, bweight, tfloor=args.tfloor)
     e = parse_element(ctx, args.input)
-    st = ops._steenrod(ctx, p, reps)
+    st = ops.quillen_steenrod(ctx, p, reps)
     doc = {"command": "op", "kind": args.kind, "p": p, "reps": list(reps),
            "input": args.input, "deg": deg, "bweight": bweight}
     if args.kind == "st":

@@ -24,11 +24,14 @@ from .series import (
 
 
 class Context:
-    """Shared variable table plus cached FGL series.
+    """Shared variable table plus everything derived from it.
 
     extra_vars lists weight-1 carriers (or (name, weight) pairs) inserted
     after t; b1..b_{bweight} of weight -i always follow; with_primes adds a
     second alphabet bp1..bp_{bweight} for total-operation targets.
+
+    Derived objects (series, classes, operation descriptors) are cached on
+    the context through `memo`, keyed by value, and die with it.
     """
 
     def __init__(self, deg, bweight, *, tfloor=None, extra_vars=(),
@@ -54,11 +57,18 @@ class Context:
         self.table = VariableTable(variables, degree_caps=degree_caps)
         self.trunc_plus = int(trunc_plus) if trunc_plus is not None else self.deg + 1
         self.trunc_minus = self.bweight
-        self._nseries = {}
-        self._fgl = {}
-        self._exp_t = None
+        self._memo = {}
+        # log_t keeps an attribute of its own: perfbench/tracer.py reads
+        # _log_t to count the reversions it builds
         self._log_t = None
-        self._omega = None
+
+    def memo(self, key, build):
+        """The value cached under key, from build() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # ----- constructors over this context --------------------------------
 
@@ -94,9 +104,7 @@ class Context:
 
     @property
     def exp_t(self):
-        if self._exp_t is None:
-            self._exp_t = self.exp_in("t")
-        return self._exp_t
+        return self.memo("exp_t", lambda: self.exp_in("t"))
 
     @property
     def log_t(self):
@@ -107,9 +115,7 @@ class Context:
     @property
     def omega(self):
         """Invariant form omega = (B^-1)'(t) = sum [P^n] t^n."""
-        if self._omega is None:
-            self._omega = self.log_t.diff("t")
-        return self._omega
+        return self.memo("omega", lambda: self.log_t.diff("t"))
 
     def omega_in(self, name):
         return self.omega.rename_var("t", name)
@@ -132,14 +138,14 @@ class Context:
     def nseries(self, n):
         """[n]_F(t) = B(n * B^-1(t)); negative n through the same formula."""
         n = int(n)
-        if n not in self._nseries:
+
+        def build():
             if n == 0:
-                self._nseries[n] = self.zero()
-            elif n == 1:
-                self._nseries[n] = self.var("t")
-            else:
-                self._nseries[n] = self.B_of(self.log_t.scale(n))
-        return self._nseries[n]
+                return self.zero()
+            if n == 1:
+                return self.var("t")
+            return self.B_of(self.log_t.scale(n))
+        return self.memo(("nseries", n), build)
 
     @property
     def iota(self):
@@ -147,13 +153,17 @@ class Context:
         return self.nseries(-1)
 
     def fgl(self, xname="x", yname="y"):
-        key = (xname, yname)
-        if key not in self._fgl:
-            self._fgl[key] = self.formal_sum(self.var(xname), self.var(yname))
-        return self._fgl[key]
+        return self.memo(("fgl", xname, yname), lambda: self.formal_sum(
+            self.var(xname), self.var(yname)))
 
     def a_coeff(self, i, j, xname="x", yname="y"):
         """FGL structure constant a_{i,j} as an ambient polynomial."""
+        if i + j - 1 > self.bweight:
+            raise SeriesError("a_%d,%d has b-weight %d, past bweight %d"
+                              % (i, j, i + j - 1, self.bweight))
+        if i + j > self.trunc_plus:
+            raise SeriesError("a_%d,%d needs trunc_plus >= %d, have %d"
+                              % (i, j, i + j, self.trunc_plus))
         return self.fgl(xname, yname).coeff_of(xname, i).coeff_of(yname, j)
 
     def m_coeff(self, n):
@@ -254,10 +264,18 @@ class LazardElement:
                                    self.provenance)
 
 
+def _check_dimension(ctx, dim, what):
+    # a class of dimension dim has b-weight dim; past bweight it truncates to 0
+    if dim > ctx.bweight:
+        raise SeriesError("%s has dimension %d, past bweight %d"
+                          % (what, dim, ctx.bweight))
+
+
 def pn_class(ctx, n):
     """[P^n] = (n+1) * m_n."""
     if n < 0:
         raise SeriesError("projective space dimension must be >= 0")
+    _check_dimension(ctx, n, "P^%d" % n)
     if n == 0:
         return LazardElement(ctx, ctx.one(), 0, "P^0")
     return LazardElement(ctx, ctx.m_coeff(n).scale(n + 1), n, "P^%d" % n)
@@ -275,6 +293,7 @@ def hypersurface_class(ctx, n, d):
     """Class of a degree-d hypersurface in P^n."""
     if n < 1 or d < 1:
         raise SeriesError("hypersurface needs n >= 1, d >= 1")
+    _check_dimension(ctx, n - 1, "H(%d,%d)" % (n, d))
     f = ctx.nseries(d).rename_var("t", "x")
     return LazardElement(ctx, proj_pushforward(ctx, f, n), n - 1,
                          "H(%d,%d)" % (n, d))
@@ -294,6 +313,8 @@ class EtaDivisibilityError(SeriesError):
 
 
 def _validate_reps(p, reps):
+    if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+        raise SeriesError("p must be a prime, got %r" % (p,))
     reps = tuple(int(i) for i in reps)
     if len(reps) != p - 1:
         raise SeriesError("need %d coset representatives for p=%d"

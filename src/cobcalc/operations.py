@@ -48,35 +48,31 @@ def make_context(p, deg=6, bweight=6, nz=1, with_primes=False, tfloor=None):
     return _CTX_CACHE[key]
 
 
-def convert(series, ctx):
-    """Rebuild a series over another context's table by variable name."""
-    src = series.table
-    out = {}
-    for exp, c in series.terms.items():
-        new = [0] * len(ctx.table.variables)
-        for i, e in enumerate(exp):
-            if e:
-                name = src.variables[i].name
-                new[ctx.table.index[name]] = e
-        out[tuple(new)] = c
-    return GradedSeries(ctx.table, ctx.trunc_plus, ctx.trunc_minus, out)
+def _ambient_class(ctx, n, d=0):
+    """The series of [P^n] (d = 0) or of a degree-d hypersurface in P^n."""
+    def build():
+        if d == 0:
+            return fgl.pn_class(ctx, n).series
+        return fgl.hypersurface_class(ctx, n, d).series
+    return ctx.memo(("class", n, d), build)
+
+
+def _formal_p(ctx, p):
+    return ctx.memo(("formal_p", p), lambda: FormalP(ctx, p))
 
 
 def grid_elements(ctx):
     """The standard verification inputs as series over ctx, with dimensions."""
-    fictx = fgl.base_context(8, ctx.bweight)
-    named = [("1", ctx.one(), 0)]
     z = ctx.var("z1")
-    named.append(("z", z, None))
-    named.append(("z^2", z * z, None))
-    pn = {}
-    for n in (1, 2, 3):
-        pn[n] = convert(fgl.pn_class(fictx, n).series, ctx)
-        named.append(("P%d" % n, pn[n], n))
-    named.append(("P1*z", pn[1] * z, None))
-    h33 = convert(fgl.hypersurface_class(fictx, 3, 3).series, ctx)
-    named.append(("H(3,3)", h33, 2))
-    return named
+    p1 = _ambient_class(ctx, 1)
+    return [("1", ctx.one(), 0), ("z", z, None), ("z^2", z * z, None),
+            ("P1", p1, 1), ("P2", _ambient_class(ctx, 2), 2),
+            ("P3", _ambient_class(ctx, 3), 3), ("P1*z", p1 * z, None),
+            ("H(3,3)", _ambient_class(ctx, 3, 3), 2)]
+
+
+def _grid(ctx):
+    return ctx.memo("grid", lambda: grid_elements(ctx))
 
 
 def rep_choices(p, seed=20260814):
@@ -203,12 +199,18 @@ class OperationDescriptor:
 
 
 def quillen_steenrod(ctx, p, reps):
-    """St(reps): gamma = x * prod_j (x +_F [i_j]t), target Laurent in t."""
-    fgl._validate_reps(p, reps)
-    gamma = ctx.var("x")
-    for i in reps:
-        gamma = gamma * ctx.formal_sum(ctx.var("x"), ctx.nseries(i))
-    return OperationDescriptor(ctx, p, gamma, reps=reps, name="st")
+    """St(reps): gamma = x * prod_j (x +_F [i_j]t), target Laurent in t.
+
+    One descriptor per (ctx, p, reps), cached on ctx with its apply memo.
+    """
+    reps = fgl._validate_reps(p, reps)
+
+    def build():
+        gamma = ctx.var("x")
+        for i in reps:
+            gamma = gamma * ctx.formal_sum(ctx.var("x"), ctx.nseries(i))
+        return OperationDescriptor(ctx, p, gamma, reps=reps, name="st")
+    return ctx.memo(("st", p, reps), build)
 
 
 def landweber_novikov(ctx):
@@ -244,7 +246,7 @@ def tom_dieck_sq(ctx, p, e):
 
 def _sq_from_st(ctx, p, st, e):
     raw = st.apply(e)
-    fp = FormalP(ctx, p)
+    fp = _formal_p(ctx, p)
     ok, rep, witness = fp.is_integral_mod_ideal(raw)
     if not ok:
         raise FalsificationError("tom Dieck operation not integral",
@@ -263,7 +265,7 @@ def symmetric_operation(st, e):
     ctx = st.ctx
     p = st.p
     s_series = e ** p - st.apply(e)
-    fp = FormalP(ctx, p)
+    fp = _formal_p(ctx, p)
     phi = fp.divide_by_formal_p(s_series)
     hi = phi.max_degree("t")
     if hi is not None and hi > 0:
@@ -308,22 +310,6 @@ def omega_che(ctx, p, reps, roots=(), minus_roots=()):
 
 GRID_PRIMES = (2, 3, 5)
 
-_ST_CACHE = {}
-_GRID_CACHE = {}
-
-
-def _steenrod(ctx, p, reps):
-    key = (id(ctx), p, tuple(reps))
-    if key not in _ST_CACHE:
-        _ST_CACHE[key] = quillen_steenrod(ctx, p, reps)
-    return _ST_CACHE[key]
-
-
-def _grid(ctx):
-    if id(ctx) not in _GRID_CACHE:
-        _GRID_CACHE[id(ctx)] = grid_elements(ctx)
-    return _GRID_CACHE[id(ctx)]
-
 
 def _case(label, ok, witness=None, **extra):
     case = {"input": label, "verdict": "pass" if ok else "fail"}
@@ -348,6 +334,14 @@ def _primes(p, allowed=GRID_PRIMES):
     if p not in allowed:
         raise SeriesError("prime %r not in verification grid %r" % (p, allowed))
     return [p]
+
+
+def _steenrod_grid(p, deg, bweight, seed, allowed=GRID_PRIMES):
+    """(q, ctx, rlabel, reps, St(reps)) per prime, then per rep choice."""
+    for q in _primes(p, allowed):
+        ctx = make_context(q, deg, bweight)
+        for rlabel, reps in rep_choices(q, seed):
+            yield q, ctx, rlabel, reps, quillen_steenrod(ctx, q, reps)
 
 
 def verify_fglaxioms(deg=8, bweight=8):
@@ -376,44 +370,38 @@ def verify_fglaxioms(deg=8, bweight=8):
 def verify_sop(p=None, deg=6, bweight=6, seed=20260814):
     """Every grid input admits the exact division defining Phi."""
     cases = []
-    for q in _primes(p):
-        ctx = make_context(q, deg, bweight)
-        for rlabel, reps in rep_choices(q, seed):
-            st = _steenrod(ctx, q, reps)
-            for label, e, _dim in _grid(ctx):
-                try:
-                    phi = symmetric_operation(st, e)
-                except (PDivisibilityError, FalsificationError) as exc:
-                    cases.append(_case(label, False, witness=str(exc),
-                                       p=q, reps=list(reps)))
-                    continue
-                ok = True
-                wit = None
-                if q == 2 and rlabel == "canonical" and label == "P1":
-                    want = ctx.mono({"t": -2}) + ctx.mono({"t": -1, "b1": 1},
-                                                          coeff=2)
-                    ok = phi == want
-                    wit = None if ok else phi.render()
-                cases.append(_case(label, ok, witness=wit,
+    for q, ctx, rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed):
+        for label, e, _dim in _grid(ctx):
+            try:
+                phi = symmetric_operation(st, e)
+            except (PDivisibilityError, FalsificationError) as exc:
+                cases.append(_case(label, False, witness=str(exc),
                                    p=q, reps=list(reps)))
+                continue
+            ok = True
+            wit = None
+            if q == 2 and rlabel == "canonical" and label == "P1":
+                want = ctx.mono({"t": -2}) + ctx.mono({"t": -1, "b1": 1},
+                                                      coeff=2)
+                ok = phi == want
+                wit = None if ok else phi.render()
+            cases.append(_case(label, ok, witness=wit,
+                               p=q, reps=list(reps)))
     return _report("sop", cases, p=p)
 
 
 def verify_emb(p=None, deg=6, bweight=6, seed=20260814):
     """Phi vanishes on 1 and on powers of the cellular carrier."""
     cases = []
-    for q in _primes(p):
-        ctx = make_context(q, deg, bweight)
+    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed):
         z = ctx.var("z1")
-        for rlabel, reps in rep_choices(q, seed):
-            st = _steenrod(ctx, q, reps)
-            inputs = [("1", ctx.one())] + [("z^%d" % k, z ** k)
-                                           for k in range(1, 5)]
-            for label, e in inputs:
-                phi = symmetric_operation(st, e)
-                cases.append(_case(label, phi.is_zero,
-                                   witness=None if phi.is_zero else phi.render(),
-                                   p=q, reps=list(reps)))
+        inputs = [("1", ctx.one())] + [("z^%d" % k, z ** k)
+                                       for k in range(1, 5)]
+        for label, e in inputs:
+            phi = symmetric_operation(st, e)
+            cases.append(_case(label, phi.is_zero,
+                               witness=None if phi.is_zero else phi.render(),
+                               p=q, reps=list(reps)))
     return _report("emb", cases, p=p)
 
 
@@ -428,23 +416,20 @@ def _binomial_defect(ctx, p, u, v):
 def verify_addphi(p=None, deg=6, bweight=6, seed=20260814):
     """Phi(u+v) - Phi(u) - Phi(v) equals the binomial defect f_p(u,v)."""
     cases = []
-    for q in _primes(p):
-        ctx = make_context(q, deg, bweight)
+    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed):
         grid = _grid(ctx)
-        for rlabel, reps in rep_choices(q, seed):
-            st = _steenrod(ctx, q, reps)
-            for i in range(len(grid)):
-                for j in range(i, len(grid)):
-                    la, u, _ = grid[i]
-                    lb, v, _ = grid[j]
-                    got = (symmetric_operation(st, u + v)
-                           - symmetric_operation(st, u)
-                           - symmetric_operation(st, v))
-                    want = _binomial_defect(ctx, q, u, v)
-                    ok = got == want
-                    cases.append(_case("%s,%s" % (la, lb), ok,
-                                       witness=None if ok else (got - want).render(),
-                                       p=q, reps=list(reps)))
+        for i in range(len(grid)):
+            for j in range(i, len(grid)):
+                la, u, _ = grid[i]
+                lb, v, _ = grid[j]
+                got = (symmetric_operation(st, u + v)
+                       - symmetric_operation(st, u)
+                       - symmetric_operation(st, v))
+                want = _binomial_defect(ctx, q, u, v)
+                ok = got == want
+                cases.append(_case("%s,%s" % (la, lb), ok,
+                                   witness=None if ok else (got - want).render(),
+                                   p=q, reps=list(reps)))
     return _report("addphi", cases, p=p)
 
 
@@ -455,52 +440,45 @@ def verify_multphi(p=None, deg=6, bweight=6, seed=20260814):
     shows the g-weighted cross term is what cancels the doubled g Phi Phi.
     """
     cases = []
-    for q in _primes(p, allowed=(2, 3)):
-        ctx = make_context(q, deg, bweight)
+    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed,
+                                                    allowed=(2, 3)):
         grid = _grid(ctx)
-        fp = FormalP(ctx, q)
-        pmult = fp.g
-        for rlabel, reps in rep_choices(q, seed):
-            st = _steenrod(ctx, q, reps)
-            for i in range(len(grid)):
-                for j in range(i, len(grid)):
-                    la, u, _ = grid[i]
-                    lb, v, _ = grid[j]
-                    pu = symmetric_operation(st, u)
-                    pv = symmetric_operation(st, v)
-                    rhs = pu * st.apply(v) + st.apply(u) * pv + pu * pv * pmult
-                    want, _pos = rhs.split_parts("t")
-                    got = symmetric_operation(st, u * v)
-                    ok = got == want
-                    cases.append(_case("%s,%s" % (la, lb), ok,
-                                       witness=None if ok else (got - want).render(),
-                                       p=q, reps=list(reps)))
+        pmult = _formal_p(ctx, q).g
+        for i in range(len(grid)):
+            for j in range(i, len(grid)):
+                la, u, _ = grid[i]
+                lb, v, _ = grid[j]
+                pu = symmetric_operation(st, u)
+                pv = symmetric_operation(st, v)
+                rhs = pu * st.apply(v) + st.apply(u) * pv + pu * pv * pmult
+                want, _pos = rhs.split_parts("t")
+                got = symmetric_operation(st, u * v)
+                ok = got == want
+                cases.append(_case("%s,%s" % (la, lb), ok,
+                                   witness=None if ok else (got - want).render(),
+                                   p=q, reps=list(reps)))
     return _report("multphi", cases, p=p if p is not None else [2, 3])
 
 
 def verify_rr(p=None, deg=6, bweight=6, seed=20260814):
     """Projection formula for slices against che(O(1)) twists."""
     cases = []
-    for q in _primes(p):
-        ctx = make_context(q, deg, bweight)
+    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed):
         z = ctx.var("z1")
-        fic = fgl.base_context(8, bweight)
-        p1 = convert(fgl.pn_class(fic, 1).series, ctx)
+        p1 = _ambient_class(ctx, 1)
         qs = [("1", ctx.one()), ("t", ctx.var("t")),
               ("t^2", ctx.mono({"t": 2})), ("P1*t", p1 * ctx.var("t"))]
         gs = [("1", ctx.one()), ("z", z), ("P1*z", p1 * z)]
-        for rlabel, reps in rep_choices(q, seed):
-            st = _steenrod(ctx, q, reps)
-            che = omega_che(ctx, q, reps, roots=(z,))
-            for ql, qser in qs:
-                for gl, gser in gs:
-                    lhs = slice_phi(ctx, symmetric_operation(st, z * gser), qser)
-                    rhs = z * slice_phi(ctx, symmetric_operation(st, gser),
-                                        qser * che)
-                    ok = lhs == rhs
-                    cases.append(_case("q=%s,g=%s" % (ql, gl), ok,
-                                       witness=None if ok else (lhs - rhs).render(),
-                                       p=q, reps=list(reps)))
+        che = omega_che(ctx, q, reps, roots=(z,))
+        for ql, qser in qs:
+            for gl, gser in gs:
+                lhs = slice_phi(ctx, symmetric_operation(st, z * gser), qser)
+                rhs = z * slice_phi(ctx, symmetric_operation(st, gser),
+                                    qser * che)
+                ok = lhs == rhs
+                cases.append(_case("q=%s,g=%s" % (ql, gl), ok,
+                                   witness=None if ok else (lhs - rhs).render(),
+                                   p=q, reps=list(reps)))
     return _report("rr", cases, p=p)
 
 
@@ -513,13 +491,6 @@ _F1_CLASSES = (
 )
 
 
-def _ambient_class(ctx, n, d):
-    fic = fgl.base_context(8, ctx.bweight)
-    if d == 0:
-        return convert(fgl.pn_class(fic, n).series, ctx)
-    return convert(fgl.hypersurface_class(fic, n, d).series, ctx)
-
-
 def verify_f1(deg=6, bweight=6, seed=20260814):
     """deg of the t^{p dim} slice of Phi([U]) equals the Chow-side eta."""
     cases = []
@@ -528,7 +499,7 @@ def verify_f1(deg=6, bweight=6, seed=20260814):
         u = _ambient_class(ctx, n, d)
         model = fgl.ChowModel(n, d)
         for rlabel, reps in rep_choices(q, seed):
-            st = _steenrod(ctx, q, reps)
+            st = quillen_steenrod(ctx, q, reps)
             phi = symmetric_operation(st, u)
             got = slice_phi(ctx, phi, ctx.mono({"t": q * dim}))
             try:
@@ -552,72 +523,67 @@ def verify_f1(deg=6, bweight=6, seed=20260814):
 def verify_uv(p=None, deg=6, bweight=6, seed=20260814):
     """Slices of Phi on u*v against eta-weighted St slices of v."""
     cases = []
-    for q in _primes(p):
-        ctx = make_context(q, deg, bweight)
+    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed):
         z = ctx.var("z1")
-        us = [("P1", _ambient_class(ctx, 1, 0), 1),
-              ("P2", _ambient_class(ctx, 2, 0), 2)]
+        us = [("P1", _ambient_class(ctx, 1), 1),
+              ("P2", _ambient_class(ctx, 2), 2)]
         qs = [("1", ctx.one()), ("t", ctx.var("t"))]
-        for rlabel, reps in rep_choices(q, seed):
-            st = _steenrod(ctx, q, reps)
-            i_s = math.prod(reps)
-            for ulabel, u, du in us:
-                eta = fgl.ChowModel(du).eta(q, reps)
-                for k in (1, 2):
-                    v = z ** k
-                    phi = symmetric_operation(st, u * v)
-                    for ql, qser in qs:
-                        lhs = chow_trace(ctx, slice_phi(ctx, phi, qser))
-                        f = qser * ctx.mono({"t": -q * du})
-                        rhs = st_slice(ctx, st, v, f).scale(eta)
-                        ok = lhs == rhs
-                        cases.append(_case(
-                            "u=%s,v=z^%d,q=%s" % (ulabel, k, ql), ok,
-                            witness=None if ok else (lhs - rhs).render(),
-                            p=q, reps=list(reps)))
-                    kexp = q * du - (q - 1) * k
-                    if kexp > 0:
-                        lhs = chow_trace(ctx, slice_phi(ctx, phi,
-                                                        ctx.mono({"t": kexp})))
-                        rhs = (z ** k).scale(eta * Fraction(i_s) ** k)
-                        ok = lhs == rhs
-                        cases.append(_case(
-                            "special u=%s,v=z^%d" % (ulabel, k), ok,
-                            witness=None if ok else (lhs - rhs).render(),
-                            p=q, reps=list(reps)))
+        i_s = math.prod(reps)
+        for ulabel, u, du in us:
+            eta = fgl.ChowModel(du).eta(q, reps)
+            for k in (1, 2):
+                v = z ** k
+                phi = symmetric_operation(st, u * v)
+                for ql, qser in qs:
+                    lhs = chow_trace(ctx, slice_phi(ctx, phi, qser))
+                    f = qser * ctx.mono({"t": -q * du})
+                    rhs = st_slice(ctx, st, v, f).scale(eta)
+                    ok = lhs == rhs
+                    cases.append(_case(
+                        "u=%s,v=z^%d,q=%s" % (ulabel, k, ql), ok,
+                        witness=None if ok else (lhs - rhs).render(),
+                        p=q, reps=list(reps)))
+                kexp = q * du - (q - 1) * k
+                if kexp > 0:
+                    lhs = chow_trace(ctx, slice_phi(ctx, phi,
+                                                    ctx.mono({"t": kexp})))
+                    rhs = (z ** k).scale(eta * Fraction(i_s) ** k)
+                    ok = lhs == rhs
+                    cases.append(_case(
+                        "special u=%s,v=z^%d" % (ulabel, k), ok,
+                        witness=None if ok else (lhs - rhs).render(),
+                        p=q, reps=list(reps)))
     return _report("uv", cases, p=p)
 
 
 def verify_grad(p=None, deg=6, bweight=6, seed=20260814):
     """Leading z-form of St on z^r u, and the shape of c below its unit."""
     cases = []
-    for q in _primes(p, allowed=(2, 3)):
-        ctx = make_context(q, deg, bweight)
+    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed,
+                                                    allowed=(2, 3)):
         z = ctx.var("z1")
-        us = [("1", ctx.one()), ("P1", _ambient_class(ctx, 1, 0)),
-              ("P2", _ambient_class(ctx, 2, 0))]
-        for rlabel, reps in rep_choices(q, seed):
-            st = _steenrod(ctx, q, reps)
-            i_s = math.prod(reps)
-            tail = st.c - ctx.mono({"t": q - 1}, coeff=i_s)
-            shape_ok = True
-            for exp, c in tail.terms.items():
-                texp = exp[ctx.table.index["t"]]
-                bsum = sum(exp[ctx.table.index[nm]] for nm in ctx.b_names)
-                if texp <= q - 1 or bsum == 0:
-                    shape_ok = False
-            cases.append(_case("c-shape", shape_ok,
-                               witness=None if shape_ok else tail.render(),
-                               p=q, reps=list(reps)))
-            for ulabel, u in us:
-                for r in (1, 2):
-                    lead = st.apply(z ** r * u).coeff_of("z1", r)
-                    want = st.c ** r * st.phi_hat(u)
-                    ok = lead == want
-                    cases.append(_case("z^%d*%s" % (r, ulabel), ok,
-                                       witness=None if ok else
-                                       (lead - want).render(),
-                                       p=q, reps=list(reps)))
+        us = [("1", ctx.one()), ("P1", _ambient_class(ctx, 1)),
+              ("P2", _ambient_class(ctx, 2))]
+        i_s = math.prod(reps)
+        tail = st.c - ctx.mono({"t": q - 1}, coeff=i_s)
+        shape_ok = True
+        for exp, c in tail.terms.items():
+            texp = exp[ctx.table.index["t"]]
+            bsum = sum(exp[ctx.table.index[nm]] for nm in ctx.b_names)
+            if texp <= q - 1 or bsum == 0:
+                shape_ok = False
+        cases.append(_case("c-shape", shape_ok,
+                           witness=None if shape_ok else tail.render(),
+                           p=q, reps=list(reps)))
+        for ulabel, u in us:
+            for r in (1, 2):
+                lead = st.apply(z ** r * u).coeff_of("z1", r)
+                want = st.c ** r * st.phi_hat(u)
+                ok = lead == want
+                cases.append(_case("z^%d*%s" % (r, ulabel), ok,
+                                   witness=None if ok else
+                                   (lead - want).render(),
+                                   p=q, reps=list(reps)))
     return _report("grad", cases, p=p)
 
 
@@ -637,11 +603,11 @@ def verify_diagram(p=None, deg=6, bweight=6, seed=20260814):
     cases = []
     for q in _primes(p, allowed=(2, 3)):
         ctx = make_context(q, deg, bweight)
-        fp = FormalP(ctx, q)
+        fp = _formal_p(ctx, q)
         ginv = fp.g.mul_inverse()
         choices = rep_choices(q, seed)[:2]
-        st1 = _steenrod(ctx, q, choices[0][1])
-        st2 = _steenrod(ctx, q, choices[1][1])
+        st1 = quillen_steenrod(ctx, q, choices[0][1])
+        st2 = quillen_steenrod(ctx, q, choices[1][1])
         for label, e, _dim in _grid(ctx):
             a1 = st1.apply(e)
             a2 = st2.apply(e)
@@ -747,8 +713,8 @@ def verify_soold(deg=6, bweight=6, seed=20260814):
     """[p]-multiplied slices of Phi against q(0) e^p minus the St residue."""
     q = 2
     ctx = make_context(q, deg, bweight)
-    fp = FormalP(ctx, q)
-    st = _steenrod(ctx, q, (-1,))
+    fp = _formal_p(ctx, q)
+    st = quillen_steenrod(ctx, q, (-1,))
     qs = [("1", ctx.one()), ("t", ctx.var("t")), ("t^2", ctx.mono({"t": 2})),
           ("1+t", ctx.one() + ctx.var("t"))]
     cases = []

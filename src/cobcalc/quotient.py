@@ -51,9 +51,6 @@ class FormalP:
             raise SeriesError("generator must have constant term p")
         self._tails = None
 
-    def generator_times_t(self):
-        return self.g.shift_var("t", 1)
-
     def _tail_digits(self, up_to):
         if self._tails is None or len(self._tails) <= up_to:
             self._tails = [self.g.coeff_of("t", k) for k in range(up_to + 1)]
@@ -120,9 +117,6 @@ class FormalP:
                                         carry, validate=False)
             f = f - (carry_series.shift_var("t", k)) * self.g
         return f
-
-    def quotient_equal(self, a, b):
-        return self.normal_form(a - b).is_zero
 
     # ----- Laurent-side reduction -------------------------------------------
 
@@ -207,31 +201,3 @@ class FormalP:
             out = out + coeff.shift_var("t", j)
         return out
 
-
-class QuotientSeries:
-    """A class of R[[t]]/(g), stored by its normal form."""
-
-    __slots__ = ("fp", "series")
-
-    def __init__(self, fp, representative, reduce=True):
-        self.fp = fp
-        self.series = fp.normal_form(representative) if reduce \
-            else representative
-
-    def __eq__(self, other):
-        return (isinstance(other, QuotientSeries)
-                and self.fp.p == other.fp.p
-                and self.series == other.series)
-
-    __hash__ = None
-
-    def to_json_dict(self):
-        return {
-            "generator_prime": self.fp.p,
-            "trunc_t": self.series.trunc_plus,
-            "representative": self.series.to_json_dict(),
-        }
-
-    def __repr__(self):
-        return "<QuotientSeries mod %d: %s>" % (self.fp.p,
-                                                self.series.render())

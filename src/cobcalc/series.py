@@ -492,12 +492,6 @@ class GradedSeries:
                 out[e] = v
         return self._make(out, validate=False)
 
-    def restrict(self, trunc_plus, trunc_minus):
-        """Deliberate recut to tighter bounds (never widens exactness)."""
-        if trunc_plus > self.trunc_plus or trunc_minus > self.trunc_minus:
-            raise TruncationMismatch("restrict cannot loosen bounds")
-        return GradedSeries(self.table, trunc_plus, trunc_minus, self.terms)
-
     # ----- substitution ----------------------------------------------------
 
     def _binding_self_sufficient(self, img):

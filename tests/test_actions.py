@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from cobcalc.actions import (ConfluentMatrix, ShiftAction, action_context,
-                             bareiss_det, build_matrix_A,
-                             check_minor_determinant, invariant_decompose,
-                             make_shift_automorphism, minors_suite,
+                             bareiss_det, check_minor_determinant,
+                             invariant_decompose, minors_suite,
                              prop_xy_series, reconstruct, theorem_g_suite,
                              twisted_context, twisted_fgl_alpha,
                              vandermonde_product, xy_context)
@@ -19,28 +18,28 @@ def mono(cm, exps, coeff=1):
 
 
 def test_matrix_examples():
-    a = build_matrix_A((1, 1), 2)
+    a = ConfluentMatrix((1, 1), 2)
     assert a.rows == ((a.one(), mono(a, {"t1": 1})),
                       (a.one(), mono(a, {"t2": 1})))
-    b = build_matrix_A((2,), 2)
+    b = ConfluentMatrix((2,), 2)
     assert b.rows == ((b.one(), mono(b, {"t1": 1})),
                       (b._zero(), b.one()))
-    c = build_matrix_A((1,), 1)
+    c = ConfluentMatrix((1,), 1)
     assert c.rows == ((c.one(),),)
     with pytest.raises(SeriesError):
-        build_matrix_A((0,), 1)
+        ConfluentMatrix((0,), 1)
 
 
 def test_bareiss_examples():
-    a = build_matrix_A((1, 1), 2)
+    a = ConfluentMatrix((1, 1), 2)
     assert bareiss_det(a.rows, a.one()) == mono(a, {"t2": 1}) - mono(a, {"t1": 1})
 
-    b = build_matrix_A((2, 1), 3)
+    b = ConfluentMatrix((2, 1), 3)
     d = mono(b, {"t2": 1}) - mono(b, {"t1": 1})
     assert bareiss_det(b.rows, b.one()) == d * d
     assert bareiss_det(b.rows, b.one()) == vandermonde_product(b)
 
-    c = build_matrix_A((3,), 3)
+    c = ConfluentMatrix((3,), 3)
     assert bareiss_det(c.rows, c.one()) == c.one()
 
     one, zero = a.one(), a._zero()
@@ -60,11 +59,19 @@ def test_minors_suite_small():
     assert rep["cases"] > 8
 
 
+def _shift_power(action, k):
+    """sigma^k(x) by applying the one-step shift k - 1 times to image(1)."""
+    out = action.image(1)
+    for _ in range(k - 1):
+        out = action.apply(out)
+    return out
+
+
 def test_shift_automorphism_shape():
     ctx = action_context(2)
-    aut = make_shift_automorphism(ctx, 2)
-    assert aut.t_sigma == ctx.var("t")
-    lam1 = aut.image.coeff_of("x", 1)
+    image = ShiftAction(ctx, 2, "x").image(1)
+    assert image.coeff_of("x", 0) == ctx.var("t")
+    lam1 = image.coeff_of("x", 1)
     assert lam1.constant() == 1
     assert lam1.coeff_of("t", 1) == ctx.mono({"b1": 1}, 2)  # a_{1,1}
 
@@ -72,19 +79,18 @@ def test_shift_automorphism_shape():
 @pytest.mark.parametrize("p", [2, 3])
 def test_shift_automorphism_order_p(p):
     ctx = action_context(p)
-    aut = make_shift_automorphism(ctx, p)
     action = ShiftAction(ctx, p, "x")
-    assert aut.iterate(2).image == action.image(2)
+    assert _shift_power(action, 2) == action.image(2)
     fp = action.fp
-    assert fp.normal_form(aut.iterate(p).image - ctx.var("x")).is_zero
+    assert fp.normal_form(_shift_power(action, p) - ctx.var("x")).is_zero
 
 
 def test_additive_shift_has_order_two():
     ctx = Context(6, 0, extra_vars=("x",), trunc_plus=12)
-    aut = make_shift_automorphism(ctx, 2)
-    assert aut.image == ctx.var("x") + ctx.var("t")
+    action = ShiftAction(ctx, 2, "x")
+    assert action.image(1) == ctx.var("x") + ctx.var("t")
     fp = FormalP(ctx, 2)
-    assert fp.normal_form(aut.iterate(2).image - ctx.var("x")).is_zero
+    assert fp.normal_form(_shift_power(action, 2) - ctx.var("x")).is_zero
 
 
 def test_invariant_decompose_pi_powers():

@@ -123,7 +123,16 @@ def test_bad_args_exit_two(capsys):
     for argv in (["op", "st", "--input", "garbage!"],
                  ["op", "phi", "--input", "P1", "--reps", "2"],
                  ["verify", "sop", "--p", "7"],
-                 ["eta", "--U", "X9", "--p", "2"]):
+                 ["eta", "--U", "X9", "--p", "2"],
+                 # a non-prime p is a bad argument, not a falsification
+                 ["op", "st", "--input", "P1", "--p", "9"],
+                 ["op", "phi", "--input", "P1", "--p", "4"],
+                 ["op", "phi", "--input", "P1", "--p", "0"],
+                 ["eta", "--U", "P2", "--p", "4"],
+                 # queries past --deg/--bweight, which truncation would zero
+                 ["class", "Pn", "--n", "9"],
+                 ["fgl", "--what", "a_ij", "--i", "20", "--j", "1"],
+                 ["op", "phi", "--input", "P3", "--p", "2", "--bweight", "2"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from cobcalc import fgl
@@ -225,15 +228,60 @@ def test_chow_trace_kills_ambient(ctx2, p1):
     assert op.chow_trace(ctx2, z + p1) == z
 
 
-def test_convert_between_contexts(ctx2):
-    fic = fgl.base_context(8, 6)
-    elem = fgl.hypersurface_class(fic, 3, 3)
-    back = op.convert(elem.series, ctx2)
-    assert back.terms and all(c == v for c, v in
-                              zip(sorted(elem.series.terms.values()),
-                                  sorted(back.terms.values())))
-    with pytest.raises(KeyError):
-        op.convert(ctx2.var("z1"), fgl.Context(4, 2))
+def _by_monomial(series):
+    return {series.table.monomial_str(exp): c
+            for exp, c in series.terms.items()}
+
+
+def test_grid_classes_match_base_context():
+    base = fgl.base_context(8, 6)
+    want = {"P1": fgl.pn_class(base, 1), "P2": fgl.pn_class(base, 2),
+            "P3": fgl.pn_class(base, 3),
+            "H(3,3)": fgl.hypersurface_class(base, 3, 3)}
+    for p in (2, 3):
+        grid = {label: e for label, e, _dim in
+                op.grid_elements(op.make_context(p, deg=6, bweight=6))}
+        for label, elem in want.items():
+            assert _by_monomial(grid[label]) == _by_monomial(elem.series), \
+                (p, label)
+
+
+def test_classes_past_bweight_raise():
+    ctx = op.make_context(2, deg=6, bweight=2)
+    with pytest.raises(SeriesError):
+        op._ambient_class(ctx, 3)
+    with pytest.raises(SeriesError):
+        op._ambient_class(ctx, 4, 2)
+
+
+def test_quillen_steenrod_is_cached_on_the_context(ctx2):
+    st = op.quillen_steenrod(ctx2, 2, (1,))
+    assert op.quillen_steenrod(ctx2, 2, [1]) is st
+
+
+def test_tom_dieck_sq_shares_the_canonical_steenrod(monkeypatch):
+    built = []
+    init = op.OperationDescriptor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(op.OperationDescriptor, "__init__", counting_init)
+    monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
+    ctx = op.make_context(3, deg=4, bweight=3)
+    op.tom_dieck_sq(ctx, 3, ctx.var("z1"))
+    st = op.quillen_steenrod(ctx, 3, (1, 2))
+    assert built == [st]
+
+
+def test_transient_context_is_freed_with_its_caches():
+    ctx = fgl.Context(3, 2, extra_vars=("x",))
+    st = op.quillen_steenrod(ctx, 2, (1,))
+    assert op.quillen_steenrod(ctx, 2, (1,)) is st
+    ref = weakref.ref(ctx)
+    del ctx, st
+    gc.collect()
+    assert ref() is None
 
 
 def test_run_verifier_dispatch():
