@@ -80,6 +80,16 @@ def parse_element(ctx, text):
 def _parse_atom(ctx, atom, full):
     if _ATOM_INT.match(atom):
         return ctx.const(int(atom))
+    series = _atom_series(ctx, atom, full)
+    if series.is_zero:
+        raise SeriesError("%s in %r is past the bounds (deg %d, bweight %d, "
+                          "trunc_plus %d) and truncates to zero"
+                          % (atom, full, ctx.deg, ctx.bweight,
+                             ctx.trunc_plus))
+    return series
+
+
+def _atom_series(ctx, atom, full):
     m = _ATOM_Z.match(atom)
     if m:
         name = "z%s" % (m.group(1) or "1")
@@ -96,6 +106,23 @@ def _parse_atom(ctx, atom, full):
     if m:
         return ops._ambient_class(ctx, int(m.group(1)), int(m.group(2)))
     raise SeriesError("cannot parse %r in element %r" % (atom, full))
+
+
+def _check_op_input(ctx, e, p, text):
+    """St at p multiplies b-weight and z-degree by p; refuse an input whose
+    image would pass --bweight or --deg, where truncation would zero it."""
+    table = ctx.table
+    zidx = [table.index[n] for n in ctx.z_names]
+    for exp in e.terms:
+        bw = table.degrees(exp)[1]
+        if p * bw > ctx.bweight:
+            raise SeriesError("input %r has b-weight %d; p * %d = %d is "
+                              "past bweight %d"
+                              % (text, bw, bw, p * bw, ctx.bweight))
+        zd = sum(exp[i] for i in zidx)
+        if p * zd > ctx.deg:
+            raise SeriesError("input %r has z-degree %d; p * %d = %d is "
+                              "past deg %d" % (text, zd, zd, p * zd, ctx.deg))
 
 
 def _emit(args, text, doc):
@@ -203,6 +230,7 @@ def _cmd_op(args):
     reps = _parse_reps(args.reps, p)
     ctx = ops.make_context(p, deg, bweight, tfloor=args.tfloor)
     e = parse_element(ctx, args.input)
+    _check_op_input(ctx, e, p, args.input)
     st = ops.quillen_steenrod(ctx, p, reps)
     doc = {"command": "op", "kind": args.kind, "p": p, "reps": list(reps),
            "input": args.input, "deg": deg, "bweight": bweight}

@@ -9,13 +9,31 @@ bounds.  Variables of negative weight (the ambient polynomial generators
 b1, b2, ...) are truncated by total weight independently of the ordinary
 variables, so a series can be a Laurent polynomial in t with polynomial
 coefficients in the b's at the same time.
+
+The product is one sparse kernel in the manner of Monagan and Pearce
+(Sparse polynomial multiplication and division in Maple 14, 2009).  Each
+term is packed into one int holding its exponents, its positive degree and
+its negative-weight degree, in fields whose offsets and widths are worked
+out on each call from the exponent ranges of the two operands, so Laurent
+floors and exponents of any size need no width setting.  Packed keys add
+like exponent vectors, and sorting them buckets the terms by negative
+degree and orders each bucket by positive degree; both truncations then
+end their loops with a break, so only admissible pairs are visited.  Each
+operand's common denominator is cleared on entry, so the pair loop adds and
+multiplies plain ints; each output term is unpacked and divided once.
+Exact division keeps its remainder in a heap in graded-lexicographic order
+and subtracts each shifted divisor term by term.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 import json
+from math import lcm
+from operator import add, itemgetter, mul, sub
 import re
 
 
@@ -107,7 +125,8 @@ class VariableTable:
     """
 
     __slots__ = ("variables", "index", "weights", "floors", "caps",
-                 "_pos_plain", "_neg", "_laurent", "_tp_inactive_bound")
+                 "_pos_plain", "_neg", "_laurent", "_tp_inactive_bound",
+                 "_wplus", "_wminus")
 
     def __init__(self, variables, degree_caps=()):
         self.variables = tuple(variables)
@@ -116,6 +135,9 @@ class VariableTable:
             raise SeriesError("duplicate variable names")
         self.index = {v.name: i for i, v in enumerate(self.variables)}
         self.weights = tuple(v.weight for v in self.variables)
+        # per-variable weight in the positive and in the negative degree
+        self._wplus = tuple(max(w, 0) for w in self.weights)
+        self._wminus = tuple(max(-w, 0) for w in self.weights)
         self.floors = tuple(v.laurent_floor for v in self.variables)
         caps = []
         for entry in degree_caps:
@@ -169,17 +191,7 @@ class VariableTable:
 
     def degrees(self, exp):
         """(positive-weight degree, negative-weight degree) of a term."""
-        dp = 0
-        dm = 0
-        for i, w in enumerate(self.weights):
-            e = exp[i]
-            if not e:
-                continue
-            if w > 0:
-                dp += w * e
-            else:
-                dm -= w * e
-        return dp, dm
+        return sum(map(mul, exp, self._wplus)), sum(map(mul, exp, self._wminus))
 
     def monomial_str(self, exp):
         parts = []
@@ -204,6 +216,22 @@ class VariableTable:
 
 def _order_key(exp):
     return (sum(exp), exp)
+
+
+def _pack(terms, scale, low):
+    """One operand of a product as sorted [(packed key, int coefficient)],
+    and the common denominator cleared from its coefficients."""
+    den = lcm(*{c.denominator for c in terms.values() if type(c) is not int})
+    bias = sum(map(mul, low, scale))
+    rows = []
+    for e, c in terms.items():
+        if type(c) is not int:
+            c = c.numerator * (den // c.denominator)
+        elif den != 1:
+            c *= den
+        rows.append((sum(map(mul, e, scale)) - bias, c))
+    rows.sort(key=itemgetter(0))
+    return rows, den
 
 
 class GradedSeries:
@@ -392,33 +420,79 @@ class GradedSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._compat(other)
-        if not self.terms or not other.terms:
-            return self._make({}, validate=False)
         a, b = self.terms, other.terms
+        if not a or not b:
+            return self._make({}, validate=False)
         if len(a) > len(b):
             a, b = b, a
         table = self.table
-        degrees = table.degrees
-        tp, tm = self.trunc_plus, self.trunc_minus
-        blist = sorted(((degrees(e)[0], degrees(e)[1], e, c)
-                        for e, c in b.items()), key=lambda r: r[0])
-        alist = [(degrees(e)[0], degrees(e)[1], e, c) for e, c in a.items()]
-        out = {}
-        for pa, ma, ea, ca in alist:
-            plim = tp - pa
-            mlim = tm - ma
-            for pb, mb, eb, cb in blist:
-                if pb > plim:
+        wplus, wminus = table._wplus, table._wminus
+        alo, blo = list(map(min, zip(*a))), list(map(min, zip(*b)))
+        lo = list(map(add, alo, blo))
+        hi = list(map(add, map(max, zip(*a)), map(max, zip(*b))))
+        # A packed key holds, from the low end, each exponent less its lowest
+        # value in the product, then the positive degree, then the negative
+        # degree, each less its lowest value and each field as wide as its
+        # range over the product needs.  So keys add like exponents, and
+        # sorted keys are sorted by negative and then by positive degree.
+        fields = []
+        off = 0
+        for low, high in zip(lo, hi):
+            width = (high - low).bit_length()
+            fields.append((off, (1 << width) - 1, low))
+            off += width
+        pshift = off
+        plo = sum(map(mul, lo, wplus))
+        mshift = pshift + (sum(map(mul, hi, wplus)) - plo).bit_length()
+        pmask = (1 << (mshift - pshift)) - 1
+        scale = [(1 << f[0]) + (wp << pshift) + (wm << mshift)
+                 for f, wp, wm in zip(fields, wplus, wminus)]
+        arows, da = _pack(a, scale, alo)
+        brows, db = _pack(b, scale, blo)
+        # the truncations as bounds on the degree fields of a product key
+        pmax = self.trunc_plus - plo
+        mmax = self.trunc_minus - sum(map(mul, lo, wminus))
+        bkeys = [r[0] for r in brows]
+        buckets = []
+        start = 0
+        while start < len(bkeys):
+            fm = bkeys[start] >> mshift
+            end = bisect_left(bkeys, (fm + 1) << mshift, start)
+            buckets.append((fm, fm << mshift, bkeys[start:end],
+                            brows[start:end]))
+            start = end
+        acc = {}
+        get = acc.get
+        for ka, ca in arows:
+            mlim = mmax - (ka >> mshift)
+            plim = (pmax - ((ka >> pshift) & pmask) + 1) << pshift
+            for fm, mbase, keys, rows in buckets:
+                if fm > mlim:
                     break
-                if mb > mlim:
-                    continue
-                key = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(key)
-                if v is None:
-                    out[key] = ca * cb
-                else:
-                    out[key] = v + ca * cb
-        return self._make(out)
+                n = bisect_left(keys, mbase + plim)
+                for kb, cb in (rows if n == len(rows) else rows[:n]):
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+        den = da * db
+        caps = table.caps
+        admit = table.admit
+        # variables some product term could carry below their floor
+        low_vars = [(i, f or 0) for i, f in enumerate(table.floors)
+                    if lo[i] < (f or 0)]
+        out = {}
+        for k, v in acc.items():
+            if not v:
+                continue
+            exp = tuple([((k >> o) & m) + low for o, m, low in fields])
+            if caps and admit(exp) is None:
+                continue
+            for i, f in low_vars:
+                if exp[i] < f:
+                    raise LaurentUnderflow(
+                        "exponent %d of %s below floor" %
+                        (exp[i], table.variables[i].name))
+            out[exp] = v if den == 1 else _norm_coeff(Fraction(v, den))
+        return self._make(out, validate=False)
 
     __rmul__ = __mul__
 
@@ -637,37 +711,61 @@ class GradedSeries:
             raise SeriesError("division by the zero series")
         self._compat(g)
         table = self.table
-        eg, cg = g._lowest()
+        degrees = table.degrees
+        admit = table.admit
         floors = table.floors
+        tp, tm = self.trunc_plus, self.trunc_minus
+        eg, cg = g._lowest()
+        # divisor terms by positive degree, so the truncation ends the loop
+        grows = sorted(((*degrees(e), e, c) for e, c in g.terms.items()),
+                       key=itemgetter(0))
         rem = dict(self.terms)
+        heap = [_order_key(e) for e in rem]
+        heapify(heap)
         q = {}
-        while rem:
-            er = min(rem, key=_order_key)
-            cr = rem[er]
-            e = tuple(a - b for a, b in zip(er, eg))
+        while heap:
+            er = heappop(heap)[1]
+            cr = rem.get(er)
+            if cr is None:
+                continue
+            e = tuple(map(sub, er, eg))
             for i, k in enumerate(e):
-                if k < 0 and floors[i] is None or \
-                        (k < 0 and floors[i] is not None and k < floors[i]):
+                if k < 0 and (floors[i] is None or k < floors[i]):
                     raise NotDivisible("monomial %s not divisible by %s"
                                        % (table.monomial_str(er),
                                           table.monomial_str(eg)),
                                        monomial=table.monomial_str(er))
-            c = Fraction(cr) / Fraction(cg)
-            c = _norm_coeff(c)
+            c = _norm_coeff(Fraction(cr) / Fraction(cg))
             if integral and not isinstance(c, int):
                 raise NotDivisible("coefficient of %s not divisible"
                                    % table.monomial_str(er),
                                    monomial=table.monomial_str(er))
             q[e] = c
-            piece = GradedSeries(table, self.trunc_plus, self.trunc_minus,
-                                 {e: c}, validate=False)
-            sub = piece * g
-            for exp, v in sub.terms.items():
-                r = rem.get(exp, 0) - v
-                if r:
-                    rem[exp] = r
+            # rem -= c * e * g; every term lies at or above er in the order
+            pe, me = degrees(e)
+            for pg, mg, eh, ch in grows:
+                if pe + pg > tp:
+                    break
+                if me + mg > tm:
+                    continue
+                exp = tuple(map(add, e, eh))
+                if admit(exp) is None:
+                    continue
+                for i, k in enumerate(exp):
+                    if k < 0 and (floors[i] is None or k < floors[i]):
+                        raise LaurentUnderflow(
+                            "exponent %d of %s below floor" %
+                            (k, table.variables[i].name))
+                v = rem.get(exp)
+                if v is None:
+                    rem[exp] = -c * ch
+                    heappush(heap, _order_key(exp))
                 else:
-                    rem.pop(exp, None)
+                    v -= c * ch
+                    if v:
+                        rem[exp] = v
+                    else:
+                        del rem[exp]
         return self._make(q)
 
     def compositional_inverse(self, name, poly_vars=()):

@@ -132,11 +132,28 @@ def test_bad_args_exit_two(capsys):
                  # queries past --deg/--bweight, which truncation would zero
                  ["class", "Pn", "--n", "9"],
                  ["fgl", "--what", "a_ij", "--i", "20", "--j", "1"],
-                 ["op", "phi", "--input", "P3", "--p", "2", "--bweight", "2"]):
+                 ["op", "phi", "--input", "P3", "--p", "2", "--bweight", "2"],
+                 # an atom past the z-degree cap; St(P2) at p = 5 past bweight
+                 ["op", "st", "--input", "z^9", "--p", "2"],
+                 ["op", "sq", "--input", "P2", "--p", "5"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_op_inputs_past_the_bounds_name_the_bound(capsys):
+    for argv, bound in ((["op", "st", "--input", "z^9", "--p", "2"], "deg 8"),
+                        (["op", "sq", "--input", "P2", "--p", "5"],
+                         "bweight 8"),
+                        (["op", "phi", "--input", "z^4", "--p", "3"],
+                         "past deg 8")):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert bound in capsys.readouterr().err
+    # at the bounds themselves the operation still runs
+    rc, out = run(capsys, "op", "st", "--input", "z^4", "--p", "2")
+    assert rc == 0 and out.strip() != "0"
 
 
 def test_falsification_exit_three(capsys):

@@ -1,0 +1,196 @@
+"""The product and exact-division kernels against an all-pairs oracle.
+
+The oracle multiplies every pair of terms with Fraction arithmetic and then
+applies the ring's rules written out here from their definitions: drop zero
+coefficients, drop terms past a degree cap or a truncation bound, and raise
+LaurentUnderflow when a kept term lies below a Laurent floor.  It does not
+call GradedSeries.__mul__ or anything that product uses.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cobcalc.series import (  # noqa: E402
+    GradedSeries,
+    LaurentUnderflow,
+    NotDivisible,
+    Variable,
+    VariableTable,
+)
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
+COEFFS = st.one_of(st.integers(-3, 3),
+                   st.builds(Fraction, st.integers(-3, 3),
+                             st.sampled_from([2, 3, 4])))
+
+
+def oracle(a, b):
+    """(terms of a*b, whether a kept term lies below a floor)."""
+    table = a.table
+    weights = table.weights
+    acc = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            acc[e] = acc.get(e, 0) + Fraction(ca) * Fraction(cb)
+    out = {}
+    underflow = False
+    for e, c in acc.items():
+        if c == 0:
+            continue
+        if any(sum(e[i] for i in idxs) > bound for idxs, bound in table.caps):
+            continue
+        dp = sum(w * k for w, k in zip(weights, e) if w > 0)
+        dm = sum(-w * k for w, k in zip(weights, e) if w < 0)
+        if dp > a.trunc_plus or dm > a.trunc_minus:
+            continue
+        if any(k < (f or 0) for k, f in zip(e, table.floors)):
+            underflow = True
+        out[e] = c.numerator if c.denominator == 1 else c
+    return out, underflow
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 4))
+    variables = [Variable("v%d" % i,
+                          draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                          laurent_floor=draw(st.sampled_from([None, -1, -3])))
+                 for i in range(n)]
+    names = [v.name for v in variables]
+    caps = draw(st.lists(st.tuples(st.lists(st.sampled_from(names), min_size=1,
+                                            max_size=n, unique=True),
+                                   st.integers(0, 5)), max_size=2))
+    table = VariableTable(variables, degree_caps=[(tuple(g), bound)
+                                                  for g, bound in caps])
+    return table, draw(st.integers(0, 12)), draw(st.integers(0, 12))
+
+
+def series(draw, table, tp, tm, coeffs=COEFFS, nonneg=False):
+    # small exponent ranges make products collide, and so cancel
+    exps = st.tuples(*[st.integers(0 if nonneg or v.laurent_floor is None
+                                   else v.laurent_floor, 2)
+                       for v in table.variables])
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=8))
+    return GradedSeries(table, tp, tm, terms)
+
+
+@st.composite
+def operands(draw):
+    table, tp, tm = draw(tables())
+    a, b = series(draw, table, tp, tm), series(draw, table, tp, tm)
+    if draw(st.booleans()):
+        # (a + b)(a - b): the cross terms cancel
+        return a + b, a - b
+    return a, b
+
+
+def _laurent_pair():
+    table = VariableTable([Variable("t", 1, laurent_floor=-3),
+                           Variable("b", -1)])
+    a = GradedSeries(table, 4, 2, {(-2, 0): 1, (1, 1): Fraction(1, 2)})
+    return a, GradedSeries(table, 4, 2, {(-2, 1): 3, (0, 0): -1})
+
+
+def _cancelling_pair():
+    table = VariableTable([Variable("x", 1), Variable("y", 2)])
+    a = GradedSeries(table, 6, 0, {(1, 0): 1, (0, 1): Fraction(1, 2)})
+    return a, GradedSeries(table, 6, 0, {(1, 0): 1, (0, 1): Fraction(-1, 2)})
+
+
+def _capped_underflow_pair():
+    # t^-4 lies below the floor but carries h^3, past the cap: no raise
+    table = VariableTable([Variable("t", 1, laurent_floor=-3),
+                           Variable("h", 1)], degree_caps=[("h", 2)])
+    a = GradedSeries(table, 6, 0, {(-2, 2): 2, (0, 0): 1})
+    return a, GradedSeries(table, 6, 0, {(-2, 1): 1, (1, 0): 3})
+
+
+@SETTINGS
+@given(operands())
+@example(_laurent_pair())
+@example(_cancelling_pair())
+@example(_capped_underflow_pair())
+def test_product_matches_all_pairs_oracle(pair):
+    a, b = pair
+    expected, underflow = oracle(a, b)
+    for left, right in ((a, b), (b, a)):
+        if underflow:
+            with pytest.raises(LaurentUnderflow):
+                left * right
+            continue
+        got = left * right
+        assert got.terms == expected
+        assert all(type(c) is int or c.denominator != 1
+                   for c in got.terms.values())
+        assert (got.trunc_plus, got.trunc_minus) == (a.trunc_plus,
+                                                     a.trunc_minus)
+
+
+def test_oracle_examples_reach_each_branch():
+    a, b = _laurent_pair()
+    assert oracle(a, b)[1]
+    with pytest.raises(LaurentUnderflow):
+        a * b
+    a, b = _cancelling_pair()
+    expected, underflow = oracle(a, b)
+    assert not underflow and (1, 1) not in expected
+    assert (a * b).terms == {(2, 0): 1, (0, 2): Fraction(-1, 4)}
+    a, b = _capped_underflow_pair()
+    expected, underflow = oracle(a, b)
+    assert not underflow and (a * b).terms == expected
+
+
+@st.composite
+def divisions(draw):
+    """(q, g) with int coefficients and g = +-1 + terms of higher order."""
+    table, tp, tm = draw(tables())
+    q = series(draw, table, tp, tm, coeffs=st.integers(-4, 4))
+    g = series(draw, table, tp, tm, coeffs=st.integers(-4, 4), nonneg=True)
+    unit = draw(st.sampled_from([1, -1]))
+    g = g + GradedSeries.const(table, tp, tm, unit - g.constant())
+    return q, g
+
+
+@SETTINGS
+@given(divisions())
+def test_exact_divide_roundtrip_integral(pair):
+    q, g = pair
+    f = q * g
+    quotient = f.exact_divide(g, integral=True)
+    assert all(type(c) is int for c in quotient.terms.values())
+    assert quotient * g == f
+
+
+@SETTINGS
+@given(divisions(), st.integers(2, 5))
+def test_exact_divide_roundtrip_fractions(pair, den):
+    q, g = pair
+    f = (q * g).scale(Fraction(1, den))
+    assert f.exact_divide(g) * g == f
+
+
+def test_not_divisible_names_the_seed_monomial():
+    table = VariableTable([Variable("t", 1, laurent_floor=-2),
+                           Variable("x", 1), Variable("b", -1)],
+                          degree_caps=[("x", 3)])
+
+    def m(exps, c=1):
+        return GradedSeries.monomial(table, 6, 2, exps, coeff=c)
+    g = m({}, 2) + m({"x": 1}) + m({"t": -1, "b": 1}, 3)
+    f = ((m({"t": 1}) + m({"x": 1}, -1) + m({"b": 1})) * g
+         + m({"x": 2, "b": 1}, 4) - m({"t": -1, "x": 1, "b": 2}, 3))
+    with pytest.raises(NotDivisible) as err:
+        f.exact_divide(g, integral=True)
+    assert err.value.monomial == "x*b"
+    assert str(err.value) == "coefficient of x*b not divisible"
+    with pytest.raises(NotDivisible) as err:
+        f.exact_divide(g)
+    assert err.value.monomial == "t*x"
+    assert str(err.value) == "monomial t*x not divisible by t^-1*b"
