@@ -8,6 +8,12 @@ divisibility certificates at every stripping step, and derives the
 two-variable consequences: the addition series G(u,v) with
 prod(x +_F y +_F [i]t) = G(pi(x), pi(y)), and the twisted group law
 F^alpha(u,v) = alpha(F(beta(u), beta(v))) with integral coefficients.
+
+A ShiftAction holds no cache of its own: the shift images and the orbit
+product (`Context.shift_image`, `Context.orbit_product`, which St's gamma
+shares), the powers of pi, c(t), its unit inverse and the FormalP are all
+cached on the context under value keys, so two actions on one context share
+them and they die with the context.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 import random
 
 from .fgl import Context
-from .quotient import FormalP
+from .quotient import formal_p
 from .series import (GradedSeries, NotDivisible, SeriesError, Variable,
                      VariableTable)
 
@@ -129,8 +135,9 @@ def compositions(n):
             yield (first,) + rest
 
 
-def check_minor_determinant(blocks, exhaustive_minors=False, width=None):
-    """Square determinant identity, optionally all maximal minors.
+def check_minor_determinant(blocks, exhaustive_minors=False):
+    """Square determinant identity, optionally all maximal minors of the
+    matrix two columns wider.
 
     Returns a report dict; a failed identity is a falsification and sets
     verdict False with the offending minor as witness.
@@ -147,7 +154,7 @@ def check_minor_determinant(blocks, exhaustive_minors=False, width=None):
         witness = "det A(%s;%d) != product" % (",".join(map(str, blocks)),
                                                n_total)
     if exhaustive_minors and verdict:
-        m = width if width is not None else n_total + 2
+        m = n_total + 2
         wide = ConfluentMatrix(blocks, m)
         wprod = vandermonde_product(wide)
         for cols in itertools.combinations(range(m), n_total):
@@ -183,13 +190,11 @@ def minors_suite(max_square=6, max_minor=5):
 # the shift automorphism and invariant decomposition
 
 
-def action_context(p, deg=6, bweight=6, xcap=None):
+def action_context(p, deg=6, bweight=6):
     # x is truncated through the weight grading (trunc_plus bounds the joint
     # x,t-degree), not a degree cap: x -> x +_F t preserves total weight, so
     # the weight cut is substitution-sound while a cap on x alone is not.
-    xcap = deg if xcap is None else xcap
-    return Context(deg, bweight, extra_vars=("x",),
-                   trunc_plus=deg + 2 * xcap + 4)
+    return Context(deg, bweight, extra_vars=("x",), trunc_plus=3 * deg + 4)
 
 
 class ShiftAction:
@@ -199,17 +204,10 @@ class ShiftAction:
         self.ctx = ctx
         self.p = int(p)
         self.var = var
-        self.fp = FormalP(ctx, p)
-        self._images = {}
-        self._pi_pows = {}
-        self._c = None
-        self._unit_inv = None
+        self.fp = formal_p(ctx, p)
 
     def image(self, k=1):
-        if k not in self._images:
-            self._images[k] = self.ctx.formal_sum(self.ctx.var(self.var),
-                                                  self.ctx.nseries(k))
-        return self._images[k]
+        return self.ctx.shift_image(self.var, k)
 
     def apply(self, series, k=1):
         return series.substitute({self.var: self.image(k)})
@@ -219,33 +217,31 @@ class ShiftAction:
         return self.pi_power(1)
 
     def pi_power(self, n):
-        if n not in self._pi_pows:
+        ctx = self.ctx
+
+        def build():
             if n == 0:
-                self._pi_pows[n] = self.ctx.one()
-            elif n == 1:
-                out = self.ctx.var(self.var)
-                for i in range(1, self.p):
-                    out = out * self.image(i)
-                self._pi_pows[n] = out
-            else:
-                self._pi_pows[n] = self.pi_power(n - 1) * self.pi_power(1)
-        return self._pi_pows[n]
+                return ctx.one()
+            if n == 1:
+                return ctx.orbit_product(self.var, range(1, self.p))
+            return self.pi_power(n - 1) * self.pi_power(1)
+        return ctx.memo(("pi_power", self.var, self.p, n), build)
 
     def c_series(self):
         """prod_{i=1}^{p-1} [i]_F(t): the lowest coefficient of pi."""
-        if self._c is None:
+        def build():
             out = self.ctx.one()
             for i in range(1, self.p):
                 out = out * self.ctx.nseries(i)
-            self._c = out
-        return self._c
+            return out
+        return self.ctx.memo(("c_series", self.p), build)
 
     def unit_inverse(self):
         """Inverse of c(t)/t^(p-1), a unit with constant (p-1)!."""
-        if self._unit_inv is None:
+        def build():
             unit = self.c_series().shift_var("t", -(self.p - 1))
-            self._unit_inv = unit.mul_inverse()
-        return self._unit_inv
+            return unit.mul_inverse()
+        return self.ctx.memo(("c_unit_inverse", self.p), build)
 
 
 def invariant_decompose(phi, action):
@@ -425,10 +421,8 @@ def twisted_fgl_alpha(p, deg=6, bweight=6):
     axioms at truncation, plus alpha|_{t=0} = x^p.
     """
     ctx = twisted_context(p, deg=deg, bweight=bweight)
-    fp = FormalP(ctx, p)
-    alpha = ctx.var("x")
-    for i in range(1, p):
-        alpha = alpha * ctx.formal_sum(ctx.var("x"), ctx.nseries(i))
+    fp = formal_p(ctx, p)
+    alpha = ctx.orbit_product("x", range(1, p))
     beta = alpha.compositional_inverse("x", poly_vars=("x",))
     bu = beta.substitute({"x": ctx.var("u")})
     bv = beta.substitute({"x": ctx.var("v")})

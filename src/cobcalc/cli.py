@@ -49,7 +49,8 @@ def _parse_reps(text, p):
 _ATOM_Z = re.compile(r"^z(\d*)(?:\^(-?\d+))?$")
 _ATOM_T = re.compile(r"^t(?:\^(-?\d+))?$")
 _ATOM_P = re.compile(r"^P(\d+)$")
-_ATOM_H = re.compile(r"^H\((\d+),(\d+)\)$")
+# a hypersurface has degree d >= 1: H(n,0) is no alias of Pn
+_ATOM_H = re.compile(r"^H\((\d+),([1-9]\d*)\)$")
 _ATOM_INT = re.compile(r"^-?\d+$")
 
 
@@ -131,8 +132,12 @@ def _emit(args, text, doc):
     else:
         out = text if text.endswith("\n") else text + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise SeriesError("cannot write --out %s: %s"
+                              % (args.out, exc.strerror or exc))
     else:
         sys.stdout.write(out)
 
@@ -301,18 +306,21 @@ def build_parser():
         description="formal group law calculator with symmetric operations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_reps=True, pdefault=2):
-        sp.add_argument("--p", type=int, default=pdefault)
-        if with_reps:
-            sp.add_argument("--reps", default=None,
-                            help="comma separated residues, default canonical")
-        sp.add_argument("--deg", type=int, default=None,
-                        help="degree truncation (env COBCALC_DEG)")
-        sp.add_argument("--bweight", type=int, default=None)
-        sp.add_argument("--tfloor", type=int, default=None)
+    options = {
+        "--p": dict(type=int, default=2),
+        "--reps": dict(help="comma separated residues, default canonical"),
+        "--deg": dict(type=int, help="degree truncation (env COBCALC_DEG)"),
+        "--bweight": dict(type=int),
+        "--tfloor": dict(type=int),
+        "--seed": dict(type=int, default=20260814),
+    }
+
+    def common(sp, *names):
+        """The named shared options, then --format and --out."""
+        for name in names:
+            sp.add_argument(name, **options[name])
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--seed", type=int, default=20260814)
-        sp.add_argument("--out", default=None, metavar="FILE")
+        sp.add_argument("--out", metavar="FILE")
 
     sp = sub.add_parser("fgl", help="group law series")
     sp.add_argument("--what", choices=("F", "[n]", "a_ij", "omega", "inverse"),
@@ -320,32 +328,32 @@ def build_parser():
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--i", type=int, default=None)
     sp.add_argument("--j", type=int, default=None)
-    common(sp, with_reps=False)
+    common(sp, "--deg", "--bweight", "--tfloor")
     sp.set_defaults(func=_cmd_fgl)
 
     sp = sub.add_parser("class", help="ambient classes and their numbers")
     sp.add_argument("kind", choices=("Pn", "hypersurface"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, default=None)
-    common(sp, with_reps=False)
+    common(sp, "--deg", "--bweight", "--tfloor")
     sp.set_defaults(func=_cmd_class)
 
     sp = sub.add_parser("op", help="apply an operation to an element")
     sp.add_argument("kind", choices=("st", "sq", "phi", "ln", "slice"))
     sp.add_argument("--input", required=True)
     sp.add_argument("--q", default=None, help="slice weight series")
-    common(sp)
+    common(sp, "--p", "--reps", "--deg", "--bweight", "--tfloor")
     sp.set_defaults(func=_cmd_op)
 
     sp = sub.add_parser("eta", help="Chow-side eta invariant")
     sp.add_argument("--U", required=True, help="Pn or H(n,d)")
-    common(sp)
+    common(sp, "--p", "--reps")
     sp.set_defaults(func=_cmd_eta)
 
     sp = sub.add_parser("verify", help="run a checker suite")
     sp.add_argument("name", choices=tuple(sorted(ops.VERIFIERS)) + ("all",))
-    common(sp, pdefault=None)
-    sp.set_defaults(func=_cmd_verify)
+    common(sp, "--p", "--deg", "--bweight", "--seed")
+    sp.set_defaults(func=_cmd_verify, p=None)
     return parser
 
 

@@ -23,26 +23,43 @@ from .series import (
 )
 
 
-class Context:
+class Memo:
+    """One dict of derived values, each built on first use and kept as long
+    as its owner lives."""
+
+    def __init__(self):
+        self._memo = {}
+
+    def memo(self, key, build):
+        """The value cached under key, from build() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = self._memo[key] = build()
+        return value
+
+
+class Context(Memo):
     """Shared variable table plus everything derived from it.
 
     extra_vars lists weight-1 carriers (or (name, weight) pairs) inserted
     after t; b1..b_{bweight} of weight -i always follow; with_primes adds a
     second alphabet bp1..bp_{bweight} for total-operation targets.
 
-    Derived objects (series, classes, operation descriptors) are cached on
+    Derived objects (series, classes, shift images and orbit products,
+    FormalP and the digits of its generator, St descriptors) are cached on
     the context through `memo`, keyed by value, and die with it.
     """
 
     def __init__(self, deg, bweight, *, tfloor=None, extra_vars=(),
                  degree_caps=(), with_primes=False, trunc_plus=None):
+        super().__init__()
         self.deg = int(deg)
         self.bweight = int(bweight)
         variables = [Variable("t", 1, laurent_floor=tfloor)]
         for entry in extra_vars:
-            if isinstance(entry, Variable):
-                variables.append(entry)
-            elif isinstance(entry, tuple):
+            if isinstance(entry, tuple):
                 variables.append(Variable(entry[0], entry[1]))
             else:
                 variables.append(Variable(entry, 1))
@@ -57,18 +74,9 @@ class Context:
         self.table = VariableTable(variables, degree_caps=degree_caps)
         self.trunc_plus = int(trunc_plus) if trunc_plus is not None else self.deg + 1
         self.trunc_minus = self.bweight
-        self._memo = {}
         # log_t keeps an attribute of its own: perfbench/tracer.py reads
         # _log_t to count the reversions it builds
         self._log_t = None
-
-    def memo(self, key, build):
-        """The value cached under key, from build() on first use."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build()
-            return value
 
     # ----- constructors over this context --------------------------------
 
@@ -152,12 +160,34 @@ class Context:
         """The formal inverse: F(t, iota(t)) = 0."""
         return self.nseries(-1)
 
+    def shift_image(self, name, k):
+        """name +_F [k]t: the carrier name under the k-th shift."""
+        return self.memo(("shift", name, k), lambda: self.formal_sum(
+            self.var(name), self.nseries(k)))
+
+    def orbit_product(self, name, reps):
+        """name * prod_{i in reps} (name +_F [i]t), multiplied in reps order.
+
+        With Laurent t a truncated product need not be associative, so the
+        order is part of the value.
+        """
+        reps = tuple(reps)
+
+        def build():
+            out = self.var(name)
+            for i in reps:
+                out = out * self.shift_image(name, i)
+            return out
+        return self.memo(("orbit", name, reps), build)
+
     def fgl(self, xname="x", yname="y"):
         return self.memo(("fgl", xname, yname), lambda: self.formal_sum(
             self.var(xname), self.var(yname)))
 
     def a_coeff(self, i, j, xname="x", yname="y"):
         """FGL structure constant a_{i,j} as an ambient polynomial."""
+        if i < 0 or j < 0:
+            raise SeriesError("a_%d,%d needs i, j >= 0" % (i, j))
         if i + j - 1 > self.bweight:
             raise SeriesError("a_%d,%d has b-weight %d, past bweight %d"
                               % (i, j, i + j - 1, self.bweight))
@@ -338,7 +368,7 @@ class ChowModel:
     degree functional deg(h^dim) = d (1 for P^n itself).
     """
 
-    def __init__(self, n, d=0, p_max=7):
+    def __init__(self, n, d=0):
         if n < 1:
             raise SeriesError("ambient projective dimension must be >= 1")
         if d < 0 or d == 1:
@@ -349,7 +379,8 @@ class ChowModel:
         self.dim = n if d == 0 else n - 1
         if self.dim < 1:
             raise SeriesError("model dimension must be positive")
-        floor = -(p_max * (n + self.dim) + 8)
+        # deep enough for chern_che at every prime up to 7
+        floor = -(7 * (n + self.dim) + 8)
         self.table = VariableTable(
             [Variable("t", 1, laurent_floor=floor), Variable("h", 1)],
             degree_caps=[("h", self.dim)],

@@ -8,6 +8,14 @@ builds Quillen-Steenrod St(reps), the total Landweber-Novikov operation, the
 tom Dieck Sq (through the faithful Laurent quotient), Symmetric operations
 Phi = divide-by-formal-p of the nonpositive part of e^p - St(e), residue
 slices, Chow traces, and the verifier suite for the identities these satisfy.
+
+Caches: what depends on the context alone (classes, the grid, FormalP, the
+orbit product that is St's gamma, St descriptors) is cached on the Context
+through `Context.memo`; what a descriptor derives (the twisted exponential,
+b-tilde and its products, gamma on a carrier, apply and Phi by input) is
+cached on the descriptor through the same `memo`, so descriptors built ad
+hoc take their caches with them.  `_CTX_CACHE` keeps one Laurent
+context per normalized `make_context` argument tuple for the process.
 """
 
 from __future__ import annotations
@@ -18,32 +26,32 @@ from fractions import Fraction
 
 from . import fgl
 from .actions import FalsificationError
-from .quotient import FormalP, PDivisibilityError, coeffs_mod_p
+from .quotient import PDivisibilityError, coeffs_mod_p, formal_p
 from .series import GradedSeries, SeriesError, vp
 
 _CTX_CACHE = {}
 
 
-def make_context(p, deg=6, bweight=6, nz=1, with_primes=False, tfloor=None):
-    """Laurent-t context with carriers z1..z_nz, x, and the weight-p slot s.
+def make_context(p, deg=6, bweight=6, with_primes=False, tfloor=None):
+    """Laurent-t context with the carrier z1, x, and the weight-p slot s.
 
-    x and s only ever receive cap-monotone substitutions (x -> z_i, or
+    x and s only ever receive cap-monotone substitutions (x -> z1, or
     x -> B(s/c) which raises s-degree per x-power), so plain degree caps on
-    them are sound.  z's share one cap: cellular inputs live at z-degree <= deg.
+    them are sound.  z1 is capped at deg: cellular inputs live at z-degree
+    <= deg.
     """
     if tfloor is None:
         tfloor = -(2 * p * (bweight + 2) + 8)
-    key = (p, deg, bweight, nz, with_primes, tfloor)
+    key = (p, deg, bweight, with_primes, tfloor)
     if key not in _CTX_CACHE:
         xcap = max(deg, bweight + 2)
-        znames = tuple("z%d" % i for i in range(1, nz + 1))
-        extras = [(n, 1) for n in znames] + [("x", 1), ("y", 1), ("s", p)]
-        caps = [(znames, deg), ("x", xcap), ("y", xcap), ("s", bweight + 2)]
+        extras = (("z1", 1), ("x", 1), ("y", 1), ("s", p))
+        caps = (("z1", deg), ("x", xcap), ("y", xcap), ("s", bweight + 2))
         tp = max(p * deg + bweight + p + 4, p * (bweight + 2) + 2)
-        ctx = fgl.Context(deg, bweight, tfloor=tfloor,
-                          extra_vars=tuple(extras), degree_caps=tuple(caps),
-                          with_primes=with_primes, trunc_plus=tp)
-        ctx.z_names = znames
+        ctx = fgl.Context(deg, bweight, tfloor=tfloor, extra_vars=extras,
+                          degree_caps=caps, with_primes=with_primes,
+                          trunc_plus=tp)
+        ctx.z_names = ("z1",)
         _CTX_CACHE[key] = ctx
     return _CTX_CACHE[key]
 
@@ -55,10 +63,6 @@ def _ambient_class(ctx, n, d=0):
             return fgl.pn_class(ctx, n).series
         return fgl.hypersurface_class(ctx, n, d).series
     return ctx.memo(("class", n, d), build)
-
-
-def _formal_p(ctx, p):
-    return ctx.memo(("formal_p", p), lambda: FormalP(ctx, p))
 
 
 def grid_elements(ctx):
@@ -87,10 +91,14 @@ def rep_choices(p, seed=20260814):
     return [("canonical", canonical), ("pm", pm), ("random", randomized)]
 
 
-class OperationDescriptor:
-    """A multiplicative operation, given by its prime and gamma series."""
+class OperationDescriptor(fgl.Memo):
+    """A multiplicative operation, given by its prime and gamma series.
+
+    Everything derived from gamma is cached on the descriptor (`memo`).
+    """
 
     def __init__(self, ctx, p, gamma, reps=None, name=""):
+        super().__init__()
         if gamma.constant() != 0:
             raise SeriesError("gamma must have zero constant term")
         self.ctx = ctx
@@ -101,54 +109,38 @@ class OperationDescriptor:
         self.c = gamma.coeff_of("x", 1)
         if self.c.is_zero:
             raise SeriesError("gamma'(0) must be invertible")
-        self._cinv = None
-        self._exponential = None
-        self._btilde = None
-        self._gamma_at = {}
-        self._bt_products = {}
-        self._apply_memo = {}
-        self._phi_memo = {}
 
     @property
     def is_stable(self):
         """b0 = 1: gamma = x + O(x^2)."""
         return self.c == self.ctx.one()
 
-    @property
-    def c_inverse(self):
-        if self._cinv is None:
-            self._cinv = self.c.mul_inverse()
-        return self._cinv
-
     def twisted_exponential(self):
         """gamma(B(s/c)): the exponential of the target group law in s."""
-        if self._exponential is None:
+        def build():
             ctx = self.ctx
-            arg = ctx.var("s") * self.c_inverse
-            bs = ctx.B_of(arg)
-            self._exponential = self.gamma.substitute({"x": bs},
-                                                      poly_vars=("x",))
-            if self._exponential.coeff_of("s", 1) != ctx.one():
+            bs = ctx.B_of(ctx.var("s") * self.c.mul_inverse())
+            out = self.gamma.substitute({"x": bs}, poly_vars=("x",))
+            if out.coeff_of("s", 1) != ctx.one():
                 raise SeriesError("twisted exponential is not normalized")
-        return self._exponential
+            return out
+        return self.memo("exponential", build)
 
     def btilde(self, i):
         """Image of the ambient generator b_i."""
-        if self._btilde is None:
+        def build():
             e = self.twisted_exponential()
-            self._btilde = [e.coeff_of("s", i + 1)
-                            for i in range(self.ctx.bweight + 1)]
-        return self._btilde[i]
+            return [e.coeff_of("s", k + 1) for k in range(self.ctx.bweight + 1)]
+        return self.memo("btilde", build)[i]
 
     def _bt_product(self, bexp):
-        if bexp not in self._bt_products:
-            ctx = self.ctx
-            out = ctx.one()
+        def build():
+            out = self.ctx.one()
             for i, e in enumerate(bexp):
                 for _ in range(e):
                     out = out * self.btilde(i + 1)
-            self._bt_products[bexp] = out
-        return self._bt_products[bexp]
+            return out
+        return self.memo(("bt", bexp), build)
 
     def phi_hat(self, u):
         """Coefficient map: substitute b_i -> btilde_i, all else passive."""
@@ -167,50 +159,42 @@ class OperationDescriptor:
 
     def gamma_at(self, name):
         """gamma evaluated on a carrier variable (first Chern class rule)."""
-        if name not in self._gamma_at:
-            self._gamma_at[name] = self.gamma.substitute(
-                {"x": self.ctx.var(name)}, poly_vars=("x",))
-        return self._gamma_at[name]
+        return self.memo(("gamma_at", name), lambda: self.gamma.substitute(
+            {"x": self.ctx.var(name)}, poly_vars=("x",)))
 
     def apply(self, e):
         """Multiplicative extension: sum phi_hat(u_a) prod gamma(z_i)^a_i."""
-        key = frozenset(e.terms.items())
-        if key in self._apply_memo:
-            return self._apply_memo[key]
-        ctx = self.ctx
-        zslots = [ctx.table.index[n] for n in ctx.z_names]
-        zset = set(zslots)
-        groups = {}
-        for exp, c in e.terms.items():
-            zexp = tuple(exp[i] for i in zslots)
-            rest = tuple(0 if i in zset else v for i, v in enumerate(exp))
-            groups.setdefault(zexp, {})[rest] = c
-        out = ctx.zero()
-        for zexp, terms in groups.items():
-            u = GradedSeries(ctx.table, e.trunc_plus, e.trunc_minus, terms,
-                             validate=False)
-            part = self.phi_hat(u)
-            for slot, k in zip(ctx.z_names, zexp):
-                if k:
-                    part = part * self.gamma_at(slot) ** k
-            out = out + part
-        self._apply_memo[key] = out
-        return out
+        def build():
+            ctx = self.ctx
+            zslots = [ctx.table.index[n] for n in ctx.z_names]
+            zset = set(zslots)
+            groups = {}
+            for exp, c in e.terms.items():
+                zexp = tuple(exp[i] for i in zslots)
+                rest = tuple(0 if i in zset else v for i, v in enumerate(exp))
+                groups.setdefault(zexp, {})[rest] = c
+            out = ctx.zero()
+            for zexp, terms in groups.items():
+                u = GradedSeries(ctx.table, e.trunc_plus, e.trunc_minus,
+                                 terms, validate=False)
+                part = self.phi_hat(u)
+                for slot, k in zip(ctx.z_names, zexp):
+                    if k:
+                        part = part * self.gamma_at(slot) ** k
+                out = out + part
+            return out
+        return self.memo(("apply", frozenset(e.terms.items())), build)
 
 
 def quillen_steenrod(ctx, p, reps):
     """St(reps): gamma = x * prod_j (x +_F [i_j]t), target Laurent in t.
 
-    One descriptor per (ctx, p, reps), cached on ctx with its apply memo.
+    One descriptor per (ctx, p, reps), cached on ctx; gamma is the context's
+    orbit product of x over reps.
     """
     reps = fgl._validate_reps(p, reps)
-
-    def build():
-        gamma = ctx.var("x")
-        for i in reps:
-            gamma = gamma * ctx.formal_sum(ctx.var("x"), ctx.nseries(i))
-        return OperationDescriptor(ctx, p, gamma, reps=reps, name="st")
-    return ctx.memo(("st", p, reps), build)
+    return ctx.memo(("st", p, reps), lambda: OperationDescriptor(
+        ctx, p, ctx.orbit_product("x", reps), reps=reps, name="st"))
 
 
 def landweber_novikov(ctx):
@@ -246,7 +230,7 @@ def tom_dieck_sq(ctx, p, e):
 
 def _sq_from_st(ctx, p, st, e):
     raw = st.apply(e)
-    fp = _formal_p(ctx, p)
+    fp = formal_p(ctx, p)
     ok, rep, witness = fp.is_integral_mod_ideal(raw)
     if not ok:
         raise FalsificationError("tom Dieck operation not integral",
@@ -258,25 +242,20 @@ def _sq_from_st(ctx, p, st, e):
 
 def symmetric_operation(st, e):
     """Phi(reps)(e): the exact quotient of nonpos(e^p - St(e)) by [p]_F/t."""
-    key = frozenset(e.terms.items())
-    memo = st._phi_memo
-    if key in memo:
-        return memo[key]
-    ctx = st.ctx
-    p = st.p
-    s_series = e ** p - st.apply(e)
-    fp = _formal_p(ctx, p)
-    phi = fp.divide_by_formal_p(s_series)
-    hi = phi.max_degree("t")
-    if hi is not None and hi > 0:
-        raise FalsificationError("Phi has positive t-powers")
-    resid = s_series - fp.g * phi
-    lo = resid.min_degree("t")
-    if lo is not None and lo < 1:
-        raise FalsificationError("remainder of the Phi division is not "
-                                 "strictly positive in t")
-    memo[key] = phi
-    return phi
+    def build():
+        s_series = e ** st.p - st.apply(e)
+        fp = formal_p(st.ctx, st.p)
+        phi = fp.divide_by_formal_p(s_series)
+        hi = phi.max_degree("t")
+        if hi is not None and hi > 0:
+            raise FalsificationError("Phi has positive t-powers")
+        resid = s_series - fp.g * phi
+        lo = resid.min_degree("t")
+        if lo is not None and lo < 1:
+            raise FalsificationError("remainder of the Phi division is not "
+                                     "strictly positive in t")
+        return phi
+    return st.memo(("phi", frozenset(e.terms.items())), build)
 
 
 def slice_phi(ctx, phi, q):
@@ -307,6 +286,9 @@ def omega_che(ctx, p, reps, roots=(), minus_roots=()):
 
 
 # ----- verifier suite --------------------------------------------------------
+#
+# Every verifier takes the keywords (p, deg, bweight, seed) and ignores those
+# that do not apply to it; run_verifier passes the ones it is given.
 
 GRID_PRIMES = (2, 3, 5)
 
@@ -316,6 +298,21 @@ def _case(label, ok, witness=None, **extra):
     if witness is not None and not ok:
         case["witness"] = witness
     case.update(extra)
+    return case
+
+
+def _compare(label, got, want, **extra):
+    """An exact comparison; got - want is rendered only when they differ."""
+    ok = got == want
+    return _case(label, ok, witness=None if ok else (got - want).render(),
+                 **extra)
+
+
+def _suite_case(label, rep, counted=True, **extra):
+    """A case from the report of an actions suite, with its case count."""
+    case = _case(label, rep["verdict"], witness=rep.get("witness"), **extra)
+    if counted:
+        case["count"] = rep["cases"]
     return case
 
 
@@ -336,73 +333,71 @@ def _primes(p, allowed=GRID_PRIMES):
     return [p]
 
 
-def _steenrod_grid(p, deg, bweight, seed, allowed=GRID_PRIMES):
-    """(q, ctx, rlabel, reps, St(reps)) per prime, then per rep choice."""
+def _st_cases(check, p, deg, bweight, seed, allowed=GRID_PRIMES):
+    """The cases of check for St at each prime, then each choice of reps.
+
+    check(ctx, st, rlabel) yields (label, got, want), compared exactly, or
+    a finished case; every case is tagged with the prime and the reps.
+    """
+    cases = []
     for q in _primes(p, allowed):
         ctx = make_context(q, deg, bweight)
         for rlabel, reps in rep_choices(q, seed):
-            yield q, ctx, rlabel, reps, quillen_steenrod(ctx, q, reps)
+            st = quillen_steenrod(ctx, q, reps)
+            for item in check(ctx, st, rlabel):
+                case = item if isinstance(item, dict) else _compare(*item)
+                case.update(p=q, reps=list(reps))
+                cases.append(case)
+    return cases
 
 
-def verify_fglaxioms(deg=8, bweight=8):
+def verify_fglaxioms(p=None, deg=8, bweight=8, seed=None):
     """Unit, commutativity, associativity, and the low structure constants."""
     ctx = fgl.Context(deg, bweight, extra_vars=("x", "y", "w"),
                       trunc_plus=deg + 1)
-    F = ctx.fgl("x", "y")
-    cases = []
-    cases.append(_case("unit", F.kill_vars(("y",)) == ctx.var("x")))
-    swapped = F.substitute({"x": ctx.var("y"), "y": ctx.var("x")},
-                           poly_vars=("x", "y"))
-    cases.append(_case("commutativity", swapped == F))
+    # a_coeff names the bound that a small deg or bweight misses, before
+    # b2 is looked up
+    a11, a21 = ctx.a_coeff(1, 1), ctx.a_coeff(2, 1)
     b1, b2 = ctx.var("b1"), ctx.var("b2")
-    cases.append(_case("a11", ctx.a_coeff(1, 1) == b1.scale(2)))
-    cases.append(_case("a21", ctx.a_coeff(2, 1) == b2.scale(3) - (b1 * b1).scale(2)))
-    Fyw = F.substitute({"x": ctx.var("y"), "y": ctx.var("w")},
-                       poly_vars=("x", "y"))
-    left = F.substitute({"x": F, "y": ctx.var("w")}, poly_vars=("x", "y"))
+    x, y, w = ctx.var("x"), ctx.var("y"), ctx.var("w")
+    F = ctx.fgl("x", "y")
+    swapped = F.substitute({"x": y, "y": x}, poly_vars=("x", "y"))
+    Fyw = F.substitute({"x": y, "y": w}, poly_vars=("x", "y"))
+    left = F.substitute({"x": F, "y": w}, poly_vars=("x", "y"))
     right = F.substitute({"y": Fyw}, poly_vars=("y",))
-    diff = left - right
-    cases.append(_case("associativity@%d" % deg, diff.is_zero,
-                       witness=None if diff.is_zero else diff.render()))
+    cases = [_compare("unit", F.kill_vars(("y",)), x),
+             _compare("commutativity", swapped, F),
+             _compare("a11", a11, b1.scale(2)),
+             _compare("a21", a21, b2.scale(3) - (b1 * b1).scale(2)),
+             _compare("associativity@%d" % deg, left, right)]
     return _report("fglaxioms", cases, p="n/a", reps="n/a")
 
 
 def verify_sop(p=None, deg=6, bweight=6, seed=20260814):
     """Every grid input admits the exact division defining Phi."""
-    cases = []
-    for q, ctx, rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed):
+    def check(ctx, st, rlabel):
         for label, e, _dim in _grid(ctx):
             try:
                 phi = symmetric_operation(st, e)
             except (PDivisibilityError, FalsificationError) as exc:
-                cases.append(_case(label, False, witness=str(exc),
-                                   p=q, reps=list(reps)))
+                yield _case(label, False, witness=str(exc))
                 continue
-            ok = True
-            wit = None
-            if q == 2 and rlabel == "canonical" and label == "P1":
-                want = ctx.mono({"t": -2}) + ctx.mono({"t": -1, "b1": 1},
-                                                      coeff=2)
-                ok = phi == want
-                wit = None if ok else phi.render()
-            cases.append(_case(label, ok, witness=wit,
-                               p=q, reps=list(reps)))
-    return _report("sop", cases, p=p)
+            if st.p == 2 and rlabel == "canonical" and label == "P1":
+                yield label, phi, (ctx.mono({"t": -2})
+                                   + ctx.mono({"t": -1, "b1": 1}, coeff=2))
+            else:
+                yield _case(label, True)
+    return _report("sop", _st_cases(check, p, deg, bweight, seed), p=p)
 
 
 def verify_emb(p=None, deg=6, bweight=6, seed=20260814):
     """Phi vanishes on 1 and on powers of the cellular carrier."""
-    cases = []
-    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed):
+    def check(ctx, st, _rlabel):
         z = ctx.var("z1")
-        inputs = [("1", ctx.one())] + [("z^%d" % k, z ** k)
-                                       for k in range(1, 5)]
-        for label, e in inputs:
-            phi = symmetric_operation(st, e)
-            cases.append(_case(label, phi.is_zero,
-                               witness=None if phi.is_zero else phi.render(),
-                               p=q, reps=list(reps)))
-    return _report("emb", cases, p=p)
+        yield "1", symmetric_operation(st, ctx.one()), ctx.zero()
+        for k in range(1, 5):
+            yield "z^%d" % k, symmetric_operation(st, z ** k), ctx.zero()
+    return _report("emb", _st_cases(check, p, deg, bweight, seed), p=p)
 
 
 def _binomial_defect(ctx, p, u, v):
@@ -413,24 +408,23 @@ def _binomial_defect(ctx, p, u, v):
     return out
 
 
+def _grid_pairs(ctx):
+    """("a,b", u, v) for the grid inputs u, v with u at or before v."""
+    grid = _grid(ctx)
+    for i, (la, u, _) in enumerate(grid):
+        for lb, v, _ in grid[i:]:
+            yield "%s,%s" % (la, lb), u, v
+
+
 def verify_addphi(p=None, deg=6, bweight=6, seed=20260814):
     """Phi(u+v) - Phi(u) - Phi(v) equals the binomial defect f_p(u,v)."""
-    cases = []
-    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed):
-        grid = _grid(ctx)
-        for i in range(len(grid)):
-            for j in range(i, len(grid)):
-                la, u, _ = grid[i]
-                lb, v, _ = grid[j]
-                got = (symmetric_operation(st, u + v)
-                       - symmetric_operation(st, u)
-                       - symmetric_operation(st, v))
-                want = _binomial_defect(ctx, q, u, v)
-                ok = got == want
-                cases.append(_case("%s,%s" % (la, lb), ok,
-                                   witness=None if ok else (got - want).render(),
-                                   p=q, reps=list(reps)))
-    return _report("addphi", cases, p=p)
+    def check(ctx, st, _rlabel):
+        for label, u, v in _grid_pairs(ctx):
+            got = (symmetric_operation(st, u + v)
+                   - symmetric_operation(st, u)
+                   - symmetric_operation(st, v))
+            yield label, got, _binomial_defect(ctx, st.p, u, v)
+    return _report("addphi", _st_cases(check, p, deg, bweight, seed), p=p)
 
 
 def verify_multphi(p=None, deg=6, bweight=6, seed=20260814):
@@ -439,47 +433,34 @@ def verify_multphi(p=None, deg=6, bweight=6, seed=20260814):
     g = [p]_F(t)/t is the quotient generator: expanding St = (.)^p - g Phi - R
     shows the g-weighted cross term is what cancels the doubled g Phi Phi.
     """
-    cases = []
-    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed,
-                                                    allowed=(2, 3)):
-        grid = _grid(ctx)
-        pmult = _formal_p(ctx, q).g
-        for i in range(len(grid)):
-            for j in range(i, len(grid)):
-                la, u, _ = grid[i]
-                lb, v, _ = grid[j]
-                pu = symmetric_operation(st, u)
-                pv = symmetric_operation(st, v)
-                rhs = pu * st.apply(v) + st.apply(u) * pv + pu * pv * pmult
-                want, _pos = rhs.split_parts("t")
-                got = symmetric_operation(st, u * v)
-                ok = got == want
-                cases.append(_case("%s,%s" % (la, lb), ok,
-                                   witness=None if ok else (got - want).render(),
-                                   p=q, reps=list(reps)))
+    def check(ctx, st, _rlabel):
+        g = formal_p(ctx, st.p).g
+        for label, u, v in _grid_pairs(ctx):
+            pu = symmetric_operation(st, u)
+            pv = symmetric_operation(st, v)
+            rhs = pu * st.apply(v) + st.apply(u) * pv + pu * pv * g
+            want, _pos = rhs.split_parts("t")
+            yield label, symmetric_operation(st, u * v), want
+    cases = _st_cases(check, p, deg, bweight, seed, allowed=(2, 3))
     return _report("multphi", cases, p=p if p is not None else [2, 3])
 
 
 def verify_rr(p=None, deg=6, bweight=6, seed=20260814):
     """Projection formula for slices against che(O(1)) twists."""
-    cases = []
-    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed):
+    def check(ctx, st, _rlabel):
         z = ctx.var("z1")
         p1 = _ambient_class(ctx, 1)
         qs = [("1", ctx.one()), ("t", ctx.var("t")),
               ("t^2", ctx.mono({"t": 2})), ("P1*t", p1 * ctx.var("t"))]
         gs = [("1", ctx.one()), ("z", z), ("P1*z", p1 * z)]
-        che = omega_che(ctx, q, reps, roots=(z,))
+        che = omega_che(ctx, st.p, st.reps, roots=(z,))
         for ql, qser in qs:
             for gl, gser in gs:
                 lhs = slice_phi(ctx, symmetric_operation(st, z * gser), qser)
                 rhs = z * slice_phi(ctx, symmetric_operation(st, gser),
                                     qser * che)
-                ok = lhs == rhs
-                cases.append(_case("q=%s,g=%s" % (ql, gl), ok,
-                                   witness=None if ok else (lhs - rhs).render(),
-                                   p=q, reps=list(reps)))
-    return _report("rr", cases, p=p)
+                yield "q=%s,g=%s" % (ql, gl), lhs, rhs
+    return _report("rr", _st_cases(check, p, deg, bweight, seed), p=p)
 
 
 _F1_CLASSES = (
@@ -491,8 +472,11 @@ _F1_CLASSES = (
 )
 
 
-def verify_f1(deg=6, bweight=6, seed=20260814):
-    """deg of the t^{p dim} slice of Phi([U]) equals the Chow-side eta."""
+def verify_f1(p=None, deg=6, bweight=6, seed=20260814):
+    """deg of the t^{p dim} slice of Phi([U]) equals the Chow-side eta.
+
+    Runs its fixed (prime, class) table whatever p is.
+    """
     cases = []
     for q, label, n, d, dim in _F1_CLASSES:
         ctx = make_context(q, deg, bweight)
@@ -522,8 +506,8 @@ def verify_f1(deg=6, bweight=6, seed=20260814):
 
 def verify_uv(p=None, deg=6, bweight=6, seed=20260814):
     """Slices of Phi on u*v against eta-weighted St slices of v."""
-    cases = []
-    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed):
+    def check(ctx, st, _rlabel):
+        q, reps = st.p, st.reps
         z = ctx.var("z1")
         us = [("P1", _ambient_class(ctx, 1), 1),
               ("P2", _ambient_class(ctx, 2), 2)]
@@ -537,54 +521,37 @@ def verify_uv(p=None, deg=6, bweight=6, seed=20260814):
                 for ql, qser in qs:
                     lhs = chow_trace(ctx, slice_phi(ctx, phi, qser))
                     f = qser * ctx.mono({"t": -q * du})
-                    rhs = st_slice(ctx, st, v, f).scale(eta)
-                    ok = lhs == rhs
-                    cases.append(_case(
-                        "u=%s,v=z^%d,q=%s" % (ulabel, k, ql), ok,
-                        witness=None if ok else (lhs - rhs).render(),
-                        p=q, reps=list(reps)))
+                    yield ("u=%s,v=z^%d,q=%s" % (ulabel, k, ql), lhs,
+                           st_slice(ctx, st, v, f).scale(eta))
                 kexp = q * du - (q - 1) * k
                 if kexp > 0:
                     lhs = chow_trace(ctx, slice_phi(ctx, phi,
                                                     ctx.mono({"t": kexp})))
-                    rhs = (z ** k).scale(eta * Fraction(i_s) ** k)
-                    ok = lhs == rhs
-                    cases.append(_case(
-                        "special u=%s,v=z^%d" % (ulabel, k), ok,
-                        witness=None if ok else (lhs - rhs).render(),
-                        p=q, reps=list(reps)))
-    return _report("uv", cases, p=p)
+                    yield ("special u=%s,v=z^%d" % (ulabel, k), lhs,
+                           (z ** k).scale(eta * Fraction(i_s) ** k))
+    return _report("uv", _st_cases(check, p, deg, bweight, seed), p=p)
 
 
 def verify_grad(p=None, deg=6, bweight=6, seed=20260814):
     """Leading z-form of St on z^r u, and the shape of c below its unit."""
-    cases = []
-    for q, ctx, _rlabel, reps, st in _steenrod_grid(p, deg, bweight, seed,
-                                                    allowed=(2, 3)):
+    def check(ctx, st, _rlabel):
+        q = st.p
         z = ctx.var("z1")
         us = [("1", ctx.one()), ("P1", _ambient_class(ctx, 1)),
               ("P2", _ambient_class(ctx, 2))]
-        i_s = math.prod(reps)
-        tail = st.c - ctx.mono({"t": q - 1}, coeff=i_s)
-        shape_ok = True
-        for exp, c in tail.terms.items():
-            texp = exp[ctx.table.index["t"]]
-            bsum = sum(exp[ctx.table.index[nm]] for nm in ctx.b_names)
-            if texp <= q - 1 or bsum == 0:
-                shape_ok = False
-        cases.append(_case("c-shape", shape_ok,
-                           witness=None if shape_ok else tail.render(),
-                           p=q, reps=list(reps)))
+        tail = st.c - ctx.mono({"t": q - 1}, coeff=math.prod(st.reps))
+        ti = ctx.table.index["t"]
+        bslots = [ctx.table.index[nm] for nm in ctx.b_names]
+        shape_ok = all(exp[ti] > q - 1 and sum(exp[i] for i in bslots) != 0
+                       for exp in tail.terms)
+        yield _case("c-shape", shape_ok,
+                    witness=None if shape_ok else tail.render())
         for ulabel, u in us:
             for r in (1, 2):
                 lead = st.apply(z ** r * u).coeff_of("z1", r)
-                want = st.c ** r * st.phi_hat(u)
-                ok = lead == want
-                cases.append(_case("z^%d*%s" % (r, ulabel), ok,
-                                   witness=None if ok else
-                                   (lead - want).render(),
-                                   p=q, reps=list(reps)))
-    return _report("grad", cases, p=p)
+                yield "z^%d*%s" % (r, ulabel), lead, st.c ** r * st.phi_hat(u)
+    return _report("grad", _st_cases(check, p, deg, bweight, seed,
+                                     allowed=(2, 3)), p=p)
 
 
 def _in_generator_ideal(fp, ginv, diff, p):
@@ -603,7 +570,7 @@ def verify_diagram(p=None, deg=6, bweight=6, seed=20260814):
     cases = []
     for q in _primes(p, allowed=(2, 3)):
         ctx = make_context(q, deg, bweight)
-        fp = _formal_p(ctx, q)
+        fp = formal_p(ctx, q)
         ginv = fp.g.mul_inverse()
         choices = rep_choices(q, seed)[:2]
         st1 = quillen_steenrod(ctx, q, choices[0][1])
@@ -619,7 +586,7 @@ def verify_diagram(p=None, deg=6, bweight=6, seed=20260814):
     return _report("diagram", cases, p=p if p else [2, 3])
 
 
-def verify_tomdieck(p=None, deg=6, bweight=6):
+def verify_tomdieck(p=None, deg=6, bweight=6, seed=None):
     """Sq lands in the quotient and reduces to p-th powers at t^0."""
     cases = []
     for q in _primes(p):
@@ -644,7 +611,7 @@ _IL1_CLASSES = (("P1", 1, 0), ("P2", 2, 0), ("P3", 3, 0), ("P4", 4, 0),
                 ("H(3,2)", 3, 2), ("H(4,3)", 4, 3), ("H(3,3)", 3, 3))
 
 
-def verify_il1(p=None, seed=20260814):
+def verify_il1(p=None, deg=None, bweight=None, seed=20260814):
     """eta mod p does not depend on the representative choice on I(p)."""
     cases = []
     fic = fgl.base_context(8, 6)
@@ -678,7 +645,7 @@ def verify_il1(p=None, seed=20260814):
 _IL3_CASES = ((2, 1), (3, 1), (2, 2))
 
 
-def verify_il3():
+def verify_il3(p=None, deg=None, bweight=None, seed=None):
     """chi_{b_{p-1}^d}([H_{p,p^r}])/p is a unit mod p of binomial size."""
     cases = []
     fic = fgl.base_context(8, 6)
@@ -709,11 +676,14 @@ def verify_il3():
     return _report("il3", cases, p=[2, 3], reps="n/a")
 
 
-def verify_soold(deg=6, bweight=6, seed=20260814):
-    """[p]-multiplied slices of Phi against q(0) e^p minus the St residue."""
+def verify_soold(p=None, deg=6, bweight=6, seed=None):
+    """[p]-multiplied slices of Phi against q(0) e^p minus the St residue.
+
+    Runs at p = 2 with reps (-1,) whatever p is.
+    """
     q = 2
     ctx = make_context(q, deg, bweight)
-    fp = _formal_p(ctx, q)
+    g = formal_p(ctx, q).g
     st = quillen_steenrod(ctx, q, (-1,))
     qs = [("1", ctx.one()), ("t", ctx.var("t")), ("t^2", ctx.mono({"t": 2})),
           ("1+t", ctx.one() + ctx.var("t"))]
@@ -722,51 +692,39 @@ def verify_soold(deg=6, bweight=6, seed=20260814):
         phi = symmetric_operation(st, e)
         ste = st.apply(e)
         for ql, qser in qs:
-            lhs = slice_phi(ctx, phi, fp.g * qser)
+            lhs = slice_phi(ctx, phi, g * qser)
             rhs = (e ** q).scale(qser.constant()) \
                 - (qser * ste * ctx.omega).coeff_of("t", 0)
-            ok = lhs == rhs
-            cases.append(_case("%s,q=%s" % (label, ql), ok,
-                               witness=None if ok else (lhs - rhs).render(),
-                               p=q, reps=[-1]))
+            cases.append(_compare("%s,q=%s" % (label, ql), lhs, rhs,
+                                  p=q, reps=[-1]))
     return _report("soold", cases, p=q, reps=[-1])
 
 
 # ----- dispatch ---------------------------------------------------------------
 
-def verify_minors(deg=None, bweight=None, seed=None, p=None):
+def verify_minors(p=None, deg=None, bweight=None, seed=None):
     from . import actions
-    rep = actions.minors_suite()
-    case = _case("determinant and minors grid", rep["verdict"],
-                 witness=rep.get("witness"))
-    case["count"] = rep["cases"]
+    case = _suite_case("determinant and minors grid", actions.minors_suite())
     return _report("minors", [case], p="n/a", reps="n/a")
 
 
 def verify_thmg(p=None, deg=6, bweight=6, seed=20260814):
     from . import actions
-    cases = []
-    for q in _primes(p):
-        rep = actions.theorem_g_suite(q, deg=deg, bweight=bweight, seed=seed)
-        case = _case("random invariants", rep["verdict"],
-                     witness=rep.get("witness"), p=q)
-        case["count"] = rep["cases"]
-        cases.append(case)
+    cases = [_suite_case("random invariants",
+                         actions.theorem_g_suite(q, deg=deg, bweight=bweight,
+                                                 seed=seed), p=q)
+             for q in _primes(p)]
     return _report("thmG", cases, p=p)
 
 
-def verify_xy(p=None, deg=6, bweight=6, seed=20260814):
+def verify_xy(p=None, deg=6, bweight=6, seed=None):
     from . import actions
     cases = []
     for q in _primes(p):
         _, rep = actions.prop_xy_series(q, deg=deg, bweight=bweight)
-        case = _case("integral coefficients", rep["verdict"],
-                     witness=rep.get("witness"), p=q)
-        case["count"] = rep["cases"]
-        cases.append(case)
-        _, trep = actions.twisted_fgl_alpha(q, deg=deg, bweight=bweight)
-        cases.append(_case("twisted law", trep["verdict"],
-                           witness=trep.get("witness"), p=q))
+        cases.append(_suite_case("integral coefficients", rep, p=q))
+        _, rep = actions.twisted_fgl_alpha(q, deg=deg, bweight=bweight)
+        cases.append(_suite_case("twisted law", rep, counted=False, p=q))
     return _report("xy", cases, p=p)
 
 
@@ -791,11 +749,10 @@ VERIFIERS = {
 }
 
 
-def run_verifier(name, **params):
+def run_verifier(name, p=None, deg=None, bweight=None, seed=None):
+    """The report of one verifier; a parameter left None keeps its default."""
     if name not in VERIFIERS:
         raise SeriesError("unknown verifier %r" % name)
-    import inspect
-    fn = VERIFIERS[name]
-    accepted = set(inspect.signature(fn).parameters)
-    return fn(**{k: v for k, v in params.items()
-                 if k in accepted and v is not None})
+    params = {"p": p, "deg": deg, "bweight": bweight, "seed": seed}
+    return VERIFIERS[name](**{k: v for k, v in params.items()
+                              if v is not None})

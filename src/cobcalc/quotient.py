@@ -33,8 +33,17 @@ def coeffs_mod_p(series, p):
     return series.map_coefficients(red)
 
 
+def formal_p(ctx, p):
+    """The FormalP of ctx at p, built once and cached on the context."""
+    return ctx.memo(("formal_p", p), lambda: FormalP(ctx, p))
+
+
 class FormalP:
-    """The generator g = [p]_F(t)/t over a context's ambient ring."""
+    """The generator g = [p]_F(t)/t over a context's ambient ring.
+
+    Build it through `formal_p`, which caches it on the context; the
+    t-digits of g that the division reads are cached there as well.
+    """
 
     def __init__(self, ctx, p):
         if p < 2:
@@ -49,12 +58,6 @@ class FormalP:
             self.g = pt.shift_var("t", -1)
         if self.g.constant() != self.p:
             raise SeriesError("generator must have constant term p")
-        self._tails = None
-
-    def _tail_digits(self, up_to):
-        if self._tails is None or len(self._tails) <= up_to:
-            self._tails = [self.g.coeff_of("t", k) for k in range(up_to + 1)]
-        return self._tails
 
     # ----- denominator clearing -------------------------------------------
 
@@ -176,15 +179,17 @@ class FormalP:
         p = self.p
         digits = S.as_poly_in("t")
         low = min(digits)
-        tails = self._tail_digits(-low)
+        g_digits = self.ctx.memo(("g_digits", p),
+                                 lambda: self.g.as_poly_in("t"))
         phi = {}
         zero = GradedSeries.zero(S.table, S.trunc_plus, S.trunc_minus)
         for j in range(low, 1):
             val = digits.get(j, zero)
             for m, phim in phi.items():
-                k = j - m
-                if 1 <= k <= -low:
-                    val = val - phim * tails[k]
+                # m < j, so the digit index j - m is at least 1
+                g_k = g_digits.get(j - m)
+                if g_k is not None:
+                    val = val - phim * g_k
             if val.is_zero:
                 continue
             for exp, c in val.terms.items():

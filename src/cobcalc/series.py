@@ -28,7 +28,7 @@ and subtracts each shifted divisor term by term.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 import json
@@ -98,21 +98,20 @@ def vp(value, p):
     return v
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(namedtuple("Variable", "name weight laurent_floor",
+                          defaults=(None,))):
     """One generator: weight grades it, laurent_floor permits negative powers."""
 
-    name: str
-    weight: int
-    laurent_floor: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _NAME_RE.match(self.name):
-            raise SeriesError("bad variable name %r" % (self.name,))
-        if self.weight == 0:
+    def __new__(cls, name, weight, laurent_floor=None):
+        if not _NAME_RE.match(name):
+            raise SeriesError("bad variable name %r" % (name,))
+        if weight == 0:
             raise SeriesError("variable weight must be nonzero")
-        if self.laurent_floor is not None and self.laurent_floor > 0:
+        if laurent_floor is not None and laurent_floor > 0:
             raise SeriesError("laurent_floor must be <= 0")
+        return super().__new__(cls, name, weight, laurent_floor)
 
 
 class VariableTable:

@@ -135,11 +135,45 @@ def test_bad_args_exit_two(capsys):
                  ["op", "phi", "--input", "P3", "--p", "2", "--bweight", "2"],
                  # an atom past the z-degree cap; St(P2) at p = 5 past bweight
                  ["op", "st", "--input", "z^9", "--p", "2"],
-                 ["op", "sq", "--input", "P2", "--p", "5"]):
+                 ["op", "sq", "--input", "P2", "--p", "5"],
+                 # an unwritable --out, a bweight below a_21's, a negative
+                 # index, and a degree-0 "hypersurface"
+                 ["fgl", "--what", "F", "--out", "/nonexistent/dir/x.json"],
+                 ["verify", "fglaxioms", "--bweight", "1"],
+                 ["fgl", "--what", "a_ij", "--i", "-1", "--j", "1"],
+                 ["op", "st", "--input", "H(3,0)"],
+                 ["eta", "--U", "H(3,0)", "--p", "2"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error:" in err
+
+
+def test_bad_args_name_the_problem(capsys):
+    for argv, named in (
+            (["fgl", "--what", "F", "--out", "/nonexistent/dir/x.json"],
+             "cannot write --out /nonexistent/dir/x.json"),
+            (["verify", "fglaxioms", "--bweight", "1"], "past bweight 1"),
+            (["fgl", "--what", "a_ij", "--i", "-1", "--j", "1"],
+             "needs i, j >= 0")):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert named in capsys.readouterr().err
+
+
+def test_options_a_subcommand_ignores_are_not_accepted(capsys):
+    for argv in (["eta", "--U", "P1", "--p", "2", "--deg", "4"],
+                 ["eta", "--U", "P1", "--p", "2", "--tfloor", "-9"],
+                 ["fgl", "--what", "F", "--seed", "1"],
+                 ["class", "Pn", "--n", "2", "--p", "3"],
+                 ["op", "phi", "--input", "P1", "--seed", "1"],
+                 ["verify", "il3", "--reps", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_op_inputs_past_the_bounds_name_the_bound(capsys):

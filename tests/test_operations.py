@@ -5,8 +5,8 @@ import pytest
 
 from cobcalc import fgl
 from cobcalc import operations as op
-from cobcalc.actions import FalsificationError
-from cobcalc.quotient import FormalP, coeffs_mod_p
+from cobcalc.actions import FalsificationError, ShiftAction
+from cobcalc.quotient import FormalP, coeffs_mod_p, formal_p
 from cobcalc.series import SeriesError
 
 
@@ -274,14 +274,42 @@ def test_tom_dieck_sq_shares_the_canonical_steenrod(monkeypatch):
     assert built == [st]
 
 
-def test_transient_context_is_freed_with_its_caches():
-    ctx = fgl.Context(3, 2, extra_vars=("x",))
+def test_transient_context_is_freed_with_its_caches(monkeypatch):
+    monkeypatch.setattr(op, "_CTX_CACHE", {})
+    ctx = op.make_context(2, deg=2, bweight=2)
+    op._CTX_CACHE.clear()  # the test now holds the only reference
     st = op.quillen_steenrod(ctx, 2, (1,))
     assert op.quillen_steenrod(ctx, 2, (1,)) is st
+    p1 = op._ambient_class(ctx, 1)
+    assert not op.symmetric_operation(st, p1).is_zero
+    assert not st.apply(p1 * ctx.var("z1")).is_zero
+    assert not ShiftAction(ctx, 2).pi_power(2).is_zero
     ref = weakref.ref(ctx)
-    del ctx, st
+    del ctx, st, p1
     gc.collect()
     assert ref() is None
+
+
+def test_shift_action_shares_the_orbit_product_with_st(monkeypatch):
+    monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
+    ctx = op.make_context(3, deg=4, bweight=3)
+    action = ShiftAction(ctx, 3)
+    assert action.pi() is op.quillen_steenrod(ctx, 3, (1, 2)).gamma
+    assert action.fp is formal_p(ctx, 3)
+    assert action.image(2) is ctx.shift_image("x", 2)
+
+
+def test_st_case_loop_reports_failing_checks(monkeypatch):
+    monkeypatch.setattr(op, "symmetric_operation",
+                        lambda st, e: st.ctx.one())
+    report = op.verify_emb(p=2)
+    cases = report["cases"]
+    assert report["summary"] == {"pass": 0, "fail": 15}
+    assert all(c["verdict"] == "fail" and c["witness"] == "1" for c in cases)
+    assert all(c["p"] == 2 for c in cases)
+    assert [c["reps"] for c in cases] == [list(reps) for _, reps
+                                          in op.rep_choices(2)
+                                          for _ in range(5)]
 
 
 def test_run_verifier_dispatch():

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,32 @@ def S(table, tp=8, tm=6, terms=None):
 
 def mono(table, tp, tm, exps, c=1):
     return GradedSeries.monomial(table, tp, tm, exps, coeff=c)
+
+
+def test_variable_is_a_validated_immutable_value():
+    v = Variable("t", 1, laurent_floor=-3)
+    assert repr(v) == "Variable(name='t', weight=1, laurent_floor=-3)"
+    assert v == Variable("t", 1, -3) and v != Variable("t", 1)
+    assert hash(v) == hash(Variable("t", 1, -3))
+    assert Variable("x", 2).laurent_floor is None
+    with pytest.raises(AttributeError):
+        v.weight = 2
+    for args in (("1t", 1), ("t", 0), ("t", 1, 2)):
+        with pytest.raises(SeriesError):
+            Variable(*args)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    import cobcalc
+    src = str(Path(cobcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, cobcalc.cli\n"
+            "from cobcalc import operations\n"
+            "operations.run_verifier('il3', p=2, deg=6, bweight=6, seed=1)\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_vp():
