@@ -276,16 +276,31 @@ def _cmd_eta(args):
     return 0
 
 
+# the options each verifier reads, where it does not read all four
+_VERIFY_READS = {"fglaxioms": "deg bweight", "soold": "deg bweight",
+                 "f1": "deg bweight seed", "xy": "p deg bweight",
+                 "tomdieck": "p deg bweight", "diagram": "p deg bweight",
+                 "il1": "p seed", "il3": "", "minors": ""}
+
+
 def _cmd_verify(args):
-    deg = _default_deg(args, 6)
-    bweight = args.bweight if args.bweight is not None else 6
     names = sorted(ops.VERIFIERS) if args.name == "all" else [args.name]
+    reads = {n: _VERIFY_READS.get(n, "p deg bweight seed").split()
+             for n in names}
+    ignored = ["--" + k for k in ("p", "deg", "bweight", "seed")
+               if getattr(args, k) is not None and args.name != "all"
+               and k not in reads[args.name]]
+    if ignored:
+        raise SeriesError("verify %s does not read %s"
+                          % (args.name, ", ".join(ignored)))
+    values = {"p": args.p, "deg": _default_deg(args, 6),
+              "bweight": 6 if args.bweight is None else args.bweight,
+              "seed": 20260814 if args.seed is None else args.seed}
     reports = []
     failed = 0
     lines = []
     for name in names:
-        report = ops.run_verifier(name, p=args.p, deg=deg, bweight=bweight,
-                                  seed=args.seed)
+        report = ops.run_verifier(name, **{k: values[k] for k in reads[name]})
         reports.append(report)
         s = report["summary"]
         failed += s["fail"]
@@ -295,7 +310,7 @@ def _cmd_verify(args):
                 lines.append("  FAIL %s: %s" % (case["input"],
                                                 case.get("witness", "")))
     doc = {"command": "verify", "name": args.name, "p": args.p,
-           "seed": args.seed, "reports": reports}
+           "seed": values["seed"], "reports": reports}
     _emit(args, "\n".join(lines), doc)
     return 1 if failed else 0
 
@@ -312,7 +327,7 @@ def build_parser():
         "--deg": dict(type=int, help="degree truncation (env COBCALC_DEG)"),
         "--bweight": dict(type=int),
         "--tfloor": dict(type=int),
-        "--seed": dict(type=int, default=20260814),
+        "--seed": dict(type=int),
     }
 
     def common(sp, *names):

@@ -550,8 +550,8 @@ def verify_grad(p=None, deg=6, bweight=6, seed=20260814):
             for r in (1, 2):
                 lead = st.apply(z ** r * u).coeff_of("z1", r)
                 yield "z^%d*%s" % (r, ulabel), lead, st.c ** r * st.phi_hat(u)
-    return _report("grad", _st_cases(check, p, deg, bweight, seed,
-                                     allowed=(2, 3)), p=p)
+    cases = _st_cases(check, p, deg, bweight, seed, allowed=(2, 3))
+    return _report("grad", cases, p=p if p is not None else [2, 3])
 
 
 def _in_generator_ideal(fp, ginv, diff, p):

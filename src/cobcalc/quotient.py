@@ -12,6 +12,7 @@ by g that produces Symmetric operations.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .series import GradedSeries, SeriesError, vp
 
@@ -42,7 +43,8 @@ class FormalP:
     """The generator g = [p]_F(t)/t over a context's ambient ring.
 
     Build it through `formal_p`, which caches it on the context; the
-    t-digits of g that the division reads are cached there as well.
+    t-digits of g that the division reads and the terms of g that the
+    normal form carries are cached there as well.
     """
 
     def __init__(self, ctx, p):
@@ -95,31 +97,45 @@ class FormalP:
     # ----- normal forms -----------------------------------------------------
 
     def normal_form(self, f):
-        """Unique representative with every digit coefficient in [0, p)."""
+        """Unique representative with every digit coefficient in [0, p):
+        one sweep up the t-digits turns c into c - p*q for q = c // p and
+        carries -q times g's terms of positive t-degree into higher digits."""
+        f._compat(self.g)
         lo = f.min_degree("t")
         if lo is not None and lo < 0:
             raise SeriesError("normal form expects no negative t-powers")
-        p = self.p
-        t_axis = f.table.axis("t")
-        ti = f.table.index["t"]
-        for k in range(0, f.trunc_plus + 1):
-            digit = f.coeff_of("t", k)
-            if digit.is_zero:
-                continue
-            carry = {}
-            for exp, c in digit.terms.items():
+        p, table, tp, tm = self.p, f.table, f.trunc_plus, f.trunc_minus
+        ti = table.index["t"]
+        # the terms of g of positive t-degree, by negative degree
+        tail = self.ctx.memo(("g_tail", p), lambda: sorted(
+            table.degrees(e)[::-1] + (e[ti], e, c)
+            for e, c in self.g.terms.items() if e[ti] >= 1))
+        digits = {}
+        for exp, c in f.terms.items():
+            digits.setdefault(exp[ti], {})[exp] = c
+        out = {}
+        for k in range(tp + 1):
+            for exp, c in digits.pop(k, {}).items():
                 if not isinstance(c, int):
                     raise SeriesError("normal form expects integer "
                                       "coefficients, got %r" % (c,))
-                q = c // p
-                if q:
-                    carry[exp] = q
-            if not carry:
-                continue
-            carry_series = GradedSeries(f.table, f.trunc_plus, f.trunc_minus,
-                                        carry, validate=False)
-            f = f - (carry_series.shift_var("t", k)) * self.g
-        return f
+                q, r = divmod(c, p)
+                if r:
+                    out[exp] = r
+                if not q:
+                    continue
+                pe, me = table.degrees(exp)
+                for mg, pg, j, eg, cg in tail:
+                    if me + mg > tm:
+                        break
+                    if pe + pg > tp:
+                        continue
+                    e = tuple(map(add, exp, eg))
+                    if table.caps and table.admit(e) is None:
+                        continue
+                    above = digits.setdefault(k + j, {})
+                    above[e] = above.get(e, 0) - q * cg
+        return GradedSeries(table, tp, tm, out, validate=False)
 
     # ----- Laurent-side reduction -------------------------------------------
 

@@ -22,7 +22,8 @@ end their loops with a break, so only admissible pairs are visited.  Each
 operand's common denominator is cleared on entry, so the pair loop adds and
 multiplies plain ints; each output term is unpacked and divided once.
 Exact division keeps its remainder in a heap in graded-lexicographic order
-and subtracts each shifted divisor term by term.
+and subtracts each shifted divisor term by term.  Substitution is Horner's
+rule (Brent and Kung, J. ACM 1978): degree K in one variable costs K products.
 """
 
 from __future__ import annotations
@@ -590,7 +591,8 @@ class GradedSeries:
         return True
 
     def substitute(self, bindings, poly_vars=()):
-        """Simultaneously replace variables by series over the same table.
+        """Simultaneously replace variables by series over the same table,
+        by Horner's rule in each variable (`_horner`).
 
         A replaced variable must either receive a self-sufficient image (see
         above) or be listed in poly_vars, asserting that this series is an
@@ -600,45 +602,31 @@ class GradedSeries:
         if not bindings:
             return self
         poly_vars = set(poly_vars)
-        names = list(bindings)
         idxs = []
-        for n in names:
-            img = bindings[n]
+        for n, img in bindings.items():
             self._compat(img)
             idxs.append(self.table.index[n])
             if n not in poly_vars and not self._binding_self_sufficient(img):
                 raise SubstitutionOrder(
                     "substitution for %s may need terms beyond truncation" % n)
-        idxset = set(idxs)
-        groups = {}
-        for exp, c in self.terms.items():
-            prof = tuple(exp[i] for i in idxs)
-            if any(k < 0 for k in prof):
-                raise SeriesError("cannot substitute into a negative power")
-            rest = tuple(0 if i in idxset else e for i, e in enumerate(exp))
-            groups.setdefault(prof, {})[rest] = c
-        pows = [{0: GradedSeries.one(self.table, self.trunc_plus, self.trunc_minus)}
-                for _ in names]
+        if any(exp[i] < 0 for exp in self.terms for i in idxs):
+            raise SeriesError("cannot substitute into a negative power")
+        return self._horner(list(bindings), bindings)
 
-        def power(i, k):
-            cache = pows[i]
-            if k not in cache:
-                top = max(cache)
-                cur = cache[top]
-                img = bindings[names[i]]
-                for j in range(top + 1, k + 1):
-                    cur = cur * img
-                    cache[j] = cur
-            return cache[k]
-
-        total = GradedSeries.zero(self.table, self.trunc_plus, self.trunc_minus)
-        for prof in sorted(groups):
-            part = self._make(groups[prof], validate=False)
-            for i, k in enumerate(prof):
-                if k:
-                    part = part * power(i, k)
-            total = total + part
-        return total
+    def _horner(self, names, bindings):
+        """Horner's rule in names[0]; each coefficient, which is free of it,
+        takes the remaining bindings first, so the images are never
+        substituted into and the substitution stays simultaneous."""
+        digits = self.as_poly_in(names[0]) if names else None
+        if not digits:
+            return self
+        img, rest, top = bindings[names[0]], names[1:], max(digits)
+        acc = digits[top]._horner(rest, bindings)
+        for k in range(top - 1, -1, -1):
+            acc = acc * img
+            if k in digits:
+                acc = acc + digits[k]._horner(rest, bindings)
+        return acc
 
     # ----- inverses and division -------------------------------------------
 

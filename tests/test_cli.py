@@ -142,7 +142,11 @@ def test_bad_args_exit_two(capsys):
                  ["verify", "fglaxioms", "--bweight", "1"],
                  ["fgl", "--what", "a_ij", "--i", "-1", "--j", "1"],
                  ["op", "st", "--input", "H(3,0)"],
-                 ["eta", "--U", "H(3,0)", "--p", "2"]):
+                 ["eta", "--U", "H(3,0)", "--p", "2"],
+                 # options the named verifier does not read
+                 ["verify", "il3", "--p", "5"],
+                 ["verify", "fglaxioms", "--p", "7", "--seed", "3"],
+                 ["verify", "minors", "--deg", "4"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -157,7 +161,10 @@ def test_bad_args_name_the_problem(capsys):
              "cannot write --out /nonexistent/dir/x.json"),
             (["verify", "fglaxioms", "--bweight", "1"], "past bweight 1"),
             (["fgl", "--what", "a_ij", "--i", "-1", "--j", "1"],
-             "needs i, j >= 0")):
+             "needs i, j >= 0"),
+            (["verify", "il3", "--p", "5"], "verify il3 does not read --p"),
+            (["verify", "fglaxioms", "--p", "7", "--seed", "3"],
+             "verify fglaxioms does not read --p, --seed")):
         with pytest.raises(SystemExit):
             cli.main(argv)
         assert named in capsys.readouterr().err
@@ -218,6 +225,29 @@ def test_verify_json_reports(capsys):
     doc = json.loads(out)
     assert doc["reports"][0]["prop"] == "fglaxioms"
     assert doc["reports"][0]["summary"]["fail"] == 0
+
+
+def test_verify_passes_each_suite_the_options_it_reads(capsys, monkeypatch):
+    calls = {}
+
+    def record(name, **kw):
+        calls[name] = kw
+        return {"prop": name, "p": None, "reps": "n/a", "cases": [],
+                "summary": {"pass": 0, "fail": 0}}
+
+    monkeypatch.setattr(ops, "run_verifier", record)
+    rc, out = run(capsys, "verify", "all", "--p", "2", "--seed", "5",
+                  "--format", "json")
+    assert rc == 0 and sorted(calls) == sorted(ops.VERIFIERS)
+    assert calls["il3"] == calls["minors"] == {}
+    assert calls["fglaxioms"] == calls["soold"] == {"deg": 6, "bweight": 6}
+    assert calls["il1"] == {"p": 2, "seed": 5}
+    assert calls["sop"] == {"p": 2, "deg": 6, "bweight": 6, "seed": 5}
+    assert json.loads(out)["seed"] == 5
+    # a seed left out is still printed as the default it runs with
+    rc, out = run(capsys, "verify", "il1", "--format", "json")
+    assert calls["il1"] == {"p": None, "seed": 20260814}
+    assert json.loads(out)["seed"] == 20260814
 
 
 def test_env_degree_default(capsys, monkeypatch):

@@ -1,10 +1,14 @@
-"""The product and exact-division kernels against an all-pairs oracle.
+"""The series kernels against oracles written out in this file.
 
-The oracle multiplies every pair of terms with Fraction arithmetic and then
-applies the ring's rules written out here from their definitions: drop zero
-coefficients, drop terms past a degree cap or a truncation bound, and raise
-LaurentUnderflow when a kept term lies below a Laurent floor.  It does not
-call GradedSeries.__mul__ or anything that product uses.
+The product oracle multiplies every pair of terms with Fraction arithmetic
+and then applies the ring's rules written out here from their definitions:
+drop zero coefficients, drop terms past a degree cap or a truncation bound,
+and raise LaurentUnderflow when a kept term lies below a Laurent floor.  It
+does not call GradedSeries.__mul__ or anything that product uses.  Exact
+division and compositional inverses are checked by round trips.
+Substitution is checked against products with materialized powers of the
+images, and the normal form modulo g against repeated subtraction of
+multiples of g; both oracles use the product checked first.
 """
 
 from fractions import Fraction
@@ -15,6 +19,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from cobcalc.fgl import Memo  # noqa: E402
+from cobcalc.quotient import FormalP  # noqa: E402
 from cobcalc.series import (  # noqa: E402
     GradedSeries,
     LaurentUnderflow,
@@ -194,3 +200,152 @@ def test_not_divisible_names_the_seed_monomial():
         f.exact_divide(g)
     assert err.value.monomial == "t*x"
     assert str(err.value) == "monomial t*x not divisible by t^-1*b"
+
+
+def substitute_oracle(f, bindings):
+    """Each term times materialized powers of the images, summed."""
+    table = f.table
+    one = GradedSeries.one(table, f.trunc_plus, f.trunc_minus)
+    bound = {table.index[n]: img for n, img in bindings.items()}
+    total = GradedSeries.zero(table, f.trunc_plus, f.trunc_minus)
+    for exp, c in f.terms.items():
+        rest = tuple(0 if i in bound else k for i, k in enumerate(exp))
+        part = GradedSeries(table, f.trunc_plus, f.trunc_minus, {rest: c})
+        for i, img in bound.items():
+            power = one
+            for _ in range(exp[i]):
+                power = power * img
+            part = part * power
+        total = total + part
+    return total
+
+
+@st.composite
+def substitutions(draw):
+    """(f, bindings) with nonnegative exponents throughout, so truncation is
+    monotone, and every image self-sufficient: each image term carries a
+    positive-weight variable, often another bound one."""
+    table, tp, tm = draw(tables())
+    positive = [v.name for v in table.variables if v.weight > 0]
+    hypothesis.assume(positive)
+    f = series(draw, table, tp, tm, nonneg=True)
+    names = draw(st.lists(st.sampled_from(table.names()), min_size=1,
+                          max_size=3, unique=True))
+    swap = [n for n in names if n in positive][:2]
+    if len(swap) == 2 and draw(st.booleans()):
+        # {u: v, v: u}
+        bindings = {swap[0]: GradedSeries.monomial(table, tp, tm,
+                                                   {swap[1]: 1}),
+                    swap[1]: GradedSeries.monomial(table, tp, tm,
+                                                   {swap[0]: 1})}
+    else:
+        bindings = {}
+    for n in names:
+        if n not in bindings:
+            carrier = draw(st.sampled_from(positive))
+            bindings[n] = (series(draw, table, tp, tm, nonneg=True)
+                           * GradedSeries.monomial(table, tp, tm,
+                                                   {carrier: 1}))
+    return f, bindings
+
+
+def _swap_example():
+    table = VariableTable([Variable("u", 1), Variable("v", 2),
+                           Variable("b", -1)])
+    f = GradedSeries(table, 8, 3, {(2, 1, 0): 3, (1, 0, 1): -1, (0, 0, 2): 2})
+    u, v = (GradedSeries.monomial(table, 8, 3, {n: 1}) for n in "uv")
+    return f, {"u": v, "v": u * u + u * v}
+
+
+@SETTINGS
+@given(substitutions())
+@example(_swap_example())
+def test_substitute_matches_materialized_powers(case):
+    f, bindings = case
+    assert f.substitute(bindings) == substitute_oracle(f, bindings)
+
+
+def test_substitute_oracle_example_is_simultaneous():
+    f, bindings = _swap_example()
+    sequential = f
+    for n, img in bindings.items():
+        sequential = sequential.substitute({n: img})
+    assert substitute_oracle(f, bindings) != sequential
+
+
+@st.composite
+def normal_form_inputs(draw):
+    """(FormalP, f) for a drawn generator g = p + terms of t-degree >= 1.
+
+    The generators of the group-law contexts have every coefficient
+    divisible by p, so there the normal form only reduces coefficients mod
+    p; a drawn g also carries digits that survive into the result."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    variables = [Variable("t", 1)] + [
+        Variable("v%d" % i, w) for i, w in enumerate(draw(st.lists(
+            st.sampled_from([-2, -1, 1, 2]), max_size=3)))]
+    names = [v.name for v in variables]
+    caps = draw(st.lists(st.tuples(st.lists(st.sampled_from(names), min_size=1,
+                                            unique=True),
+                                   st.integers(1, 6)), max_size=2))
+    table = VariableTable(variables, degree_caps=[(tuple(g), bound)
+                                                  for g, bound in caps])
+    tp, tm = draw(st.integers(3, 10)), draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 2) for _ in variables])
+    tail = draw(st.dictionaries(exps.filter(lambda e: e[0] >= 1),
+                                st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                min_size=2, max_size=6))
+    fp = FormalP.__new__(FormalP)
+    fp.ctx, fp.p = Memo(), p
+    fp.g = (GradedSeries(table, tp, tm, tail)
+            + GradedSeries.const(table, tp, tm, p))
+    f = draw(st.dictionaries(exps, st.integers(-40, 40), min_size=4,
+                             max_size=10))
+    return fp, GradedSeries(table, tp, tm, f)
+
+
+def normal_form_oracle(fp, f):
+    """Subtract q*t^k*m*g for the lowest digit c*t^k*m outside [0, p), with
+    q = c // p, until none is left."""
+    ti = f.table.index["t"]
+    while True:
+        bad = [(e[ti], e) for e, c in f.terms.items() if not 0 <= c < fp.p]
+        if not bad:
+            return f
+        e = min(bad)[1]
+        m = GradedSeries(f.table, f.trunc_plus, f.trunc_minus,
+                         {e: f.terms[e] // fp.p})
+        f = f - m * fp.g
+
+
+@SETTINGS
+@given(normal_form_inputs())
+def test_normal_form_matches_repeated_subtraction(case):
+    fp, f = case
+    nf = fp.normal_form(f)
+    assert nf == normal_form_oracle(fp, f)
+    assert all(type(c) is int and 0 <= c < fp.p for c in nf.terms.values())
+    assert fp.normal_form(nf) == nf
+
+
+@st.composite
+def reversible(draw):
+    """f = x*(c + h) with c a nonzero constant and h without constant term."""
+    table = VariableTable([Variable("x", 1), Variable("y", 1),
+                           Variable("b", -1)],
+                          degree_caps=draw(st.sampled_from([(), (("y", 2),)])))
+    tp, tm = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    h = series(draw, table, tp, tm, nonneg=True)
+    c = draw(COEFFS.filter(bool))
+    unit = h + GradedSeries.const(table, tp, tm, c - h.constant())
+    x = GradedSeries.monomial(table, tp, tm, {"x": 1})
+    return x * unit, x
+
+
+@SETTINGS
+@given(reversible())
+def test_compositional_inverse_round_trip(case):
+    f, x = case
+    g = f.compositional_inverse("x")
+    assert f.substitute({"x": g}, poly_vars=("x",)) == x
+    assert g.substitute({"x": f}, poly_vars=("x",)) == x

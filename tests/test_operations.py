@@ -320,6 +320,14 @@ def test_run_verifier_dispatch():
     assert rep["prop"] == "il3"
 
 
+def test_reports_name_the_primes_their_cases_ran():
+    for name in sorted(set(op.VERIFIERS) - {"fglaxioms", "minors"}):
+        report = op.run_verifier(name, deg=4, bweight=4)
+        primes = sorted({case["p"] for case in report["cases"]})
+        p = report["p"]
+        assert (p if isinstance(p, list) else [p]) == primes, name
+
+
 def _assert_clean(report):
     assert report["summary"]["fail"] == 0, report
 

@@ -85,6 +85,16 @@ def test_normal_form_digit_range_and_ring_structure(ctx):
             assert fp.normal_form(a * b) == fp.normal_form(na * fp.normal_form(b))
 
 
+def test_normal_form_makes_no_products(ctx, fp2, monkeypatch):
+    f = random_series(ctx, random.Random(11), nterms=12)
+    calls = []
+    mul = GradedSeries.__mul__
+    monkeypatch.setattr(GradedSeries, "__mul__",
+                        lambda a, b: calls.append(b) or mul(a, b))
+    nf = fp2.normal_form(f)
+    assert nf != f and calls == []
+
+
 def test_quotient_equal_mod_ideal(ctx, fp2):
     rng = random.Random(7)
     a = random_series(ctx, rng)

@@ -221,6 +221,23 @@ def test_substitute_composition_identity():
     assert lhs == rhs
 
 
+def test_substitute_makes_at_most_degree_products(monkeypatch):
+    # Horner's rule: one product per degree, no powers of the image
+    tb = table_tb()
+    t = mono(tb, 8, 6, {"t": 1})
+    b1 = mono(tb, 8, 6, {"b1": 1})
+    f = GradedSeries.zero(tb, 8, 6)
+    for k in range(7):
+        f = f + mono(tb, 8, 6, {"t": k}, k + 1) + b1 * t ** k
+    img = t + b1 * t ** 2
+    calls = []
+    mul = GradedSeries.__mul__
+    monkeypatch.setattr(GradedSeries, "__mul__",
+                        lambda a, b: calls.append(b) or mul(a, b))
+    f.substitute({"t": img})
+    assert 0 < len(calls) <= f.max_degree("t") == 6
+
+
 def test_mul_inverse_geometric():
     tb = table_tb()
     one = GradedSeries.one(tb, 8, 6)
