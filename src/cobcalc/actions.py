@@ -423,7 +423,7 @@ def twisted_fgl_alpha(p, deg=6, bweight=6):
     ctx = twisted_context(p, deg=deg, bweight=bweight)
     fp = formal_p(ctx, p)
     alpha = ctx.orbit_product("x", range(1, p))
-    beta = alpha.compositional_inverse("x", poly_vars=("x",))
+    beta = alpha.compositional_inverse("x")
     bu = beta.substitute({"x": ctx.var("u")})
     bv = beta.substitute({"x": ctx.var("v")})
     mid = ctx.fgl("x", "y").substitute({"x": bu, "y": bv},

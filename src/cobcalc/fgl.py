@@ -48,8 +48,8 @@ class Context(Memo):
     second alphabet bp1..bp_{bweight} for total-operation targets.
 
     Derived objects (series, classes, shift images and orbit products,
-    FormalP and the digits of its generator, St descriptors) are cached on
-    the context through `memo`, keyed by value, and die with it.
+    FormalP, St descriptors) are cached on the context through `memo`,
+    keyed by value, and die with it.
     """
 
     def __init__(self, deg, bweight, *, tfloor=None, extra_vars=(),

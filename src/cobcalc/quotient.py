@@ -1,18 +1,18 @@
 """Arithmetic modulo the formal p.
 
-For a prime p the series g(t) = [p]_F(t)/t = p + c1*t + c2*t^2 + ... generates
-the quotients R[[t]]/(g) and, on the Laurent side, R[[t]][1/t]/([p]_F * t).
-This module provides canonical normal forms (every integer digit reduced into
-[0, p) by the rewrite p -> -(c1*t + ...), which strictly raises t-order and so
-terminates at finite truncation), an integrality decision procedure for
-Laurent series with rational coefficients, and the exact triangular division
-by g that produces Symmetric operations.
+For a prime p, g(t) = [p]_F(t)/t generates R[[t]]/(g) and R((t))/(g).  In
+the Hurewitz coordinates R = Z[b1, b2, ...], B(t) = t + b1*t^2 + ... and so
+log(t) are integral, and p divides every term of [p]_F(t) = sum_i b_i
+(p*log t)^(i+1).  Hence g = p*u with u(0) = 1 a unit, and (g) = (p) (Adams,
+Stable Homotopy and Generalised Homology, II; Ravenel, Complex Cobordism,
+A2).  FormalP certifies g = p*u and keeps u^-1: normal forms are the
+coefficients mod p, Phi = nonpos(nonpos(S)*u^-1)/p, and f reduces to
+f - g*Q, Q = neg(f*u^-1)/p.  Integrality is certified in Z[b], not in L.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
 from .series import GradedSeries, SeriesError, vp
 
@@ -27,11 +27,9 @@ class PDivisibilityError(SeriesError):
 
 def coeffs_mod_p(series, p):
     """Reduce every integer coefficient into [0, p)."""
-    def red(c):
-        if not isinstance(c, int):
-            raise SeriesError("mod-p reduction needs integer coefficients")
-        return c % p
-    return series.map_coefficients(red)
+    if not all(isinstance(c, int) for c in series.terms.values()):
+        raise SeriesError("mod-p reduction needs integer coefficients")
+    return series.map_coefficients(lambda c: c % p)
 
 
 def formal_p(ctx, p):
@@ -39,137 +37,98 @@ def formal_p(ctx, p):
     return ctx.memo(("formal_p", p), lambda: FormalP(ctx, p))
 
 
-class FormalP:
-    """The generator g = [p]_F(t)/t over a context's ambient ring.
+def _lowest_indivisible(series, p):
+    """(j, monomial, coefficient) of the least term p does not divide."""
+    ti = series.table.index["t"]
+    bad = min(((e[ti], sum(e) - e[ti], e[:ti] + (0,) + e[ti + 1:], c)
+               for e, c in series.terms.items()
+               if (c % p if type(c) is int else vp(c, p) < 1)), default=None)
+    return bad and (bad[0], series.table.monomial_str(bad[2]), bad[3])
 
-    Build it through `formal_p`, which caches it on the context; the
-    t-digits of g that the division reads and the terms of g that the
-    normal form carries are cached there as well.
-    """
+
+class FormalP:
+    """g = [p]_F(t)/t = p*u; `formal_p` caches it, holding no context."""
 
     def __init__(self, ctx, p):
         if p < 2:
             raise SeriesError("p must be a prime >= 2")
-        self.ctx = ctx
-        self.p = int(p)
-        pt = ctx.nseries(p)
-        if ctx.additive:
-            # [p](t) = p*t, so g is the constant p
-            self.g = ctx.const(p)
-        else:
-            self.g = pt.shift_var("t", -1)
-        if self.g.constant() != self.p:
+        self._certify(ctx.const(p) if ctx.additive
+                      else ctx.nseries(p).shift_var("t", -1), int(p))
+
+    @classmethod
+    def from_generator(cls, g, p):
+        """The FormalP of a given g, certified as FormalP(ctx, p) is."""
+        return cls.__new__(cls)._certify(g, p)
+
+    def _certify(self, g, p):
+        if g.constant() != p:
             raise SeriesError("generator must have constant term p")
+        for e, c in g.terms.items():
+            if type(c) is not int or c % p:
+                raise SeriesError("p = %d does not divide the coefficient %s "
+                                  "of %s in [p](t)/t"
+                                  % (p, c, g.table.monomial_str(e)))
+        ti = g.table.index["t"]
+        floor = g.table.floors[ti] or 0
+        if floor and any(ti in idxs for idxs, _bound in g.table.caps):
+            raise SeriesError("a degree cap on t is no ideal below t^0")
+        self.p, self.g = p, g
+        # as deep as the t floor, so f*u^-1 misses no term t^-k brings back
+        self.u_inv = GradedSeries(g.table, g.trunc_plus - floor, g.trunc_minus,
+                                  {e: c // p for e, c in g.terms.items()}
+                                  ).mul_inverse()
+        return self
 
-    # ----- denominator clearing -------------------------------------------
-
-    def _big_exponent(self):
-        ctx = self.ctx
-        floor = ctx.table.floors[ctx.table.index["t"]] or 0
-        return ctx.trunc_plus - floor + ctx.trunc_minus + 4
+    def _low_digits(self, f, top):
+        """The digits of f*u^-1 at t-degrees <= top, at f's truncation."""
+        f._compat(self.g)
+        deep = GradedSeries(f.table, self.u_inv.trunc_plus, f.trunc_minus,
+                            f.terms, validate=False) * self.u_inv
+        ti = f.table.index["t"]
+        return f._make({e: c for e, c in deep.terms.items() if e[ti] <= top})
 
     def clear_coprime_denominators(self, f):
-        """Replace denominators prime to p by modular inverses.
-
-        p is topologically nilpotent at truncation (p^(D+1) lies in the ideal
-        plus terms beyond t^D), so adding multiples of p^BIG never changes the
-        class of f; after this pass all denominators are powers of p.
-        """
+        """Replace denominators prime to p by inverses mod p^BIG, which keeps
+        the class of f as p is topologically nilpotent at truncation."""
         p = self.p
-        big = self._big_exponent()
-        pbig = p ** big
+        pbig = p ** (self.u_inv.trunc_plus + self.g.trunc_minus + 4)
         out = {}
         for exp, c in f.terms.items():
             c = Fraction(c)
-            den = c.denominator
-            e = 0
-            while den % p == 0:
-                den //= p
-                e += 1
-            if den == 1:
-                out[exp] = c
-                continue
-            inv = pow(den, -1, pbig)
-            num = (c.numerator * inv) % (pbig * p ** e)
-            out[exp] = Fraction(num, p ** e)
+            pe = p ** vp(c.denominator, p)
+            den = c.denominator // pe
+            out[exp] = c if den == 1 else Fraction(
+                c.numerator * pow(den, -1, pbig) % (pbig * pe), pe)
         return GradedSeries(f.table, f.trunc_plus, f.trunc_minus, out)
 
-    # ----- normal forms -----------------------------------------------------
-
     def normal_form(self, f):
-        """Unique representative with every digit coefficient in [0, p):
-        one sweep up the t-digits turns c into c - p*q for q = c // p and
-        carries -q times g's terms of positive t-degree into higher digits."""
+        """Coefficients reduced into [0, p): the normal form, as (g) = (p)."""
         f._compat(self.g)
         lo = f.min_degree("t")
         if lo is not None and lo < 0:
             raise SeriesError("normal form expects no negative t-powers")
-        p, table, tp, tm = self.p, f.table, f.trunc_plus, f.trunc_minus
-        ti = table.index["t"]
-        # the terms of g of positive t-degree, by negative degree
-        tail = self.ctx.memo(("g_tail", p), lambda: sorted(
-            table.degrees(e)[::-1] + (e[ti], e, c)
-            for e, c in self.g.terms.items() if e[ti] >= 1))
-        digits = {}
-        for exp, c in f.terms.items():
-            digits.setdefault(exp[ti], {})[exp] = c
-        out = {}
-        for k in range(tp + 1):
-            for exp, c in digits.pop(k, {}).items():
-                if not isinstance(c, int):
-                    raise SeriesError("normal form expects integer "
-                                      "coefficients, got %r" % (c,))
-                q, r = divmod(c, p)
-                if r:
-                    out[exp] = r
-                if not q:
-                    continue
-                pe, me = table.degrees(exp)
-                for mg, pg, j, eg, cg in tail:
-                    if me + mg > tm:
-                        break
-                    if pe + pg > tp:
-                        continue
-                    e = tuple(map(add, exp, eg))
-                    if table.caps and table.admit(e) is None:
-                        continue
-                    above = digits.setdefault(k + j, {})
-                    above[e] = above.get(e, 0) - q * cg
-        return GradedSeries(table, tp, tm, out, validate=False)
-
-    # ----- Laurent-side reduction -------------------------------------------
+        bad = next((c for c in f.terms.values() if type(c) is not int), None)
+        if bad is not None:
+            raise SeriesError("normal form expects integer coefficients, "
+                              "got %r" % (bad,))
+        return coeffs_mod_p(f, self.p)
 
     def laurent_reduce(self, f):
-        """Clear all negative t-digits using multiples of g.
-
-        At each negative degree the multiplier is forced: the digit must be
-        exactly divisible by p.  Returns (ok, reduced, witness).
-        """
-        p = self.p
-        lo = f.min_degree("t")
-        if lo is None or lo >= 0:
+        """(True, f - g*Q, None), Q = neg(f*u^-1)/p; or (False, f, witness)."""
+        if (f.min_degree("t") or 0) >= 0:
             return True, f, None
-        for j in range(lo, 0):
-            digit = f.coeff_of("t", j)
-            if digit.is_zero:
-                continue
-            for exp, c in digit.terms.items():
-                if vp(c, p) < 1:
-                    witness = "t^%d * %s (coefficient %s)" % (
-                        j, digit.table.monomial_str(exp), c)
-                    return False, f, witness
-            h = digit.scale(Fraction(1, p)).shift_var("t", j)
-            f = f - h * self.g
-        return True, f, None
+        q = self._low_digits(f, -1)
+        bad = _lowest_indivisible(q, self.p)
+        if bad is not None:
+            return False, f, "t^%d * %s (coefficient %s)" % bad
+        return True, f - self.g * q.scale(Fraction(1, self.p)), None
 
     def is_integral_mod_ideal(self, f):
-        """Decide membership of f's class in the nonnegative integral part.
-
-        Returns (verdict, representative, witness): the representative has no
-        negative t-powers and no p in any denominator when the verdict holds.
-        """
-        cleared = self.clear_coprime_denominators(f)
-        ok, reduced, witness = self.laurent_reduce(cleared)
+        """(verdict, representative, witness) for f's class lying in the
+        nonnegative integral part; the representative has no negative
+        t-powers and no p in any denominator when the verdict holds."""
+        ok, reduced, witness = self.laurent_reduce(
+            self.clear_coprime_denominators(f))
         if not ok:
             return False, None, witness
         for exp, c in reduced.terms.items():
@@ -178,47 +137,14 @@ class FormalP:
                     reduced.table.monomial_str(exp), c)
         return True, reduced.map_coefficients(int), None
 
-    # ----- the defining division ---------------------------------------------
-
     def divide_by_formal_p(self, S):
-        """Unique Phi with t-degrees <= 0 and S - g*Phi strictly positive.
-
-        Triangular solve from the lowest t-degree up; every step divides by p
-        and must be exact (per monomial), otherwise the divisibility claim
-        behind Symmetric operations is falsified.  Positive t-digits of S do
-        not enter the solve (the result depends on nonpos(S) only) and the
-        residual S - g*Phi has strictly positive t-degrees by construction.
-        """
-        S, _pos = S.split_parts("t")
-        if S.is_zero:
-            return S
-        p = self.p
-        digits = S.as_poly_in("t")
-        low = min(digits)
-        g_digits = self.ctx.memo(("g_digits", p),
-                                 lambda: self.g.as_poly_in("t"))
-        phi = {}
-        zero = GradedSeries.zero(S.table, S.trunc_plus, S.trunc_minus)
-        for j in range(low, 1):
-            val = digits.get(j, zero)
-            for m, phim in phi.items():
-                # m < j, so the digit index j - m is at least 1
-                g_k = g_digits.get(j - m)
-                if g_k is not None:
-                    val = val - phim * g_k
-            if val.is_zero:
-                continue
-            for exp, c in val.terms.items():
-                if vp(c, p) < 1:
-                    raise PDivisibilityError(
-                        "p-divisibility violated at t^%d on %s "
-                        "(coefficient %s)" % (j, val.table.monomial_str(exp),
-                                              c),
-                        witness="t^%d * %s" % (j,
-                                               val.table.monomial_str(exp)))
-            phi[j] = val.scale(Fraction(1, p))
-        out = zero
-        for j, coeff in phi.items():
-            out = out + coeff.shift_var("t", j)
-        return out
-
+        """The unique Phi with t-degrees <= 0 and S - g*Phi strictly positive,
+        nonpos(nonpos(S)*u^-1)/p; PDivisibilityError if p does not divide a
+        digit, which falsifies the claim behind Symmetric operations."""
+        phi = self._low_digits(S.split_parts("t")[0], 0)
+        bad = _lowest_indivisible(phi, self.p)
+        if bad is not None:
+            raise PDivisibilityError(
+                "p-divisibility violated at t^%d on %s (coefficient %s)" % bad,
+                witness="t^%d * %s" % bad[:2])
+        return phi.scale(Fraction(1, self.p))

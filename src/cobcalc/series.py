@@ -24,6 +24,7 @@ multiplies plain ints; each output term is unpacked and divided once.
 Exact division keeps its remainder in a heap in graded-lexicographic order
 and subtracts each shifted divisor term by term.  Substitution is Horner's
 rule (Brent and Kung, J. ACM 1978): degree K in one variable costs K products.
+Reversion is Lagrange inversion: one inverse, then one product per degree.
 """
 
 from __future__ import annotations
@@ -173,11 +174,6 @@ class VariableTable:
 
     def zero_exp(self):
         return (0,) * len(self.variables)
-
-    def axis(self, name):
-        e = [0] * len(self.variables)
-        e[self.index[name]] = 1
-        return tuple(e)
 
     def admit(self, exp):
         """None if the term is dropped by a cap, True otherwise."""
@@ -509,6 +505,11 @@ class GradedSeries:
                 base = base * base
         return result
 
+    def _times_monomial(self, exp, c):
+        """self * (c * monomial exp) without the product kernel."""
+        return self._make({tuple(map(add, e, exp)): v * c
+                           for e, v in self.terms.items()})
+
     # ----- variable-level operations --------------------------------------
 
     def scale_var(self, name, c):
@@ -668,20 +669,18 @@ class GradedSeries:
         one = GradedSeries.one(table, self.trunc_plus, self.trunc_minus)
         for e0 in candidates:
             inv_exp = tuple(-k for k in e0)
-            lead_inv = GradedSeries(
-                table, self.trunc_plus, self.trunc_minus,
-                {inv_exp: Fraction(1, 1) / Fraction(self.terms[e0])})
+            c_inv = Fraction(1, 1) / Fraction(self.terms[e0])
             try:
-                w = self * lead_inv - one
+                w = self._times_monomial(inv_exp, c_inv) - one
                 acc = one
                 pw = one
                 for step in range(bound):
                     if pw.is_zero:
-                        return acc * lead_inv
+                        return acc._times_monomial(inv_exp, c_inv)
                     pw = pw * w
                     acc = acc + (pw if step % 2 == 1 else -pw)
                 if pw.is_zero:
-                    return acc * lead_inv
+                    return acc._times_monomial(inv_exp, c_inv)
             except LaurentUnderflow:
                 continue
         raise NonUnitLowest("no term of %s dominates the rest at this "
@@ -755,38 +754,44 @@ class GradedSeries:
                         del rem[exp]
         return self._make(q)
 
-    def compositional_inverse(self, name, poly_vars=()):
-        """Series g with self(g) = name, for self = c1*name + higher order.
+    def compositional_inverse(self, name):
+        """Series g with self(g) = name, for self = c1*name + higher order,
+        by Lagrange inversion: [name^n] g = (1/n) [name^(n-1)] (name/self)^n,
+        one product per degree after one mul_inverse.
 
         The linear coefficient c1 may be any invertible series in the other
         variables (for instance a Laurent unit in t).
         """
-        i = self.table.index[name]
+        table = self.table
+        i = table.index[name]
         if any(exp[i] < 1 for exp in self.terms):
             raise SeriesError("compositional inverse needs order >= 1 in %s"
                               % name)
-        c1 = self.coeff_of(name, 1)
-        if c1.is_zero:
+        if self.coeff_of(name, 1).is_zero:
             raise NonUnitLowest("no linear term in %s" % name)
-        c1_inv = c1.mul_inverse()
-        x = GradedSeries.monomial(self.table, self.trunc_plus,
-                                  self.trunc_minus, {name: 1})
-        g = x * c1_inv
-        cap = self.trunc_plus + 2
-        for idxs, b in self.table.caps:
-            if i in idxs:
-                cap = min(cap, b + 2)
-        poly_vars = set(poly_vars) | {name}
-        for _ in range(cap):
-            err = self.substitute({name: g}, poly_vars=poly_vars) - x
-            if err.is_zero:
-                break
-            g = g - err * c1_inv
+        # the highest power of name an admissible term can carry: Laurent
+        # powers of the other variables may lower the positive degree
+        w = table.weights[i]
+        if w > 0:
+            top = (self.trunc_plus - sum(f * table.weights[j]
+                                         for j, f in enumerate(table.floors)
+                                         if f and j != i
+                                         and table.weights[j] > 0)) // w
         else:
-            err = self.substitute({name: g}, poly_vars=poly_vars) - x
-            if not err.is_zero:
-                raise SeriesError("compositional inverse did not converge")
-        return g
+            top = self.trunc_minus // -w
+        for idxs, b in table.caps:
+            if i in idxs:
+                top = min(top, b)
+        h = self.shift_var(name, -1).mul_inverse()
+        power = h
+        out = {}
+        for n in range(1, top + 1):
+            if n > 1:
+                power = power * h
+            for exp, c in power.terms.items():
+                if exp[i] == n - 1:
+                    out[exp[:i] + (n,) + exp[i + 1:]] = Fraction(c) / n
+        return self._make(out)
 
     # ----- calculus ---------------------------------------------------------
 

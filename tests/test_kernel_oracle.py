@@ -7,8 +7,12 @@ and raise LaurentUnderflow when a kept term lies below a Laurent floor.  It
 does not call GradedSeries.__mul__ or anything that product uses.  Exact
 division and compositional inverses are checked by round trips.
 Substitution is checked against products with materialized powers of the
-images, and the normal form modulo g against repeated subtraction of
-multiples of g; both oracles use the product checked first.
+images.  The quotient modulo g = p*u is checked against general algorithms
+that hold for any g = p + (terms of positive t-degree): the normal form
+against a carry sweep up the t-digits and against repeated subtraction of
+multiples of g, the division by g against a digit-by-digit solve, and the
+integrality check against clearing one negative digit at a time.  These
+oracles use the product checked first.
 """
 
 from fractions import Fraction
@@ -19,14 +23,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cobcalc.fgl import Memo  # noqa: E402
-from cobcalc.quotient import FormalP  # noqa: E402
+from cobcalc.quotient import FormalP, PDivisibilityError  # noqa: E402
 from cobcalc.series import (  # noqa: E402
     GradedSeries,
     LaurentUnderflow,
     NotDivisible,
     Variable,
     VariableTable,
+    vp,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
@@ -273,21 +277,28 @@ def test_substitute_oracle_example_is_simultaneous():
     assert substitute_oracle(f, bindings) != sequential
 
 
-@st.composite
-def normal_form_inputs(draw):
-    """(FormalP, f) for a drawn generator g = p + terms of t-degree >= 1.
+def _first_indivisible(series, p):
+    """The least exponent, in graded order, whose coefficient p does not
+    divide; None if p divides them all."""
+    bad = [e for e, c in series.terms.items() if vp(c, p) < 1]
+    return min(bad, key=lambda e: (sum(e), e)) if bad else None
 
-    The generators of the group-law contexts have every coefficient
-    divisible by p, so there the normal form only reduces coefficients mod
-    p; a drawn g also carries digits that survive into the result."""
+
+@st.composite
+def formal_p_inputs(draw, floor=None):
+    """(FormalP, table, tp, tm) for a drawn g = p*u, u = 1 + terms of
+    t-degree >= 1, as in the group-law contexts, where p divides every
+    coefficient of [p](t)/t.  t is the first variable, with the given
+    Laurent floor; FormalP refuses a cap on t when t has one."""
     p = draw(st.sampled_from([2, 3, 5]))
-    variables = [Variable("t", 1)] + [
+    variables = [Variable("t", 1, laurent_floor=floor)] + [
         Variable("v%d" % i, w) for i, w in enumerate(draw(st.lists(
             st.sampled_from([-2, -1, 1, 2]), max_size=3)))]
-    names = [v.name for v in variables]
+    names = [v.name for v in variables[0 if floor is None else 1:]]
     caps = draw(st.lists(st.tuples(st.lists(st.sampled_from(names), min_size=1,
                                             unique=True),
-                                   st.integers(1, 6)), max_size=2))
+                                   st.integers(1, 6)),
+                         max_size=2)) if names else []
     table = VariableTable(variables, degree_caps=[(tuple(g), bound)
                                                   for g, bound in caps])
     tp, tm = draw(st.integers(3, 10)), draw(st.integers(0, 4))
@@ -295,10 +306,15 @@ def normal_form_inputs(draw):
     tail = draw(st.dictionaries(exps.filter(lambda e: e[0] >= 1),
                                 st.sampled_from([-3, -2, -1, 1, 2, 3]),
                                 min_size=2, max_size=6))
-    fp = FormalP.__new__(FormalP)
-    fp.ctx, fp.p = Memo(), p
-    fp.g = (GradedSeries(table, tp, tm, tail)
-            + GradedSeries.const(table, tp, tm, p))
+    u = (GradedSeries(table, tp, tm, tail)
+         + GradedSeries.const(table, tp, tm, 1))
+    return FormalP.from_generator(u.scale(p), p), table, tp, tm
+
+
+@st.composite
+def normal_form_inputs(draw):
+    fp, table, tp, tm = draw(formal_p_inputs())
+    exps = st.tuples(*[st.integers(0, 2) for _ in table.variables])
     f = draw(st.dictionaries(exps, st.integers(-40, 40), min_size=4,
                              max_size=10))
     return fp, GradedSeries(table, tp, tm, f)
@@ -318,14 +334,122 @@ def normal_form_oracle(fp, f):
         f = f - m * fp.g
 
 
+def carry_sweep_oracle(fp, f):
+    """The normal form for an arbitrary g = p + (terms of t-degree >= 1):
+    one sweep up the t-digits turns c into c - p*q for q = c // p and
+    carries -q times the terms of g of positive t-degree into higher
+    digits."""
+    p, table, tp, tm = fp.p, f.table, f.trunc_plus, f.trunc_minus
+    tail = sorted(table.degrees(e)[::-1] + (e[0], e, c)
+                  for e, c in fp.g.terms.items() if e[0] >= 1)
+    digits = {}
+    for exp, c in f.terms.items():
+        digits.setdefault(exp[0], {})[exp] = c
+    out = {}
+    for k in range(tp + 1):
+        for exp, c in digits.pop(k, {}).items():
+            q, r = divmod(c, p)
+            if r:
+                out[exp] = r
+            if not q:
+                continue
+            pe, me = table.degrees(exp)
+            for mg, pg, j, eg, cg in tail:
+                if me + mg > tm:
+                    break
+                if pe + pg > tp:
+                    continue
+                e = tuple(x + y for x, y in zip(exp, eg))
+                if table.admit(e) is None:
+                    continue
+                above = digits.setdefault(k + j, {})
+                above[e] = above.get(e, 0) - q * cg
+    return GradedSeries(table, tp, tm, out)
+
+
 @SETTINGS
 @given(normal_form_inputs())
 def test_normal_form_matches_repeated_subtraction(case):
     fp, f = case
     nf = fp.normal_form(f)
-    assert nf == normal_form_oracle(fp, f)
+    assert nf == normal_form_oracle(fp, f) == carry_sweep_oracle(fp, f)
     assert all(type(c) is int and 0 <= c < fp.p for c in nf.terms.values())
     assert fp.normal_form(nf) == nf
+
+
+def triangular_solve_oracle(fp, S):
+    """Phi digit by digit from the lowest t-degree up: the t^j digit of
+    S - g*(Phi so far) must be divisible by p, and Phi gains it over p.
+    Returns Phi, or the (message, witness) of the lowest failing digit."""
+    S, _pos = S.split_parts("t")
+    phi = GradedSeries.zero(S.table, S.trunc_plus, S.trunc_minus)
+    for j in range(min(S.min_degree("t") or 0, 0), 1):
+        val = (S - fp.g * phi).coeff_of("t", j)
+        e = _first_indivisible(val, fp.p)
+        if e is not None:
+            mono = val.table.monomial_str(e)
+            return ("p-divisibility violated at t^%d on %s (coefficient %s)"
+                    % (j, mono, val.terms[e]), "t^%d * %s" % (j, mono))
+        phi = phi + val.scale(Fraction(1, fp.p)).shift_var("t", j)
+    return phi
+
+
+def is_integral_oracle(fp, f):
+    """Clear each negative digit in turn by subtracting (digit/p)*t^j*g,
+    then ask for integer coefficients."""
+    p = fp.p
+    f = fp.clear_coprime_denominators(f)
+    for j in range(min(f.min_degree("t") or 0, 0), 0):
+        digit = f.coeff_of("t", j)
+        e = _first_indivisible(digit, p)
+        if e is not None:
+            return False, None, "t^%d * %s (coefficient %s)" % (
+                j, digit.table.monomial_str(e), digit.terms[e])
+        f = f - digit.scale(Fraction(1, p)).shift_var("t", j) * fp.g
+    for exp, c in f.terms.items():
+        if Fraction(c).denominator != 1:
+            return False, None, "%s (coefficient %s)" % (
+                f.table.monomial_str(exp), c)
+    return True, f.map_coefficients(int), None
+
+
+@st.composite
+def laurent_inputs(draw, coeffs):
+    """(FormalP, f) with f = g*h + r for a Laurent h, plus, often, one more
+    term that breaks p-divisibility or p-integrality."""
+    floor = draw(st.integers(-4, -1))
+    fp, table, tp, tm = draw(formal_p_inputs(floor=floor))
+
+    def exps(top):
+        return st.tuples(st.integers(floor, top),
+                         *[st.integers(0, 2) for _ in table.variables[1:]])
+    h = GradedSeries(table, tp, tm, draw(st.dictionaries(
+        exps(0), st.integers(-4, 4), min_size=1, max_size=6)))
+    r = GradedSeries(table, tp, tm, draw(st.dictionaries(
+        exps(2), coeffs, max_size=3)))
+    return fp, fp.g * h + r
+
+
+@SETTINGS
+@given(laurent_inputs(st.integers(-4, 4).map(lambda c: 5 * c)
+                      | st.sampled_from([1, -1, 2])))
+def test_divide_by_formal_p_matches_triangular_solve(case):
+    fp, S = case
+    want = triangular_solve_oracle(fp, S)
+    if isinstance(want, tuple):
+        with pytest.raises(PDivisibilityError) as err:
+            fp.divide_by_formal_p(S)
+        assert (str(err.value), err.value.witness) == want
+    else:
+        assert fp.divide_by_formal_p(S) == want
+
+
+@SETTINGS
+@given(laurent_inputs(st.sampled_from([1, -2, Fraction(1, 2), Fraction(1, 3),
+                                       Fraction(5, 6), Fraction(2, 9)])))
+def test_is_integral_matches_sequential_reduction(case):
+    fp, f = case
+    assert fp.is_integral_mod_ideal(f) == is_integral_oracle(fp, f)
 
 
 @st.composite

@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from cobcalc import actions, fgl
 from cobcalc.fgl import Context
 from cobcalc.quotient import FormalP, PDivisibilityError, coeffs_mod_p
 from cobcalc.series import GradedSeries, SeriesError, vp
@@ -212,3 +215,56 @@ def test_normal_form_json_roundtrip(ctx, fp2):
     doc = nf.to_json_dict()
     assert GradedSeries.from_json_dict(doc) == nf
     assert nf == fp2.normal_form(ctx.var("t"))
+
+
+def test_formal_p_refuses_a_generator_p_does_not_divide(ctx):
+    g = FormalP(ctx, 3).g
+    assert FormalP.from_generator(g, 3).normal_form(g).is_zero
+    with pytest.raises(SeriesError, match="p = 3 does not divide"):
+        FormalP.from_generator(g + ctx.mono({"t": 2, "b1": 1}), 3)
+    with pytest.raises(SeriesError, match="p = 2 does not divide"):
+        FormalP.from_generator(ctx.const(2) + ctx.mono({"t": 1, "b1": 1},
+                                                      Fraction(2, 3)), 2)
+    # a cap on t is no ideal once t has negative powers: t^-2 * t^2 = 1
+    capped = Context(9, 6, tfloor=-8, degree_caps=(("t", 1),))
+    with pytest.raises(SeriesError, match="cap on t"):
+        FormalP(capped, 2)
+
+
+def test_division_and_integrality_make_at_most_two_products(ctx, fp2,
+                                                            monkeypatch):
+    # three negative t-digits: a digit-by-digit solve multiplies per digit
+    h = (ctx.mono({"t": -3}) + ctx.mono({"t": -2, "b1": 1}, 3)
+         + ctx.mono({"t": -1, "b2": 1}, -1) + ctx.one())
+    s, _ = (fp2.g * h).split_parts("t")
+    f = fp2.g * h + ctx.mono({"t": 2}, Fraction(1, 3))
+    calls = []
+    mul = GradedSeries.__mul__
+    monkeypatch.setattr(GradedSeries, "__mul__",
+                        lambda a, b: calls.append(b) or mul(a, b))
+    assert fp2.divide_by_formal_p(s) == h
+    assert len(calls) <= 1
+    del calls[:]
+    ok, rep, _ = fp2.is_integral_mod_ideal(f)
+    assert ok and rep.min_degree("t") >= 0
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("suite", ["theorem_g_suite", "prop_xy_series",
+                                   "twisted_fgl_alpha"])
+def test_a_finished_suite_frees_its_context(suite, monkeypatch):
+    # FormalP keeps no reference to its context, so the context that
+    # caches it is no reference cycle and dies without a collection
+    built = []
+    init = fgl.Context.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+    monkeypatch.setattr(fgl.Context, "__init__", record)
+    gc.disable()
+    try:
+        getattr(actions, suite)(3)
+        assert built and all(ref() is None for ref in built)
+    finally:
+        gc.enable()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cobcalc.fgl import Context
 from cobcalc.series import (
     GradedSeries,
     LaurentUnderflow,
@@ -309,6 +310,21 @@ def test_compositional_inverse():
     assert g.coeff({"t": 1}) == Fraction(1, 2)
     assert g.coeff({"t": 2}) == Fraction(-1, 8)
     assert f.substitute({"t": g}, poly_vars=("t",)) == t
+
+
+def test_compositional_inverse_makes_at_most_two_products_per_degree(
+        monkeypatch):
+    # Lagrange inversion: one mul_inverse and one power per t-degree
+    ctx = Context(8, 8)
+    exp_t = ctx.exp_t
+    calls = []
+    mul = GradedSeries.__mul__
+    monkeypatch.setattr(GradedSeries, "__mul__",
+                        lambda a, b: calls.append(b) or mul(a, b))
+    log_t = exp_t.compositional_inverse("t")
+    assert 0 < len(calls) <= 2 * ctx.trunc_plus
+    monkeypatch.undo()
+    assert exp_t.substitute({"t": log_t}, poly_vars=("t",)) == ctx.var("t")
 
 
 def test_diff_residue_split():
