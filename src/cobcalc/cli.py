@@ -126,6 +126,14 @@ def _check_op_input(ctx, e, p, text):
                               "past deg %d" % (text, zd, zd, p * zd, ctx.deg))
 
 
+def _refuse_unread(args, command, options, reads):
+    """A bad argument naming each of options given but not in reads."""
+    unread = ["--" + k for k in options
+              if getattr(args, k) is not None and k not in reads]
+    if unread:
+        raise SeriesError("%s does not read %s" % (command, ", ".join(unread)))
+
+
 def _emit(args, text, doc):
     if args.format == "json":
         out = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -218,10 +226,16 @@ def _cmd_class(args):
     return 0
 
 
+# the options of op each kind reads, besides --deg, --bweight and --tfloor
+_OP_READS = {"st": ("p", "reps"), "sq": ("p",), "phi": ("p", "reps"),
+             "slice": ("p", "reps", "q"), "ln": ()}
+
+
 def _cmd_op(args):
+    _refuse_unread(args, "op " + args.kind, ("p", "reps", "q"),
+                   _OP_READS[args.kind])
     deg = _default_deg(args, 8)
     bweight = args.bweight if args.bweight is not None else 8
-    p = args.p
     if args.kind == "ln":
         ctx = ops.make_context(1, deg, bweight, with_primes=True,
                                tfloor=args.tfloor)
@@ -232,6 +246,7 @@ def _cmd_op(args):
                "result": series.to_json_dict()}
         _emit(args, series.render(), doc)
         return 0
+    p = 2 if args.p is None else args.p
     reps = _parse_reps(args.reps, p)
     ctx = ops.make_context(p, deg, bweight, tfloor=args.tfloor)
     e = parse_element(ctx, args.input)
@@ -276,31 +291,27 @@ def _cmd_eta(args):
     return 0
 
 
-# the options each verifier reads, where it does not read all four
-_VERIFY_READS = {"fglaxioms": "deg bweight", "soold": "deg bweight",
-                 "f1": "deg bweight seed", "xy": "p deg bweight",
-                 "tomdieck": "p deg bweight", "diagram": "p deg bweight",
-                 "il1": "p seed", "il3": "", "minors": ""}
-
-
 def _cmd_verify(args):
     names = sorted(ops.VERIFIERS) if args.name == "all" else [args.name]
-    reads = {n: _VERIFY_READS.get(n, "p deg bweight seed").split()
-             for n in names}
-    ignored = ["--" + k for k in ("p", "deg", "bweight", "seed")
-               if getattr(args, k) is not None and args.name != "all"
-               and k not in reads[args.name]]
-    if ignored:
-        raise SeriesError("verify %s does not read %s"
-                          % (args.name, ", ".join(ignored)))
-    values = {"p": args.p, "deg": _default_deg(args, 6),
-              "bweight": 6 if args.bweight is None else args.bweight,
-              "seed": 20260814 if args.seed is None else args.seed}
+    if args.name != "all":
+        _refuse_unread(args, "verify " + args.name,
+                       ("p", "deg", "bweight", "seed"),
+                       ops.VERIFIERS[args.name].reads)
+    if args.p is not None:
+        refused = [n for n in names if "p" in ops.VERIFIERS[n].reads
+                   and args.p not in ops.VERIFIERS[n].primes]
+        if refused:
+            raise SeriesError("prime %d is not run by verify %s"
+                              % (args.p, ", ".join(refused)))
+    values = {k: ops.DEFAULTS[k] if getattr(args, k) is None
+              else getattr(args, k) for k in ("bweight", "seed")}
+    values.update(p=args.p, deg=_default_deg(args, ops.DEFAULTS["deg"]))
     reports = []
     failed = 0
     lines = []
     for name in names:
-        report = ops.run_verifier(name, **{k: values[k] for k in reads[name]})
+        report = ops.run_verifier(name, **{k: values[k] for k in
+                                           ops.VERIFIERS[name].reads})
         reports.append(report)
         s = report["summary"]
         failed += s["fail"]
@@ -358,7 +369,7 @@ def build_parser():
     sp.add_argument("--input", required=True)
     sp.add_argument("--q", default=None, help="slice weight series")
     common(sp, "--p", "--reps", "--deg", "--bweight", "--tfloor")
-    sp.set_defaults(func=_cmd_op)
+    sp.set_defaults(func=_cmd_op, p=None)
 
     sp = sub.add_parser("eta", help="Chow-side eta invariant")
     sp.add_argument("--U", required=True, help="Pn or H(n,d)")

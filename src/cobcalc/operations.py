@@ -7,7 +7,9 @@ coefficient of s^(i+1) in gamma(B(s/c)) with c = gamma'(0).  The module
 builds Quillen-Steenrod St(reps), the total Landweber-Novikov operation, the
 tom Dieck Sq (through the faithful Laurent quotient), Symmetric operations
 Phi = divide-by-formal-p of the nonpositive part of e^p - St(e), residue
-slices, Chow traces, and the verifier suite for the identities these satisfy.
+slices, Chow traces, and the verifier suites for the identities these
+satisfy, each registered in VERIFIERS by `_suite` with the options it
+reads, the primes it runs and its report labels, for the CLI to read.
 
 Caches: what depends on the context alone (classes, the grid, FormalP, the
 orbit product that is St's gamma, St descriptors) is cached on the Context
@@ -24,12 +26,14 @@ import math
 import random
 from fractions import Fraction
 
-from . import fgl
+from . import actions, fgl
 from .actions import FalsificationError
 from .quotient import PDivisibilityError, coeffs_mod_p, formal_p
 from .series import GradedSeries, SeriesError, vp
 
 _CTX_CACHE = {}
+# what a verifier option left None, or the seed of rep_choices, falls back to
+DEFAULTS = {"deg": 6, "bweight": 6, "seed": 20260814}
 
 
 def make_context(p, deg=6, bweight=6, with_primes=False, tfloor=None):
@@ -79,8 +83,10 @@ def _grid(ctx):
     return ctx.memo("grid", lambda: grid_elements(ctx))
 
 
-def rep_choices(p, seed=20260814):
+def rep_choices(p, seed=None):
     """canonical residues, the symmetric +-1.. choice, one seeded random."""
+    if seed is None:
+        seed = DEFAULTS["seed"]
     canonical = tuple(range(1, p))
     if p == 2:
         pm = (-1,)
@@ -109,11 +115,6 @@ class OperationDescriptor(fgl.Memo):
         self.c = gamma.coeff_of("x", 1)
         if self.c.is_zero:
             raise SeriesError("gamma'(0) must be invertible")
-
-    @property
-    def is_stable(self):
-        """b0 = 1: gamma = x + O(x^2)."""
-        return self.c == self.ctx.one()
 
     def twisted_exponential(self):
         """gamma(B(s/c)): the exponential of the target group law in s."""
@@ -207,15 +208,6 @@ def landweber_novikov(ctx):
     return OperationDescriptor(ctx, 1, gamma, name="ln")
 
 
-def compose(outer, inner):
-    """Descriptor of outer after inner: gamma = phi_outer(gamma_in)(gamma_out)."""
-    mapped = outer.phi_hat(inner.gamma)
-    gamma = mapped.substitute({"x": outer.gamma}, poly_vars=("x",))
-    return OperationDescriptor(outer.ctx, outer.p, gamma,
-                               reps=outer.reps,
-                               name="%s.%s" % (outer.name, inner.name))
-
-
 def tom_dieck_sq(ctx, p, e):
     """Sq(e) through the faithful Laurent quotient; certified integral.
 
@@ -286,11 +278,43 @@ def omega_che(ctx, p, reps, roots=(), minus_roots=()):
 
 
 # ----- verifier suite --------------------------------------------------------
-#
-# Every verifier takes the keywords (p, deg, bweight, seed) and ignores those
-# that do not apply to it; run_verifier passes the ones it is given.
 
-GRID_PRIMES = (2, 3, 5)
+VERIFIERS = {}
+
+
+def _suite(name, reads="p deg bweight seed", primes=(2, 3, 5),
+           reps="all-choices"):
+    """Register the suite under name; primes is the tuple of primes it
+    runs, or what its report says instead when it reads no p.
+
+    The registered function takes p, deg, bweight and seed, fills those
+    left None from DEFAULTS, refuses a p not in primes, passes the suite
+    the ones it reads (p as the list of primes to run) and returns the
+    report {"prop", "p", "reps", "cases", "summary"}.
+    """
+    reads = tuple(reads.split())
+
+    def register(suite):
+        def report(p=None, deg=None, bweight=None, seed=None):
+            label = list(primes) if isinstance(primes, tuple) else primes
+            if p is not None and "p" in reads:
+                if p not in primes:
+                    raise SeriesError("prime %r not in verification grid %r"
+                                      % (p, primes))
+                label = p
+            given = {"p": label if p is None else [p], "deg": deg,
+                     "bweight": bweight, "seed": seed}
+            cases = suite(**{k: DEFAULTS[k] if given[k] is None else given[k]
+                             for k in reads})
+            npass = sum(1 for c in cases if c["verdict"] == "pass")
+            return {"prop": name, "p": label, "reps": reps, "cases": cases,
+                    "summary": {"pass": npass, "fail": len(cases) - npass}}
+        report.__name__ = report.__qualname__ = suite.__name__
+        report.__doc__ = suite.__doc__
+        report.reads, report.primes = reads, primes
+        VERIFIERS[name] = report
+        return report
+    return register
 
 
 def _case(label, ok, witness=None, **extra):
@@ -301,57 +325,46 @@ def _case(label, ok, witness=None, **extra):
     return case
 
 
-def _compare(label, got, want, **extra):
+def _compare(label, got, want):
     """An exact comparison; got - want is rendered only when they differ."""
     ok = got == want
-    return _case(label, ok, witness=None if ok else (got - want).render(),
-                 **extra)
+    return _case(label, ok, witness=None if ok else (got - want).render())
 
 
-def _suite_case(label, rep, counted=True, **extra):
+def _as_case(item, **tags):
+    """A finished case, or (label, got, want) compared exactly; tagged."""
+    case = item if isinstance(item, dict) else _compare(*item)
+    case.update(tags)
+    return case
+
+
+def _suite_case(label, rep, counted=True):
     """A case from the report of an actions suite, with its case count."""
-    case = _case(label, rep["verdict"], witness=rep.get("witness"), **extra)
+    case = _case(label, rep["verdict"], witness=rep.get("witness"))
     if counted:
         case["count"] = rep["cases"]
     return case
 
 
-def _report(prop, cases, p=None, reps=None):
-    npass = sum(1 for c in cases if c["verdict"] == "pass")
-    return {"prop": prop,
-            "p": p if p is not None else list(GRID_PRIMES),
-            "reps": reps if reps is not None else "all-choices",
-            "cases": cases,
-            "summary": {"pass": npass, "fail": len(cases) - npass}}
+def _cases(check, primes, **tags):
+    """The cases check(q) yields at each prime q, each tagged p=q and tags."""
+    return [_as_case(item, p=q, **tags) for q in primes for item in check(q)]
 
 
-def _primes(p, allowed=GRID_PRIMES):
-    if p is None:
-        return list(allowed)
-    if p not in allowed:
-        raise SeriesError("prime %r not in verification grid %r" % (p, allowed))
-    return [p]
-
-
-def _st_cases(check, p, deg, bweight, seed, allowed=GRID_PRIMES):
-    """The cases of check for St at each prime, then each choice of reps.
-
-    check(ctx, st, rlabel) yields (label, got, want), compared exactly, or
-    a finished case; every case is tagged with the prime and the reps.
-    """
-    cases = []
-    for q in _primes(p, allowed):
+def _st_cases(check, p, deg, bweight, seed):
+    """The cases of check(ctx, st, rlabel) for St at each choice of reps,
+    tagged with the reps and the prime."""
+    def at(q):
         ctx = make_context(q, deg, bweight)
         for rlabel, reps in rep_choices(q, seed):
             st = quillen_steenrod(ctx, q, reps)
             for item in check(ctx, st, rlabel):
-                case = item if isinstance(item, dict) else _compare(*item)
-                case.update(p=q, reps=list(reps))
-                cases.append(case)
-    return cases
+                yield _as_case(item, reps=list(reps))
+    return _cases(at, p)
 
 
-def verify_fglaxioms(p=None, deg=8, bweight=8, seed=None):
+@_suite("fglaxioms", reads="deg bweight", primes="n/a", reps="n/a")
+def verify_fglaxioms(deg, bweight):
     """Unit, commutativity, associativity, and the low structure constants."""
     ctx = fgl.Context(deg, bweight, extra_vars=("x", "y", "w"),
                       trunc_plus=deg + 1)
@@ -365,15 +378,15 @@ def verify_fglaxioms(p=None, deg=8, bweight=8, seed=None):
     Fyw = F.substitute({"x": y, "y": w}, poly_vars=("x", "y"))
     left = F.substitute({"x": F, "y": w}, poly_vars=("x", "y"))
     right = F.substitute({"y": Fyw}, poly_vars=("y",))
-    cases = [_compare("unit", F.kill_vars(("y",)), x),
-             _compare("commutativity", swapped, F),
-             _compare("a11", a11, b1.scale(2)),
-             _compare("a21", a21, b2.scale(3) - (b1 * b1).scale(2)),
-             _compare("associativity@%d" % deg, left, right)]
-    return _report("fglaxioms", cases, p="n/a", reps="n/a")
+    return [_compare("unit", F.kill_vars(("y",)), x),
+            _compare("commutativity", swapped, F),
+            _compare("a11", a11, b1.scale(2)),
+            _compare("a21", a21, b2.scale(3) - (b1 * b1).scale(2)),
+            _compare("associativity@%d" % deg, left, right)]
 
 
-def verify_sop(p=None, deg=6, bweight=6, seed=20260814):
+@_suite("sop")
+def verify_sop(p, deg, bweight, seed):
     """Every grid input admits the exact division defining Phi."""
     def check(ctx, st, rlabel):
         for label, e, _dim in _grid(ctx):
@@ -387,17 +400,18 @@ def verify_sop(p=None, deg=6, bweight=6, seed=20260814):
                                    + ctx.mono({"t": -1, "b1": 1}, coeff=2))
             else:
                 yield _case(label, True)
-    return _report("sop", _st_cases(check, p, deg, bweight, seed), p=p)
+    return _st_cases(check, p, deg, bweight, seed)
 
 
-def verify_emb(p=None, deg=6, bweight=6, seed=20260814):
+@_suite("emb")
+def verify_emb(p, deg, bweight, seed):
     """Phi vanishes on 1 and on powers of the cellular carrier."""
     def check(ctx, st, _rlabel):
         z = ctx.var("z1")
         yield "1", symmetric_operation(st, ctx.one()), ctx.zero()
         for k in range(1, 5):
             yield "z^%d" % k, symmetric_operation(st, z ** k), ctx.zero()
-    return _report("emb", _st_cases(check, p, deg, bweight, seed), p=p)
+    return _st_cases(check, p, deg, bweight, seed)
 
 
 def _binomial_defect(ctx, p, u, v):
@@ -416,7 +430,8 @@ def _grid_pairs(ctx):
             yield "%s,%s" % (la, lb), u, v
 
 
-def verify_addphi(p=None, deg=6, bweight=6, seed=20260814):
+@_suite("addphi")
+def verify_addphi(p, deg, bweight, seed):
     """Phi(u+v) - Phi(u) - Phi(v) equals the binomial defect f_p(u,v)."""
     def check(ctx, st, _rlabel):
         for label, u, v in _grid_pairs(ctx):
@@ -424,10 +439,11 @@ def verify_addphi(p=None, deg=6, bweight=6, seed=20260814):
                    - symmetric_operation(st, u)
                    - symmetric_operation(st, v))
             yield label, got, _binomial_defect(ctx, st.p, u, v)
-    return _report("addphi", _st_cases(check, p, deg, bweight, seed), p=p)
+    return _st_cases(check, p, deg, bweight, seed)
 
 
-def verify_multphi(p=None, deg=6, bweight=6, seed=20260814):
+@_suite("multphi", primes=(2, 3))
+def verify_multphi(p, deg, bweight, seed):
     """Phi(uv) = nonpos(Phi(u) St(v) + St(u) Phi(v) + Phi(u) Phi(v) g).
 
     g = [p]_F(t)/t is the quotient generator: expanding St = (.)^p - g Phi - R
@@ -441,11 +457,11 @@ def verify_multphi(p=None, deg=6, bweight=6, seed=20260814):
             rhs = pu * st.apply(v) + st.apply(u) * pv + pu * pv * g
             want, _pos = rhs.split_parts("t")
             yield label, symmetric_operation(st, u * v), want
-    cases = _st_cases(check, p, deg, bweight, seed, allowed=(2, 3))
-    return _report("multphi", cases, p=p if p is not None else [2, 3])
+    return _st_cases(check, p, deg, bweight, seed)
 
 
-def verify_rr(p=None, deg=6, bweight=6, seed=20260814):
+@_suite("rr")
+def verify_rr(p, deg, bweight, seed):
     """Projection formula for slices against che(O(1)) twists."""
     def check(ctx, st, _rlabel):
         z = ctx.var("z1")
@@ -460,7 +476,7 @@ def verify_rr(p=None, deg=6, bweight=6, seed=20260814):
                 rhs = z * slice_phi(ctx, symmetric_operation(st, gser),
                                     qser * che)
                 yield "q=%s,g=%s" % (ql, gl), lhs, rhs
-    return _report("rr", _st_cases(check, p, deg, bweight, seed), p=p)
+    return _st_cases(check, p, deg, bweight, seed)
 
 
 _F1_CLASSES = (
@@ -472,11 +488,10 @@ _F1_CLASSES = (
 )
 
 
-def verify_f1(p=None, deg=6, bweight=6, seed=20260814):
-    """deg of the t^{p dim} slice of Phi([U]) equals the Chow-side eta.
-
-    Runs its fixed (prime, class) table whatever p is.
-    """
+@_suite("f1", reads="deg bweight seed", primes=(2, 3))
+def verify_f1(deg, bweight, seed):
+    """deg of the t^{p dim} slice of Phi([U]) equals the Chow-side eta,
+    over a fixed table of (prime, class)."""
     cases = []
     for q, label, n, d, dim in _F1_CLASSES:
         ctx = make_context(q, deg, bweight)
@@ -501,10 +516,11 @@ def verify_f1(p=None, deg=6, bweight=6, seed=20260814):
                                witness=None if ok else
                                "slice %s vs eta %s" % (got.render(), eta),
                                p=q, reps=list(reps)))
-    return _report("f1", cases, p=[2, 3])
+    return cases
 
 
-def verify_uv(p=None, deg=6, bweight=6, seed=20260814):
+@_suite("uv")
+def verify_uv(p, deg, bweight, seed):
     """Slices of Phi on u*v against eta-weighted St slices of v."""
     def check(ctx, st, _rlabel):
         q, reps = st.p, st.reps
@@ -529,10 +545,11 @@ def verify_uv(p=None, deg=6, bweight=6, seed=20260814):
                                                     ctx.mono({"t": kexp})))
                     yield ("special u=%s,v=z^%d" % (ulabel, k), lhs,
                            (z ** k).scale(eta * Fraction(i_s) ** k))
-    return _report("uv", _st_cases(check, p, deg, bweight, seed), p=p)
+    return _st_cases(check, p, deg, bweight, seed)
 
 
-def verify_grad(p=None, deg=6, bweight=6, seed=20260814):
+@_suite("grad", primes=(2, 3))
+def verify_grad(p, deg, bweight, seed):
     """Leading z-form of St on z^r u, and the shape of c below its unit."""
     def check(ctx, st, _rlabel):
         q = st.p
@@ -550,8 +567,7 @@ def verify_grad(p=None, deg=6, bweight=6, seed=20260814):
             for r in (1, 2):
                 lead = st.apply(z ** r * u).coeff_of("z1", r)
                 yield "z^%d*%s" % (r, ulabel), lead, st.c ** r * st.phi_hat(u)
-    cases = _st_cases(check, p, deg, bweight, seed, allowed=(2, 3))
-    return _report("grad", cases, p=p if p is not None else [2, 3])
+    return _st_cases(check, p, deg, bweight, seed)
 
 
 def _in_generator_ideal(fp, ginv, diff, p):
@@ -565,57 +581,58 @@ def _in_generator_ideal(fp, ginv, diff, p):
     return True, None
 
 
-def verify_diagram(p=None, deg=6, bweight=6, seed=20260814):
+@_suite("diagram", reads="p deg bweight", primes=(2, 3))
+def verify_diagram(p, deg, bweight):
     """St for different representatives agree with the Sq lift mod ([p]t)."""
-    cases = []
-    for q in _primes(p, allowed=(2, 3)):
+    def check(q):
         ctx = make_context(q, deg, bweight)
         fp = formal_p(ctx, q)
         ginv = fp.g.mul_inverse()
-        choices = rep_choices(q, seed)[:2]
+        # the canonical and the +-1 choices, which no seed changes
+        choices = rep_choices(q)[:2]
         st1 = quillen_steenrod(ctx, q, choices[0][1])
         st2 = quillen_steenrod(ctx, q, choices[1][1])
         for label, e, _dim in _grid(ctx):
             a1 = st1.apply(e)
             a2 = st2.apply(e)
             ok, wit = _in_generator_ideal(fp, ginv, a1 - a2, q)
-            cases.append(_case("%s reps" % label, ok, witness=wit, p=q))
+            yield _case("%s reps" % label, ok, witness=wit)
             nf, cert = _sq_from_st(ctx, q, st1, e)
             ok, wit = _in_generator_ideal(fp, ginv, a1 - nf, q)
-            cases.append(_case("%s sq-lift" % label, ok, witness=wit, p=q))
-    return _report("diagram", cases, p=p if p else [2, 3])
+            yield _case("%s sq-lift" % label, ok, witness=wit)
+    return _cases(check, p)
 
 
-def verify_tomdieck(p=None, deg=6, bweight=6, seed=None):
+@_suite("tomdieck", reads="p deg bweight", reps="canonical")
+def verify_tomdieck(p, deg, bweight):
     """Sq lands in the quotient and reduces to p-th powers at t^0."""
-    cases = []
-    for q in _primes(p):
+    def check(q):
         ctx = make_context(q, deg, bweight)
         for label, e, _dim in _grid(ctx):
             try:
                 nf, cert = tom_dieck_sq(ctx, q, e)
             except FalsificationError as exc:
-                cases.append(_case(label, False, witness=str(exc), p=q))
+                yield _case(label, False, witness=str(exc))
                 continue
             want = coeffs_mod_p(e ** q, q)
             ok = cert["integral"] and nf.coeff_of("t", 0) == want
             if label == "1":
                 ok = ok and nf == ctx.one()
-            cases.append(_case(label, ok,
-                               witness=None if ok else nf.coeff_of("t", 0).render(),
-                               p=q))
-    return _report("tomdieck", cases, p=p, reps="canonical")
+            yield _case(label, ok,
+                        witness=None if ok else nf.coeff_of("t", 0).render())
+    return _cases(check, p)
 
 
 _IL1_CLASSES = (("P1", 1, 0), ("P2", 2, 0), ("P3", 3, 0), ("P4", 4, 0),
                 ("H(3,2)", 3, 2), ("H(4,3)", 4, 3), ("H(3,3)", 3, 3))
 
 
-def verify_il1(p=None, deg=None, bweight=None, seed=20260814):
+@_suite("il1", reads="p seed")
+def verify_il1(p, seed):
     """eta mod p does not depend on the representative choice on I(p)."""
-    cases = []
     fic = fgl.base_context(8, 6)
-    for q in _primes(p):
+
+    def check(q):
         tested = 0
         for label, n, d in _IL1_CLASSES:
             if d == 0:
@@ -634,18 +651,18 @@ def verify_il1(p=None, deg=None, bweight=None, seed=20260814):
             except fgl.EtaDivisibilityError as exc:
                 wit = str(exc)
             ok = wit is None and len(set(values)) == 1
-            cases.append(_case(label, ok,
-                               witness=wit or ("etas %r" % values if not ok
-                                               else None), p=q))
-        cases.append(_case("nonempty", tested > 0, p=q,
-                           witness=None if tested else "no I(%d) classes" % q))
-    return _report("il1", cases, p=p)
+            yield _case(label, ok, witness=wit or ("etas %r" % values
+                                                   if not ok else None))
+        yield _case("nonempty", tested > 0,
+                    witness=None if tested else "no I(%d) classes" % q)
+    return _cases(check, p)
 
 
 _IL3_CASES = ((2, 1), (3, 1), (2, 2))
 
 
-def verify_il3(p=None, deg=None, bweight=None, seed=None):
+@_suite("il3", reads="", primes=(2, 3), reps="n/a")
+def verify_il3():
     """chi_{b_{p-1}^d}([H_{p,p^r}])/p is a unit mod p of binomial size."""
     cases = []
     fic = fgl.base_context(8, 6)
@@ -673,86 +690,58 @@ def verify_il3(p=None, deg=None, bweight=None, seed=None):
             extra["sign"] = sign
         cases.append(_case("H(%d,%d)" % (q ** r, q), ok,
                            witness=None if ok else "chi=%r" % chi, **extra))
-    return _report("il3", cases, p=[2, 3], reps="n/a")
+    return cases
 
 
-def verify_soold(p=None, deg=6, bweight=6, seed=None):
-    """[p]-multiplied slices of Phi against q(0) e^p minus the St residue.
-
-    Runs at p = 2 with reps (-1,) whatever p is.
-    """
-    q = 2
-    ctx = make_context(q, deg, bweight)
-    g = formal_p(ctx, q).g
-    st = quillen_steenrod(ctx, q, (-1,))
-    qs = [("1", ctx.one()), ("t", ctx.var("t")), ("t^2", ctx.mono({"t": 2})),
-          ("1+t", ctx.one() + ctx.var("t"))]
-    cases = []
-    for label, e, _dim in _grid(ctx):
-        phi = symmetric_operation(st, e)
-        ste = st.apply(e)
-        for ql, qser in qs:
-            lhs = slice_phi(ctx, phi, g * qser)
-            rhs = (e ** q).scale(qser.constant()) \
-                - (qser * ste * ctx.omega).coeff_of("t", 0)
-            cases.append(_compare("%s,q=%s" % (label, ql), lhs, rhs,
-                                  p=q, reps=[-1]))
-    return _report("soold", cases, p=q, reps=[-1])
+@_suite("soold", reads="deg bweight", primes=2, reps=[-1])
+def verify_soold(deg, bweight):
+    """[p]-multiplied slices of Phi against q(0) e^p minus the St residue."""
+    def check(q):
+        ctx = make_context(q, deg, bweight)
+        g = formal_p(ctx, q).g
+        st = quillen_steenrod(ctx, q, (-1,))
+        qs = [("1", ctx.one()), ("t", ctx.var("t")),
+              ("t^2", ctx.mono({"t": 2})), ("1+t", ctx.one() + ctx.var("t"))]
+        for label, e, _dim in _grid(ctx):
+            phi = symmetric_operation(st, e)
+            ste = st.apply(e)
+            for ql, qser in qs:
+                lhs = slice_phi(ctx, phi, g * qser)
+                rhs = (e ** q).scale(qser.constant()) \
+                    - (qser * ste * ctx.omega).coeff_of("t", 0)
+                yield "%s,q=%s" % (label, ql), lhs, rhs
+    return _cases(check, [2], reps=[-1])
 
 
-# ----- dispatch ---------------------------------------------------------------
-
-def verify_minors(p=None, deg=None, bweight=None, seed=None):
-    from . import actions
-    case = _suite_case("determinant and minors grid", actions.minors_suite())
-    return _report("minors", [case], p="n/a", reps="n/a")
+@_suite("minors", reads="", primes="n/a", reps="n/a")
+def verify_minors():
+    """The confluent Vandermonde determinant identity and its minors."""
+    return [_suite_case("determinant and minors grid", actions.minors_suite())]
 
 
-def verify_thmg(p=None, deg=6, bweight=6, seed=20260814):
-    from . import actions
-    cases = [_suite_case("random invariants",
-                         actions.theorem_g_suite(q, deg=deg, bweight=bweight,
-                                                 seed=seed), p=q)
-             for q in _primes(p)]
-    return _report("thmG", cases, p=p)
+@_suite("thmG")
+def verify_thmg(p, deg, bweight, seed):
+    """Random invariants round-trip through their decomposition in pi."""
+    return _cases(lambda q: [_suite_case(
+        "random invariants", actions.theorem_g_suite(
+            q, deg=deg, bweight=bweight, seed=seed))], p)
 
 
-def verify_xy(p=None, deg=6, bweight=6, seed=None):
-    from . import actions
-    cases = []
-    for q in _primes(p):
-        _, rep = actions.prop_xy_series(q, deg=deg, bweight=bweight)
-        cases.append(_suite_case("integral coefficients", rep, p=q))
-        _, rep = actions.twisted_fgl_alpha(q, deg=deg, bweight=bweight)
-        cases.append(_suite_case("twisted law", rep, counted=False, p=q))
-    return _report("xy", cases, p=p)
-
-
-VERIFIERS = {
-    "fglaxioms": verify_fglaxioms,
-    "minors": verify_minors,
-    "thmG": verify_thmg,
-    "xy": verify_xy,
-    "tomdieck": verify_tomdieck,
-    "sop": verify_sop,
-    "emb": verify_emb,
-    "addphi": verify_addphi,
-    "multphi": verify_multphi,
-    "grad": verify_grad,
-    "uv": verify_uv,
-    "rr": verify_rr,
-    "f1": verify_f1,
-    "il1": verify_il1,
-    "il3": verify_il3,
-    "diagram": verify_diagram,
-    "soold": verify_soold,
-}
+@_suite("xy", reads="p deg bweight")
+def verify_xy(p, deg, bweight):
+    """The addition series G and the twisted group law are integral."""
+    def check(q):
+        yield _suite_case("integral coefficients",
+                          actions.prop_xy_series(q, deg=deg,
+                                                 bweight=bweight)[1])
+        yield _suite_case("twisted law", actions.twisted_fgl_alpha(
+            q, deg=deg, bweight=bweight)[1], counted=False)
+    return _cases(check, p)
 
 
 def run_verifier(name, p=None, deg=None, bweight=None, seed=None):
-    """The report of one verifier; a parameter left None keeps its default."""
+    """The report of one verifier; a parameter left None keeps its default,
+    one the verifier does not read is dropped."""
     if name not in VERIFIERS:
         raise SeriesError("unknown verifier %r" % name)
-    params = {"p": p, "deg": deg, "bweight": bweight, "seed": seed}
-    return VERIFIERS[name](**{k: v for k, v in params.items()
-                              if v is not None})
+    return VERIFIERS[name](p=p, deg=deg, bweight=bweight, seed=seed)

@@ -870,46 +870,24 @@ class GradedSeries:
             return str(c.numerator)
         return "%d/%d" % (c.numerator, c.denominator)
 
-    def render(self, group_by=None):
+    def render(self):
         if not self.terms:
             return "0"
-        if group_by is None:
-            pieces = []
-            for exp, c in self.sorted_terms():
-                mono = self.table.monomial_str(exp)
-                cs = self._coeff_str(c)
-                if mono == "1":
-                    text = cs
-                elif cs == "1":
-                    text = mono
-                elif cs == "-1":
-                    text = "-" + mono
-                else:
-                    text = "%s*%s" % (cs, mono)
-                pieces.append(text)
-            out = pieces[0]
-            for t in pieces[1:]:
-                out += (" - " + t[1:]) if t.startswith("-") else (" + " + t)
-            return out
-        parts = []
-        for k, coeff in sorted(self.as_poly_in(group_by).items()):
-            if coeff.is_zero:
-                continue
-            cs = coeff.render()
-            if k == 0:
-                parts.append(cs)
-                continue
-            power = group_by if k == 1 else "%s^%d" % (group_by, k)
-            if len(coeff.terms) > 1:
-                parts.append("(%s) %s" % (cs, power))
+        pieces = []
+        for exp, c in self.sorted_terms():
+            mono = self.table.monomial_str(exp)
+            cs = self._coeff_str(c)
+            if mono == "1":
+                text = cs
             elif cs == "1":
-                parts.append(power)
+                text = mono
             elif cs == "-1":
-                parts.append("-" + power)
+                text = "-" + mono
             else:
-                parts.append("%s %s" % (cs, power))
-        out = parts[0]
-        for t in parts[1:]:
+                text = "%s*%s" % (cs, mono)
+            pieces.append(text)
+        out = pieces[0]
+        for t in pieces[1:]:
             out += (" - " + t[1:]) if t.startswith("-") else (" + " + t)
         return out
 

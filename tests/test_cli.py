@@ -146,7 +146,17 @@ def test_bad_args_exit_two(capsys):
                  # options the named verifier does not read
                  ["verify", "il3", "--p", "5"],
                  ["verify", "fglaxioms", "--p", "7", "--seed", "3"],
-                 ["verify", "minors", "--deg", "4"]):
+                 ["verify", "minors", "--deg", "4"],
+                 # a prime some suite of verify all does not run
+                 ["verify", "all", "--p", "5"],
+                 # options the kind of op does not read
+                 ["op", "sq", "--input", "P1", "--p", "3", "--reps", "1,-1"],
+                 ["op", "ln", "--input", "P1", "--p", "2"],
+                 ["op", "ln", "--input", "P1", "--reps", "1"],
+                 ["op", "st", "--input", "P1", "--q", "t"],
+                 ["op", "sq", "--input", "P1", "--q", "t"],
+                 ["op", "phi", "--input", "P1", "--q", "t"],
+                 ["op", "ln", "--input", "P1", "--q", "t"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -164,10 +174,27 @@ def test_bad_args_name_the_problem(capsys):
              "needs i, j >= 0"),
             (["verify", "il3", "--p", "5"], "verify il3 does not read --p"),
             (["verify", "fglaxioms", "--p", "7", "--seed", "3"],
-             "verify fglaxioms does not read --p, --seed")):
+             "verify fglaxioms does not read --p, --seed"),
+            (["op", "ln", "--input", "P1", "--p", "2", "--reps", "1"],
+             "op ln does not read --p, --reps"),
+            (["op", "sq", "--input", "P1", "--reps", "1"],
+             "op sq does not read --reps")):
         with pytest.raises(SystemExit):
             cli.main(argv)
         assert named in capsys.readouterr().err
+
+
+def test_verify_all_refuses_a_prime_before_any_suite_runs(capsys,
+                                                          monkeypatch):
+    def run_verifier(name, **kw):
+        raise AssertionError("verify %s ran" % name)
+
+    monkeypatch.setattr(ops, "run_verifier", run_verifier)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "all", "--p", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "prime 5 is not run by verify diagram, grad, multphi" in err
 
 
 def test_options_a_subcommand_ignores_are_not_accepted(capsys):
@@ -209,12 +236,12 @@ def test_verify_pass_and_fail_paths(capsys, monkeypatch):
     assert rc == 0
     assert "il3" in out and "fail=0" in out
 
-    def broken(**kw):
-        return {"prop": "broken", "p": 2, "reps": "n/a",
-                "cases": [{"input": "x", "verdict": "fail", "witness": "w"}],
-                "summary": {"pass": 0, "fail": 1}}
+    monkeypatch.setattr(ops, "VERIFIERS", dict(ops.VERIFIERS))
 
-    monkeypatch.setitem(ops.VERIFIERS, "broken", broken)
+    @ops._suite("broken", reads="", primes="n/a", reps="n/a")
+    def broken():
+        return [{"input": "x", "verdict": "fail", "witness": "w"}]
+
     rc, out = run(capsys, "verify", "broken")
     assert rc == 1
     assert "FAIL" in out

@@ -372,7 +372,6 @@ def test_render():
     b1 = mono(tb, 8, 6, {"b1": 1})
     s = 2 * b1 * t - t ** 2
     assert s.render() == "2*t*b1 - t^2"
-    assert s.render(group_by="t") == "2*b1 t - t^2"
     assert GradedSeries.zero(tb, 8, 6).render() == "0"
 
 
