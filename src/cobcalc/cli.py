@@ -257,8 +257,9 @@ def _cmd_op(args):
     if args.kind == "st":
         series = st.apply(e)
     elif args.kind == "sq":
-        series, cert = ops.tom_dieck_sq(ctx, p, e)
-        doc["certificate"] = cert
+        # a class that is not integral raises instead
+        series = ops.tom_dieck_sq(ctx, p, e)
+        doc["certificate"] = {"integral": True, "witness": None}
     elif args.kind == "phi":
         series = ops.symmetric_operation(st, e)
     else:

@@ -37,7 +37,7 @@ def formal_p(ctx, p):
     return ctx.memo(("formal_p", p), lambda: FormalP(ctx, p))
 
 
-def _lowest_indivisible(series, p):
+def lowest_indivisible(series, p):
     """(j, monomial, coefficient) of the least term p does not divide."""
     ti = series.table.index["t"]
     bad = min(((e[ti], sum(e) - e[ti], e[:ti] + (0,) + e[ti + 1:], c)
@@ -118,7 +118,7 @@ class FormalP:
         if (f.min_degree("t") or 0) >= 0:
             return True, f, None
         q = self._low_digits(f, -1)
-        bad = _lowest_indivisible(q, self.p)
+        bad = lowest_indivisible(q, self.p)
         if bad is not None:
             return False, f, "t^%d * %s (coefficient %s)" % bad
         return True, f - self.g * q.scale(Fraction(1, self.p)), None
@@ -142,7 +142,7 @@ class FormalP:
         nonpos(nonpos(S)*u^-1)/p; PDivisibilityError if p does not divide a
         digit, which falsifies the claim behind Symmetric operations."""
         phi = self._low_digits(S.split_parts("t")[0], 0)
-        bad = _lowest_indivisible(phi, self.p)
+        bad = lowest_indivisible(phi, self.p)
         if bad is not None:
             raise PDivisibilityError(
                 "p-divisibility violated at t^%d on %s (coefficient %s)" % bad,

@@ -666,21 +666,27 @@ class GradedSeries:
             f = table.floors[i]
             if f is not None:
                 bound -= f
-        one = GradedSeries.one(table, self.trunc_plus, self.trunc_minus)
         for e0 in candidates:
             inv_exp = tuple(-k for k in e0)
             c_inv = Fraction(1, 1) / Fraction(self.terms[e0])
+            # the lead's inverse lowers the degree by lift, so the Neumann
+            # series runs lift deeper and is cut back after it
+            lift = max(table.degrees(e0)[0], 0)
+            deep = GradedSeries(table, self.trunc_plus + lift,
+                                self.trunc_minus, self.terms, validate=False)
+            one = GradedSeries.one(table, deep.trunc_plus, self.trunc_minus)
             try:
-                w = self._times_monomial(inv_exp, c_inv) - one
+                w = deep._times_monomial(inv_exp, c_inv) - one
                 acc = one
                 pw = one
-                for step in range(bound):
+                for step in range(bound + lift):
                     if pw.is_zero:
-                        return acc._times_monomial(inv_exp, c_inv)
+                        break
                     pw = pw * w
                     acc = acc + (pw if step % 2 == 1 else -pw)
                 if pw.is_zero:
-                    return acc._times_monomial(inv_exp, c_inv)
+                    return self._make(
+                        acc._times_monomial(inv_exp, c_inv).terms)
             except LaurentUnderflow:
                 continue
         raise NonUnitLowest("no term of %s dominates the rest at this "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -299,3 +300,102 @@ def test_out_writes_file(tmp_path, capsys):
 def test_tfloor_flag(capsys):
     rc, out = run(capsys, "op", "phi", "--input", "P1", "--tfloor", "-30")
     assert out.strip() == "t^-2 + 2*t^-1*b1"
+
+
+# sha256 of `op KIND --input E --format json` per query, recorded before
+# St, Phi and Sq went through one substitution; p = 5 runs at --bweight 10,
+# where P2 (b-weight 2) is still inside p * bweight(e) <= bweight
+_OP_DIGESTS = {
+    "st p=2 P1": ("f7946b2040ffb4a799653eacb6772ba9"
+                  "e1117ac85a8197cd6c2923eb1b55b903"),
+    "st p=2 P2": ("d1c05d2b7ed75eda8737e711e91a7301"
+                  "88420f48cdc2d30841d98b9f8761260e"),
+    "st p=2 z": ("96bff4eb59e9bf8c6f2c5218ba0e9a13"
+                 "4f7eea7f46933688b75ac9f9643b5e27"),
+    "st p=2 P1*z": ("03afee84c5ca4e5e7d085c8ea06be522"
+                    "16bf735b2fa9e8e67d3c38af64e4b599"),
+    "st p=3 P1": ("132ecdb2a82a957546477b16b2c48d88"
+                  "2c0d32a2665be613dc4ec820c6531c47"),
+    "st p=3 P2": ("324765521879132f5373c637a9368333"
+                  "4060282faf5fdffadaa36f444ecd59ea"),
+    "st p=3 z": ("54620542457f2d9b1d0a51d01e4d600f"
+                 "c95bcc3f6eb81292dbfe80ceea982a52"),
+    "st p=3 P1*z": ("e1e045074d21d35863caebc6a0f0c8f8"
+                    "2f90dfa9b9c7ba8477f565a205bea87e"),
+    "st p=5 P1": ("f9150ecf66980c2f70d17cc55692d915"
+                  "8d9efa05024a1ca74c96b4c3fc69e84e"),
+    "st p=5 P2": ("6f65586de6656b2d1cbcf12096ba7e6a"
+                  "4848b86b9ff308f69cc8c96764e9cff1"),
+    "st p=5 z": ("1e0af6e6ba68f727e48e53ec58fc9886"
+                 "62ab2fa48bff9260e6db6faca2de032e"),
+    "st p=5 P1*z": ("26bdf50a2974d645217ef78ba7472d33"
+                    "d58698713a8376b8c910f0e74fce741c"),
+    "phi p=2 P1": ("cfc34f0f147beaf6d026e98e8c203cbf"
+                   "95d1292cde80d1c2627660ae287b3fac"),
+    "phi p=2 P2": ("92010cdea02f26baca7be7fd103e036f"
+                   "24c7bf8bba2a513c04a11e75d464e45d"),
+    "phi p=2 z": ("5fe0fd786100ca707bc8f68bc001899b"
+                  "6f0ffee28f06e2b6a0e1385409e78b46"),
+    "phi p=2 P1*z": ("10e11385a2d35addfd508ddf7a08a436"
+                     "e83240a6cdb0ddb801b374c501fe0447"),
+    "phi p=3 P1": ("926ae91cbf4d17d0a1937fe70bc7fc84"
+                   "802eac10eee7d7557b4dc5ff19e356c7"),
+    "phi p=3 P2": ("d35f30fd785d6c2360dd6b2ea61dcbac"
+                   "41259813f993481d5120a7a36a4b0bc4"),
+    "phi p=3 z": ("c541afa9f2759bf3f038efba343d6604"
+                  "dc0684b6dea79c6fe27a82cbcda9c180"),
+    "phi p=3 P1*z": ("f5cf8b635f3eace405382e18311f6d34"
+                     "431ba60a6b83e1f2b41bb79bb38b23e0"),
+    "phi p=5 P1": ("665389602edd5ffc9019d4aac07d8ddb"
+                   "fcaf9a1f818f7f871321e0d28367c705"),
+    "phi p=5 P2": ("7f4a0aff2b41ea514a2dce1dbf97c492"
+                   "00c789cc4469fc9d51358a8822a1120e"),
+    "phi p=5 z": ("21288c5de6dc33145c04518eb4f3691e"
+                  "48a1944fde1e438d3f2e1d6ed455ca73"),
+    "phi p=5 P1*z": ("776e91ccdc473a03370daea611801d66"
+                     "c33ef9ee7ecc9ae4c052527de8b5075b"),
+    "sq p=2 P1": ("3bd2f9acb8f58f5867f6d7997fb2a37c"
+                  "5445804f4582a4667f2aab4dd6177090"),
+    "sq p=2 P2": ("01d99c43f2463c6766dff51b14449891"
+                  "8cb05e43b9cdf5f606c0d0422336f2f4"),
+    "sq p=2 z": ("829c9ba9199229d0d0df312e8493dc11"
+                 "2c8d76f35aa6c65912767971cd4d9c7b"),
+    "sq p=2 P1*z": ("232bb76a593472e35bf6522177a95baa"
+                    "f09d8cdd285c92ff400ff0b8e06d91e5"),
+    "sq p=3 P1": ("a9dbb7384e74747e620fd25f25cab45c"
+                  "f46e3ffb3271029bf0c494192ca55905"),
+    "sq p=3 P2": ("07fff77ac1b994c5968e287d7243f0a0"
+                  "ef6ed2fbe572d353960ab1d8771c5535"),
+    "sq p=3 z": ("922f2b94b7cb2b6b483c17f1c69f63fc"
+                 "8e622c0df5520af6761fe460cf0978d2"),
+    "sq p=3 P1*z": ("9adedfd57fb97f3ffebee6b25b8995fd"
+                    "c2db5d00c16a1969a1076d345a867335"),
+    "sq p=5 P1": ("04091a617758aa302a60586ffd043650"
+                  "e315502569e1e2ac0672d627c8227c87"),
+    "sq p=5 P2": ("c53411cb4a711a5e2f6ca6c6b04b9648"
+                  "7b8fabae77094f756bdc16d117069b8f"),
+    "sq p=5 z": ("9cea6ac287d9be39582162954a38d4d0"
+                 "14ffc2e7906659c9bf2be2be52c2bd84"),
+    "sq p=5 P1*z": ("67219f8987f1336f82fdb331c741381b"
+                    "08856bc4a540e15e21aa9fee87874c66"),
+    "ln P1": ("fdfb34152c102bc2bfc1ce9ee0350127"
+              "5a0db35bcb96850a6837e1aa7726a5f4"),
+    "ln P2": ("9bcc157d26392e89f485cf4a7b18c3d2"
+              "a0093cdee777adc374d8471d0dc89e8d"),
+    "ln z": ("10e8a56782555db8e2b80cf28e73b14f"
+             "b1a43d5aa7198c383ad245a97d3d95e3"),
+    "ln P1*z": ("9b3b4dfb7e095fb9715385eb4f9cdcec"
+                "fc797c0d777fce952a582a9a919915f6"),
+}
+
+
+def test_op_json_output_is_pinned(capsys):
+    for key, want in _OP_DIGESTS.items():
+        kind, *prime, element = key.split()
+        argv = ["op", kind, "--input", element, "--format", "json"]
+        if prime:
+            p = prime[0][2:]
+            argv += ["--p", p] + (["--bweight", "10"] if p == "5" else [])
+        rc, out = run(capsys, *argv)
+        assert rc == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest() == want, key

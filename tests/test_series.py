@@ -261,6 +261,18 @@ def test_mul_inverse_laurent_unit():
     assert (inv * (t + 2 * h)) == GradedSeries.one(tb, 6, 0)
 
 
+def test_mul_inverse_keeps_the_top_degree_when_the_lead_lowers_it():
+    # t^-1 lowers the degree by one, so the top degree needs (tv)^3 of
+    # degree 6 from the Neumann series before t^-1 brings it back to 5
+    tb = VariableTable([Variable("t", 1, laurent_floor=-3), Variable("v", 1)])
+    t = mono(tb, 5, 0, {"t": 1})
+    v = mono(tb, 5, 0, {"v": 1})
+    inv = (t + t * t * v).mul_inverse()
+    assert inv.coeff({"t": 2, "v": 3}) == -1
+    assert inv == (mono(tb, 5, 0, {"t": -1}) - v + t * v * v
+                   - mono(tb, 5, 0, {"t": 2, "v": 3}))
+
+
 def test_mul_inverse_rejects_non_unit():
     tb = VariableTable([Variable("x", 1)])
     x = mono(tb, 6, 0, {"x": 1})
