@@ -22,15 +22,27 @@ from .quotient import PDivisibilityError
 from .series import SeriesError
 
 
+def _nonnegative(value, source):
+    if value < 0:
+        raise SeriesError("%s must be >= 0, got %d" % (source, value))
+    return value
+
+
 def _default_deg(args, fallback):
     if args.deg is not None:
-        return args.deg
+        return _nonnegative(args.deg, "--deg")
     env = os.environ.get("COBCALC_DEG")
     if env:
         try:
-            return int(env)
+            return _nonnegative(int(env), "COBCALC_DEG")
         except ValueError:
             raise SeriesError("COBCALC_DEG must be an integer, got %r" % env)
+    return fallback
+
+
+def _default_bweight(args, fallback):
+    if args.bweight is not None:
+        return _nonnegative(args.bweight, "--bweight")
     return fallback
 
 
@@ -114,8 +126,8 @@ def _check_op_input(ctx, e, p, text):
     image would pass --bweight or --deg, where truncation would zero it."""
     table = ctx.table
     zidx = [table.index[n] for n in ctx.z_names]
-    for exp in e.terms:
-        bw = table.degrees(exp)[1]
+    for exp, _c in e.sorted_terms():
+        bw = sum(-w * k for w, k in zip(table.weights, exp) if w < 0)
         if p * bw > ctx.bweight:
             raise SeriesError("input %r has b-weight %d; p * %d = %d is "
                               "past bweight %d"
@@ -166,7 +178,7 @@ def _base_ctx(args, deg, bweight):
 
 def _cmd_fgl(args):
     deg = _default_deg(args, 8)
-    bweight = args.bweight if args.bweight is not None else 8
+    bweight = _default_bweight(args, 8)
     ctx = _base_ctx(args, deg, bweight)
     what = args.what
     if what == "F":
@@ -191,7 +203,7 @@ def _cmd_fgl(args):
 
 def _cmd_class(args):
     deg = _default_deg(args, 8)
-    bweight = args.bweight if args.bweight is not None else 8
+    bweight = _default_bweight(args, 8)
     ctx = _base_ctx(args, max(deg, args.n + 1), bweight)
     if args.kind == "Pn":
         elem = fgl.pn_class(ctx, args.n)
@@ -235,7 +247,7 @@ def _cmd_op(args):
     _refuse_unread(args, "op " + args.kind, ("p", "reps", "q"),
                    _OP_READS[args.kind])
     deg = _default_deg(args, 8)
-    bweight = args.bweight if args.bweight is not None else 8
+    bweight = _default_bweight(args, 8)
     if args.kind == "ln":
         ctx = ops.make_context(1, deg, bweight, with_primes=True,
                                tfloor=args.tfloor)
@@ -304,9 +316,9 @@ def _cmd_verify(args):
         if refused:
             raise SeriesError("prime %d is not run by verify %s"
                               % (args.p, ", ".join(refused)))
-    values = {k: ops.DEFAULTS[k] if getattr(args, k) is None
-              else getattr(args, k) for k in ("bweight", "seed")}
-    values.update(p=args.p, deg=_default_deg(args, ops.DEFAULTS["deg"]))
+    values = {"p": args.p, "deg": _default_deg(args, ops.DEFAULTS["deg"]),
+              "bweight": _default_bweight(args, ops.DEFAULTS["bweight"]),
+              "seed": ops.DEFAULTS["seed"] if args.seed is None else args.seed}
     reports = []
     failed = 0
     lines = []

@@ -250,7 +250,7 @@ class LazardElement:
                              "%s*(%s)" % (self.provenance, c))
 
     def is_integral(self):
-        return all(isinstance(c, int) for c in self.series.terms.values())
+        return self.series.denominator == 1
 
     def char_number(self, monomial):
         """Coefficient at the b-monomial (dict name -> exponent)."""
@@ -273,7 +273,7 @@ class LazardElement:
     def in_Ip(self, p):
         if not self.is_integral():
             raise SeriesError("I(p) test needs integer ambient coefficients")
-        return all(c % p == 0 for c in self.series.terms.values())
+        return self.series.map_coefficients(lambda c: c % p).is_zero
 
     def is_nu_r(self, p, r):
         if self.dimension != p ** r - 1:

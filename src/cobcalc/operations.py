@@ -139,10 +139,9 @@ class OperationDescriptor(fgl.Memo):
         """e with each of names that occurs in it sent to its image: a
         carrier z to gamma(z), b_i to btilde_i; names[0] is Horner's outer
         variable."""
-        index = e.table.index
         images = {}
         for n in names:
-            if any(exp[index[n]] for exp in e.terms):
+            if e.involves(n):
                 images[n] = (self.gamma_at(n) if n in self.ctx.z_names
                              else self.btilde(self.ctx.b_names.index(n) + 1))
         return e.substitute(images, poly_vars=names)
@@ -159,7 +158,7 @@ class OperationDescriptor(fgl.Memo):
     def apply(self, e):
         """The ring map z -> gamma(z), b_i -> btilde_i, carriers outermost
         (binding the b's first makes larger products)."""
-        return self.memo(("apply", frozenset(e.terms.items())),
+        return self.memo(("apply", e),
                          lambda: self._substitute(
                              e, self.ctx.z_names + self.ctx.b_names))
 
@@ -216,7 +215,7 @@ def symmetric_operation(st, e):
             raise FalsificationError("remainder of the Phi division is not "
                                      "strictly positive in t")
         return phi
-    return st.memo(("phi", frozenset(e.terms.items())), build)
+    return st.memo(("phi", e), build)
 
 
 def slice_phi(ctx, phi, q):
@@ -529,7 +528,7 @@ def verify_grad(p, deg, bweight, seed):
         ti = ctx.table.index["t"]
         bslots = [ctx.table.index[nm] for nm in ctx.b_names]
         shape_ok = all(exp[ti] > q - 1 and sum(exp[i] for i in bslots) != 0
-                       for exp in tail.terms)
+                       for exp, _c in tail.sorted_terms())
         yield _case("c-shape", shape_ok,
                     witness=None if shape_ok else tail.render())
         for ulabel, u in us:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import GradedSeries, SeriesError, vp
+from .series import SeriesError, vp
 
 
 class PDivisibilityError(SeriesError):
@@ -27,7 +27,7 @@ class PDivisibilityError(SeriesError):
 
 def coeffs_mod_p(series, p):
     """Reduce every integer coefficient into [0, p)."""
-    if not all(isinstance(c, int) for c in series.terms.values()):
+    if series.denominator != 1:
         raise SeriesError("mod-p reduction needs integer coefficients")
     return series.map_coefficients(lambda c: c % p)
 
@@ -39,10 +39,15 @@ def formal_p(ctx, p):
 
 def lowest_indivisible(series, p):
     """(j, monomial, coefficient) of the least term p does not divide."""
+    # p divides every coefficient exactly when series/p keeps no p in its
+    # common denominator
+    if series.scale(Fraction(1, p)).denominator % p:
+        return None
     ti = series.table.index["t"]
+    bad = series.map_coefficients(
+        lambda c: c if (c % p if type(c) is int else vp(c, p) < 1) else 0)
     bad = min(((e[ti], sum(e) - e[ti], e[:ti] + (0,) + e[ti + 1:], c)
-               for e, c in series.terms.items()
-               if (c % p if type(c) is int else vp(c, p) < 1)), default=None)
+               for e, c in bad.sorted_terms()), default=None)
     return bad and (bad[0], series.table.monomial_str(bad[2]), bad[3])
 
 
@@ -63,43 +68,42 @@ class FormalP:
     def _certify(self, g, p):
         if g.constant() != p:
             raise SeriesError("generator must have constant term p")
-        for e, c in g.terms.items():
-            if type(c) is not int or c % p:
-                raise SeriesError("p = %d does not divide the coefficient %s "
-                                  "of %s in [p](t)/t"
-                                  % (p, c, g.table.monomial_str(e)))
+        if g.scale(Fraction(1, p)).denominator != 1:
+            e, c = next((e, c) for e, c in g.sorted_terms()
+                        if type(c) is not int or c % p)
+            raise SeriesError("p = %d does not divide the coefficient %s "
+                              "of %s in [p](t)/t"
+                              % (p, c, g.table.monomial_str(e)))
         ti = g.table.index["t"]
         floor = g.table.floors[ti] or 0
         if floor and any(ti in idxs for idxs, _bound in g.table.caps):
             raise SeriesError("a degree cap on t is no ideal below t^0")
         self.p, self.g = p, g
         # as deep as the t floor, so f*u^-1 misses no term t^-k brings back
-        self.u_inv = GradedSeries(g.table, g.trunc_plus - floor, g.trunc_minus,
-                                  {e: c // p for e, c in g.terms.items()}
-                                  ).mul_inverse()
+        self.u_inv = g.scale(Fraction(1, p)).retruncate(
+            g.trunc_plus - floor, g.trunc_minus).mul_inverse()
         return self
 
     def _low_digits(self, f, top):
         """The digits of f*u^-1 at t-degrees <= top, at f's truncation."""
         f._compat(self.g)
-        deep = GradedSeries(f.table, self.u_inv.trunc_plus, f.trunc_minus,
-                            f.terms, validate=False) * self.u_inv
-        ti = f.table.index["t"]
-        return f._make({e: c for e, c in deep.terms.items() if e[ti] <= top})
+        deep = f.retruncate(self.u_inv.trunc_plus, f.trunc_minus) * self.u_inv
+        return deep.split_parts("t", top)[0].retruncate(f.trunc_plus,
+                                                        f.trunc_minus)
 
     def clear_coprime_denominators(self, f):
         """Replace denominators prime to p by inverses mod p^BIG, which keeps
         the class of f as p is topologically nilpotent at truncation."""
         p = self.p
         pbig = p ** (self.u_inv.trunc_plus + self.g.trunc_minus + 4)
-        out = {}
-        for exp, c in f.terms.items():
+
+        def clear(c):
             c = Fraction(c)
             pe = p ** vp(c.denominator, p)
             den = c.denominator // pe
-            out[exp] = c if den == 1 else Fraction(
+            return c if den == 1 else Fraction(
                 c.numerator * pow(den, -1, pbig) % (pbig * pe), pe)
-        return GradedSeries(f.table, f.trunc_plus, f.trunc_minus, out)
+        return f if f.denominator == 1 else f.map_coefficients(clear)
 
     def normal_form(self, f):
         """Coefficients reduced into [0, p): the normal form, as (g) = (p)."""
@@ -107,8 +111,8 @@ class FormalP:
         lo = f.min_degree("t")
         if lo is not None and lo < 0:
             raise SeriesError("normal form expects no negative t-powers")
-        bad = next((c for c in f.terms.values() if type(c) is not int), None)
-        if bad is not None:
+        if f.denominator != 1:
+            bad = next(c for _e, c in f.sorted_terms() if type(c) is not int)
             raise SeriesError("normal form expects integer coefficients, "
                               "got %r" % (bad,))
         return coeffs_mod_p(f, self.p)
@@ -131,11 +135,12 @@ class FormalP:
             self.clear_coprime_denominators(f))
         if not ok:
             return False, None, witness
-        for exp, c in reduced.terms.items():
-            if not isinstance(c, int) and Fraction(c).denominator != 1:
-                return False, None, "%s (coefficient %s)" % (
-                    reduced.table.monomial_str(exp), c)
-        return True, reduced.map_coefficients(int), None
+        if reduced.denominator != 1:
+            exp, c = next((e, c) for e, c in reduced.terms.items()
+                          if type(c) is not int)
+            return False, None, "%s (coefficient %s)" % (
+                reduced.table.monomial_str(exp), c)
+        return True, reduced, None
 
     def divide_by_formal_p(self, S):
         """The unique Phi with t-degrees <= 0 and S - g*Phi strictly positive,

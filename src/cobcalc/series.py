@@ -10,21 +10,31 @@ b1, b2, ...) are truncated by total weight independently of the ordinary
 variables, so a series can be a Laurent polynomial in t with polynomial
 coefficients in the b's at the same time.
 
+Series stay packed.  Each (table, trunc_plus, trunc_minus) has one key
+layout, built once and cached on the table (`VariableTable.layout`): from
+the low end, a field per exponent (the first variable highest), the plain
+exponent sum, a field per degree cap, the positive degree and, on top, the
+negative-weight degree.  A key is an affine function of the exponent vector,
+so the key of a product is the sum of the keys less the key of 1, and every
+field is wide enough for the sum of two admissible terms and for the
+difference that exact division forms.  Sorted keys bucket by negative degree
+and order each bucket by positive degree; keys masked to their sum and
+exponent fields order terms graded-lexicographically.  A series holds a dict
+from sorted keys to int numerators and one common denominator in lowest
+terms, as FLINT's fmpq_poly keeps one content per polynomial; `terms`, a
+read-only view by exponent tuple, is built only when something reads it.
+
 The product is one sparse kernel in the manner of Monagan and Pearce
-(Sparse polynomial multiplication and division in Maple 14, 2009).  Each
-term is packed into one int holding its exponents, its positive degree and
-its negative-weight degree, in fields whose offsets and widths are worked
-out on each call from the exponent ranges of the two operands, so Laurent
-floors and exponents of any size need no width setting.  Packed keys add
-like exponent vectors, and sorting them buckets the terms by negative
-degree and orders each bucket by positive degree; both truncations then
-end their loops with a break, so only admissible pairs are visited.  Each
-operand's common denominator is cleared on entry, so the pair loop adds and
-multiplies plain ints; each output term is unpacked and divided once.
-Exact division keeps its remainder in a heap in graded-lexicographic order
-and subtracts each shifted divisor term by term.  Substitution is Horner's
-rule (Brent and Kung, J. ACM 1978): degree K in one variable costs K products.
-Reversion is Lagrange inversion: one inverse, then one product per degree.
+(Sparse polynomial multiplication and division in Maple 14, 2009): both
+truncations end their loops with a break, so only admissible pairs are
+visited; the pair loop adds and multiplies plain ints, and one mask on each
+output key drops the terms past a degree cap and finds those below a
+Laurent floor.  Exact division keeps its remainder in a heap of int keys in
+graded-lexicographic order and subtracts each shifted divisor term by term.
+A series changes layout only when its truncation changes (`retruncate`).
+Substitution is Horner's rule (Brent and Kung, J. ACM 1978): degree K in one
+variable costs K products.  Reversion is Lagrange inversion: one inverse,
+then one product per degree.
 """
 
 from __future__ import annotations
@@ -34,9 +44,10 @@ from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 import json
-from math import lcm
-from operator import add, itemgetter, mul, sub
+from math import gcd, lcm
+from operator import itemgetter, mul
 import re
+from types import MappingProxyType
 
 
 class SeriesError(Exception):
@@ -83,6 +94,12 @@ def _norm_coeff(c):
     raise SeriesError("coefficients must be int or Fraction, got %r" % (c,))
 
 
+def _exact_scalar(c):
+    if not isinstance(c, (int, Fraction)):
+        raise SeriesError("scalars must be int or Fraction, got %r" % (c,))
+    return _norm_coeff(c)
+
+
 def vp(value, p):
     """p-adic valuation of a nonzero rational."""
     value = Fraction(value)
@@ -116,6 +133,96 @@ class Variable(namedtuple("Variable", "name weight laurent_floor",
         return super().__new__(cls, name, weight, laurent_floor)
 
 
+class Layout:
+    """The packed key layout of one (table, trunc_plus, trunc_minus).
+
+    A field holds an affine function of the exponents (one exponent, the
+    exponent sum, a cap group's sum, the positive or the negative degree)
+    plus a constant.  Over admissible terms a function ranges over [lo, hi],
+    and over a digit of a negative power (`coeff_of`), which may lie past
+    the bounds, over [2lo - hi, 2hi - lo].  A field holds [5lo - 4hi,
+    5hi - 4lo], which covers the sum of two such terms and the er - eg + eh
+    of exact division, so those keys never carry between fields; digits
+    keep every exponent in [lo, hi], so an exponent field needs only
+    [2lo - hi, 2hi - lo].  An exponent field's constant sets its guard bit
+    exactly when the exponent is at or above its floor; a cap field's sets
+    its guard bit exactly when the group's sum is past the cap.
+    """
+
+    __slots__ = ("fields", "scale", "base", "order", "capbits", "floorbits",
+                 "expbits", "caps", "pshift", "pmask", "pconst", "ptop",
+                 "mshift", "mconst", "mtop", "width")
+
+    def __init__(self, table, trunc_plus, trunc_minus):
+        if trunc_plus < 0 or trunc_minus < 0:
+            raise SeriesError("truncation bounds must be >= 0")
+        weights = table.weights
+        floors = [f or 0 for f in table.floors]
+        pfloor = sum(w * f for w, f in zip(weights, floors) if w > 0)
+        mfloor = sum(-w * f for w, f in zip(weights, floors) if w < 0)
+        his = []
+        for i, (w, f) in enumerate(zip(weights, floors)):
+            hi = ((trunc_plus - pfloor + w * f) // w if w > 0
+                  else (trunc_minus - mfloor - w * f) // -w)
+            for idxs, bound in table.caps:
+                if i in idxs:
+                    hi = min(hi, bound - sum(floors[j] for j in idxs) + f)
+            his.append(hi)
+        # from the low end; base accumulates the key of exponent zero
+        fields = [None] * len(weights)
+        off = base = 0
+        self.floorbits = self.expbits = 0
+        for i in reversed(range(len(weights))):
+            lo, g = floors[i], (2 * (his[i] - floors[i])).bit_length()
+            fields[i] = (off, (2 << g) - 1, (1 << g) - lo)
+            base += fields[i][2] << off
+            self.expbits |= 1 << off + g
+            if lo:
+                self.floorbits |= 1 << off + g
+            off += g + 1
+        self.fields = tuple(fields)
+        lo, hi = sum(floors), sum(his)
+        soff = off
+        base += (4 * hi - 5 * lo) << off
+        off += (9 * (hi - lo)).bit_length()
+        self.order = (1 << off) - 1
+        caps = []
+        self.capbits = 0
+        for idxs, bound in table.caps:
+            g = (5 * (bound - sum(floors[j] for j in idxs))).bit_length()
+            caps.append((idxs, off, (2 << g) - 1, (1 << g) - 1))
+            base += ((1 << g) - 1 - bound) << off
+            self.capbits |= 1 << off + g
+            off += g + 1
+        self.caps = tuple(caps)
+        self.pshift, self.pconst = off, 4 * trunc_plus - 5 * pfloor
+        base += self.pconst << off
+        off += (9 * (trunc_plus - pfloor)).bit_length()
+        self.pmask = (1 << off - self.pshift) - 1
+        self.ptop = trunc_plus + self.pconst
+        self.mshift, self.mconst = off, 4 * trunc_minus - 5 * mfloor
+        self.mtop = trunc_minus + self.mconst
+        self.width = off + (9 * (trunc_minus - mfloor)).bit_length()
+        self.base = base + (self.mconst << off)
+        self.scale = tuple(
+            (1 << fields[i][0]) + (1 << soff)
+            + sum(1 << c[1] for c in caps if i in c[0])
+            + (max(w, 0) << self.pshift) + (max(-w, 0) << self.mshift)
+            for i, w in enumerate(weights))
+
+    def key(self, exp):
+        return self.base + sum(map(mul, exp, self.scale))
+
+    def unpack(self, key):
+        return tuple([((key >> o) & m) - c for o, m, c in self.fields])
+
+    def admissible(self, key):
+        """Within both truncations and every cap (a key in range)."""
+        return ((key >> self.pshift) & self.pmask <= self.ptop
+                and key >> self.mshift <= self.mtop
+                and not key & self.capbits)
+
+
 class VariableTable:
     """Ordered variable list shared by all series of one computation.
 
@@ -126,8 +233,8 @@ class VariableTable:
     """
 
     __slots__ = ("variables", "index", "weights", "floors", "caps",
-                 "_pos_plain", "_neg", "_laurent", "_tp_inactive_bound",
-                 "_wplus", "_wminus")
+                 "_pos_plain", "_laurent", "_tp_inactive_bound",
+                 "_wplus", "_wminus", "_layouts")
 
     def __init__(self, variables, degree_caps=()):
         self.variables = tuple(variables)
@@ -152,7 +259,6 @@ class VariableTable:
         self.caps = tuple(caps)
         self._pos_plain = tuple(i for i, v in enumerate(self.variables)
                                 if v.weight > 0 and v.laurent_floor is None)
-        self._neg = tuple(i for i, v in enumerate(self.variables) if v.weight < 0)
         self._laurent = tuple(i for i, v in enumerate(self.variables)
                               if v.laurent_floor is not None)
         # Largest positive degree any admissible term can reach, or None if
@@ -168,26 +274,18 @@ class VariableTable:
                 break
             bound += v.weight * min(per)
         self._tp_inactive_bound = bound if ok else None
+        self._layouts = {}
+
+    def layout(self, trunc_plus, trunc_minus):
+        """The key layout of series at these bounds, built once."""
+        lay = self._layouts.get((trunc_plus, trunc_minus))
+        if lay is None:
+            lay = self._layouts[trunc_plus, trunc_minus] = Layout(
+                self, trunc_plus, trunc_minus)
+        return lay
 
     def names(self):
         return tuple(v.name for v in self.variables)
-
-    def zero_exp(self):
-        return (0,) * len(self.variables)
-
-    def admit(self, exp):
-        """None if the term is dropped by a cap, True otherwise."""
-        for idxs, bound in self.caps:
-            s = 0
-            for i in idxs:
-                s += exp[i]
-            if s > bound:
-                return None
-        return True
-
-    def degrees(self, exp):
-        """(positive-weight degree, negative-weight degree) of a term."""
-        return sum(map(mul, exp, self._wplus)), sum(map(mul, exp, self._wminus))
 
     def monomial_str(self, exp):
         parts = []
@@ -199,9 +297,9 @@ class VariableTable:
         return "*".join(parts) if parts else "1"
 
     def __eq__(self, other):
-        return (isinstance(other, VariableTable)
-                and self.variables == other.variables
-                and self.caps == other.caps)
+        return self is other or (isinstance(other, VariableTable)
+                                 and self.variables == other.variables
+                                 and self.caps == other.caps)
 
     def __hash__(self):
         return hash((self.variables, self.caps))
@@ -210,23 +308,20 @@ class VariableTable:
         return "VariableTable(%s)" % (", ".join(self.names()),)
 
 
-def _order_key(exp):
-    return (sum(exp), exp)
+def _outside(table, trunc_plus, trunc_minus, exp):
+    """True when a term at exp is past a cap or a truncation bound."""
+    return (any(sum(exp[i] for i in idxs) > bound
+                for idxs, bound in table.caps)
+            or sum(map(mul, exp, table._wplus)) > trunc_plus
+            or sum(map(mul, exp, table._wminus)) > trunc_minus)
 
 
-def _pack(terms, scale, low):
-    """One operand of a product as sorted [(packed key, int coefficient)],
-    and the common denominator cleared from its coefficients."""
-    den = lcm(*{c.denominator for c in terms.values() if type(c) is not int})
-    bias = sum(map(mul, low, scale))
-    rows = []
-    for e, c in terms.items():
-        if type(c) is not int:
-            c = c.numerator * (den // c.denominator)
-        elif den != 1:
-            c *= den
-        rows.append((sum(map(mul, e, scale)) - bias, c))
-    rows.sort(key=itemgetter(0))
+def _content(rows, den):
+    """(rows, den) in lowest terms: no prime divides den and all rows."""
+    if den != 1:
+        g = gcd(den, *rows.values())
+        if g != 1:
+            return {k: v // g for k, v in rows.items()}, den // g
     return rows, den
 
 
@@ -238,17 +333,15 @@ class GradedSeries:
     Laurent floor (or negative without one) raise.
     """
 
-    __slots__ = ("table", "trunc_plus", "trunc_minus", "terms")
+    __slots__ = ("table", "trunc_plus", "trunc_minus", "_lay", "_rows",
+                 "_den", "_view")
 
-    def __init__(self, table, trunc_plus, trunc_minus, terms, validate=True):
+    def __init__(self, table, trunc_plus, trunc_minus, terms):
         self.table = table
-        self.trunc_plus = int(trunc_plus)
-        self.trunc_minus = int(trunc_minus)
-        if self.trunc_minus < 0 or self.trunc_plus < 0:
-            raise SeriesError("truncation bounds must be >= 0")
-        if not validate:
-            self.terms = terms
-            return
+        self.trunc_plus = tp = int(trunc_plus)
+        self.trunc_minus = tm = int(trunc_minus)
+        lay = self._lay = table.layout(tp, tm)
+        self._view = None
         floors = table.floors
         kept = {}
         for exp, c in terms.items():
@@ -257,10 +350,7 @@ class GradedSeries:
                 continue
             if len(exp) != len(floors):
                 raise SeriesError("exponent arity mismatch")
-            if table.admit(exp) is None:
-                continue
-            dp, dm = table.degrees(exp)
-            if dp > self.trunc_plus or dm > self.trunc_minus:
+            if _outside(table, tp, tm, exp):
                 continue
             for i, e in enumerate(exp):
                 if e < 0:
@@ -269,20 +359,33 @@ class GradedSeries:
                         raise LaurentUnderflow(
                             "exponent %d of %s below floor" %
                             (e, table.variables[i].name))
-            kept[tuple(exp)] = c
-        self.terms = kept
+            kept[lay.key(exp)] = c
+        self._rows, self._den = _from_values(dict(sorted(kept.items())))
 
     # ----- constructors -------------------------------------------------
 
     @classmethod
+    def _packed(cls, table, trunc_plus, trunc_minus, rows, den=1, lay=None):
+        """A series from rows sorted by key at the table's layout for these
+        bounds; den is reduced against the numerators."""
+        s = cls.__new__(cls)
+        s.table, s.trunc_plus, s.trunc_minus = table, trunc_plus, trunc_minus
+        s._lay = lay or table.layout(trunc_plus, trunc_minus)
+        s._rows, s._den = _content(rows, den)
+        s._view = None
+        return s
+
+    @classmethod
     def zero(cls, table, trunc_plus, trunc_minus):
-        return cls(table, trunc_plus, trunc_minus, {}, validate=False)
+        return cls.const(table, trunc_plus, trunc_minus, 0)
 
     @classmethod
     def const(cls, table, trunc_plus, trunc_minus, c):
+        tp, tm = int(trunc_plus), int(trunc_minus)
+        lay = table.layout(tp, tm)
         c = _norm_coeff(c)
-        terms = {} if c == 0 else {table.zero_exp(): c}
-        return cls(table, trunc_plus, trunc_minus, terms, validate=False)
+        return cls._packed(table, tp, tm,
+                           *_from_values({lay.base: c} if c else {}), lay)
 
     @classmethod
     def one(cls, table, trunc_plus, trunc_minus):
@@ -300,7 +403,33 @@ class GradedSeries:
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self._rows
+
+    @property
+    def denominator(self):
+        """The least common denominator of the coefficients."""
+        return self._den
+
+    @property
+    def terms(self):
+        """Read-only map from exponent tuples to int or Fraction."""
+        if self._view is None:
+            self._view = self._tuple_view()
+        return self._view
+
+    def _tuple_view(self):
+        return MappingProxyType(dict(self._items()))
+
+    def _value(self, num):
+        den = self._den
+        if den == 1:
+            return num
+        return num // den if num % den == 0 else Fraction(num, den)
+
+    def _items(self):
+        """(exponent tuple, coefficient) in key order, built term by term."""
+        unpack, value = self._lay.unpack, self._value
+        return ((unpack(k), value(v)) for k, v in self._rows.items())
 
     def _compat(self, other):
         if self.table != other.table:
@@ -312,9 +441,9 @@ class GradedSeries:
                 (self.trunc_plus, self.trunc_minus,
                  other.trunc_plus, other.trunc_minus))
 
-    def _make(self, terms, validate=True):
-        return GradedSeries(self.table, self.trunc_plus, self.trunc_minus,
-                            terms, validate=validate)
+    def _make(self, rows, den=1):
+        return GradedSeries._packed(self.table, self.trunc_plus,
+                                    self.trunc_minus, rows, den, self._lay)
 
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):
@@ -322,133 +451,151 @@ class GradedSeries:
         return (self.table == other.table
                 and self.trunc_plus == other.trunc_plus
                 and self.trunc_minus == other.trunc_minus
-                and self.terms == other.terms)
+                and self._den == other._den
+                and self._rows == other._rows)
 
-    __hash__ = None
+    def __hash__(self):
+        return hash((self.trunc_plus, self.trunc_minus, self._den,
+                     tuple(self._rows.items())))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _order_key(kv[0]))
+        """(exponent tuple, coefficient) in graded-lexicographic order."""
+        order, unpack = self._lay.order, self._lay.unpack
+        rows, value = self._rows, self._value
+        return [(unpack(k), value(rows[k]))
+                for k in sorted(rows, key=lambda k: k & order)]
 
     def constant(self):
-        return self.terms.get(self.table.zero_exp(), 0)
+        return self._value(self._rows.get(self._lay.base, 0))
 
     def coeff(self, exps):
-        e = [0] * len(self.table.variables)
+        table = self.table
+        e = [0] * len(table.variables)
         for name, k in exps.items():
-            e[self.table.index[name]] = int(k)
-        return self.terms.get(tuple(e), 0)
+            e[table.index[name]] = int(k)
+        if (any(k < (f or 0) for k, f in zip(e, table.floors))
+                or _outside(table, self.trunc_plus, self.trunc_minus, e)):
+            return 0
+        return self._value(self._rows.get(self._lay.key(e), 0))
+
+    def _field(self, name):
+        return self._lay.fields[self.table.index[name]]
 
     def as_poly_in(self, name):
         """Split into {exponent of name: series with that variable cleared}."""
-        i = self.table.index[name]
+        off, mask, c = self._field(name)
+        step = self._lay.scale[self.table.index[name]]
         out = {}
-        for exp, c in self.terms.items():
-            k = exp[i]
-            rest = exp[:i] + (0,) + exp[i + 1:]
-            out.setdefault(k, {})[rest] = c
-        return {k: self._make(d, validate=False) for k, d in sorted(out.items())}
+        for k, v in self._rows.items():
+            e = ((k >> off) & mask) - c
+            digit = out.get(e)
+            if digit is None:
+                digit = out[e] = {}
+            digit[k - e * step] = v
+        return {e: self._make(d, self._den) for e, d in sorted(out.items())}
 
     def coeff_of(self, name, k):
-        i = self.table.index[name]
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[i] == k:
-                out[exp[:i] + (0,) + exp[i + 1:]] = c
-        return self._make(out, validate=False)
+        off, mask, c = self._field(name)
+        shift = k * self._lay.scale[self.table.index[name]]
+        return self._make({key - shift: v for key, v in self._rows.items()
+                           if (key >> off) & mask == k + c}, self._den)
 
     def min_degree(self, name):
-        i = self.table.index[name]
-        return min((exp[i] for exp in self.terms), default=None)
+        off, mask, c = self._field(name)
+        if not self._rows:
+            return None
+        return min((k >> off) & mask for k in self._rows) - c
 
     def max_degree(self, name):
-        i = self.table.index[name]
-        return max((exp[i] for exp in self.terms), default=None)
+        off, mask, c = self._field(name)
+        if not self._rows:
+            return None
+        return max((k >> off) & mask for k in self._rows) - c
+
+    def involves(self, name):
+        """True when some term carries a nonzero power of name."""
+        off, mask, c = self._field(name)
+        return any((k >> off) & mask != c for k in self._rows)
 
     def weight(self):
         """Common weighted degree of all terms, or None if inhomogeneous."""
-        w = None
-        weights = self.table.weights
-        for exp in self.terms:
-            d = sum(weights[i] * e for i, e in enumerate(exp) if e)
-            if w is None:
-                w = d
-            elif w != d:
-                return None
-        return w
+        lay = self._lay
+        ps, pm, pc = lay.pshift, lay.pmask, lay.pconst
+        ms, mc = lay.mshift, lay.mconst
+        degrees = {((k >> ps) & pm) - pc - (k >> ms) + mc for k in self._rows}
+        return degrees.pop() if len(degrees) == 1 else None
 
     # ----- ring operations ----------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, GradedSeries):
+            return NotImplemented
         self._compat(other)
-        if not other.terms:
+        if not other._rows:
             return self
-        if not self.terms:
+        if not self._rows:
             return other
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            v = out.get(exp)
-            if v is None:
-                out[exp] = c
+        da, db = self._den, other._den
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        out = dict(self._rows) if fa == 1 else {
+            k: v * fa for k, v in self._rows.items()}
+        get = out.get
+        appended = False
+        for k, v in other._rows.items():
+            w = get(k)
+            if fb != 1:
+                v *= fb
+            if w is None:
+                out[k] = v
+                appended = True
             else:
-                v = v + c
-                if v:
-                    out[exp] = _norm_coeff(v)
+                w += v
+                if w:
+                    out[k] = w
                 else:
-                    del out[exp]
-        return self._make(out, validate=False)
+                    del out[k]
+        if appended:
+            out = dict(sorted(out.items()))
+        return self._make(out, den)
 
     def __neg__(self):
-        return self._make({e: -c for e, c in self.terms.items()}, validate=False)
+        return self._make({k: -v for k, v in self._rows.items()}, self._den)
 
     def __sub__(self, other):
+        if not isinstance(other, GradedSeries):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c):
-        c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        c = _exact_scalar(c)
         if c == 0:
-            return self._make({}, validate=False)
+            return self._make({})
         if c == 1:
             return self
-        return self._make({e: _norm_coeff(v * c) for e, v in self.terms.items()},
-                          validate=False)
+        n, d = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+        rows = self._rows if n == 1 else {k: v * n for k, v in
+                                          self._rows.items()}
+        return self._make(rows, self._den * d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, GradedSeries):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            return NotImplemented
         self._compat(other)
-        a, b = self.terms, other.terms
+        a, b = self._rows, other._rows
         if not a or not b:
-            return self._make({}, validate=False)
+            return self._make({})
         if len(a) > len(b):
             a, b = b, a
-        table = self.table
-        wplus, wminus = table._wplus, table._wminus
-        alo, blo = list(map(min, zip(*a))), list(map(min, zip(*b)))
-        lo = list(map(add, alo, blo))
-        hi = list(map(add, map(max, zip(*a)), map(max, zip(*b))))
-        # A packed key holds, from the low end, each exponent less its lowest
-        # value in the product, then the positive degree, then the negative
-        # degree, each less its lowest value and each field as wide as its
-        # range over the product needs.  So keys add like exponents, and
-        # sorted keys are sorted by negative and then by positive degree.
-        fields = []
-        off = 0
-        for low, high in zip(lo, hi):
-            width = (high - low).bit_length()
-            fields.append((off, (1 << width) - 1, low))
-            off += width
-        pshift = off
-        plo = sum(map(mul, lo, wplus))
-        mshift = pshift + (sum(map(mul, hi, wplus)) - plo).bit_length()
-        pmask = (1 << (mshift - pshift)) - 1
-        scale = [(1 << f[0]) + (wp << pshift) + (wm << mshift)
-                 for f, wp, wm in zip(fields, wplus, wminus)]
-        arows, da = _pack(a, scale, alo)
-        brows, db = _pack(b, scale, blo)
-        # the truncations as bounds on the degree fields of a product key
-        pmax = self.trunc_plus - plo
-        mmax = self.trunc_minus - sum(map(mul, lo, wminus))
-        bkeys = [r[0] for r in brows]
+        lay = self._lay
+        pshift, pmask, mshift = lay.pshift, lay.pmask, lay.mshift
+        # the truncations as bounds on the degree fields of two keys' sum
+        pmax, mmax = lay.ptop + lay.pconst, lay.mtop + lay.mconst
+        base, capbits = lay.base, lay.capbits
+        bkeys = list(b)
+        brows = list(b.items())
         buckets = []
         start = 0
         while start < len(bkeys):
@@ -459,38 +606,39 @@ class GradedSeries:
             start = end
         acc = {}
         get = acc.get
-        for ka, ca in arows:
+        for ka, ca in a.items():
             mlim = mmax - (ka >> mshift)
             plim = (pmax - ((ka >> pshift) & pmask) + 1) << pshift
+            ka -= base
             for fm, mbase, keys, rows in buckets:
                 if fm > mlim:
                     break
                 n = bisect_left(keys, mbase + plim)
                 for kb, cb in (rows if n == len(rows) else rows[:n]):
                     k = ka + kb
+                    # a pair past a cap never reaches the accumulator
+                    if k & capbits:
+                        continue
                     acc[k] = get(k, 0) + ca * cb
-        den = da * db
-        caps = table.caps
-        admit = table.admit
-        # variables some product term could carry below their floor
-        low_vars = [(i, f or 0) for i, f in enumerate(table.floors)
-                    if lo[i] < (f or 0)]
-        out = {}
-        for k, v in acc.items():
-            if not v:
-                continue
-            exp = tuple([((k >> o) & m) + low for o, m, low in fields])
-            if caps and admit(exp) is None:
-                continue
-            for i, f in low_vars:
-                if exp[i] < f:
-                    raise LaurentUnderflow(
-                        "exponent %d of %s below floor" %
-                        (exp[i], table.variables[i].name))
-            out[exp] = v if den == 1 else _norm_coeff(Fraction(v, den))
-        return self._make(out, validate=False)
+        # a kept key with a guard bit clear lies below a Laurent floor
+        floorbits = lay.floorbits
+        out = {k: v for k, v in sorted(acc.items())
+               if v and k & floorbits == floorbits}
+        if len(out) < len(acc) and floorbits:
+            for k, v in acc.items():
+                if v and k & floorbits != floorbits:
+                    self._underflow(k)
+        return self._make(out, self._den * other._den)
 
     __rmul__ = __mul__
+
+    def _underflow(self, key):
+        """Raise for the first exponent of key below its floor."""
+        for e, v, f in zip(self._lay.unpack(key), self.table.variables,
+                           self.table.floors):
+            if e < (f or 0):
+                raise LaurentUnderflow("exponent %d of %s below floor"
+                                       % (e, v.name))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -506,33 +654,62 @@ class GradedSeries:
         return result
 
     def _times_monomial(self, exp, c):
-        """self * (c * monomial exp) without the product kernel."""
-        return self._make({tuple(map(add, e, exp)): v * c
-                           for e, v in self.terms.items()})
+        """self * (c * monomial exp) without the product kernel; terms that
+        leave the truncations or pass a cap are dropped."""
+        lay = self._lay
+        table = self.table
+        dp = sum(map(mul, exp, table._wplus))
+        dm = sum(map(mul, exp, table._wminus))
+        caps = []
+        for idxs, off, mask, lim in lay.caps:
+            s = sum(exp[i] for i in idxs)
+            if s:
+                caps.append((off, mask, lim - s))
+        lows = [(lay.fields[i], f or 0, d, v.name)
+                for i, (d, f, v) in enumerate(zip(exp, table.floors,
+                                                  table.variables)) if d < 0]
+        pshift, pmask, mshift = lay.pshift, lay.pmask, lay.mshift
+        ptop, mtop = lay.ptop - dp, lay.mtop - dm
+        delta = lay.key(exp) - lay.base
+        c = Fraction(c)
+        n, d = c.numerator, c.denominator
+        out = {}
+        for k, v in self._rows.items():
+            if ((k >> pshift) & pmask > ptop or k >> mshift > mtop
+                    or any((k >> o) & m > lim for o, m, lim in caps)):
+                continue
+            for (o, m, fc), f, dd, name in lows:
+                e = ((k >> o) & m) - fc + dd
+                if e < f:
+                    raise LaurentUnderflow("exponent %d of %s below floor"
+                                           % (e, name))
+            out[k + delta] = v * n
+        return self._make(out, self._den * d)
 
     # ----- variable-level operations --------------------------------------
 
     def scale_var(self, name, c):
         """Substitute name -> c*name for a nonzero scalar c."""
-        c = Fraction(c)
+        c = _exact_scalar(c)
         if c == 0:
             raise SeriesError("scale_var requires a nonzero scalar")
-        i = self.table.index[name]
-        out = {}
-        for exp, v in self.terms.items():
-            e = exp[i]
-            out[exp] = _norm_coeff(v * c ** e) if e else v
-        return self._make(out, validate=False)
+        off, mask, fc = self._field(name)
+        c = Fraction(c)
+        return self._make_values({
+            k: self._value(v) * c ** (((k >> off) & mask) - fc)
+            for k, v in self._rows.items()})
+
+    def _make_values(self, values):
+        """A series from {key: int or Fraction} in key order."""
+        return self._make(*_from_values(values))
 
     def shift_var(self, name, k):
         """Multiply by name**k (k may be negative under a Laurent floor)."""
         if k == 0:
             return self
-        i = self.table.index[name]
-        out = {}
-        for exp, v in self.terms.items():
-            out[exp[:i] + (exp[i] + k,) + exp[i + 1:]] = v
-        return self._make(out)
+        e = [0] * len(self.table.variables)
+        e[self.table.index[name]] = k
+        return self._times_monomial(e, 1)
 
     def rename_var(self, old, new):
         """Move every exponent of old onto new (same weight required)."""
@@ -542,7 +719,7 @@ class GradedSeries:
         if vo.weight != vn.weight:
             raise SeriesError("rename across different weights")
         out = {}
-        for exp, v in self.terms.items():
+        for exp, v in self._items():
             if exp[im] != 0 and exp[io] != 0:
                 raise SeriesError("rename collision on %s" %
                                   self.table.monomial_str(exp))
@@ -550,22 +727,38 @@ class GradedSeries:
             e[im] += e[io]
             e[io] = 0
             out[tuple(e)] = v
-        return self._make(out)
+        return GradedSeries(self.table, self.trunc_plus, self.trunc_minus, out)
 
     def kill_vars(self, names):
         """Project away all terms that involve any of the named variables."""
-        idxs = [self.table.index[n] for n in names]
-        out = {e: c for e, c in self.terms.items()
-               if all(e[i] == 0 for i in idxs)}
-        return self._make(out, validate=False)
+        fields = [self._field(n) for n in names]
+        return self._make({k: v for k, v in self._rows.items()
+                           if all((k >> o) & m == c for o, m, c in fields)},
+                          self._den)
 
     def map_coefficients(self, fn):
+        value = self._value
         out = {}
-        for e, c in self.terms.items():
-            v = _norm_coeff(fn(c))
+        for k, v in self._rows.items():
+            v = _norm_coeff(fn(value(v)))
             if v:
-                out[e] = v
-        return self._make(out, validate=False)
+                out[k] = v
+        return self._make_values(out)
+
+    def retruncate(self, trunc_plus, trunc_minus):
+        """The same terms at other bounds, in that layout; terms past the
+        new bounds are dropped."""
+        if (trunc_plus, trunc_minus) == (self.trunc_plus, self.trunc_minus):
+            return self
+        old, new = self._lay, self.table.layout(trunc_plus, trunc_minus)
+        ptop = trunc_plus + old.pconst
+        mtop = trunc_minus + old.mconst
+        # key order does not depend on the layout, so rows stay sorted
+        out = {new.key(old.unpack(k)): v for k, v in self._rows.items()
+               if (k >> old.pshift) & old.pmask <= ptop
+               and k >> old.mshift <= mtop}
+        return GradedSeries._packed(self.table, trunc_plus, trunc_minus, out,
+                                    self._den, new)
 
     # ----- substitution ----------------------------------------------------
 
@@ -577,8 +770,9 @@ class GradedSeries:
         table = self.table
         tp_idle = (table._tp_inactive_bound is not None
                    and table._tp_inactive_bound <= self.trunc_plus)
-        for exp in img.terms:
-            dp, dm = table.degrees(exp)
+        for exp, _c in img._items():
+            dp = sum(map(mul, exp, table._wplus))
+            dm = sum(map(mul, exp, table._wminus))
             if not tp_idle and dp < 1:
                 return False
             dpnl = sum(table.weights[i] * exp[i] for i in table._pos_plain if exp[i])
@@ -603,14 +797,12 @@ class GradedSeries:
         if not bindings:
             return self
         poly_vars = set(poly_vars)
-        idxs = []
         for n, img in bindings.items():
             self._compat(img)
-            idxs.append(self.table.index[n])
             if n not in poly_vars and not self._binding_self_sufficient(img):
                 raise SubstitutionOrder(
                     "substitution for %s may need terms beyond truncation" % n)
-        if any(exp[i] < 0 for exp in self.terms for i in idxs):
+        if any((self.min_degree(n) or 0) < 0 for n in bindings):
             raise SeriesError("cannot substitute into a negative power")
         return self._horner(list(bindings), bindings)
 
@@ -631,34 +823,21 @@ class GradedSeries:
 
     # ----- inverses and division -------------------------------------------
 
-    def _lowest(self):
-        if not self.terms:
-            raise SeriesError("zero series has no lowest term")
-        e = min(self.terms, key=_order_key)
-        return e, self.terms[e]
-
     def mul_inverse(self):
         """Multiplicative inverse when some term is an invertible monomial
         dominating the rest (the remainder must be nilpotent under the
         truncation: higher degree, capped, or growing negative weight)."""
-        if not self.terms:
+        if not self._rows:
             raise SeriesError("zero series has no inverse")
-        table = self.table
-        candidates = []
-        for e in self.terms:
-            inv_exp = tuple(-k for k in e)
-            ok = True
-            for i, k in enumerate(inv_exp):
-                if k < 0 and (table.floors[i] is None or k < table.floors[i]):
-                    ok = False
-                    break
-            if ok:
-                candidates.append(e)
+        table, lay = self.table, self._lay
+        floors = [f or 0 for f in table.floors]
+        candidates = [k for k in self._rows
+                      if all(-e >= f for e, f in zip(lay.unpack(k), floors))]
         if not candidates:
-            e0 = min(self.terms, key=_order_key)
+            e0 = lay.unpack(min(self._rows, key=lambda k: k & lay.order))
             raise NonUnitLowest("no invertible term in %s"
                                 % table.monomial_str(e0))
-        candidates.sort(key=_order_key)
+        candidates.sort(key=lambda k: k & lay.order)
         bound = self.trunc_plus + self.trunc_minus + 4
         for idxs, b in table.caps:
             bound += b
@@ -666,14 +845,13 @@ class GradedSeries:
             f = table.floors[i]
             if f is not None:
                 bound -= f
-        for e0 in candidates:
-            inv_exp = tuple(-k for k in e0)
-            c_inv = Fraction(1, 1) / Fraction(self.terms[e0])
+        for k0 in candidates:
+            inv_exp = tuple(-k for k in lay.unpack(k0))
+            c_inv = Fraction(1, 1) / Fraction(self._value(self._rows[k0]))
             # the lead's inverse lowers the degree by lift, so the Neumann
             # series runs lift deeper and is cut back after it
-            lift = max(table.degrees(e0)[0], 0)
-            deep = GradedSeries(table, self.trunc_plus + lift,
-                                self.trunc_minus, self.terms, validate=False)
+            lift = max(((k0 >> lay.pshift) & lay.pmask) - lay.pconst, 0)
+            deep = self.retruncate(self.trunc_plus + lift, self.trunc_minus)
             one = GradedSeries.one(table, deep.trunc_plus, self.trunc_minus)
             try:
                 w = deep._times_monomial(inv_exp, c_inv) - one
@@ -685,8 +863,8 @@ class GradedSeries:
                     pw = pw * w
                     acc = acc + (pw if step % 2 == 1 else -pw)
                 if pw.is_zero:
-                    return self._make(
-                        acc._times_monomial(inv_exp, c_inv).terms)
+                    return acc._times_monomial(inv_exp, c_inv).retruncate(
+                        self.trunc_plus, self.trunc_minus)
             except LaurentUnderflow:
                 continue
         raise NonUnitLowest("no term of %s dominates the rest at this "
@@ -702,63 +880,66 @@ class GradedSeries:
         if g.is_zero:
             raise SeriesError("division by the zero series")
         self._compat(g)
-        table = self.table
-        degrees = table.degrees
-        admit = table.admit
-        floors = table.floors
-        tp, tm = self.trunc_plus, self.trunc_minus
-        eg, cg = g._lowest()
+        lay = self._lay
+
+        def mono(k):
+            return self.table.monomial_str(lay.unpack(k))
+        base, order, width = lay.base, lay.order, lay.width
+        full = (1 << width) - 1
+        pshift, pmask, mshift = lay.pshift, lay.pmask, lay.mshift
+        pmax, mtop = lay.ptop + lay.pconst, lay.mtop
+        capbits, expbits, floorbits = lay.capbits, lay.expbits, lay.floorbits
+        kg = min(g._rows, key=lambda k: k & order)
+        cg = g._value(g._rows[kg])
         # divisor terms by positive degree, so the truncation ends the loop
-        grows = sorted(((*degrees(e), e, c) for e, c in g.terms.items()),
-                       key=itemgetter(0))
-        rem = dict(self.terms)
-        heap = [_order_key(e) for e in rem]
+        grows = sorted((((k >> pshift) & pmask, k - base, g._value(v))
+                        for k, v in g._rows.items()), key=itemgetter(0))
+        rem = {k: self._value(v) for k, v in self._rows.items()}
+        # a heap entry is the order key above the key itself
+        heap = [(k & order) << width | k for k in rem]
         heapify(heap)
         q = {}
         while heap:
-            er = heappop(heap)[1]
-            cr = rem.get(er)
+            kr = heappop(heap) & full
+            cr = rem.get(kr)
             if cr is None:
                 continue
-            e = tuple(map(sub, er, eg))
-            for i, k in enumerate(e):
-                if k < 0 and (floors[i] is None or k < floors[i]):
-                    raise NotDivisible("monomial %s not divisible by %s"
-                                       % (table.monomial_str(er),
-                                          table.monomial_str(eg)),
-                                       monomial=table.monomial_str(er))
-            c = _norm_coeff(Fraction(cr) / Fraction(cg))
-            if integral and not isinstance(c, int):
-                raise NotDivisible("coefficient of %s not divisible"
-                                   % table.monomial_str(er),
-                                   monomial=table.monomial_str(er))
-            q[e] = c
+            # the quotient term er - eg, which must respect every floor
+            ke = kr - kg + base
+            if ke & expbits != expbits:
+                raise NotDivisible("monomial %s not divisible by %s"
+                                   % (mono(kr), mono(kg)), monomial=mono(kr))
+            if type(cr) is int and type(cg) is int and not cr % cg:
+                c = cr // cg
+            else:
+                c = _norm_coeff(Fraction(cr) / Fraction(cg))
+                if integral and not isinstance(c, int):
+                    raise NotDivisible("coefficient of %s not divisible"
+                                       % mono(kr), monomial=mono(kr))
+            q[ke] = c
             # rem -= c * e * g; every term lies at or above er in the order
-            pe, me = degrees(e)
-            for pg, mg, eh, ch in grows:
-                if pe + pg > tp:
+            pe = (ke >> pshift) & pmask
+            for ph, kh, ch in grows:
+                if pe + ph > pmax:
                     break
-                if me + mg > tm:
+                k = ke + kh
+                if k >> mshift > mtop or k & capbits:
                     continue
-                exp = tuple(map(add, e, eh))
-                if admit(exp) is None:
-                    continue
-                for i, k in enumerate(exp):
-                    if k < 0 and (floors[i] is None or k < floors[i]):
-                        raise LaurentUnderflow(
-                            "exponent %d of %s below floor" %
-                            (k, table.variables[i].name))
-                v = rem.get(exp)
+                if k & floorbits != floorbits:
+                    self._underflow(k)
+                v = rem.get(k)
                 if v is None:
-                    rem[exp] = -c * ch
-                    heappush(heap, _order_key(exp))
+                    rem[k] = -c * ch
+                    heappush(heap, (k & order) << width | k)
                 else:
                     v -= c * ch
                     if v:
-                        rem[exp] = v
+                        rem[k] = v
                     else:
-                        del rem[exp]
-        return self._make(q)
+                        del rem[k]
+        admissible = lay.admissible
+        return self._make_values({k: q[k] for k in sorted(q)
+                                  if admissible(k)})
 
     def compositional_inverse(self, name):
         """Series g with self(g) = name, for self = c1*name + higher order,
@@ -770,7 +951,8 @@ class GradedSeries:
         """
         table = self.table
         i = table.index[name]
-        if any(exp[i] < 1 for exp in self.terms):
+        lo = self.min_degree(name)
+        if lo is not None and lo < 1:
             raise SeriesError("compositional inverse needs order >= 1 in %s"
                               % name)
         if self.coeff_of(name, 1).is_zero:
@@ -790,38 +972,40 @@ class GradedSeries:
                 top = min(top, b)
         h = self.shift_var(name, -1).mul_inverse()
         power = h
-        out = {}
+        out = self._make({})
+        unit = [0] * len(table.variables)
         for n in range(1, top + 1):
             if n > 1:
                 power = power * h
-            for exp, c in power.terms.items():
-                if exp[i] == n - 1:
-                    out[exp[:i] + (n,) + exp[i + 1:]] = Fraction(c) / n
-        return self._make(out)
+            unit[i] = n
+            out = out + power.coeff_of(name, n - 1)._times_monomial(
+                unit, Fraction(1, n))
+        return out
 
     # ----- calculus ---------------------------------------------------------
 
     def diff(self, name):
         i = self.table.index[name]
         out = {}
-        for exp, c in self.terms.items():
+        for exp, c in self._items():
             k = exp[i]
             if k == 0:
                 continue
             out[exp[:i] + (k - 1,) + exp[i + 1:]] = c * k
-        return self._make(out)
+        return GradedSeries(self.table, self.trunc_plus, self.trunc_minus, out)
 
     def residue(self, name):
         """Coefficient of name**-1, as a series in the remaining variables."""
         return self.coeff_of(name, -1)
 
-    def split_parts(self, name):
-        """(terms with exponent of name <= 0, terms with exponent > 0)."""
-        i = self.table.index[name]
+    def split_parts(self, name, at=0):
+        """(terms with exponent of name <= at, terms with exponent > at)."""
+        off, mask, c = self._field(name)
+        lim = at + c
         lo, hi = {}, {}
-        for exp, c in self.terms.items():
-            (lo if exp[i] <= 0 else hi)[exp] = c
-        return self._make(lo, validate=False), self._make(hi, validate=False)
+        for k, v in self._rows.items():
+            (lo if (k >> off) & mask <= lim else hi)[k] = v
+        return self._make(lo, self._den), self._make(hi, self._den)
 
     # ----- serialization ------------------------------------------------------
 
@@ -877,7 +1061,7 @@ class GradedSeries:
         return "%d/%d" % (c.numerator, c.denominator)
 
     def render(self):
-        if not self.terms:
+        if not self._rows:
             return "0"
         pieces = []
         for exp, c in self.sorted_terms():
@@ -902,3 +1086,14 @@ class GradedSeries:
         if len(body) > 160:
             body = body[:157] + "..."
         return "<GradedSeries %s>" % body
+
+
+def _from_values(values):
+    """({key: int numerator}, common denominator) of {key: int or Fraction}."""
+    dens = {c.denominator for c in values.values() if type(c) is not int}
+    if not dens:
+        return values, 1
+    den = lcm(*dens)
+    return {k: c * den if type(c) is int
+            else c.numerator * (den // c.denominator)
+            for k, c in values.items()}, den

@@ -166,7 +166,7 @@ def test_bad_args_exit_two(capsys):
         assert "error:" in err
 
 
-def test_bad_args_name_the_problem(capsys):
+def test_bad_args_name_the_problem(capsys, monkeypatch):
     for argv, named in (
             (["fgl", "--what", "F", "--out", "/nonexistent/dir/x.json"],
              "cannot write --out /nonexistent/dir/x.json"),
@@ -179,10 +179,24 @@ def test_bad_args_name_the_problem(capsys):
             (["op", "ln", "--input", "P1", "--p", "2", "--reps", "1"],
              "op ln does not read --p, --reps"),
             (["op", "sq", "--input", "P1", "--reps", "1"],
-             "op sq does not read --reps")):
-        with pytest.raises(SystemExit):
+             "op sq does not read --reps"),
+            (["fgl", "--what", "F", "--deg", "-1"], "--deg must be >= 0"),
+            (["class", "Pn", "--n", "2", "--deg", "-1"], "--deg must be >= 0"),
+            (["op", "st", "--input", "P1", "--p", "2", "--deg", "-2"],
+             "--deg must be >= 0"),
+            (["fgl", "--what", "F", "--bweight", "-1"],
+             "--bweight must be >= 0"),
+            (["verify", "sop", "--p", "2", "--bweight", "-1"],
+             "--bweight must be >= 0")):
+        with pytest.raises(SystemExit) as exc:
             cli.main(argv)
+        assert exc.value.code == 2
         assert named in capsys.readouterr().err
+    monkeypatch.setenv("COBCALC_DEG", "-3")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fgl", "--what", "F"])
+    assert exc.value.code == 2
+    assert "COBCALC_DEG must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_all_refuses_a_prime_before_any_suite_runs(capsys,

@@ -40,30 +40,42 @@ COEFFS = st.one_of(st.integers(-3, 3),
                              st.sampled_from([2, 3, 4])))
 
 
-def oracle(a, b):
-    """(terms of a*b, whether a kept term lies below a floor)."""
-    table = a.table
-    weights = table.weights
-    acc = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            acc[e] = acc.get(e, 0) + Fraction(ca) * Fraction(cb)
-    out = {}
-    underflow = False
+def degrees(table, e):
+    """(positive degree, negative-weight degree) of the term at e."""
+    return (sum(w * k for w, k in zip(table.weights, e) if w > 0),
+            sum(-w * k for w, k in zip(table.weights, e) if w < 0))
+
+
+def capped(table, e):
+    """True when the term at e lies past a degree cap."""
+    return any(sum(e[i] for i in idxs) > bound for idxs, bound in table.caps)
+
+
+def ring_rules(table, tp, tm, acc):
+    """(the terms of acc the ring keeps, whether a kept one lies below a
+    floor), for any {exponent: rational}."""
+    out, underflow = {}, False
     for e, c in acc.items():
-        if c == 0:
+        c = Fraction(c)
+        if c == 0 or capped(table, e):
             continue
-        if any(sum(e[i] for i in idxs) > bound for idxs, bound in table.caps):
-            continue
-        dp = sum(w * k for w, k in zip(weights, e) if w > 0)
-        dm = sum(-w * k for w, k in zip(weights, e) if w < 0)
-        if dp > a.trunc_plus or dm > a.trunc_minus:
+        dp, dm = degrees(table, e)
+        if dp > tp or dm > tm:
             continue
         if any(k < (f or 0) for k, f in zip(e, table.floors)):
             underflow = True
         out[e] = c.numerator if c.denominator == 1 else c
     return out, underflow
+
+
+def oracle(a, b):
+    """(terms of a*b, whether a kept term lies below a floor)."""
+    acc = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            acc[e] = acc.get(e, 0) + Fraction(ca) * Fraction(cb)
+    return ring_rules(a.table, a.trunc_plus, a.trunc_minus, acc)
 
 
 @st.composite
@@ -340,7 +352,7 @@ def carry_sweep_oracle(fp, f):
     carries -q times the terms of g of positive t-degree into higher
     digits."""
     p, table, tp, tm = fp.p, f.table, f.trunc_plus, f.trunc_minus
-    tail = sorted(table.degrees(e)[::-1] + (e[0], e, c)
+    tail = sorted(degrees(table, e)[::-1] + (e[0], e, c)
                   for e, c in fp.g.terms.items() if e[0] >= 1)
     digits = {}
     for exp, c in f.terms.items():
@@ -353,14 +365,14 @@ def carry_sweep_oracle(fp, f):
                 out[exp] = r
             if not q:
                 continue
-            pe, me = table.degrees(exp)
+            pe, me = degrees(table, exp)
             for mg, pg, j, eg, cg in tail:
                 if me + mg > tm:
                     break
                 if pe + pg > tp:
                     continue
                 e = tuple(x + y for x, y in zip(exp, eg))
-                if table.admit(e) is None:
+                if capped(table, e):
                     continue
                 above = digits.setdefault(k + j, {})
                 above[e] = above.get(e, 0) - q * cg
@@ -473,3 +485,123 @@ def test_compositional_inverse_round_trip(case):
     g = f.compositional_inverse("x")
     assert f.substitute({"x": g}, poly_vars=("x",)) == x
     assert g.substitute({"x": f}, poly_vars=("x",)) == x
+
+
+# ----- the packed path -------------------------------------------------------
+#
+# Series are stored as packed keys.  These checks build operands with the
+# operations that work on keys alone (products, sums, as_poly_in digits,
+# split_parts, shift_var, retruncate) and compare every result with terms
+# worked out here from the exponent tuples.
+
+
+def derived(draw, table, tp, tm):
+    """(series, its terms): the output of an operation on packed keys, with
+    the terms that operation must give, from the exponent tuples."""
+    a, b = series(draw, table, tp, tm), series(draw, table, tp, tm)
+    i = draw(st.integers(0, len(table.variables) - 1))
+    name = table.variables[i].name
+    kind = draw(st.sampled_from(("mul", "add", "digit", "split", "shift")))
+    if kind == "mul":
+        want, underflow = oracle(a, b)
+        hypothesis.assume(not underflow)
+        return a * b, want
+    if kind == "add":
+        acc = dict(a.terms)
+        for e, c in b.terms.items():
+            acc[e] = acc.get(e, 0) + c
+        return a + b, ring_rules(table, tp, tm, acc)[0]
+    if kind == "digit":
+        # a digit of a negative power may hold terms past the bounds
+        digits = a.as_poly_in(name)
+        if not digits:
+            return a, {}
+        k = draw(st.sampled_from(sorted(digits)))
+        assert a.coeff_of(name, k) == digits[k]
+        return digits[k], {e[:i] + (0,) + e[i + 1:]: c
+                           for e, c in a.terms.items() if e[i] == k}
+    if kind == "split":
+        above = draw(st.booleans())
+        return a.split_parts(name)[above], {
+            e: c for e, c in a.terms.items() if (e[i] > 0) == above}
+    k = draw(st.integers(-2, 2))
+    want, underflow = ring_rules(table, tp, tm, {
+        e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in a.terms.items()})
+    hypothesis.assume(not underflow)
+    return a.shift_var(name, k), want
+
+
+@st.composite
+def derived_operands(draw):
+    table, tp, tm = draw(tables())
+    x, y = derived(draw, table, tp, tm), derived(draw, table, tp, tm)
+    g = series(draw, table, tp, tm, coeffs=st.integers(-4, 4), nonneg=True)
+    unit = draw(st.sampled_from([1, -1, 2]))
+    return x, y, g + GradedSeries.const(table, tp, tm, unit - g.constant())
+
+
+@SETTINGS
+@given(derived_operands())
+def test_packed_results_match_the_tuple_oracle(case):
+    (x, xterms), (y, yterms), g = case
+    table, tp, tm = x.table, x.trunc_plus, x.trunc_minus
+    assert x.terms == xterms and y.terms == yterms
+    # a sum drops only the terms that cancel
+    acc = dict(xterms)
+    for e, c in yterms.items():
+        acc[e] = acc.get(e, 0) + c
+    assert (x + y).terms == {e: c for e, c in acc.items() if c}
+    assert (x - y) + y == x + y - y
+    want, underflow = oracle(x, y)
+    if underflow:
+        with pytest.raises(LaurentUnderflow):
+            x * y
+        return
+    product = x * y
+    # equal to the series built from tuples: one denominator, lowest terms
+    assert product == GradedSeries(table, tp, tm, want)
+    assert product.terms == want
+    assert GradedSeries.from_json(product.to_json()) == product
+    try:
+        f = product * g
+    except LaurentUnderflow:
+        return
+    assert f.exact_divide(g) * g == f
+
+
+@SETTINGS
+@given(operands(), st.integers(0, 4), st.integers(0, 3))
+def test_retruncate_moves_terms_between_layouts(pair, up, down):
+    a, b = pair
+    tp, tm = a.trunc_plus, a.trunc_minus
+    deep_a = a.retruncate(tp + up, tm + up)
+    assert deep_a.terms == a.terms
+    assert deep_a.retruncate(tp, tm) == a
+    lower = (max(tp - down, 0), max(tm - down, 0))
+    assert a.retruncate(*lower).terms == ring_rules(a.table, *lower,
+                                                    a.terms)[0]
+    # a product at deeper bounds, cut back, is the product at these: both
+    # hold the same operand terms
+    try:
+        deep = deep_a * b.retruncate(tp + up, tm + up)
+    except LaurentUnderflow:
+        return
+    assert deep.retruncate(tp, tm) == a * b
+
+
+def test_laurent_underflow_through_the_packed_path():
+    table = VariableTable([Variable("t", 1, laurent_floor=-2),
+                           Variable("x", 1)])
+
+    def m(exps, c=1):
+        return GradedSeries.monomial(table, 6, 0, exps, coeff=c)
+    with pytest.raises(LaurentUnderflow, match="exponent -3 of t"):
+        m({"t": -2}) * m({"t": -1, "x": 1})
+    with pytest.raises(LaurentUnderflow, match="exponent -3 of t"):
+        (m({"t": -1}) + m({"x": 1})).shift_var("t", -2)
+    # t^-2 over t^-1 + t^-2*x^2: the quotient term t^-1 times t^-2*x^2
+    # lies below the floor
+    with pytest.raises(LaurentUnderflow, match="exponent -3 of t"):
+        m({"t": -2}).exact_divide(m({"t": -1}) + m({"t": -2, "x": 2}))
+    # past the bounds, a term below the floor is dropped, not raised
+    assert (m({"t": -2, "x": 6}) * m({"t": -1, "x": 5})).is_zero

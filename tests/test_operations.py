@@ -502,6 +502,31 @@ def test_st_apply_product_terms_ceiling(monkeypatch):
     assert terms[0] <= 7373
 
 
+def test_products_never_build_the_tuple_view(monkeypatch):
+    # log_t at (8, 8) and St.apply over the p = 3 grid stay packed: no
+    # series builds its exponent-tuple view, and every product still goes
+    # through GradedSeries.__mul__
+    monkeypatch.setattr(op, "_CTX_CACHE", {})
+    views, products = [], [0]
+    build = GradedSeries._tuple_view
+    monkeypatch.setattr(GradedSeries, "_tuple_view",
+                        lambda s: views.append(s) or build(s))
+    mul = GradedSeries.__mul__
+
+    def counting_mul(a, b):
+        products[0] += 1
+        return mul(a, b)
+    monkeypatch.setattr(GradedSeries, "__mul__", counting_mul)
+    fgl.Context(8, 8).log_t
+    ctx = op.make_context(3, deg=6, bweight=6)
+    for _, reps in op.rep_choices(3):
+        st = op.quillen_steenrod(ctx, 3, reps)
+        for _label, e, _dim in op.grid_elements(ctx):
+            st.apply(e)
+    assert products[0] > 100
+    assert views == []
+
+
 def _reference_in_generator_ideal(ginv, diff, p):
     """Membership in (g) as p-integrality of diff * g^-1."""
     ratio = diff * ginv

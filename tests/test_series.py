@@ -152,6 +152,23 @@ def test_fraction_coefficients_normalize_to_int():
     assert isinstance(s.terms[(1, 0, 0, 0, 0)], int)
 
 
+def test_scalars_are_exact():
+    tb = table_tb()
+    t = mono(tb, 8, 6, {"t": 1})
+    assert t.scale(Fraction(1, 10)).coeff({"t": 1}) == Fraction(1, 10)
+    assert 2 * t == t * 2 == t.scale(2)
+    for bad in (0.1, 0.5, "1/2", 1j):
+        with pytest.raises(SeriesError):
+            t.scale(bad)
+        with pytest.raises(SeriesError):
+            t.scale_var("t", bad)
+    for op in (lambda: t * 0.5, lambda: 0.5 * t, lambda: t + 1,
+               lambda: 1 + t, lambda: t - 1, lambda: 1 - t,
+               lambda: t * "x"):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_power_monomial():
     tb = table_tb()
     b1 = mono(tb, 8, 6, {"b1": 1})
