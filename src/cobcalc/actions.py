@@ -24,16 +24,8 @@ import random
 
 from .fgl import Context
 from .quotient import formal_p
-from .series import (GradedSeries, NotDivisible, SeriesError, Variable,
-                     VariableTable)
-
-
-class FalsificationError(SeriesError):
-    """A verified identity failed on concrete data; carries the witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+from .series import (FalsificationError, GradedSeries, NotDivisible,
+                     SeriesError, Variable, VariableTable)
 
 
 # ---------------------------------------------------------------------------

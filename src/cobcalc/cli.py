@@ -5,6 +5,10 @@ characteristic numbers), op (operations applied to parsed elements), eta
 (Chow-side invariant), verify (the named checker suites).  Exit codes: 0 on
 success, 1 when a verifier reports failures, 2 on bad arguments, 3 when a
 computation falsifies one of its postconditions.
+
+A handler imports the layers it runs when it runs: `fgl`, `class` and
+`eta` load `series` and `fgl` only, `op` adds `operations` and `quotient`,
+and only `verify` loads the suites (`verify`) and `actions`.
 """
 
 import argparse
@@ -16,10 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import fgl
-from . import operations as ops
-from .actions import FalsificationError
-from .quotient import PDivisibilityError
-from .series import SeriesError
+from .series import FalsificationError, SeriesError
 
 
 def _nonnegative(value, source):
@@ -103,6 +104,7 @@ def _parse_atom(ctx, atom, full):
 
 
 def _atom_series(ctx, atom, full):
+    from . import operations as ops
     m = _ATOM_Z.match(atom)
     if m:
         name = "z%s" % (m.group(1) or "1")
@@ -244,6 +246,7 @@ _OP_READS = {"st": ("p", "reps"), "sq": ("p",), "phi": ("p", "reps"),
 
 
 def _cmd_op(args):
+    from . import operations as ops
     _refuse_unread(args, "op " + args.kind, ("p", "reps", "q"),
                    _OP_READS[args.kind])
     deg = _default_deg(args, 8)
@@ -305,26 +308,29 @@ def _cmd_eta(args):
 
 
 def _cmd_verify(args):
-    names = sorted(ops.VERIFIERS) if args.name == "all" else [args.name]
+    from . import verify
+    from .operations import DEFAULTS
+    suites = verify.VERIFIERS
+    names = sorted(suites) if args.name == "all" else [args.name]
     if args.name != "all":
         _refuse_unread(args, "verify " + args.name,
                        ("p", "deg", "bweight", "seed"),
-                       ops.VERIFIERS[args.name].reads)
+                       suites[args.name].reads)
     if args.p is not None:
-        refused = [n for n in names if "p" in ops.VERIFIERS[n].reads
-                   and args.p not in ops.VERIFIERS[n].primes]
+        refused = [n for n in names if "p" in suites[n].reads
+                   and args.p not in suites[n].primes]
         if refused:
             raise SeriesError("prime %d is not run by verify %s"
                               % (args.p, ", ".join(refused)))
-    values = {"p": args.p, "deg": _default_deg(args, ops.DEFAULTS["deg"]),
-              "bweight": _default_bweight(args, ops.DEFAULTS["bweight"]),
-              "seed": ops.DEFAULTS["seed"] if args.seed is None else args.seed}
+    values = {"p": args.p, "deg": _default_deg(args, DEFAULTS["deg"]),
+              "bweight": _default_bweight(args, DEFAULTS["bweight"]),
+              "seed": DEFAULTS["seed"] if args.seed is None else args.seed}
     reports = []
     failed = 0
     lines = []
     for name in names:
-        report = ops.run_verifier(name, **{k: values[k] for k in
-                                           ops.VERIFIERS[name].reads})
+        report = verify.run_verifier(name, **{k: values[k] for k in
+                                              suites[name].reads})
         reports.append(report)
         s = report["summary"]
         failed += s["fail"]
@@ -337,6 +343,19 @@ def _cmd_verify(args):
            "seed": values["seed"], "reports": reports}
     _emit(args, "\n".join(lines), doc)
     return 1 if failed else 0
+
+
+class _SuiteNames:
+    """The names verify accepts, the registered suites and all; the
+    registry is imported only when a name is checked or listed."""
+
+    def __contains__(self, name):
+        from .verify import VERIFIERS
+        return name == "all" or name in VERIFIERS
+
+    def __iter__(self):
+        from .verify import VERIFIERS
+        return iter(sorted(VERIFIERS) + ["all"])
 
 
 def build_parser():
@@ -390,7 +409,9 @@ def build_parser():
     sp.set_defaults(func=_cmd_eta)
 
     sp = sub.add_parser("verify", help="run a checker suite")
-    sp.add_argument("name", choices=tuple(sorted(ops.VERIFIERS)) + ("all",))
+    # with a metavar, argparse lists the choices only in help and errors
+    sp.add_argument("name", choices=_SuiteNames(), metavar="name",
+                    help="a suite (%(choices)s)")
     common(sp, "--p", "--deg", "--bweight", "--seed")
     sp.set_defaults(func=_cmd_verify, p=None)
     return parser
@@ -401,12 +422,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FalsificationError, PDivisibilityError,
-            fgl.EtaDivisibilityError) as exc:
-        witness = getattr(exc, "witness", None)
+    except FalsificationError as exc:
         sys.stderr.write("falsified: %s\n" % exc)
-        if witness:
-            sys.stderr.write("witness: %s\n" % witness)
+        if exc.witness:
+            sys.stderr.write("witness: %s\n" % exc.witness)
         return 3
     except SeriesError as exc:
         parser.error(str(exc))

@@ -15,6 +15,7 @@ from fractions import Fraction
 import math
 
 from .series import (
+    FalsificationError,
     GradedSeries,
     SeriesError,
     Variable,
@@ -265,8 +266,9 @@ class LazardElement:
         if d <= 0:
             raise SeriesError("s-number defined for positive dimension only")
         ctx = self.ctx
+        # an element of dimension d involves b_1..b_d only
         bindings = {"b%d" % i: ctx.m_coeff(i)
-                    for i in range(1, ctx.bweight + 1)}
+                    for i in range(1, min(d, ctx.bweight) + 1)}
         rewritten = self.series.substitute(bindings, poly_vars=ctx.b_names)
         return rewritten.coeff({"b%d" % d: 1})
 
@@ -334,12 +336,8 @@ def base_context(deg=8, bweight=8):
     return Context(deg, bweight, extra_vars=("x", "y"))
 
 
-class EtaDivisibilityError(SeriesError):
+class EtaDivisibilityError(FalsificationError):
     """deg of the zero-dimensional che component is not divisible by p."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def _validate_reps(p, reps):

@@ -14,15 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import SeriesError, vp
+from .series import FalsificationError, SeriesError, vp
 
 
-class PDivisibilityError(SeriesError):
+class PDivisibilityError(FalsificationError):
     """An exact division by p hit a coefficient p does not divide."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def coeffs_mod_p(series, p):

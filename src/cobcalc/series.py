@@ -54,6 +54,14 @@ class SeriesError(Exception):
     """Base class for series arithmetic failures."""
 
 
+class FalsificationError(SeriesError):
+    """A verified identity failed on concrete data; carries the witness."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class TableMismatch(SeriesError):
     pass
 
@@ -847,17 +855,24 @@ class GradedSeries:
                 bound -= f
         for k0 in candidates:
             inv_exp = tuple(-k for k in lay.unpack(k0))
+            if GradedSeries(table, self.trunc_plus, self.trunc_minus,
+                            {inv_exp: 1}).is_zero:
+                # the inverse of this lead lies past the bounds: no inverse
+                # here starts with it
+                continue
             c_inv = Fraction(1, 1) / Fraction(self._value(self._rows[k0]))
-            # the lead's inverse lowers the degree by lift, so the Neumann
-            # series runs lift deeper and is cut back after it
+            # the lead's inverse lowers either degree by its lift, so the
+            # Neumann series runs that much deeper and is cut back after it
             lift = max(((k0 >> lay.pshift) & lay.pmask) - lay.pconst, 0)
-            deep = self.retruncate(self.trunc_plus + lift, self.trunc_minus)
-            one = GradedSeries.one(table, deep.trunc_plus, self.trunc_minus)
+            mlift = max((k0 >> lay.mshift) - lay.mconst, 0)
+            deep = self.retruncate(self.trunc_plus + lift,
+                                   self.trunc_minus + mlift)
+            one = GradedSeries.one(table, deep.trunc_plus, deep.trunc_minus)
             try:
                 w = deep._times_monomial(inv_exp, c_inv) - one
                 acc = one
                 pw = one
-                for step in range(bound + lift):
+                for step in range(bound + lift + mlift):
                     if pw.is_zero:
                         break
                     pw = pw * w

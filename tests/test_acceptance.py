@@ -8,7 +8,7 @@ exact rational values; there are no tolerances anywhere.
 
 import math
 
-from cobcalc import actions, fgl, operations
+from cobcalc import actions, fgl, operations, verify
 from cobcalc.actions import (
     minors_suite,
     prop_xy_series,
@@ -41,7 +41,7 @@ def _witnesses(report):
 
 
 def test_criterion_01_fgl_axioms():
-    report = operations.verify_fglaxioms(deg=8, bweight=8)
+    report = verify.verify_fglaxioms(deg=8, bweight=8)
     ctx = fgl.base_context(8, 8)
     b1, b2 = ctx.var("b1"), ctx.var("b2")
     exact = (ctx.a_coeff(1, 1) == b1.scale(2)
@@ -89,7 +89,7 @@ def test_criterion_04_quotient_series_integrality():
 
 
 def test_criterion_05_symmetric_operation_exists():
-    report = operations.verify_sop()
+    report = verify.verify_sop()
     ctx = operations.make_context(2, 6, 6)
     st = operations.quillen_steenrod(ctx, 2, (1,))
     p1 = dict((lab, e) for lab, e, _ in operations.grid_elements(ctx))["P1"]
@@ -99,24 +99,24 @@ def test_criterion_05_symmetric_operation_exists():
 
 
 def test_criterion_06_vanishing_on_cells():
-    report = operations.verify_emb()
+    report = verify.verify_emb()
     _record(6, "emb", _clean(report), _witnesses(report))
 
 
 def test_criterion_07_chow_comparison():
-    report = operations.verify_f1()
+    report = verify.verify_f1()
     model_spot = (fgl.ChowModel(1).eta(2, (1,)) == 1
                   and fgl.ChowModel(2).eta(3, (1, 2)) == -1)
     _record(7, "f1", _clean(report) and model_spot, _witnesses(report))
 
 
 def test_criterion_08_ideal_eta_classes():
-    report = operations.verify_il1()
+    report = verify.verify_il1()
     _record(8, "il1", _clean(report), _witnesses(report))
 
 
 def test_criterion_09_characteristic_number_units():
-    report = operations.verify_il3()
+    report = verify.verify_il3()
     spot = any(c["input"] == "H(2,2)" and c["chi"] == -2
                and c["binom_mod_p"] == math.comb(3, 1) % 2
                for c in report["cases"])
@@ -124,29 +124,29 @@ def test_criterion_09_characteristic_number_units():
 
 
 def test_criterion_10_additivity_defect():
-    report = operations.verify_addphi()
+    report = verify.verify_addphi()
     _record(10, "addphi", _clean(report), _witnesses(report))
 
 
 def test_criterion_11_multiplicativity():
-    report = operations.verify_multphi()
+    report = verify.verify_multphi()
     ok = _clean(report) and sorted(report["p"]) == [2, 3]
     _record(11, "multphi", ok, _witnesses(report))
 
 
 def test_criterion_12_slice_comparison():
-    report = operations.verify_rr()
+    report = verify.verify_rr()
     _record(12, "rr", _clean(report), _witnesses(report))
 
 
 def test_criterion_13_two_variable_slices():
-    report = operations.verify_uv()
+    report = verify.verify_uv()
     _record(13, "uv", _clean(report), _witnesses(report))
 
 
 def test_criterion_14_quotient_diagram():
-    rep1 = operations.verify_diagram()
-    rep2 = operations.verify_tomdieck()
+    rep1 = verify.verify_diagram()
+    rep2 = verify.verify_tomdieck()
     ok = _clean(rep1) and _clean(rep2) and sorted(rep1["p"]) == [2, 3]
     _record(14, "diagram", ok, _witnesses(rep1) + "; " + _witnesses(rep2))
 

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cobcalc import cli
 from cobcalc import operations as ops
+from cobcalc import verify
 from cobcalc.series import SeriesError
 
 
@@ -54,6 +59,17 @@ def test_class_h22_equals_p1(capsys):
     rc, b = run(capsys, "class", "Pn", "--n", "1", "--format", "json")
     assert (json.loads(a)["result"]["terms"]
             == json.loads(b)["result"]["terms"])
+
+
+def test_class_below_bweight_degree(capsys):
+    # a class of dimension d involves b_1..b_d only, so its s-number needs
+    # m_1..m_d and not a --deg as high as --bweight
+    for argv, s_number in ((["class", "Pn", "--n", "3"], "4"),
+                           (["class", "hypersurface", "--n", "4", "--d", "3"],
+                            "-66")):
+        for deg in ([], ["--deg", "4"]):
+            rc, out = run(capsys, *argv, *deg, "--format", "json")
+            assert rc == 0 and json.loads(out)["s_number"] == s_number
 
 
 def test_class_hypersurface_needs_d(capsys):
@@ -204,7 +220,7 @@ def test_verify_all_refuses_a_prime_before_any_suite_runs(capsys,
     def run_verifier(name, **kw):
         raise AssertionError("verify %s ran" % name)
 
-    monkeypatch.setattr(ops, "run_verifier", run_verifier)
+    monkeypatch.setattr(verify, "run_verifier", run_verifier)
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "all", "--p", "5"])
     assert exc.value.code == 2
@@ -251,9 +267,9 @@ def test_verify_pass_and_fail_paths(capsys, monkeypatch):
     assert rc == 0
     assert "il3" in out and "fail=0" in out
 
-    monkeypatch.setattr(ops, "VERIFIERS", dict(ops.VERIFIERS))
+    monkeypatch.setattr(verify, "VERIFIERS", dict(verify.VERIFIERS))
 
-    @ops._suite("broken", reads="", primes="n/a", reps="n/a")
+    @verify._suite("broken", reads="", primes="n/a", reps="n/a")
     def broken():
         return [{"input": "x", "verdict": "fail", "witness": "w"}]
 
@@ -277,10 +293,10 @@ def test_verify_passes_each_suite_the_options_it_reads(capsys, monkeypatch):
         return {"prop": name, "p": None, "reps": "n/a", "cases": [],
                 "summary": {"pass": 0, "fail": 0}}
 
-    monkeypatch.setattr(ops, "run_verifier", record)
+    monkeypatch.setattr(verify, "run_verifier", record)
     rc, out = run(capsys, "verify", "all", "--p", "2", "--seed", "5",
                   "--format", "json")
-    assert rc == 0 and sorted(calls) == sorted(ops.VERIFIERS)
+    assert rc == 0 and sorted(calls) == sorted(verify.VERIFIERS)
     assert calls["il3"] == calls["minors"] == {}
     assert calls["fglaxioms"] == calls["soold"] == {"deg": 6, "bweight": 6}
     assert calls["il1"] == {"p": 2, "seed": 5}
@@ -413,3 +429,17 @@ def test_op_json_output_is_pinned(capsys):
         rc, out = run(capsys, *argv)
         assert rc == 0, key
         assert hashlib.sha256(out.encode()).hexdigest() == want, key
+
+
+def test_verify_all_json_is_pinned():
+    # every case, label and witness of every suite at the defaults, through
+    # the command line as a user runs it
+    import cobcalc
+    src = str(Path(cobcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "cobcalc.cli", "verify", "all",
+                          "--format", "json"], env=env, check=True,
+                         capture_output=True).stdout
+    assert hashlib.sha256(out).hexdigest() == (
+        "5810e3ea504b2d0eb6e806ca7bbd0a01"
+        "93c8a94daf0536da90b06d2dc8d9973b")

@@ -5,7 +5,8 @@ and then applies the ring's rules written out here from their definitions:
 drop zero coefficients, drop terms past a degree cap or a truncation bound,
 and raise LaurentUnderflow when a kept term lies below a Laurent floor.  It
 does not call GradedSeries.__mul__ or anything that product uses.  Exact
-division and compositional inverses are checked by round trips.
+division, multiplicative and compositional inverses are checked by round
+trips, and products against the ring laws that truncation keeps.
 Substitution is checked against products with materialized powers of the
 images.  The quotient modulo g = p*u is checked against general algorithms
 that hold for any g = p + (terms of positive t-degree): the normal form
@@ -27,6 +28,7 @@ from cobcalc.quotient import FormalP, PDivisibilityError  # noqa: E402
 from cobcalc.series import (  # noqa: E402
     GradedSeries,
     LaurentUnderflow,
+    NonUnitLowest,
     NotDivisible,
     Variable,
     VariableTable,
@@ -605,3 +607,113 @@ def test_laurent_underflow_through_the_packed_path():
         m({"t": -2}).exact_divide(m({"t": -1}) + m({"t": -2, "x": 2}))
     # past the bounds, a term below the floor is dropped, not raised
     assert (m({"t": -2, "x": 6}) * m({"t": -1, "x": 5})).is_zero
+
+
+# ----- ring laws under truncation --------------------------------------------
+#
+# Dropping the terms past a cap or a bound is a ring map when no term has a
+# negative exponent: the dropped terms form an ideal.  A Laurent power can
+# bring back under trunc_plus a term that an earlier product dropped, so
+# associativity is checked on series without negative exponents, over the
+# same tables.  Distributivity needs no such care: each product drops and
+# keeps term by term.
+
+
+@st.composite
+def triples(draw, nonneg=False):
+    table, tp, tm = draw(tables())
+    return tuple(series(draw, table, tp, tm, nonneg=nonneg) for _ in range(3))
+
+
+@SETTINGS
+@given(triples(nonneg=True))
+def test_products_are_associative_under_truncation(case):
+    a, b, c = case
+    assert (a * b) * c == a * (b * c)
+
+
+@SETTINGS
+@given(triples())
+def test_products_distribute_over_sums_under_truncation(case):
+    a, b, c = case
+    try:
+        ab, ac = a * b, a * c
+    except LaurentUnderflow:
+        # a term below a floor in a*b may cancel against one in a*c
+        hypothesis.assume(False)
+    assert a * (b + c) == ab + ac
+    assert (b - c) * a == ab - ac
+
+
+@st.composite
+def invertible(draw):
+    """(a, lead): a = k * m * (1 + h) for m the monomial lead, in the
+    Laurent variables within their floors, k a nonzero rational and h
+    without constant term or negative exponents, so that the powers of h
+    die under the truncation."""
+    table, tp, tm = draw(tables())
+    lead = {v.name: draw(st.integers(v.laurent_floor, -v.laurent_floor))
+            for v in table.variables if v.laurent_floor is not None}
+    h = series(draw, table, tp, tm, nonneg=True)
+    unit = h + GradedSeries.const(table, tp, tm, 1 - h.constant())
+    k = draw(COEFFS.filter(bool))
+    a = GradedSeries.monomial(table, tp, tm, lead, coeff=k) * unit
+    hypothesis.assume(not a.is_zero)
+    return a, lead
+
+
+def reach(table, series):
+    """How far below zero the terms of series reach in each truncated
+    quantity: the positive degree, the negative degree, each cap's sum."""
+    terms = list(series.terms)
+    return ([max([0] + [-degrees(table, e)[j] for e in terms])
+             for j in (0, 1)],
+            [max([0] + [-sum(e[i] for i in idxs) for e in terms])
+             for idxs, _bound in table.caps])
+
+
+def _lead_past_the_bounds():
+    # t^3 is past trunc_plus 2: no inverse starts with it
+    table = VariableTable([Variable("t", 1, laurent_floor=-3),
+                           Variable("v", 1)])
+    return GradedSeries(table, 2, 0, {(-3, 0): 1, (-3, 1): 2}), {"t": -3}
+
+
+def _lead_of_negative_weight():
+    # b^-1 lowers the negative degree: b^-1 * c^4 is inside trunc_minus 3
+    table = VariableTable([Variable("b", -1, laurent_floor=-1),
+                           Variable("c", -1)])
+    return GradedSeries(table, 0, 3, {(1, 0): 1, (1, 1): 1}), {"b": 1}
+
+
+@SETTINGS
+@given(invertible())
+@example(_lead_past_the_bounds())
+@example(_lead_of_negative_weight())
+def test_mul_inverse_round_trip_with_floors_and_caps(case):
+    """a * a^-1 = 1 wherever the truncated product is exact: a term of a
+    with a negative degree or cap sum brings back terms of a^-1 past that
+    bound, so the product is exact only that far below each bound."""
+    a, lead = case
+    table, tp, tm = a.table, a.trunc_plus, a.trunc_minus
+    past = GradedSeries.monomial(table, tp, tm,
+                                 {n: -k for n, k in lead.items()}).is_zero
+    try:
+        inv = a.mul_inverse()
+    except NonUnitLowest:
+        # only a lead whose inverse lies past the bounds has no inverse
+        assert past
+        return
+    assert not past
+    assert (inv.trunc_plus, inv.trunc_minus) == (tp, tm)
+    # the inverse is exact through both bounds: the one computed deeper
+    # holds the same terms within them
+    assert a.retruncate(tp + 2, tm + 2).mul_inverse().retruncate(tp, tm) \
+        == inv
+    (sp, sm), caps = reach(table, a)
+    for e in (a * inv - GradedSeries.one(table, tp, tm)).terms:
+        dp, dm = degrees(table, e)
+        assert (dp > tp - sp or dm > tm - sm
+                or any(sum(e[i] for i in idxs) > bound - s
+                       for (idxs, bound), s in zip(table.caps, caps))), e
+

@@ -9,6 +9,7 @@ import pytest
 
 from cobcalc import fgl
 from cobcalc import operations as op
+from cobcalc import verify
 from cobcalc.actions import FalsificationError, ShiftAction
 from cobcalc.quotient import FormalP, coeffs_mod_p, formal_p
 from cobcalc.series import GradedSeries, SeriesError, vp
@@ -309,7 +310,7 @@ def test_shift_action_shares_the_orbit_product_with_st(monkeypatch):
 def test_st_case_loop_reports_failing_checks(monkeypatch):
     monkeypatch.setattr(op, "symmetric_operation",
                         lambda st, e: st.ctx.one())
-    report = op.verify_emb(p=2)
+    report = verify.verify_emb(p=2)
     cases = report["cases"]
     assert report["summary"] == {"pass": 0, "fail": 15}
     assert all(c["verdict"] == "fail" and c["witness"] == "1" for c in cases)
@@ -319,17 +320,24 @@ def test_st_case_loop_reports_failing_checks(monkeypatch):
                                           for _ in range(5)]
 
 
+def test_operations_forwards_the_registry_to_verify():
+    assert op.VERIFIERS is verify.VERIFIERS
+    assert op.run_verifier is verify.run_verifier
+    with pytest.raises(AttributeError):
+        op.verify_sop
+
+
 def test_run_verifier_dispatch():
     with pytest.raises(SeriesError):
-        op.run_verifier("nope")
-    rep = op.run_verifier("il3")
+        verify.run_verifier("nope")
+    rep = verify.run_verifier("il3")
     assert rep["summary"]["fail"] == 0
     assert rep["prop"] == "il3"
 
 
 def test_reports_name_the_primes_their_cases_ran():
-    names = sorted(set(op.VERIFIERS) - {"minors"})
-    reports = [op.run_verifier(name, deg=4, bweight=4) for name in names]
+    names = sorted(set(verify.VERIFIERS) - {"minors"})
+    reports = [verify.run_verifier(name, deg=4, bweight=4) for name in names]
     for name, report in zip(names, reports):
         if name == "fglaxioms":
             continue
@@ -343,15 +351,15 @@ def test_reports_name_the_primes_their_cases_ran():
 
 
 def test_registry_fills_defaults_and_drops_unread_options():
-    assert op.VERIFIERS["il3"].reads == ()
-    assert op.VERIFIERS["sop"].reads == ("p", "deg", "bweight", "seed")
-    assert op.run_verifier("il3", p=5, deg=3, bweight=3, seed=1) \
-        == op.run_verifier("il3")
+    assert verify.VERIFIERS["il3"].reads == ()
+    assert verify.VERIFIERS["sop"].reads == ("p", "deg", "bweight", "seed")
+    assert verify.run_verifier("il3", p=5, deg=3, bweight=3, seed=1) \
+        == verify.run_verifier("il3")
     with pytest.raises(SeriesError, match="not in verification grid"):
-        op.verify_multphi(p=5)
-    report = op.verify_tomdieck(p=2, deg=4, bweight=4, seed=99)
+        verify.verify_multphi(p=5)
+    report = verify.verify_tomdieck(p=2, deg=4, bweight=4, seed=99)
     assert report["p"] == 2 and report["reps"] == "canonical"
-    assert report == op.run_verifier("tomdieck", p=2, deg=4, bweight=4)
+    assert report == verify.run_verifier("tomdieck", p=2, deg=4, bweight=4)
 
 
 def _assert_clean(report):
@@ -359,52 +367,52 @@ def _assert_clean(report):
 
 
 def test_verifier_fglaxioms():
-    _assert_clean(op.verify_fglaxioms(deg=6, bweight=6))
+    _assert_clean(verify.verify_fglaxioms(deg=6, bweight=6))
 
 
 def test_verifier_sop_p2():
-    _assert_clean(op.verify_sop(p=2))
+    _assert_clean(verify.verify_sop(p=2))
 
 
 def test_verifier_emb_p3():
-    _assert_clean(op.verify_emb(p=3))
+    _assert_clean(verify.verify_emb(p=3))
 
 
 def test_verifier_addphi_p2():
-    _assert_clean(op.verify_addphi(p=2))
+    _assert_clean(verify.verify_addphi(p=2))
 
 
 def test_verifier_multphi_p2():
-    _assert_clean(op.verify_multphi(p=2))
+    _assert_clean(verify.verify_multphi(p=2))
 
 
 def test_verifier_rr_p2():
-    _assert_clean(op.verify_rr(p=2))
+    _assert_clean(verify.verify_rr(p=2))
 
 
 def test_verifier_uv_p3():
-    _assert_clean(op.verify_uv(p=3))
+    _assert_clean(verify.verify_uv(p=3))
 
 
 def test_verifier_grad_p3():
-    _assert_clean(op.verify_grad(p=3))
+    _assert_clean(verify.verify_grad(p=3))
 
 
 def test_verifier_diagram_p2():
-    _assert_clean(op.verify_diagram(p=2))
+    _assert_clean(verify.verify_diagram(p=2))
 
 
 def test_verifier_soold():
-    _assert_clean(op.verify_soold())
+    _assert_clean(verify.verify_soold())
 
 
 def test_verifier_f1_and_il1():
-    _assert_clean(op.verify_f1())
-    _assert_clean(op.verify_il1())
+    _assert_clean(verify.verify_f1())
+    _assert_clean(verify.verify_il1())
 
 
 def test_verifier_tomdieck_p2():
-    _assert_clean(op.verify_tomdieck(p=2))
+    _assert_clean(verify.verify_tomdieck(p=2))
 
 
 # ----- the operation as one substitution, against the grouped loop ----------
@@ -558,11 +566,11 @@ def test_ideal_membership_is_p_divisibility(p):
     for _ in range(12):
         h = _random_series(ctx, rng, 5)
         member = fp.g * h
-        assert op._in_generator_ideal(member, p) == (True, None)
+        assert verify._in_generator_ideal(member, p) == (True, None)
         assert _reference_in_generator_ideal(ginv, member, p)[0]
         for f in (member + _random_series(ctx, rng, 1).map_coefficients(
                 lambda c: c.numerator % p or 1), _random_series(ctx, rng, 4)):
-            ok, witness = op._in_generator_ideal(f, p)
+            ok, witness = verify._in_generator_ideal(f, p)
             want, _ = _reference_in_generator_ideal(ginv, f, p)
             assert ok == want
             if ok:

@@ -63,6 +63,32 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert out.strip() == "[]"
 
 
+def test_cli_queries_load_only_the_layers_they_run():
+    import cobcalc
+    src = str(Path(cobcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import json, os, sys, cobcalc.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] == 'cobcalc')\n"
+            "seen = [loaded()]\n"
+            "for argv in (['fgl', '--what', 'a_ij', '--i', '2', '--j', '1'],\n"
+            "             ['class', 'Pn', '--n', '2'],\n"
+            "             ['eta', '--U', 'P2', '--p', '3'],\n"
+            "             ['op', 'phi', '--input', 'P1', '--p', '2']):\n"
+            "    assert cobcalc.cli.main(argv + ['--out', os.devnull]) == 0\n"
+            "    seen.append(loaded())\n"
+            "print(json.dumps(seen))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    *cold, after_op = json.loads(out)
+    for modules in cold:
+        assert modules == ["cobcalc", "cobcalc.cli", "cobcalc.fgl",
+                           "cobcalc.series"]
+    assert "cobcalc.operations" in after_op
+    assert not {"cobcalc.actions", "cobcalc.verify"} & set(after_op)
+
+
 def test_vp():
     assert vp(12, 2) == 2
     assert vp(Fraction(3, 4), 2) == -2
