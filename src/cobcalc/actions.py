@@ -265,7 +265,7 @@ def invariant_decompose(phi, action):
             uinv = action.unit_inverse()
             for _ in range(n):
                 d = d * uinv
-            nf = fp.normal_form(fp.clear_coprime_denominators(d))
+            nf = fp.normal_form(d)
             lo = nf.min_degree("t")
             if lo is not None and lo < need:
                 raise FalsificationError(

@@ -20,6 +20,7 @@ from .series import (
     SeriesError,
     Variable,
     VariableTable,
+    coeffs_mod_p,
     vp,
 )
 
@@ -275,7 +276,7 @@ class LazardElement:
     def in_Ip(self, p):
         if not self.is_integral():
             raise SeriesError("I(p) test needs integer ambient coefficients")
-        return self.series.map_coefficients(lambda c: c % p).is_zero
+        return coeffs_mod_p(self.series, p).is_zero
 
     def is_nu_r(self, p, r):
         if self.dimension != p ** r - 1:
@@ -363,7 +364,12 @@ class ChowModel:
 
     Carries the total Chern series of the tangent bundle as a polynomial in
     t and the hyperplane class h (nilpotent beyond the dimension), and the
-    degree functional deg(h^dim) = d (1 for P^n itself).
+    degree functional deg(h^dim) = d (1 for P^n itself).  The t floor is
+    what the model computes at p: c(-T) is homogeneous of degree -dim in t
+    and h, with h^dim at most, so chern_che's product of p - 1 scaled
+    copies bottoms out at t^(-p*dim); the hypersurface inverse
+    (t^2 + d*t*h)^-1 reaches t^(-2-dim).  `c_tangent` and
+    `c_minus_tangent` are at p = 2's floor; a deeper floor is built once.
     """
 
     def __init__(self, n, d=0):
@@ -377,23 +383,30 @@ class ChowModel:
         self.dim = n if d == 0 else n - 1
         if self.dim < 1:
             raise SeriesError("model dimension must be positive")
-        # deep enough for chern_che at every prime up to 7
-        floor = -(7 * (n + self.dim) + 8)
-        self.table = VariableTable(
-            [Variable("t", 1, laurent_floor=floor), Variable("h", 1)],
-            degree_caps=[("h", self.dim)],
-        )
         self.tp = n + 2
-        t = GradedSeries.monomial(self.table, self.tp, 0, {"t": 1})
-        h = GradedSeries.monomial(self.table, self.tp, 0, {"h": 1})
-        th = (t + h) ** (n + 1)
-        if d == 0:
-            self.c_tangent = th.shift_var("t", -1)
-        else:
-            self.c_tangent = th * (t * t + t * h.scale(d)).mul_inverse()
-            if self.c_tangent.min_degree("t") < 0:
-                raise SeriesError("tangent Chern series not polynomial")
-        self.c_minus_tangent = self.c_tangent.mul_inverse()
+        self._by_floor = {}
+        self.c_tangent, self.c_minus_tangent = self._chern_series(2)
+
+    def _chern_series(self, p):
+        """(c(T), c(-T)) over a t floor deep enough for chern_che at p."""
+        n, d, dim = self.n, self.d, self.dim
+        floor = -max(p * dim, 2 + dim)
+        if floor not in self._by_floor:
+            table = VariableTable(
+                [Variable("t", 1, laurent_floor=floor), Variable("h", 1)],
+                degree_caps=[("h", dim)],
+            )
+            t = GradedSeries.monomial(table, self.tp, 0, {"t": 1})
+            h = GradedSeries.monomial(table, self.tp, 0, {"h": 1})
+            th = (t + h) ** (n + 1)
+            if d == 0:
+                c = th.shift_var("t", -1)
+            else:
+                c = th * (t * t + t * h.scale(d)).mul_inverse()
+                if c.min_degree("t") < 0:
+                    raise SeriesError("tangent Chern series not polynomial")
+            self._by_floor[floor] = c, c.mul_inverse()
+        return self._by_floor[floor]
 
     def degree_of(self, h_poly):
         """deg functional: h^dim weighs d (or 1), lower powers weigh 0."""
@@ -402,9 +415,10 @@ class ChowModel:
     def chern_che(self, p, reps):
         """Product over ī of c(-T)(i_j * t)."""
         reps = _validate_reps(p, reps)
-        out = GradedSeries.one(self.table, self.tp, 0)
+        c_minus = self._chern_series(p)[1]
+        out = GradedSeries.one(c_minus.table, self.tp, 0)
         for i in reps:
-            out = out * self.c_minus_tangent.scale_var("t", i)
+            out = out * c_minus.scale_var("t", i)
         return out
 
     def eta(self, p, reps):
@@ -431,12 +445,3 @@ class ChowModel:
                     witness=str(val))
             den //= g
         return -val / p
-
-
-def mod_p(value, p):
-    """Reduce a p-integral rational into {0, ..., p-1}."""
-    value = Fraction(value)
-    if value.denominator % p == 0:
-        raise SeriesError("value has p in the denominator")
-    inv = pow(value.denominator, -1, p)
-    return (value.numerator * inv) % p

@@ -5,27 +5,24 @@ the Hurewitz coordinates R = Z[b1, b2, ...], B(t) = t + b1*t^2 + ... and so
 log(t) are integral, and p divides every term of [p]_F(t) = sum_i b_i
 (p*log t)^(i+1).  Hence g = p*u with u(0) = 1 a unit, and (g) = (p) (Adams,
 Stable Homotopy and Generalised Homology, II; Ravenel, Complex Cobordism,
-A2).  FormalP certifies g = p*u and keeps u^-1: normal forms are the
-coefficients mod p, Phi = nonpos(nonpos(S)*u^-1)/p, and f reduces to
-f - g*Q, Q = neg(f*u^-1)/p.  Integrality is certified in Z[b], not in L.
+A2).  FormalP certifies g = p*u and keeps u^-1.  Every question is then one
+about coefficients in Z_(p), where a denominator prime to p is a unit, so
+coefficients stay the rationals they are: the normal form is mod_p of each
+coefficient, num * den^-1 mod p; Phi = nonpos(nonpos(S)*u^-1)/p; and f
+reduces to f - g*Q, Q = neg(f*u^-1)/p.  Integrality is certified in
+Z_(p)[b] (no p in a denominator), not in L.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import FalsificationError, SeriesError, vp
+# coeffs_mod_p is imported from here too, as the normal form's rule
+from .series import FalsificationError, SeriesError, coeffs_mod_p, vp
 
 
 class PDivisibilityError(FalsificationError):
     """An exact division by p hit a coefficient p does not divide."""
-
-
-def coeffs_mod_p(series, p):
-    """Reduce every integer coefficient into [0, p)."""
-    if series.denominator != 1:
-        raise SeriesError("mod-p reduction needs integer coefficients")
-    return series.map_coefficients(lambda c: c % p)
 
 
 def formal_p(ctx, p):
@@ -87,56 +84,32 @@ class FormalP:
         return deep.split_parts("t", top)[0].retruncate(f.trunc_plus,
                                                         f.trunc_minus)
 
-    def clear_coprime_denominators(self, f):
-        """Replace denominators prime to p by inverses mod p^BIG, which keeps
-        the class of f as p is topologically nilpotent at truncation."""
-        p = self.p
-        pbig = p ** (self.u_inv.trunc_plus + self.g.trunc_minus + 4)
-
-        def clear(c):
-            c = Fraction(c)
-            pe = p ** vp(c.denominator, p)
-            den = c.denominator // pe
-            return c if den == 1 else Fraction(
-                c.numerator * pow(den, -1, pbig) % (pbig * pe), pe)
-        return f if f.denominator == 1 else f.map_coefficients(clear)
-
     def normal_form(self, f):
-        """Coefficients reduced into [0, p): the normal form, as (g) = (p)."""
+        """mod_p of every coefficient: the normal form, as (g) = (p)."""
         f._compat(self.g)
         lo = f.min_degree("t")
         if lo is not None and lo < 0:
             raise SeriesError("normal form expects no negative t-powers")
-        if f.denominator != 1:
-            bad = next(c for _e, c in f.sorted_terms() if type(c) is not int)
-            raise SeriesError("normal form expects integer coefficients, "
-                              "got %r" % (bad,))
         return coeffs_mod_p(f, self.p)
-
-    def laurent_reduce(self, f):
-        """(True, f - g*Q, None), Q = neg(f*u^-1)/p; or (False, f, witness)."""
-        if (f.min_degree("t") or 0) >= 0:
-            return True, f, None
-        q = self._low_digits(f, -1)
-        bad = lowest_indivisible(q, self.p)
-        if bad is not None:
-            return False, f, "t^%d * %s (coefficient %s)" % bad
-        return True, f - self.g * q.scale(Fraction(1, self.p)), None
 
     def is_integral_mod_ideal(self, f):
         """(verdict, representative, witness) for f's class lying in the
-        nonnegative integral part; the representative has no negative
-        t-powers and no p in any denominator when the verdict holds."""
-        ok, reduced, witness = self.laurent_reduce(
-            self.clear_coprime_denominators(f))
-        if not ok:
-            return False, None, witness
-        if reduced.denominator != 1:
-            exp, c = next((e, c) for e, c in reduced.terms.items()
-                          if type(c) is not int)
+        nonnegative p-integral part.  The representative f - g*Q, Q =
+        neg(f*u^-1)/p, has no negative t-powers and no p in a denominator
+        when the verdict holds."""
+        p = self.p
+        if (f.min_degree("t") or 0) < 0:
+            q = self._low_digits(f, -1)
+            bad = lowest_indivisible(q, p)
+            if bad is not None:
+                return False, None, "t^%d * %s (coefficient %s)" % bad
+            f = f - self.g * q.scale(Fraction(1, p))
+        if f.denominator % p == 0:
+            exp, c = next((e, c) for e, c in f.terms.items()
+                          if type(c) is not int and c.denominator % p == 0)
             return False, None, "%s (coefficient %s)" % (
-                reduced.table.monomial_str(exp), c)
-        return True, reduced, None
+                f.table.monomial_str(exp), c)
+        return True, f, None
 
     def divide_by_formal_p(self, S):
         """The unique Phi with t-degrees <= 0 and S - g*Phi strictly positive,

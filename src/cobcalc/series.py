@@ -125,6 +125,29 @@ def vp(value, p):
     return v
 
 
+def mod_p(value, p):
+    """num * den^-1 mod p, in [0, p): the residue in Z_(p)/(p) = F_p of a
+    rational with no p in its denominator."""
+    if type(value) is int:
+        return value % p
+    value = Fraction(value)
+    if value.denominator % p == 0:
+        raise SeriesError("%s has p = %d in its denominator" % (value, p))
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+def coeffs_mod_p(series, p):
+    """mod_p of every coefficient.  The coefficients share one denominator
+    den, so each is its numerator times den^-1 mod p."""
+    den = series.denominator
+    if den % p == 0:
+        for _e, c in series.sorted_terms():
+            mod_p(c, p)  # raises at the least one with p in its denominator
+    inv = pow(den, -1, p)
+    return series._make({k: r for k, v in series._rows.items()
+                         if (r := v * inv % p)})
+
+
 class Variable(namedtuple("Variable", "name weight laurent_floor",
                           defaults=(None,))):
     """One generator: weight grades it, laurent_floor permits negative powers."""
@@ -154,12 +177,13 @@ class Layout:
     keep every exponent in [lo, hi], so an exponent field needs only
     [2lo - hi, 2hi - lo].  An exponent field's constant sets its guard bit
     exactly when the exponent is at or above its floor; a cap field's sets
-    its guard bit exactly when the group's sum is past the cap.
+    its guard bit exactly when the group's sum is past the cap.  `his` is
+    the highest exponent of each variable over admissible terms.
     """
 
     __slots__ = ("fields", "scale", "base", "order", "capbits", "floorbits",
                  "expbits", "caps", "pshift", "pmask", "pconst", "ptop",
-                 "mshift", "mconst", "mtop", "width")
+                 "mshift", "mconst", "mtop", "width", "his")
 
     def __init__(self, table, trunc_plus, trunc_minus):
         if trunc_plus < 0 or trunc_minus < 0:
@@ -176,6 +200,7 @@ class Layout:
                 if i in idxs:
                     hi = min(hi, bound - sum(floors[j] for j in idxs) + f)
             his.append(hi)
+        self.his = tuple(his)
         # from the low end; base accumulates the key of exponent zero
         fields = [None] * len(weights)
         off = base = 0
@@ -972,24 +997,11 @@ class GradedSeries:
                               % name)
         if self.coeff_of(name, 1).is_zero:
             raise NonUnitLowest("no linear term in %s" % name)
-        # the highest power of name an admissible term can carry: Laurent
-        # powers of the other variables may lower the positive degree
-        w = table.weights[i]
-        if w > 0:
-            top = (self.trunc_plus - sum(f * table.weights[j]
-                                         for j, f in enumerate(table.floors)
-                                         if f and j != i
-                                         and table.weights[j] > 0)) // w
-        else:
-            top = self.trunc_minus // -w
-        for idxs, b in table.caps:
-            if i in idxs:
-                top = min(top, b)
         h = self.shift_var(name, -1).mul_inverse()
         power = h
         out = self._make({})
         unit = [0] * len(table.variables)
-        for n in range(1, top + 1):
+        for n in range(1, self._lay.his[i] + 1):
             if n > 1:
                 power = power * h
             unit[i] = n

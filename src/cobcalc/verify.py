@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import actions, fgl
 from . import operations as ops
 from .quotient import coeffs_mod_p, formal_p, lowest_indivisible
-from .series import FalsificationError, SeriesError
+from .series import FalsificationError, SeriesError, mod_p
 
 VERIFIERS = {}
 
@@ -386,7 +386,7 @@ def verify_il1(p, seed):
             wit = None
             try:
                 for rlabel, reps in ops.rep_choices(q, seed):
-                    values.append(fgl.mod_p(model.eta(q, reps), q))
+                    values.append(mod_p(model.eta(q, reps), q))
             except fgl.EtaDivisibilityError as exc:
                 wit = str(exc)
             ok = wit is None and len(set(values)) == 1

@@ -136,6 +136,14 @@ def test_eta_subcommand(capsys):
     assert json.loads(out)["eta"] == "1"
 
 
+@pytest.mark.parametrize("u, p", [("P1", 23), ("P2", 19), ("P4", 17)])
+def test_eta_at_large_primes(capsys, u, p):
+    # the model's t floor follows p: chern_che reaches t^(-p*dim)
+    rc, out = run(capsys, "eta", "--U", u, "--p", str(p), "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["p"] == p
+
+
 def test_bad_args_exit_two(capsys):
     for argv in (["op", "st", "--input", "garbage!"],
                  ["op", "phi", "--input", "P1", "--reps", "2"],

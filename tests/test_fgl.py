@@ -10,11 +10,10 @@ from cobcalc.fgl import (
     LazardElement,
     base_context,
     hypersurface_class,
-    mod_p,
     pn_class,
     proj_pushforward,
 )
-from cobcalc.series import SeriesError
+from cobcalc.series import SeriesError, mod_p
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +242,15 @@ def test_eta_values():
     assert ChowModel(1).eta(2, (1,)) == 1
     assert ChowModel(2).eta(3, (1, 2)) == -1
     assert ChowModel(2, 2).eta(2, (1,)) == 1
+
+
+def test_eta_pinned_values():
+    canonical = {2: (1,), 3: (1, 2), 5: (1, 2, 3, 4)}
+    for model, want in ((ChowModel(4), {2: -35, 3: -5,
+                                        5: Fraction(-11531, 26873856)}),
+                        (ChowModel(4, 3), {2: -15, 3: Fraction(-45, 32),
+                                           5: Fraction(-1459, 3981312)})):
+        assert {p: model.eta(p, canonical[p]) for p in want} == want
 
 
 def test_eta_well_defined_on_grid():

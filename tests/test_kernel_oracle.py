@@ -9,11 +9,14 @@ division, multiplicative and compositional inverses are checked by round
 trips, and products against the ring laws that truncation keeps.
 Substitution is checked against products with materialized powers of the
 images.  The quotient modulo g = p*u is checked against general algorithms
-that hold for any g = p + (terms of positive t-degree): the normal form
-against a carry sweep up the t-digits and against repeated subtraction of
-multiples of g, the division by g against a digit-by-digit solve, and the
-integrality check against clearing one negative digit at a time.  These
-oracles use the product checked first.
+that hold for any g = p + (terms of positive t-degree), over Z_(p): the
+normal form against a carry sweep up the t-digits, against repeated
+subtraction of multiples of g and against num * den^-1 mod p of each
+coefficient; the division by g against a digit-by-digit solve; and the
+integrality check against clearing one negative digit at a time.  A digit
+c of Z_(p) splits as r + p*q with r the one residue in range(p) that
+leaves p dividing c - r, found by search.  These oracles use the product
+checked first.
 """
 
 from fractions import Fraction
@@ -325,32 +328,43 @@ def formal_p_inputs(draw, floor=None):
     return FormalP.from_generator(u.scale(p), p), table, tp, tm
 
 
+def _digit_split(c, p):
+    """(q, r) with c = r + p*q, r in range(p) and q in Z_(p)."""
+    r = next(r for r in range(p) if c == r or vp(c - r, p) >= 1)
+    return Fraction(c - r, p), r
+
+
 @st.composite
 def normal_form_inputs(draw):
+    """(FormalP, f, h) with f and h over Z_(p)."""
     fp, table, tp, tm = draw(formal_p_inputs())
     exps = st.tuples(*[st.integers(0, 2) for _ in table.variables])
-    f = draw(st.dictionaries(exps, st.integers(-40, 40), min_size=4,
-                             max_size=10))
-    return fp, GradedSeries(table, tp, tm, f)
+    coeffs = st.integers(-40, 40) | st.builds(
+        Fraction, st.integers(-40, 40),
+        st.sampled_from([d for d in (3, 4, 5, 7, 9) if d % fp.p]))
+    f, h = (GradedSeries(table, tp, tm, draw(st.dictionaries(
+        exps, coeffs, min_size=size, max_size=10))) for size in (4, 0))
+    return fp, f, h
 
 
 def normal_form_oracle(fp, f):
     """Subtract q*t^k*m*g for the lowest digit c*t^k*m outside [0, p), with
-    q = c // p, until none is left."""
+    c = r + p*q, until none is left."""
     ti = f.table.index["t"]
     while True:
-        bad = [(e[ti], e) for e, c in f.terms.items() if not 0 <= c < fp.p]
+        bad = [(e[ti], e) for e, c in f.terms.items()
+               if not (type(c) is int and 0 <= c < fp.p)]
         if not bad:
             return f
         e = min(bad)[1]
         m = GradedSeries(f.table, f.trunc_plus, f.trunc_minus,
-                         {e: f.terms[e] // fp.p})
+                         {e: _digit_split(f.terms[e], fp.p)[0]})
         f = f - m * fp.g
 
 
 def carry_sweep_oracle(fp, f):
     """The normal form for an arbitrary g = p + (terms of t-degree >= 1):
-    one sweep up the t-digits turns c into c - p*q for q = c // p and
+    one sweep up the t-digits turns c = r + p*q into r and
     carries -q times the terms of g of positive t-degree into higher
     digits."""
     p, table, tp, tm = fp.p, f.table, f.trunc_plus, f.trunc_minus
@@ -362,7 +376,7 @@ def carry_sweep_oracle(fp, f):
     out = {}
     for k in range(tp + 1):
         for exp, c in digits.pop(k, {}).items():
-            q, r = divmod(c, p)
+            q, r = _digit_split(c, p)
             if r:
                 out[exp] = r
             if not q:
@@ -384,11 +398,16 @@ def carry_sweep_oracle(fp, f):
 @SETTINGS
 @given(normal_form_inputs())
 def test_normal_form_matches_repeated_subtraction(case):
-    fp, f = case
+    fp, f, h = case
+    p = fp.p
     nf = fp.normal_form(f)
     assert nf == normal_form_oracle(fp, f) == carry_sweep_oracle(fp, f)
-    assert all(type(c) is int and 0 <= c < fp.p for c in nf.terms.values())
+    assert nf == GradedSeries(f.table, f.trunc_plus, f.trunc_minus, {
+        e: Fraction(c).numerator * pow(Fraction(c).denominator, -1, p) % p
+        for e, c in f.terms.items()})
+    assert all(type(c) is int and 0 <= c < p for c in nf.terms.values())
     assert fp.normal_form(nf) == nf
+    assert fp.normal_form(f + h * fp.g) == nf
 
 
 def triangular_solve_oracle(fp, S):
@@ -409,10 +428,9 @@ def triangular_solve_oracle(fp, S):
 
 
 def is_integral_oracle(fp, f):
-    """Clear each negative digit in turn by subtracting (digit/p)*t^j*g,
-    then ask for integer coefficients."""
+    """Clear each negative digit in turn over Z_(p) by subtracting
+    (digit/p)*t^j*g, then ask that no p be left in a denominator."""
     p = fp.p
-    f = fp.clear_coprime_denominators(f)
     for j in range(min(f.min_degree("t") or 0, 0), 0):
         digit = f.coeff_of("t", j)
         e = _first_indivisible(digit, p)
@@ -421,10 +439,10 @@ def is_integral_oracle(fp, f):
                 j, digit.table.monomial_str(e), digit.terms[e])
         f = f - digit.scale(Fraction(1, p)).shift_var("t", j) * fp.g
     for exp, c in f.terms.items():
-        if Fraction(c).denominator != 1:
+        if Fraction(c).denominator % p == 0:
             return False, None, "%s (coefficient %s)" % (
                 f.table.monomial_str(exp), c)
-    return True, f.map_coefficients(int), None
+    return True, f, None
 
 
 @st.composite

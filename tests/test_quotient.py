@@ -114,27 +114,23 @@ def test_additive_context_reduces_coefficients(ctx):
     assert fp.normal_form(f) == coeffs_mod_p(f, 3)
 
 
-def test_clear_coprime_denominators(ctx, fp2):
-    f = ctx.mono({"t": 1}, Fraction(1, 3)) + ctx.mono({"t": 2}, Fraction(5, 6))
-    g = fp2.clear_coprime_denominators(f)
-    c1 = g.coeff_of("t", 1).constant()
-    c2 = g.coeff_of("t", 2).constant()
-    assert Fraction(c1).denominator == 1
-    assert Fraction(c2).denominator == 2
-    # classes agree p-adically to far beyond the truncation depth
-    assert vp(Fraction(c1) - Fraction(1, 3), 2) >= 20
-    assert vp(Fraction(c2) - Fraction(5, 6), 2) >= 19
-    # denominators already powers of p are untouched
-    h = ctx.mono({"t": 1}, Fraction(1, 2))
-    assert fp2.clear_coprime_denominators(h) == h
+def test_normal_form_of_p_integral_coefficients(ctx, fp2):
+    # a denominator prime to p is a unit of Z_(p): num * den^-1 mod p
+    f = (ctx.mono({"t": 1}, Fraction(1, 3))
+         + ctx.mono({"t": 2, "b1": 1}, Fraction(2, 3)))
+    assert fp2.normal_form(f) == ctx.mono({"t": 1})
+    assert FormalP(ctx, 3).normal_form(f.scale(Fraction(3, 2))) == (
+        ctx.mono({"t": 1}, 2) + ctx.mono({"t": 2, "b1": 1}))
+    with pytest.raises(SeriesError):
+        fp2.normal_form(ctx.mono({"t": 1}, Fraction(1, 2)))
 
 
 def test_laurent_reduce(ctx, fp2):
     f = fp2.g * ctx.mono({"t": -2, "b1": 1})
-    ok, red, witness = fp2.laurent_reduce(f)
+    ok, red, witness = fp2.is_integral_mod_ideal(f)
     assert ok and witness is None
     assert red.min_degree("t") is None or red.min_degree("t") >= 0
-    ok2, _, witness2 = fp2.laurent_reduce(ctx.mono({"t": -1}))
+    ok2, _, witness2 = fp2.is_integral_mod_ideal(ctx.mono({"t": -1}))
     assert not ok2
     assert "t^-1" in witness2
 

@@ -1,0 +1,82 @@
+"""Mutants of the kernels, for `tools/mutate.py`.
+
+Each mutant replaces one exact anchor text in one file under `src/` and
+names the tests expected to kill it (fail on the mutated code), quickest
+first, since a run stops at the first failure.  The anchor must occur
+exactly once in its file; `tests/test_mutants.py` checks that in tier-1,
+so the list cannot rot silently when the code moves.  A mutant that no
+test can kill because it does not change what the program computes is
+marked with the argument for that in `equivalent`; `tools/mutate.py` then
+runs it only to report.
+
+References: DeMillo, Lipton & Sayward, "Hints on test data selection"
+(IEEE Computer 1978); Jia & Harman, "An analysis and survey of the
+development of mutation testing" (IEEE TSE 2011).
+"""
+
+from collections import namedtuple
+
+Mutant = namedtuple("Mutant", "name path anchor replacement tests equivalent",
+                    defaults=(None,))
+
+SERIES = "src/cobcalc/series.py"
+QUOTIENT = "src/cobcalc/quotient.py"
+FGL = "src/cobcalc/fgl.py"
+
+ORACLE = "tests/test_kernel_oracle.py"
+
+MUTANTS = [
+    Mutant("mod_p multiplies by den, not by its inverse", SERIES,
+           "value.numerator * pow(value.denominator, -1, p) % p",
+           "value.numerator * value.denominator % p",
+           ["tests/test_fgl.py::test_mod_p"]),
+    Mutant("coeffs_mod_p multiplies by den, not by its inverse", SERIES,
+           "inv = pow(den, -1, p)",
+           "inv = den % p",
+           ["tests/test_quotient.py"
+            "::test_normal_form_of_p_integral_coefficients",
+            ORACLE + "::test_normal_form_matches_repeated_subtraction"]),
+    Mutant("coeffs_mod_p lets p into a denominator through", SERIES,
+           "if den % p == 0:",
+           "if den % p == 0 and den < 0:",
+           ["tests/test_quotient.py"
+            "::test_normal_form_of_p_integral_coefficients"]),
+    Mutant("p-integrality is asked as integrality", QUOTIENT,
+           "if f.denominator % p == 0:",
+           "if f.denominator != 1:",
+           ["tests/test_quotient.py::test_is_integral_examples",
+            ORACLE + "::test_is_integral_matches_sequential_reduction"]),
+    Mutant("lowest_indivisible lets a unit of Z_(p) pass as divisible",
+           QUOTIENT,
+           "vp(c, p) < 1",
+           "vp(c, p) < 0",
+           [ORACLE + "::test_is_integral_matches_sequential_reduction"]),
+    Mutant("the Laurent step also clears the t^0 digit", QUOTIENT,
+           "q = self._low_digits(f, -1)",
+           "q = self._low_digits(f, 0)",
+           [ORACLE + "::test_is_integral_matches_sequential_reduction"]),
+    Mutant("u^-1 is not kept deeper than the t floor", QUOTIENT,
+           "g.trunc_plus - floor, g.trunc_minus",
+           "g.trunc_plus, g.trunc_minus",
+           [ORACLE + "::test_divide_by_formal_p_matches_triangular_solve",
+            ORACLE + "::test_is_integral_matches_sequential_reduction"]),
+    Mutant("normal_form accepts t^-1", QUOTIENT,
+           "if lo is not None and lo < 0:\n"
+           "            raise SeriesError(\"normal form expects",
+           "if lo is not None and lo < -1:\n"
+           "            raise SeriesError(\"normal form expects",
+           ["tests/test_quotient.py::test_normal_form_rejects_negative_t"]),
+    Mutant("ChowModel's floor misses the last Chern factor", FGL,
+           "floor = -max(p * dim, 2 + dim)",
+           "floor = -max((p - 1) * dim, 2 + dim)",
+           ["tests/test_cli.py::test_eta_at_large_primes"]),
+    Mutant("ChowModel's floor misses the hypersurface inverse", FGL,
+           "floor = -max(p * dim, 2 + dim)",
+           "floor = -max(p * dim, dim)",
+           ["tests/test_fgl.py::test_eta_values"]),
+    Mutant("reversion stops one degree short", SERIES,
+           "for n in range(1, self._lay.his[i] + 1):",
+           "for n in range(1, self._lay.his[i]):",
+           [ORACLE + "::test_compositional_inverse_round_trip",
+            "tests/test_series.py::test_compositional_inverse"]),
+]
