@@ -10,19 +10,23 @@ b1, b2, ...) are truncated by total weight independently of the ordinary
 variables, so a series can be a Laurent polynomial in t with polynomial
 coefficients in the b's at the same time.
 
-Series stay packed.  Each (table, trunc_plus, trunc_minus) has one key
-layout, built once and cached on the table (`VariableTable.layout`): from
-the low end, a field per exponent (the first variable highest), the plain
-exponent sum, a field per degree cap, the positive degree and, on top, the
-negative-weight degree.  A key is an affine function of the exponent vector,
-so the key of a product is the sum of the keys less the key of 1, and every
-field is wide enough for the sum of two admissible terms and for the
-difference that exact division forms.  Sorted keys bucket by negative degree
-and order each bucket by positive degree; keys masked to their sum and
-exponent fields order terms graded-lexicographically.  A series holds a dict
-from sorted keys to int numerators and one common denominator in lowest
-terms, as FLINT's fmpq_poly keeps one content per polynomial; `terms`, a
-read-only view by exponent tuple, is built only when something reads it.
+Series stay packed.  Each table value has one key geometry (`Geometry`):
+from the low end, a field per exponent (the first variable highest), the
+plain exponent sum, a field per degree cap, the positive degree and, on top,
+the negative-weight degree.  A key is an affine function of the exponent
+vector, so the key of a product is the sum of the keys less the key of 1,
+and every field is wide enough for the sum of two admissible terms and for
+the difference that exact division forms.  The geometry has headroom past
+the first bounds the table is asked for; each (trunc_plus, trunc_minus)
+within it is a `Layout` that adds only the bounds (`VariableTable.layout`),
+so a term has one key at all those bounds, as in the fixed-field packed
+monomials of Monagan and Pearce (Sparse polynomial division using a heap,
+J. Symb. Comp. 2011).  Sorted keys bucket by negative degree and order each
+bucket by positive degree; keys masked to their sum and exponent fields
+order terms graded-lexicographically.  A series holds a dict from sorted
+keys to int numerators and one common denominator in lowest terms, as
+FLINT's fmpq_poly keeps one content per polynomial; `terms`, a read-only
+view by exponent tuple, is built only when something reads it.
 
 The product is one sparse kernel in the manner of Monagan and Pearce
 (Sparse polynomial multiplication and division in Maple 14, 2009): both
@@ -31,10 +35,11 @@ visited; the pair loop adds and multiplies plain ints, and one mask on each
 output key drops the terms past a degree cap and finds those below a
 Laurent floor.  Exact division keeps its remainder in a heap of int keys in
 graded-lexicographic order and subtracts each shifted divisor term by term.
-A series changes layout only when its truncation changes (`retruncate`).
-Substitution is Horner's rule (Brent and Kung, J. ACM 1978): degree K in one
-variable costs K products.  Reversion is Lagrange inversion: one inverse,
-then one product per degree.
+A series changes layout only when its truncation changes (`retruncate`),
+and within one geometry that filters its keys.  Substitution is Horner's
+rule (Brent and Kung, J. ACM 1978): degree K in one variable costs K
+products.  Reversion is Lagrange inversion: one inverse, then one product
+per degree.
 """
 
 from __future__ import annotations
@@ -164,8 +169,31 @@ class Variable(namedtuple("Variable", "name weight laurent_floor",
         return super().__new__(cls, name, weight, laurent_floor)
 
 
-class Layout:
-    """The packed key layout of one (table, trunc_plus, trunc_minus).
+def _floors(table):
+    """(the floors with None as 0, the positive and the negative degree of
+    the floor monomial)."""
+    floors = [f or 0 for f in table.floors]
+    return (floors,
+            sum(w * f for w, f in zip(table.weights, floors) if w > 0),
+            sum(-w * f for w, f in zip(table.weights, floors) if w < 0))
+
+
+def _highest(table, trunc_plus, trunc_minus):
+    """The highest exponent of each variable over admissible terms."""
+    floors, pfloor, mfloor = _floors(table)
+    his = []
+    for i, (w, f) in enumerate(zip(table.weights, floors)):
+        hi = ((trunc_plus - pfloor + w * f) // w if w > 0
+              else (trunc_minus - mfloor - w * f) // -w)
+        for idxs, bound in table.caps:
+            if i in idxs:
+                hi = min(hi, bound - sum(floors[j] for j in idxs) + f)
+        his.append(hi)
+    return tuple(his)
+
+
+class Geometry:
+    """The packed key geometry that the layouts of one table value share.
 
     A field holds an affine function of the exponents (one exponent, the
     exponent sum, a cap group's sum, the positive or the negative degree)
@@ -177,30 +205,29 @@ class Layout:
     keep every exponent in [lo, hi], so an exponent field needs only
     [2lo - hi, 2hi - lo].  An exponent field's constant sets its guard bit
     exactly when the exponent is at or above its floor; a cap field's sets
-    its guard bit exactly when the group's sum is past the cap.  `his` is
-    the highest exponent of each variable over admissible terms.
+    its guard bit exactly when the group's sum is past the cap.
+
+    The ranges are taken at `depth`, (trunc_plus - 2 pfloor, trunc_minus -
+    2 mfloor) for the bounds the geometry is built at, with pfloor and
+    mfloor the degrees of the floor monomial.  `VariableTable.layout` builds
+    one at the first bounds a table value is asked for, and another only for
+    bounds past every depth.  The headroom holds u^-1 of `quotient.FormalP`,
+    kept deeper by the t floor, and one lead lift of `mul_inverse`, at most
+    -pfloor and -mfloor.  A key means the same exponents at all bounds up to
+    the depth.
     """
 
     __slots__ = ("fields", "scale", "base", "order", "capbits", "floorbits",
-                 "expbits", "caps", "pshift", "pmask", "pconst", "ptop",
-                 "mshift", "mconst", "mtop", "width", "his")
+                 "expbits", "caps", "pshift", "pmask", "pconst", "mshift",
+                 "mconst", "width", "depth")
 
     def __init__(self, table, trunc_plus, trunc_minus):
-        if trunc_plus < 0 or trunc_minus < 0:
-            raise SeriesError("truncation bounds must be >= 0")
         weights = table.weights
-        floors = [f or 0 for f in table.floors]
-        pfloor = sum(w * f for w, f in zip(weights, floors) if w > 0)
-        mfloor = sum(-w * f for w, f in zip(weights, floors) if w < 0)
-        his = []
-        for i, (w, f) in enumerate(zip(weights, floors)):
-            hi = ((trunc_plus - pfloor + w * f) // w if w > 0
-                  else (trunc_minus - mfloor - w * f) // -w)
-            for idxs, bound in table.caps:
-                if i in idxs:
-                    hi = min(hi, bound - sum(floors[j] for j in idxs) + f)
-            his.append(hi)
-        self.his = tuple(his)
+        floors, pfloor, mfloor = _floors(table)
+        trunc_plus -= 2 * pfloor
+        trunc_minus -= 2 * mfloor
+        self.depth = (trunc_plus, trunc_minus)
+        his = _highest(table, trunc_plus, trunc_minus)
         # from the low end; base accumulates the key of exponent zero
         fields = [None] * len(weights)
         off = base = 0
@@ -232,9 +259,7 @@ class Layout:
         base += self.pconst << off
         off += (9 * (trunc_plus - pfloor)).bit_length()
         self.pmask = (1 << off - self.pshift) - 1
-        self.ptop = trunc_plus + self.pconst
         self.mshift, self.mconst = off, 4 * trunc_minus - 5 * mfloor
-        self.mtop = trunc_minus + self.mconst
         self.width = off + (9 * (trunc_minus - mfloor)).bit_length()
         self.base = base + (self.mconst << off)
         self.scale = tuple(
@@ -242,6 +267,27 @@ class Layout:
             + sum(1 << c[1] for c in caps if i in c[0])
             + (max(w, 0) << self.pshift) + (max(-w, 0) << self.mshift)
             for i, w in enumerate(weights))
+
+    def covers(self, trunc_plus, trunc_minus):
+        return trunc_plus <= self.depth[0] and trunc_minus <= self.depth[1]
+
+
+class Layout:
+    """The packed key layout of one (table, trunc_plus, trunc_minus): a
+    `Geometry`, whose attributes it copies, and the bounds as tops of the
+    degree fields.  `his` is the highest exponent of each variable over
+    admissible terms at these bounds.  Layouts over one geometry give a
+    term one key, so moving a series between them filters its keys."""
+
+    __slots__ = Geometry.__slots__ + ("geometry", "ptop", "mtop", "his")
+
+    def __init__(self, geometry, table, trunc_plus, trunc_minus):
+        for name in Geometry.__slots__:
+            setattr(self, name, getattr(geometry, name))
+        self.geometry = geometry
+        self.ptop = trunc_plus + self.pconst
+        self.mtop = trunc_minus + self.mconst
+        self.his = _highest(table, trunc_plus, trunc_minus)
 
     def key(self, exp):
         return self.base + sum(map(mul, exp, self.scale))
@@ -254,6 +300,12 @@ class Layout:
         return ((key >> self.pshift) & self.pmask <= self.ptop
                 and key >> self.mshift <= self.mtop
                 and not key & self.capbits)
+
+
+# The layouts of each table value by bounds.  Tables compare by value, so
+# value-equal tables must give a term one key at one bounds: their layouts
+# live here, not on the table object.
+_LAYOUTS = {}
 
 
 class VariableTable:
@@ -307,14 +359,21 @@ class VariableTable:
                 break
             bound += v.weight * min(per)
         self._tp_inactive_bound = bound if ok else None
-        self._layouts = {}
+        self._layouts = _LAYOUTS.setdefault((self.variables, self.caps), {})
 
     def layout(self, trunc_plus, trunc_minus):
-        """The key layout of series at these bounds, built once."""
+        """The key layout of series at these bounds, built once per table
+        value over the first geometry that covers them."""
         lay = self._layouts.get((trunc_plus, trunc_minus))
         if lay is None:
+            if trunc_plus < 0 or trunc_minus < 0:
+                raise SeriesError("truncation bounds must be >= 0")
+            geometry = next(
+                (other.geometry for other in self._layouts.values()
+                 if other.geometry.covers(trunc_plus, trunc_minus)),
+                None) or Geometry(self, trunc_plus, trunc_minus)
             lay = self._layouts[trunc_plus, trunc_minus] = Layout(
-                self, trunc_plus, trunc_minus)
+                geometry, self, trunc_plus, trunc_minus)
         return lay
 
     def names(self):
@@ -779,18 +838,30 @@ class GradedSeries:
         return self._make_values(out)
 
     def retruncate(self, trunc_plus, trunc_minus):
-        """The same terms at other bounds, in that layout; terms past the
-        new bounds are dropped."""
+        """The same terms at other bounds; terms past the new bounds are
+        dropped.  Layouts over one geometry give a term one key, so between
+        them this filters keys, and raising both bounds shares the rows."""
         if (trunc_plus, trunc_minus) == (self.trunc_plus, self.trunc_minus):
             return self
         old, new = self._lay, self.table.layout(trunc_plus, trunc_minus)
+        if (old.geometry is new.geometry and trunc_plus >= self.trunc_plus
+                and trunc_minus >= self.trunc_minus):
+            # every term stays admissible and the rows in lowest terms
+            s = GradedSeries.__new__(GradedSeries)
+            s.table, s.trunc_plus, s.trunc_minus = (self.table, trunc_plus,
+                                                    trunc_minus)
+            s._lay, s._rows, s._den, s._view = (new, self._rows, self._den,
+                                                self._view)
+            return s
         ptop = trunc_plus + old.pconst
         mtop = trunc_minus + old.mconst
-        # key order does not depend on the layout, so rows stay sorted
-        out = {new.key(old.unpack(k)): v for k, v in self._rows.items()
-               if (k >> old.pshift) & old.pmask <= ptop
-               and k >> old.mshift <= mtop}
-        return GradedSeries._packed(self.table, trunc_plus, trunc_minus, out,
+        rows = {k: v for k, v in self._rows.items()
+                if (k >> old.pshift) & old.pmask <= ptop
+                and k >> old.mshift <= mtop}
+        if old.geometry is not new.geometry:
+            # key order does not depend on the geometry, so rows stay sorted
+            rows = {new.key(old.unpack(k)): v for k, v in rows.items()}
+        return GradedSeries._packed(self.table, trunc_plus, trunc_minus, rows,
                                     self._den, new)
 
     # ----- substitution ----------------------------------------------------
@@ -880,8 +951,7 @@ class GradedSeries:
                 bound -= f
         for k0 in candidates:
             inv_exp = tuple(-k for k in lay.unpack(k0))
-            if GradedSeries(table, self.trunc_plus, self.trunc_minus,
-                            {inv_exp: 1}).is_zero:
+            if _outside(table, self.trunc_plus, self.trunc_minus, inv_exp):
                 # the inverse of this lead lies past the bounds: no inverse
                 # here starts with it
                 continue

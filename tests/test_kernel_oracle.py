@@ -29,8 +29,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cobcalc.quotient import FormalP, PDivisibilityError  # noqa: E402
 from cobcalc.series import (  # noqa: E402
+    Geometry,
     GradedSeries,
     LaurentUnderflow,
+    Layout,
     NonUnitLowest,
     NotDivisible,
     Variable,
@@ -590,16 +592,25 @@ def test_packed_results_match_the_tuple_oracle(case):
 
 
 @SETTINGS
-@given(operands(), st.integers(0, 4), st.integers(0, 3))
-def test_retruncate_moves_terms_between_layouts(pair, up, down):
+@given(operands(), st.integers(0, 4), st.integers(0, 3), st.booleans())
+def test_retruncate_moves_terms_between_layouts(pair, up, down, past):
     a, b = pair
-    tp, tm = a.trunc_plus, a.trunc_minus
+    table, tp, tm = a.table, a.trunc_plus, a.trunc_minus
+    if past:
+        # past the depth of a's key geometry: the move repacks every key
+        up += a._lay.geometry.depth[0] - tp + 1
     deep_a = a.retruncate(tp + up, tm + up)
     assert deep_a.terms == a.terms
     assert deep_a.retruncate(tp, tm) == a
+    if past:
+        assert deep_a._lay.geometry is not a._lay.geometry
+    # his belongs to the bounds, not to the geometry they share
+    fresh = Geometry(table, tp + up, tm + up)
+    assert deep_a._lay.his == Layout(fresh, table, tp + up, tm + up).his
     lower = (max(tp - down, 0), max(tm - down, 0))
-    assert a.retruncate(*lower).terms == ring_rules(a.table, *lower,
-                                                    a.terms)[0]
+    for bounds in (lower, (tp + up, lower[1]), (lower[0], tm + up)):
+        assert a.retruncate(*bounds).terms == ring_rules(table, *bounds,
+                                                         a.terms)[0]
     # a product at deeper bounds, cut back, is the product at these: both
     # hold the same operand terms
     try:
@@ -625,6 +636,20 @@ def test_laurent_underflow_through_the_packed_path():
         m({"t": -2}).exact_divide(m({"t": -1}) + m({"t": -2, "x": 2}))
     # past the bounds, a term below the floor is dropped, not raised
     assert (m({"t": -2, "x": 6}) * m({"t": -1, "x": 5})).is_zero
+
+
+def test_a_product_at_the_geometry_depth_carries_no_field():
+    # first asked for at (6, 0), this table's key geometry has depth 12; at
+    # that depth (x^8*t^-2)^2 = x^16*t^-4 is inside trunc_plus, below the t
+    # floor, and past the highest admissible x exponent, 15: its exponent
+    # field must hold the sum without a carry that would hide the underflow
+    table = VariableTable([Variable("t", 1, laurent_floor=-3),
+                           Variable("xdeep", 1)])
+    GradedSeries.one(table, 6, 0)
+    a = GradedSeries(table, 12, 0, {(-2, 8): 1})
+    assert a._lay.geometry.depth == (12, 0)
+    with pytest.raises(LaurentUnderflow, match="exponent -4 of t"):
+        a * a
 
 
 # ----- ring laws under truncation --------------------------------------------

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from cobcalc import actions, fgl
+from cobcalc import actions, fgl, operations
 from cobcalc.fgl import Context
-from cobcalc.quotient import FormalP, PDivisibilityError, coeffs_mod_p
-from cobcalc.series import GradedSeries, SeriesError, vp
+from cobcalc.quotient import (FormalP, PDivisibilityError, coeffs_mod_p,
+                              formal_p)
+from cobcalc.series import GradedSeries, Layout, SeriesError, vp
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +245,30 @@ def test_division_and_integrality_make_at_most_two_products(ctx, fp2,
     ok, rep, _ = fp2.is_integral_mod_ideal(f)
     assert ok and rep.min_degree("t") >= 0
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_division_and_integrality_move_no_key(p, monkeypatch):
+    # u^-1 lies deeper than the context by the t floor, within the key
+    # geometry of the context's table, so moving a series onto it and back
+    # filters keys and neither unpacks nor packs one
+    ctx = operations.make_context(p)
+    fp = formal_p(ctx, p)
+    assert fp.u_inv._lay.geometry is ctx.one()._lay.geometry
+    st = operations.quillen_steenrod(ctx, p, tuple(range(1, p)))
+    e = fgl.pn_class(ctx, 1).series
+    image = st.apply(e)
+    s = e ** p - image
+    calls = []
+
+    def counted(method):
+        return lambda lay, arg: calls.append(arg) or method(lay, arg)
+    monkeypatch.setattr(Layout, "unpack", counted(Layout.unpack))
+    monkeypatch.setattr(Layout, "key", counted(Layout.key))
+    phi = fp.divide_by_formal_p(s)
+    ok, _rep, _witness = fp.is_integral_mod_ideal(image)
+    assert not calls
+    assert ok and not phi.is_zero
 
 
 @pytest.mark.parametrize("suite", ["theorem_g_suite", "prop_xy_series",

@@ -413,6 +413,30 @@ def test_json_roundtrip():
     assert s.to_json() == GradedSeries.from_json(s.to_json()).to_json()
 
 
+def test_value_equal_tables_key_a_term_alike():
+    # series compare by table value, so two value-equal tables must give a
+    # term one key at one bounds, whichever bounds each was first asked for
+    def table():
+        return VariableTable([Variable("t", 1, laurent_floor=-3),
+                              Variable("x", 1), Variable("b", -1)])
+    ta, tb = table(), table()
+    ta.layout(6, 2)
+    tb.layout(10, 2)
+    terms = {(-1, 1, 0): 3, (0, 2, 1): Fraction(1, 2), (1, 0, 0): -1}
+    a, b = S(ta, 6, 2, terms), S(tb, 6, 2, terms)
+    assert a == b
+    # no pair leaves the bounds or goes below the floor
+    want = {}
+    for ea, ca in terms.items():
+        for eb, cb in terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            want[e] = want.get(e, 0) + Fraction(ca) * cb
+    assert (a * b).terms == {e: c for e, c in want.items() if c}
+    # from_json builds another table object, asked first for these bounds
+    deep = S(ta, 10, 2, terms)
+    assert GradedSeries.from_json(deep.to_json()) == deep
+
+
 def test_json_terms_sorted_canonically():
     tb = table_tb()
     s = mono(tb, 8, 6, {"t": 2}) + mono(tb, 8, 6, {"t": 1})

@@ -74,6 +74,56 @@ MUTANTS = [
            "floor = -max(p * dim, 2 + dim)",
            "floor = -max(p * dim, dim)",
            ["tests/test_fgl.py::test_eta_values"]),
+    Mutant("retruncate drops the terms at the new bound", SERIES,
+           "if (k >> old.pshift) & old.pmask <= ptop",
+           "if (k >> old.pshift) & old.pmask < ptop",
+           [ORACLE + "::test_retruncate_moves_terms_between_layouts"]),
+    Mutant("retruncate shares the rows when one bound rises", SERIES,
+           "old.geometry is new.geometry and trunc_plus >= self.trunc_plus\n"
+           "                and trunc_minus >= self.trunc_minus)",
+           "old.geometry is new.geometry and (trunc_plus >= self.trunc_plus\n"
+           "                or trunc_minus >= self.trunc_minus))",
+           [ORACLE + "::test_retruncate_moves_terms_between_layouts"]),
+    Mutant("the key geometry has no headroom below the floors", SERIES,
+           "trunc_plus -= 2 * pfloor",
+           "trunc_plus -= 0 * pfloor",
+           ["tests/test_quotient.py"
+            "::test_division_and_integrality_move_no_key"]),
+    Mutant("his is taken at the geometry's depth", SERIES,
+           "self.his = _highest(table, trunc_plus, trunc_minus)",
+           "self.his = _highest(table, *geometry.depth)",
+           [ORACLE + "::test_retruncate_moves_terms_between_layouts"]),
+    Mutant("an exponent field is one bit short", SERIES,
+           "(2 * (his[i] - floors[i])).bit_length()",
+           "(his[i] - floors[i]).bit_length()",
+           [ORACLE + "::test_a_product_at_the_geometry_depth_carries_no_field",
+            ORACLE + "::test_product_matches_all_pairs_oracle"]),
+    Mutant("an exponent's guard bit admits one below its floor", SERIES,
+           "fields[i] = (off, (2 << g) - 1, (1 << g) - lo)",
+           "fields[i] = (off, (2 << g) - 1, (1 << g) - lo + 1)",
+           [ORACLE + "::test_laurent_underflow_through_the_packed_path",
+            ORACLE + "::test_product_matches_all_pairs_oracle"]),
+    Mutant("a cap's guard bit trips at the cap", SERIES,
+           "base += ((1 << g) - 1 - bound) << off",
+           "base += ((1 << g) - bound) << off",
+           ["tests/test_series.py::test_degree_caps_are_ring_quotients",
+            ORACLE + "::test_product_matches_all_pairs_oracle"]),
+    Mutant("a product keeps a term below a Laurent floor", SERIES,
+           "if v and k & floorbits == floorbits}",
+           "if v}",
+           [ORACLE + "::test_laurent_underflow_through_the_packed_path",
+            ORACLE + "::test_packed_results_match_the_tuple_oracle"]),
+    Mutant("the pair loop keeps the pairs past a cap", SERIES,
+           "if k & capbits:",
+           "if False:",
+           ["tests/test_series.py::test_degree_caps_are_ring_quotients",
+            ORACLE + "::test_packed_results_match_the_tuple_oracle"]),
+    Mutant("exact_divide admits a term past a cap", SERIES,
+           "if k >> mshift > mtop or k & capbits:",
+           "if k >> mshift > mtop:",
+           [ORACLE + "::test_exact_divide_roundtrip_integral",
+            ORACLE + "::test_exact_divide_roundtrip_fractions",
+            ORACLE + "::test_packed_results_match_the_tuple_oracle"]),
     Mutant("reversion stops one degree short", SERIES,
            "for n in range(1, self._lay.his[i] + 1):",
            "for n in range(1, self._lay.his[i]):",
