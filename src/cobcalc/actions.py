@@ -74,8 +74,58 @@ class ConfluentMatrix:
     def one(self):
         return GradedSeries.one(self.table, self.trunc_plus, 0)
 
-    def minor_rows(self, columns):
-        return tuple(tuple(row[j] for j in columns) for row in self.rows)
+
+def maximal_minors(rows, one):
+    """All maximal minors of an n x m matrix (n <= m), fraction-free.
+
+    Yields (columns, minor) in itertools.combinations(range(m), n) order.
+    After Bareiss steps on columns c_0 < ... < c_{k-1}, entry (i, j) is the
+    minor on rows 0..k-1, i and columns c_0..c_{k-1}, j (Bareiss, Math.
+    Comp. 1968).  It depends only on that column prefix and on j, so each
+    prefix's step is done once and every minor that extends it reuses it.
+    Every division is exact over the integers.
+    """
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    if n == 0 or any(len(r) != m for r in rows) or m < n:
+        raise SeriesError("maximal minors need a nonempty n x m matrix "
+                          "with n <= m")
+    zero = one - one
+
+    def walk(k, lo, mat, prefix, sign, prev):
+        # mat: rows k..n-1 after k steps; columns lo..m-1 are still live
+        if k == n - 1:
+            for c in range(lo, m):
+                minor = mat[0][c]
+                yield prefix + (c,), minor if sign == 1 else -minor
+            return
+        for c in range(lo, m - n + k + 1):
+            piv, s = mat, sign
+            if mat[0][c].is_zero:
+                for i in range(1, len(mat)):
+                    if not mat[i][c].is_zero:
+                        piv = list(mat)
+                        piv[0], piv[i] = mat[i], mat[0]
+                        s = -sign
+                        break
+                else:
+                    tails = itertools.combinations(range(c + 1, m),
+                                                   n - k - 1)
+                    for tail in tails:
+                        yield prefix + (c,) + tail, zero
+                    continue
+            top = piv[0]
+            pc = top[c]
+            below = []
+            for row in piv[1:]:
+                rc = row[c]
+                below.append([None] * (c + 1) + [
+                    (row[j] * pc - rc * top[j]).exact_divide(prev,
+                                                            integral=True)
+                    for j in range(c + 1, m)])
+            yield from walk(k + 1, c + 1, below, prefix + (c,), s, pc)
+
+    return walk(0, 0, rows, (), 1, one)
 
 
 def bareiss_det(rows, one):
@@ -83,25 +133,8 @@ def bareiss_det(rows, one):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise SeriesError("determinant of a non-square matrix")
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return one - one
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_divide(prev, integral=True)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    (_, det), = maximal_minors(rows, one)
+    return det
 
 
 def vandermonde_product(matrix):
@@ -149,9 +182,8 @@ def check_minor_determinant(blocks, exhaustive_minors=False):
         m = n_total + 2
         wide = ConfluentMatrix(blocks, m)
         wprod = vandermonde_product(wide)
-        for cols in itertools.combinations(range(m), n_total):
+        for cols, sub in maximal_minors(wide.rows, wide.one()):
             cases += 1
-            sub = bareiss_det(wide.minor_rows(cols), wide.one())
             try:
                 sub.exact_divide(wprod, integral=True)
             except NotDivisible:

@@ -1,13 +1,17 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from cobcalc.actions import (ConfluentMatrix, ShiftAction, action_context,
                              bareiss_det, check_minor_determinant,
-                             invariant_decompose, minors_suite,
-                             prop_xy_series, reconstruct, theorem_g_suite,
-                             twisted_context, twisted_fgl_alpha,
-                             vandermonde_product, xy_context)
+                             invariant_decompose, maximal_minors,
+                             minors_suite, prop_xy_series, reconstruct,
+                             theorem_g_suite, twisted_context,
+                             twisted_fgl_alpha, vandermonde_product,
+                             xy_context)
 from cobcalc.fgl import Context
 from cobcalc.quotient import FormalP
 from cobcalc.series import GradedSeries, SeriesError, vp
@@ -45,6 +49,96 @@ def test_bareiss_examples():
     one, zero = a.one(), a._zero()
     assert bareiss_det(((zero, one), (one, zero)), one) == -one
     assert bareiss_det(((zero, zero), (zero, zero)), one).is_zero
+
+    with pytest.raises(SeriesError):
+        bareiss_det((), one)
+    with pytest.raises(SeriesError):
+        bareiss_det(((one, zero),), one)
+    with pytest.raises(SeriesError):
+        maximal_minors((), one)
+    with pytest.raises(SeriesError):
+        maximal_minors(((one, zero), (one,)), one)
+    with pytest.raises(SeriesError):
+        maximal_minors(((one,), (zero,)), one)
+
+
+def _cofactor_det(rows, zero):
+    """Laplace expansion along the first row; no elimination, no division."""
+    if len(rows) == 1:
+        return rows[0][0]
+    out = zero
+    for j, entry in enumerate(rows[0]):
+        if entry.is_zero:
+            continue
+        term = entry * _cofactor_det(
+            tuple(r[:j] + r[j + 1:] for r in rows[1:]), zero)
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def _random_rows(cm, rng, n, m):
+    """Small integers times monomials of degree at most 2 in t1, t2."""
+    return [[mono(cm, {"t1": rng.randint(0, 1), "t2": rng.randint(0, 1)},
+                  coeff=rng.choice((-3, -2, -1, 1, 2, 3)))
+             if rng.random() > 0.15 else cm._zero() for _ in range(m)]
+            for _ in range(n)]
+
+
+def test_maximal_minors_match_cofactor_expansion():
+    cm = ConfluentMatrix((2, 2), 6)
+    one, zero = cm.one(), cm._zero()
+    rng = random.Random(1309)
+    cases = []
+    for n, m in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (4, 6)):
+        # the first pivot is zero and the row below it is not: a swap
+        swap = _random_rows(cm, rng, n, m)
+        swap[0][0], swap[1][0] = zero, one
+        # column 1 is zero: every prefix that pivots on it is a zero branch
+        dead = _random_rows(cm, rng, n, m)
+        for row in dead:
+            row[1] = zero
+        # rows 0 and 1 agree on columns 0 and 1, so after the first step the
+        # second pivot on column 1 is zero: a swap (n >= 3) or a zero minor
+        deep = _random_rows(cm, rng, n, m)
+        deep[0][0] = one
+        deep[1][:2] = deep[0][:2]
+        cases += [(swap, one), (dead, one), (deep, one),
+                  (_random_rows(cm, rng, n, m), one)]
+    wide = ConfluentMatrix((2, 1), 5)
+    cases.append((wide.rows, wide.one()))
+    for rows, unit in cases:
+        rows = tuple(tuple(r) for r in rows)
+        n, m = len(rows), len(rows[0])
+        got = list(maximal_minors(rows, unit))
+        assert len(got) == math.comb(m, n)
+        assert [cols for cols, _ in got] == list(
+            itertools.combinations(range(m), n))
+        for cols, minor in got:
+            sub = tuple(tuple(r[j] for j in cols) for r in rows)
+            assert minor == _cofactor_det(sub, unit - unit), (n, m, cols)
+
+
+def test_minor_determinant_work_ceiling(monkeypatch):
+    """Exact work counts of criterion 02 on A(2,2,1); a change may lower
+    these ceilings, and raising one must be argued."""
+    counts = {"exact_divide": 0, "mul": 0}
+    divide, mul = GradedSeries.exact_divide, GradedSeries.__mul__
+
+    def counted_divide(self, g, integral=False):
+        counts["exact_divide"] += 1
+        return divide(self, g, integral=integral)
+
+    def counted_mul(self, other):
+        if isinstance(other, GradedSeries):
+            counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(GradedSeries, "exact_divide", counted_divide)
+    monkeypatch.setattr(GradedSeries, "__mul__", counted_mul)
+    rep = check_minor_determinant((2, 2, 1), exhaustive_minors=True)
+    assert rep["verdict"] and rep["cases"] == 1 + 21
+    assert counts["exact_divide"] <= 248
+    assert counts["mul"] <= 474
 
 
 def test_minor_determinant_report():

@@ -22,8 +22,11 @@ Mutant = namedtuple("Mutant", "name path anchor replacement tests equivalent",
 SERIES = "src/cobcalc/series.py"
 QUOTIENT = "src/cobcalc/quotient.py"
 FGL = "src/cobcalc/fgl.py"
+ACTIONS = "src/cobcalc/actions.py"
 
 ORACLE = "tests/test_kernel_oracle.py"
+MINORS = ("tests/test_actions.py"
+          "::test_maximal_minors_match_cofactor_expansion")
 
 MUTANTS = [
     Mutant("mod_p multiplies by den, not by its inverse", SERIES,
@@ -129,4 +132,20 @@ MUTANTS = [
            "for n in range(1, self._lay.his[i]):",
            [ORACLE + "::test_compositional_inverse_round_trip",
             "tests/test_series.py::test_compositional_inverse"]),
+    Mutant("a pivot row swap keeps the sign", ACTIONS,
+           "s = -sign",
+           "s = sign",
+           [MINORS]),
+    Mutant("the pivot-column range stops one column short", ACTIONS,
+           "for c in range(lo, m - n + k + 1):",
+           "for c in range(lo, m - n + k):",
+           [MINORS, "tests/test_actions.py::test_bareiss_examples"]),
+    Mutant("a zero pivot column yields one completion too few", ACTIONS,
+           "for tail in tails:",
+           "for tail in list(tails)[:-1]:",
+           [MINORS]),
+    Mutant("prev stays one after the first step", ACTIONS,
+           "prefix + (c,), s, pc)",
+           "prefix + (c,), s, one)",
+           [MINORS, "tests/test_actions.py::test_bareiss_examples"]),
 ]
