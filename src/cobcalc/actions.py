@@ -8,6 +8,8 @@ divisibility certificates at every stripping step, and derives the
 two-variable consequences: the addition series G(u,v) with
 prod(x +_F y +_F [i]t) = G(pi(x), pi(y)), and the twisted group law
 F^alpha(u,v) = alpha(F(beta(u), beta(v))) with integral coefficients.
+Invariance is decided in B/(p), since (g) = (p): the shift runs on the normal
+form and reduces it mod p after each Horner product.
 
 A ShiftAction holds no cache of its own: the shift images and the orbit
 product (`Context.shift_image`, `Context.orbit_product`, which St's gamma
@@ -274,16 +276,20 @@ def invariant_decompose(phi, action):
     Returns (psi, certificates): psi maps n to the coefficient of pi^n, each
     extracted after certifying that the lowest coefficient is divisible by
     c(t)^n (t-order at least n(p-1) modulo the ideal); certificates record
-    those exact divisibilities.  Raises on non-invariant input; a divisibility
-    failure raises FalsificationError.
+    those exact divisibilities.  Raises SeriesError on input with p in a
+    denominator or not invariant modulo p; a divisibility failure raises
+    FalsificationError.
     """
     fp = action.fp
     var = action.var
     p = action.p
-    diff = phi.substitute({var: action.image(1)}) - phi
-    if not fp.normal_form(diff).is_zero:
-        raise SeriesError("series is not invariant under the shift")
+    # invariance is decided in B/(p): the normal form is a ring map that
+    # commutes with truncated sums and products, so it can run first
     f = fp.normal_form(phi)
+    shifted = f.substitute({var: fp.normal_form(action.image(1))},
+                           reduce=fp.normal_form)
+    if not fp.normal_form(shifted - f).is_zero:
+        raise SeriesError("series is not invariant under the shift")
     psi = {}
     certificates = []
     while not f.is_zero:

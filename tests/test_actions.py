@@ -141,6 +141,24 @@ def test_minor_determinant_work_ceiling(monkeypatch):
     assert counts["mul"] <= 474
 
 
+def test_theorem_g_work_ceiling(monkeypatch):
+    """Operand-size products (sum of |a|*|b| over series x series products)
+    of three thmG round trips at p = 3; a change may lower this ceiling,
+    and raising it must be argued."""
+    work = [0]
+    mul = GradedSeries.__mul__
+
+    def counted_mul(self, other):
+        if isinstance(other, GradedSeries):
+            work[0] += len(self._rows) * len(other._rows)
+        return mul(self, other)
+
+    monkeypatch.setattr(GradedSeries, "__mul__", counted_mul)
+    rep = theorem_g_suite(3, count=3, seed=11)
+    assert rep["verdict"] and rep["cases"] == 3
+    assert work[0] <= 509198
+
+
 def test_minor_determinant_report():
     rep = check_minor_determinant((2, 1), exhaustive_minors=True)
     assert rep["verdict"] and rep["witness"] is None
@@ -207,8 +225,30 @@ def test_invariant_decompose_pi_powers():
 def test_invariant_decompose_rejects_non_invariant():
     ctx = action_context(2)
     action = ShiftAction(ctx, 2, "x")
-    with pytest.raises(SeriesError):
+    with pytest.raises(SeriesError, match="not invariant"):
         invariant_decompose(ctx.var("x"), action)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_invariant_decompose_names_a_p_in_a_denominator(p):
+    """pi/p is not p-integral; pi itself is invariant, so the error names
+    the denominator rather than the invariance check."""
+    ctx = action_context(p)
+    action = ShiftAction(ctx, p, "x")
+    with pytest.raises(SeriesError,
+                       match=r"/%d has p = %d in its denominator" % (p, p)):
+        invariant_decompose(action.pi().scale(Fraction(1, p)), action)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_invariance_is_checked_modulo_p(p):
+    """pi + p*x is invariant in B/(p) and decomposes as pi; pi + x is not."""
+    ctx = action_context(p)
+    action = ShiftAction(ctx, p, "x")
+    psi, _ = invariant_decompose(action.pi() + ctx.var("x").scale(p), action)
+    assert psi == {1: ctx.one()}
+    with pytest.raises(SeriesError, match="not invariant"):
+        invariant_decompose(action.pi() + ctx.var("x"), action)
 
 
 def test_invariant_decompose_additive():

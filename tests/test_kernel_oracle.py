@@ -37,6 +37,7 @@ from cobcalc.series import (  # noqa: E402
     NotDivisible,
     Variable,
     VariableTable,
+    coeffs_mod_p,
     vp,
 )
 
@@ -286,6 +287,20 @@ def _swap_example():
 def test_substitute_matches_materialized_powers(case):
     f, bindings = case
     assert f.substitute(bindings) == substitute_oracle(f, bindings)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(substitutions(), st.sampled_from([2, 3, 5]))
+def test_substitute_reducing_after_each_product_keeps_the_residues(case, p):
+    """coeffs_mod_p commutes with truncated sums and products, so reducing
+    the Horner accumulator leaves the result's residues unchanged."""
+    f, bindings = case
+    hypothesis.assume(all(s.denominator % p
+                          for s in (f, *bindings.values())))
+
+    def nf(s):
+        return coeffs_mod_p(s, p)
+    assert nf(f.substitute(bindings, reduce=nf)) == nf(f.substitute(bindings))
 
 
 def test_substitute_oracle_example_is_simultaneous():

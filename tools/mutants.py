@@ -148,4 +148,10 @@ MUTANTS = [
            "prefix + (c,), s, pc)",
            "prefix + (c,), s, one)",
            [MINORS, "tests/test_actions.py::test_bareiss_examples"]),
+    Mutant("the invariance check substitutes the identity", ACTIONS,
+           "fp.normal_form(action.image(1))",
+           "fp.normal_form(action.ctx.var(var))",
+           ["tests/test_actions.py"
+            "::test_invariant_decompose_rejects_non_invariant",
+            "tests/test_actions.py::test_invariance_is_checked_modulo_p"]),
 ]
