@@ -337,9 +337,9 @@ def _random_coefficient(ctx, rng, tmax=4, nterms=3, coeff_bound=9):
     return out
 
 
-def theorem_g_suite(p, deg=6, bweight=6, kmax=3, count=20, seed=20260814):
+def theorem_g_suite(p, deg=6, bweight=6, count=20, seed=20260814):
     """Randomized round trips psi -> phi -> psi through the decomposition."""
-    kmax = max(1, min(kmax, deg // 2))
+    kmax = max(1, min(3, deg // 2))
     # the level-kmax coefficient must stay fully visible: its digits reach
     # t^(kmax*(p-1) + deg) times b-monomials, behind x^kmax
     ctx = Context(deg, bweight, extra_vars=("x",),

@@ -359,7 +359,7 @@ def _validate_reps(p, reps):
     return reps
 
 
-class ChowModel:
+class ChowModel(Memo):
     """P^n or a degree-d hypersurface in it, on the Chow side.
 
     Carries the total Chern series of the tangent bundle as a polynomial in
@@ -369,10 +369,12 @@ class ChowModel:
     and h, with h^dim at most, so chern_che's product of p - 1 scaled
     copies bottoms out at t^(-p*dim); the hypersurface inverse
     (t^2 + d*t*h)^-1 reaches t^(-2-dim).  `c_tangent` and
-    `c_minus_tangent` are at p = 2's floor; a deeper floor is built once.
+    `c_minus_tangent` are at p = 2's floor; a deeper floor is built once
+    and kept in `memo`.
     """
 
     def __init__(self, n, d=0):
+        super().__init__()
         if n < 1:
             raise SeriesError("ambient projective dimension must be >= 1")
         if d < 0 or d == 1:
@@ -384,14 +386,14 @@ class ChowModel:
         if self.dim < 1:
             raise SeriesError("model dimension must be positive")
         self.tp = n + 2
-        self._by_floor = {}
         self.c_tangent, self.c_minus_tangent = self._chern_series(2)
 
     def _chern_series(self, p):
         """(c(T), c(-T)) over a t floor deep enough for chern_che at p."""
         n, d, dim = self.n, self.d, self.dim
         floor = -max(p * dim, 2 + dim)
-        if floor not in self._by_floor:
+
+        def build():
             table = VariableTable(
                 [Variable("t", 1, laurent_floor=floor), Variable("h", 1)],
                 degree_caps=[("h", dim)],
@@ -405,8 +407,8 @@ class ChowModel:
                 c = th * (t * t + t * h.scale(d)).mul_inverse()
                 if c.min_degree("t") < 0:
                     raise SeriesError("tangent Chern series not polynomial")
-            self._by_floor[floor] = c, c.mul_inverse()
-        return self._by_floor[floor]
+            return c, c.mul_inverse()
+        return self.memo(("chern", floor), build)
 
     def degree_of(self, h_poly):
         """deg functional: h^dim weighs d (or 1), lower powers weigh 0."""

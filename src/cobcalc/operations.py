@@ -96,7 +96,7 @@ class OperationDescriptor(fgl.Memo):
     Everything derived from gamma is cached on the descriptor (`memo`).
     """
 
-    def __init__(self, ctx, p, gamma, reps=None, name=""):
+    def __init__(self, ctx, p, gamma, reps=None):
         super().__init__()
         if gamma.constant() != 0:
             raise SeriesError("gamma must have zero constant term")
@@ -104,7 +104,6 @@ class OperationDescriptor(fgl.Memo):
         self.p = p
         self.gamma = gamma
         self.reps = tuple(reps) if reps is not None else None
-        self.name = name
         self.c = gamma.coeff_of("x", 1)
         if self.c.is_zero:
             raise SeriesError("gamma'(0) must be invertible")
@@ -163,7 +162,7 @@ def quillen_steenrod(ctx, p, reps):
     """
     reps = fgl._validate_reps(p, reps)
     return ctx.memo(("st", p, reps), lambda: OperationDescriptor(
-        ctx, p, ctx.orbit_product("x", reps), reps=reps, name="st"))
+        ctx, p, ctx.orbit_product("x", reps), reps=reps))
 
 
 def landweber_novikov(ctx):
@@ -173,7 +172,7 @@ def landweber_novikov(ctx):
     gamma = ctx.var("x")
     for i in range(1, ctx.bweight + 1):
         gamma = gamma + ctx.mono({"x": i + 1, "bp%d" % i: 1})
-    return OperationDescriptor(ctx, 1, gamma, name="ln")
+    return OperationDescriptor(ctx, 1, gamma)
 
 
 def tom_dieck_sq(ctx, p, e):

@@ -105,7 +105,7 @@ class FormalP:
                 return False, None, "t^%d * %s (coefficient %s)" % bad
             f = f - self.g * q.scale(Fraction(1, p))
         if f.denominator % p == 0:
-            exp, c = next((e, c) for e, c in f.terms.items()
+            exp, c = next((e, c) for e, c in f.sorted_terms()
                           if type(c) is not int and c.denominator % p == 0)
             return False, None, "%s (coefficient %s)" % (
                 f.table.monomial_str(exp), c)

@@ -17,16 +17,18 @@ the negative-weight degree.  A key is an affine function of the exponent
 vector, so the key of a product is the sum of the keys less the key of 1,
 and every field is wide enough for the sum of two admissible terms and for
 the difference that exact division forms.  The geometry has headroom past
-the first bounds the table is asked for; each (trunc_plus, trunc_minus)
-within it is a `Layout` that adds only the bounds (`VariableTable.layout`),
-so a term has one key at all those bounds, as in the fixed-field packed
-monomials of Monagan and Pearce (Sparse polynomial division using a heap,
-J. Symb. Comp. 2011).  Sorted keys bucket by negative degree and order each
-bucket by positive degree; keys masked to their sum and exponent fields
-order terms graded-lexicographically.  A series holds a dict from sorted
-keys to int numerators and one common denominator in lowest terms, as
-FLINT's fmpq_poly keeps one content per polynomial; `terms`, a read-only
-view by exponent tuple, is built only when something reads it.
+the first bounds the table is asked for, and every series at bounds within
+it keys its terms by it (`VariableTable.layout`), so a term has one key at
+all those bounds, as in the fixed-field packed monomials of Monagan and
+Pearce (Sparse polynomial division using a heap, J. Symb. Comp. 2011).  A
+kernel reads the bounds from the series itself: trunc_plus + pconst and
+trunc_minus + mconst top the degree fields.  Sorted keys bucket by negative
+degree and order each bucket by positive degree; keys masked to their sum
+and exponent fields order terms graded-lexicographically.  A series holds a
+dict from sorted keys to int numerators and one common denominator in
+lowest terms, as FLINT's fmpq_poly keeps one content per polynomial;
+`terms`, a read-only view by exponent tuple, is built only when something
+reads it.
 
 The product is one sparse kernel in the manner of Monagan and Pearce
 (Sparse polynomial multiplication and division in Maple 14, 2009): both
@@ -35,11 +37,10 @@ visited; the pair loop adds and multiplies plain ints, and one mask on each
 output key drops the terms past a degree cap and finds those below a
 Laurent floor.  Exact division keeps its remainder in a heap of int keys in
 graded-lexicographic order and subtracts each shifted divisor term by term.
-A series changes layout only when its truncation changes (`retruncate`),
-and within one geometry that filters its keys.  Substitution is Horner's
-rule (Brent and Kung, J. ACM 1978): degree K in one variable costs K
-products.  Reversion is Lagrange inversion: one inverse, then one product
-per degree.
+A series changes its bounds only through `retruncate`, which within one
+geometry filters its keys.  Substitution is Horner's rule (Brent and Kung,
+J. ACM 1978): degree K in one variable costs K products.  Reversion is
+Lagrange inversion: one inverse, then one product per degree.
 """
 
 from __future__ import annotations
@@ -193,7 +194,8 @@ def _highest(table, trunc_plus, trunc_minus):
 
 
 class Geometry:
-    """The packed key geometry that the layouts of one table value share.
+    """The packed key format of one table value, shared by its series at
+    every bounds up to `depth`.
 
     A field holds an affine function of the exponents (one exponent, the
     exponent sum, a cap group's sum, the positive or the negative degree)
@@ -214,7 +216,9 @@ class Geometry:
     bounds past every depth.  The headroom holds u^-1 of `quotient.FormalP`,
     kept deeper by the t floor, and one lead lift of `mul_inverse`, at most
     -pfloor and -mfloor.  A key means the same exponents at all bounds up to
-    the depth.
+    the depth; a series at bounds (trunc_plus, trunc_minus) keeps the keys
+    whose degree fields are at most trunc_plus + pconst and trunc_minus +
+    mconst and whose cap guard bits are clear.
     """
 
     __slots__ = ("fields", "scale", "base", "order", "capbits", "floorbits",
@@ -271,40 +275,16 @@ class Geometry:
     def covers(self, trunc_plus, trunc_minus):
         return trunc_plus <= self.depth[0] and trunc_minus <= self.depth[1]
 
-
-class Layout:
-    """The packed key layout of one (table, trunc_plus, trunc_minus): a
-    `Geometry`, whose attributes it copies, and the bounds as tops of the
-    degree fields.  `his` is the highest exponent of each variable over
-    admissible terms at these bounds.  Layouts over one geometry give a
-    term one key, so moving a series between them filters its keys."""
-
-    __slots__ = Geometry.__slots__ + ("geometry", "ptop", "mtop", "his")
-
-    def __init__(self, geometry, table, trunc_plus, trunc_minus):
-        for name in Geometry.__slots__:
-            setattr(self, name, getattr(geometry, name))
-        self.geometry = geometry
-        self.ptop = trunc_plus + self.pconst
-        self.mtop = trunc_minus + self.mconst
-        self.his = _highest(table, trunc_plus, trunc_minus)
-
     def key(self, exp):
         return self.base + sum(map(mul, exp, self.scale))
 
     def unpack(self, key):
         return tuple([((key >> o) & m) - c for o, m, c in self.fields])
 
-    def admissible(self, key):
-        """Within both truncations and every cap (a key in range)."""
-        return ((key >> self.pshift) & self.pmask <= self.ptop
-                and key >> self.mshift <= self.mtop
-                and not key & self.capbits)
 
-
-# The layouts of each table value by bounds.  Tables compare by value, so
-# value-equal tables must give a term one key at one bounds: their layouts
-# live here, not on the table object.
+# The geometry of each table value by bounds.  Tables compare by value, so
+# value-equal tables must give a term one key at one bounds: their
+# geometries live here, not on the table object.
 _LAYOUTS = {}
 
 
@@ -362,18 +342,16 @@ class VariableTable:
         self._layouts = _LAYOUTS.setdefault((self.variables, self.caps), {})
 
     def layout(self, trunc_plus, trunc_minus):
-        """The key layout of series at these bounds, built once per table
-        value over the first geometry that covers them."""
+        """The key `Geometry` of series at these bounds: the first built for
+        this table value that covers them."""
         lay = self._layouts.get((trunc_plus, trunc_minus))
         if lay is None:
             if trunc_plus < 0 or trunc_minus < 0:
                 raise SeriesError("truncation bounds must be >= 0")
-            geometry = next(
-                (other.geometry for other in self._layouts.values()
-                 if other.geometry.covers(trunc_plus, trunc_minus)),
+            lay = self._layouts[trunc_plus, trunc_minus] = next(
+                (other for other in self._layouts.values()
+                 if other.covers(trunc_plus, trunc_minus)),
                 None) or Geometry(self, trunc_plus, trunc_minus)
-            lay = self._layouts[trunc_plus, trunc_minus] = Layout(
-                geometry, self, trunc_plus, trunc_minus)
         return lay
 
     def names(self):
@@ -458,8 +436,8 @@ class GradedSeries:
 
     @classmethod
     def _packed(cls, table, trunc_plus, trunc_minus, rows, den=1, lay=None):
-        """A series from rows sorted by key at the table's layout for these
-        bounds; den is reduced against the numerators."""
+        """A series from rows sorted by key in the table's geometry for
+        these bounds; den is reduced against the numerators."""
         s = cls.__new__(cls)
         s.table, s.trunc_plus, s.trunc_minus = table, trunc_plus, trunc_minus
         s._lay = lay or table.layout(trunc_plus, trunc_minus)
@@ -684,7 +662,8 @@ class GradedSeries:
         lay = self._lay
         pshift, pmask, mshift = lay.pshift, lay.pmask, lay.mshift
         # the truncations as bounds on the degree fields of two keys' sum
-        pmax, mmax = lay.ptop + lay.pconst, lay.mtop + lay.mconst
+        pmax = self.trunc_plus + 2 * lay.pconst
+        mmax = self.trunc_minus + 2 * lay.mconst
         base, capbits = lay.base, lay.capbits
         bkeys = list(b)
         brows = list(b.items())
@@ -761,7 +740,8 @@ class GradedSeries:
                 for i, (d, f, v) in enumerate(zip(exp, table.floors,
                                                   table.variables)) if d < 0]
         pshift, pmask, mshift = lay.pshift, lay.pmask, lay.mshift
-        ptop, mtop = lay.ptop - dp, lay.mtop - dm
+        ptop = self.trunc_plus + lay.pconst - dp
+        mtop = self.trunc_minus + lay.mconst - dm
         delta = lay.key(exp) - lay.base
         c = Fraction(c)
         n, d = c.numerator, c.denominator
@@ -839,12 +819,12 @@ class GradedSeries:
 
     def retruncate(self, trunc_plus, trunc_minus):
         """The same terms at other bounds; terms past the new bounds are
-        dropped.  Layouts over one geometry give a term one key, so between
+        dropped.  Bounds within one geometry give a term one key, so between
         them this filters keys, and raising both bounds shares the rows."""
         if (trunc_plus, trunc_minus) == (self.trunc_plus, self.trunc_minus):
             return self
         old, new = self._lay, self.table.layout(trunc_plus, trunc_minus)
-        if (old.geometry is new.geometry and trunc_plus >= self.trunc_plus
+        if (old is new and trunc_plus >= self.trunc_plus
                 and trunc_minus >= self.trunc_minus):
             # every term stays admissible and the rows in lowest terms
             s = GradedSeries.__new__(GradedSeries)
@@ -858,7 +838,7 @@ class GradedSeries:
         rows = {k: v for k, v in self._rows.items()
                 if (k >> old.pshift) & old.pmask <= ptop
                 and k >> old.mshift <= mtop}
-        if old.geometry is not new.geometry:
+        if old is not new:
             # key order does not depend on the geometry, so rows stay sorted
             rows = {new.key(old.unpack(k)): v for k, v in rows.items()}
         return GradedSeries._packed(self.table, trunc_plus, trunc_minus, rows,
@@ -1005,7 +985,8 @@ class GradedSeries:
         base, order, width = lay.base, lay.order, lay.width
         full = (1 << width) - 1
         pshift, pmask, mshift = lay.pshift, lay.pmask, lay.mshift
-        pmax, mtop = lay.ptop + lay.pconst, lay.mtop
+        ptop = self.trunc_plus + lay.pconst
+        pmax, mtop = ptop + lay.pconst, self.trunc_minus + lay.mconst
         capbits, expbits, floorbits = lay.capbits, lay.expbits, lay.floorbits
         kg = min(g._rows, key=lambda k: k & order)
         cg = g._value(g._rows[kg])
@@ -1055,9 +1036,11 @@ class GradedSeries:
                         rem[k] = v
                     else:
                         del rem[k]
-        admissible = lay.admissible
+        # the quotient terms within both truncations and every cap
         return self._make_values({k: q[k] for k in sorted(q)
-                                  if admissible(k)})
+                                  if (k >> pshift) & pmask <= ptop
+                                  and k >> mshift <= mtop
+                                  and not k & capbits})
 
     def compositional_inverse(self, name):
         """Series g with self(g) = name, for self = c1*name + higher order,
@@ -1079,7 +1062,8 @@ class GradedSeries:
         power = h
         out = self._make({})
         unit = [0] * len(table.variables)
-        for n in range(1, self._lay.his[i] + 1):
+        his = _highest(table, self.trunc_plus, self.trunc_minus)
+        for n in range(1, his[i] + 1):
             if n > 1:
                 power = power * h
             unit[i] = n

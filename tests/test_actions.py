@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cobcalc import operations
 from cobcalc.actions import (ConfluentMatrix, ShiftAction, action_context,
                              bareiss_det, check_minor_determinant,
                              invariant_decompose, maximal_minors,
@@ -157,6 +158,28 @@ def test_theorem_g_work_ceiling(monkeypatch):
     rep = theorem_g_suite(3, count=3, seed=11)
     assert rep["verdict"] and rep["cases"] == 3
     assert work[0] <= 509198
+
+
+def test_reversion_work_ceiling(monkeypatch):
+    """Series x series products, and their operand-size products, of the
+    log_t reversion in the context of `cobcalc op ... --p 5`; a change may
+    lower these ceilings, and raising one must be argued."""
+    work = {"mul": 0, "pairs": 0}
+    mul = GradedSeries.__mul__
+
+    def counted_mul(self, other):
+        if isinstance(other, GradedSeries):
+            work["mul"] += 1
+            work["pairs"] += len(self._rows) * len(other._rows)
+        return mul(self, other)
+
+    monkeypatch.setattr(operations, "_CTX_CACHE", {})
+    ctx = operations.make_context(5, 8, 8)
+    monkeypatch.setattr(GradedSeries, "__mul__", counted_mul)
+    log_t = ctx.log_t
+    assert log_t.coeff({"t": 1}) == 1
+    assert work["mul"] <= 65
+    assert work["pairs"] <= 251920
 
 
 def test_minor_determinant_report():

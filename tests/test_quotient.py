@@ -9,7 +9,7 @@ from cobcalc import actions, fgl, operations
 from cobcalc.fgl import Context
 from cobcalc.quotient import (FormalP, PDivisibilityError, coeffs_mod_p,
                               formal_p)
-from cobcalc.series import GradedSeries, Layout, SeriesError, vp
+from cobcalc.series import Geometry, GradedSeries, SeriesError, vp
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +150,17 @@ def test_is_integral_examples(ctx, fp2):
     assert ok
 
 
+def test_integrality_witness_is_the_least_term():
+    # graded-lex order puts b1 below t, as coeffs_mod_p and
+    # lowest_indivisible name them
+    ctx = operations.make_context(2)
+    f = ctx.mono({"t": 1}, Fraction(1, 2)) + ctx.mono({"b1": 1},
+                                                      Fraction(1, 2))
+    ok, rep, witness = formal_p(ctx, 2).is_integral_mod_ideal(f)
+    assert not ok and rep is None
+    assert witness == "b1 (coefficient 1/2)"
+
+
 def test_is_integral_invariant_under_ideal(ctx, fp2):
     rng = random.Random(11)
     for _ in range(6):
@@ -254,7 +265,7 @@ def test_division_and_integrality_move_no_key(p, monkeypatch):
     # filters keys and neither unpacks nor packs one
     ctx = operations.make_context(p)
     fp = formal_p(ctx, p)
-    assert fp.u_inv._lay.geometry is ctx.one()._lay.geometry
+    assert fp.u_inv._lay is ctx.one()._lay
     st = operations.quillen_steenrod(ctx, p, tuple(range(1, p)))
     e = fgl.pn_class(ctx, 1).series
     image = st.apply(e)
@@ -263,8 +274,8 @@ def test_division_and_integrality_move_no_key(p, monkeypatch):
 
     def counted(method):
         return lambda lay, arg: calls.append(arg) or method(lay, arg)
-    monkeypatch.setattr(Layout, "unpack", counted(Layout.unpack))
-    monkeypatch.setattr(Layout, "key", counted(Layout.key))
+    monkeypatch.setattr(Geometry, "unpack", counted(Geometry.unpack))
+    monkeypatch.setattr(Geometry, "key", counted(Geometry.key))
     phi = fp.divide_by_formal_p(s)
     ok, _rep, _witness = fp.is_integral_mod_ideal(image)
     assert not calls
