@@ -216,13 +216,6 @@ def minors_suite(max_square=6, max_minor=5):
 # the shift automorphism and invariant decomposition
 
 
-def action_context(p, deg=6, bweight=6):
-    # x is truncated through the weight grading (trunc_plus bounds the joint
-    # x,t-degree), not a degree cap: x -> x +_F t preserves total weight, so
-    # the weight cut is substitution-sound while a cap on x alone is not.
-    return Context(deg, bweight, extra_vars=("x",), trunc_plus=3 * deg + 4)
-
-
 class ShiftAction:
     """The order-p cyclic action generated by var -> var +_F t."""
 
@@ -235,14 +228,8 @@ class ShiftAction:
     def image(self, k=1):
         return self.ctx.shift_image(self.var, k)
 
-    def apply(self, series, k=1):
-        return series.substitute({self.var: self.image(k)})
-
-    def pi(self):
-        """pi(x) = prod_{i=0}^{p-1} (x +_F [i]t), the orbit product."""
-        return self.pi_power(1)
-
     def pi_power(self, n):
+        """pi^n, for the orbit product pi(x) = prod_{i<p} (x +_F [i]t)."""
         ctx = self.ctx
 
         def build():
@@ -378,7 +365,9 @@ def theorem_g_suite(p, deg=6, bweight=6, count=20, seed=20260814):
 
 
 def xy_context(p, deg=6, bweight=6):
-    # weight-cut truncation for the same reason as action_context
+    # x, y are cut by weight (trunc_plus bounds the joint x,y,t-degree), not
+    # by a degree cap: x -> x +_F t preserves total weight, so the weight cut
+    # is substitution-sound while a cap on x alone is not.
     return Context(deg, bweight, extra_vars=("x", "y"),
                    trunc_plus=deg + p + bweight + 4)
 

@@ -20,7 +20,8 @@ import sys
 from fractions import Fraction
 
 from . import fgl
-from .series import FalsificationError, SeriesError
+from .series import (FalsificationError, LaurentUnderflow, NonUnitLowest,
+                     SeriesError)
 
 
 def _nonnegative(value, source):
@@ -113,7 +114,11 @@ def _atom_series(ctx, atom, full):
         return ctx.mono({name: int(m.group(2) or 1)})
     m = _ATOM_T.match(atom)
     if m:
-        return ctx.mono({"t": int(m.group(1) or 1)})
+        k = int(m.group(1) or 1)
+        if k < (floor := ctx.table.floors[ctx.table.index["t"]] or 0):
+            raise SeriesError("%s in %r is below the t floor %d"
+                              % (atom, full, floor))
+        return ctx.mono({"t": k})
     m = _ATOM_P.match(atom)
     if m:
         return ops._ambient_class(ctx, int(m.group(1)), 0)
@@ -428,6 +433,11 @@ def main(argv=None):
             sys.stderr.write("witness: %s\n" % exc.witness)
         return 3
     except SeriesError as exc:
+        # under a user's t floor, name the option rather than an exponent
+        if (isinstance(exc, (LaurentUnderflow, NonUnitLowest))
+                and getattr(args, "tfloor", None) is not None):
+            exc = "--tfloor %d is too shallow for this query (%s)" % (
+                args.tfloor, exc)
         parser.error(str(exc))
 
 

@@ -105,16 +105,15 @@ class Context(Memo):
 
     # ----- the exponential and its relatives ------------------------------
 
-    def exp_in(self, name):
-        """B written in the named carrier variable."""
-        out = self.mono({name: 1})
-        for i in range(1, self.bweight + 1):
-            out = out + self.mono({name: i + 1, "b%d" % i: 1})
-        return out
-
     @property
     def exp_t(self):
-        return self.memo("exp_t", lambda: self.exp_in("t"))
+        """B(t) = t + b1*t^2 + ... + b_{bweight}*t^(bweight+1)."""
+        def build():
+            out = self.var("t")
+            for i in range(1, self.bweight + 1):
+                out = out + self.mono({"t": i + 1, "b%d" % i: 1})
+            return out
+        return self.memo("exp_t", build)
 
     @property
     def log_t(self):
@@ -127,23 +126,15 @@ class Context(Memo):
         """Invariant form omega = (B^-1)'(t) = sum [P^n] t^n."""
         return self.memo("omega", lambda: self.log_t.diff("t"))
 
-    def omega_in(self, name):
-        return self.omega.rename_var("t", name)
-
-    def _exp_complete(self):
-        # B has true t-degree bweight+1; only then may callers vouch for it
-        return self.trunc_plus >= self.bweight + 1
-
     def B_of(self, u):
-        if self._exp_complete():
+        # B has true t-degree bweight+1; only then may callers vouch for it
+        if self.trunc_plus >= self.bweight + 1:
             return self.exp_t.substitute({"t": u}, poly_vars=("t",))
         return self.exp_t.substitute({"t": u})
 
-    def Binv_of(self, a):
-        return self.log_t.substitute({"t": a})
-
     def formal_sum(self, a, b):
-        return self.B_of(self.Binv_of(a) + self.Binv_of(b))
+        log = self.log_t
+        return self.B_of(log.substitute({"t": a}) + log.substitute({"t": b}))
 
     def nseries(self, n):
         """[n]_F(t) = B(n * B^-1(t)); negative n through the same formula."""
@@ -210,46 +201,18 @@ class LazardElement:
 
     __slots__ = ("ctx", "series", "dimension", "provenance")
 
-    def __init__(self, ctx, series, dimension=None, provenance=""):
+    def __init__(self, ctx, series, dimension, provenance):
         for name in ctx.table.names():
             if name in ctx.b_names or name in ctx.bp_names:
                 continue
             if series.max_degree(name) not in (None, 0):
                 raise SeriesError("coefficient-ring element involves %s" % name)
-        w = series.weight()
-        if dimension is None:
-            if w is None:
-                raise SeriesError("inhomogeneous element needs explicit "
-                                  "dimension")
-            dimension = -w
-        elif not series.is_zero and w != -dimension:
+        if not series.is_zero and series.weight() != -dimension:
             raise SeriesError("dimension %d does not match weight" % dimension)
         self.ctx = ctx
         self.series = series
         self.dimension = dimension
         self.provenance = provenance
-
-    def __mul__(self, other):
-        if isinstance(other, LazardElement):
-            return LazardElement(
-                self.ctx, self.series * other.series,
-                self.dimension + other.dimension,
-                "%s*%s" % (self.provenance, other.provenance))
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, LazardElement):
-            if self.dimension != other.dimension:
-                raise SeriesError("sum of different dimensions is not an "
-                                  "element of one L_d")
-            return LazardElement(self.ctx, self.series + other.series,
-                                 self.dimension,
-                                 "%s+%s" % (self.provenance, other.provenance))
-        return NotImplemented
-
-    def scale(self, c):
-        return LazardElement(self.ctx, self.series.scale(c), self.dimension,
-                             "%s*(%s)" % (self.provenance, c))
 
     def is_integral(self):
         return self.series.denominator == 1
@@ -286,12 +249,6 @@ class LazardElement:
             return False
         return self.s_number() % (p * p) != 0
 
-    def to_json_dict(self):
-        doc = self.series.to_json_dict()
-        doc["dimension"] = self.dimension
-        doc["provenance"] = self.provenance
-        return doc
-
     def __repr__(self):
         return "<L_%d %s (%s)>" % (self.dimension, self.series.render(),
                                    self.provenance)
@@ -319,7 +276,7 @@ def proj_pushforward(ctx, f, n, var="x"):
     if f.min_degree(var) is not None and f.min_degree(var) < 0:
         raise SeriesError("pushforward input must be a power series in %s"
                           % var)
-    return (f * ctx.omega_in(var)).coeff_of(var, n)
+    return (f * ctx.omega.rename_var("t", var)).coeff_of(var, n)
 
 
 def hypersurface_class(ctx, n, d):
@@ -362,15 +319,14 @@ def _validate_reps(p, reps):
 class ChowModel(Memo):
     """P^n or a degree-d hypersurface in it, on the Chow side.
 
-    Carries the total Chern series of the tangent bundle as a polynomial in
+    Gives the total Chern series of the tangent bundle as a polynomial in
     t and the hyperplane class h (nilpotent beyond the dimension), and the
     degree functional deg(h^dim) = d (1 for P^n itself).  The t floor is
     what the model computes at p: c(-T) is homogeneous of degree -dim in t
     and h, with h^dim at most, so chern_che's product of p - 1 scaled
     copies bottoms out at t^(-p*dim); the hypersurface inverse
-    (t^2 + d*t*h)^-1 reaches t^(-2-dim).  `c_tangent` and
-    `c_minus_tangent` are at p = 2's floor; a deeper floor is built once
-    and kept in `memo`.
+    (t^2 + d*t*h)^-1 reaches t^(-2-dim).  `chern_series(p)` builds the
+    pair at that floor on first use and keeps it in `memo`.
     """
 
     def __init__(self, n, d=0):
@@ -386,9 +342,8 @@ class ChowModel(Memo):
         if self.dim < 1:
             raise SeriesError("model dimension must be positive")
         self.tp = n + 2
-        self.c_tangent, self.c_minus_tangent = self._chern_series(2)
 
-    def _chern_series(self, p):
+    def chern_series(self, p):
         """(c(T), c(-T)) over a t floor deep enough for chern_che at p."""
         n, d, dim = self.n, self.d, self.dim
         floor = -max(p * dim, 2 + dim)
@@ -410,14 +365,10 @@ class ChowModel(Memo):
             return c, c.mul_inverse()
         return self.memo(("chern", floor), build)
 
-    def degree_of(self, h_poly):
-        """deg functional: h^dim weighs d (or 1), lower powers weigh 0."""
-        return h_poly.coeff({"h": self.dim}) * (self.d if self.d else 1)
-
     def chern_che(self, p, reps):
         """Product over ī of c(-T)(i_j * t)."""
         reps = _validate_reps(p, reps)
-        c_minus = self._chern_series(p)[1]
+        c_minus = self.chern_series(p)[1]
         out = GradedSeries.one(c_minus.table, self.tp, 0)
         for i in reps:
             out = out * c_minus.scale_var("t", i)
@@ -427,7 +378,7 @@ class ChowModel(Memo):
         """-deg of the t^{-p dim} component of chern_che, divided by p."""
         che = self.chern_che(p, reps)
         comp = che.coeff_of("t", -p * self.dim)
-        val = Fraction(self.degree_of(comp))
+        val = Fraction(comp.coeff({"h": self.dim}) * (self.d or 1))
         rep_prod = 1
         for i in reps:
             rep_prod *= abs(int(i))

@@ -7,9 +7,8 @@ c = gamma'(0).  The module builds Quillen-Steenrod St(reps), the total
 Landweber-Novikov operation, the tom Dieck Sq (through the faithful Laurent
 quotient), Symmetric operations Phi = divide-by-formal-p of the nonpositive
 part of e^p - St(e), residue slices and Chow traces.  The verifier suites
-for the identities these satisfy live in `verify`; `VERIFIERS` and
-`run_verifier` stay importable from here for one release, through the
-module `__getattr__`, which imports `verify` on first use.
+for the identities these satisfy live in `verify`; the module `__getattr__`
+forwards `VERIFIERS` and `run_verifier` from there only for `perfbench`.
 
 Caches: what depends on the context alone (classes, the grid, FormalP, the
 orbit product that is St's gamma, St descriptors) is cached on the Context
@@ -220,19 +219,22 @@ def chow_trace(ctx, series):
 
 
 def st_slice(ctx, st, e, f):
-    """st(reps)^f(e): Chow trace of the t^0 part of f * St(e) * omega."""
-    return chow_trace(ctx, (f * st.apply(e) * ctx.omega).coeff_of("t", 0))
+    """st(reps)^f(e): Chow trace of the t^0 part of f * St(e) * omega.
+
+    omega is left out: the trace is the ring map b_i -> 0, it commutes with
+    coeff_of("t", 0), and omega = 1 + sum_n [P^n] t^n has every [P^n] in (b),
+    so the trace sends omega to 1.
+    """
+    return chow_trace(ctx, (f * st.apply(e)).coeff_of("t", 0))
 
 
-def omega_che(ctx, p, reps, roots=(), minus_roots=()):
+def omega_che(ctx, p, reps, roots=()):
     """che class prod_j c(N)([i_j]t) from the bundle's weight-1 roots."""
     out = ctx.one()
     for i in reps:
         it = ctx.nseries(i)
         for lam in roots:
             out = out * ctx.formal_sum(it, lam)
-        for lam in minus_roots:
-            out = out * ctx.formal_sum(it, lam).mul_inverse()
     return out
 
 

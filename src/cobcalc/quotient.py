@@ -37,10 +37,9 @@ def lowest_indivisible(series, p):
     if series.scale(Fraction(1, p)).denominator % p:
         return None
     ti = series.table.index["t"]
-    bad = series.map_coefficients(
-        lambda c: c if (c % p if type(c) is int else vp(c, p) < 1) else 0)
     bad = min(((e[ti], sum(e) - e[ti], e[:ti] + (0,) + e[ti + 1:], c)
-               for e, c in bad.sorted_terms()), default=None)
+               for e, c in series.sorted_terms()
+               if (c % p if type(c) is int else vp(c, p) < 1)), default=None)
     return bad and (bad[0], series.table.monomial_str(bad[2]), bad[3])
 
 

@@ -808,15 +808,6 @@ class GradedSeries:
                            if all((k >> o) & m == c for o, m, c in fields)},
                           self._den)
 
-    def map_coefficients(self, fn):
-        value = self._value
-        out = {}
-        for k, v in self._rows.items():
-            v = _norm_coeff(fn(value(v)))
-            if v:
-                out[k] = v
-        return self._make_values(out)
-
     def retruncate(self, trunc_plus, trunc_minus):
         """The same terms at other bounds; terms past the new bounds are
         dropped.  Bounds within one geometry give a term one key, so between
@@ -1082,10 +1073,6 @@ class GradedSeries:
                 continue
             out[exp[:i] + (k - 1,) + exp[i + 1:]] = c * k
         return GradedSeries(self.table, self.trunc_plus, self.trunc_minus, out)
-
-    def residue(self, name):
-        """Coefficient of name**-1, as a series in the remaining variables."""
-        return self.coeff_of(name, -1)
 
     def split_parts(self, name, at=0):
         """(terms with exponent of name <= at, terms with exponent > at)."""

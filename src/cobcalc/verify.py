@@ -447,7 +447,7 @@ def verify_soold(deg, bweight):
             for ql, qser in qs:
                 lhs = ops.slice_phi(ctx, phi, g * qser)
                 rhs = (e ** q).scale(qser.constant()) \
-                    - (qser * ste * ctx.omega).coeff_of("t", 0)
+                    - ops.slice_phi(ctx, ste, qser)
                 yield "%s,q=%s" % (label, ql), lhs, rhs
     return _cases(check, [2], reps=[-1])
 

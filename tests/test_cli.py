@@ -211,7 +211,15 @@ def test_bad_args_name_the_problem(capsys, monkeypatch):
             (["fgl", "--what", "F", "--bweight", "-1"],
              "--bweight must be >= 0"),
             (["verify", "sop", "--p", "2", "--bweight", "-1"],
-             "--bweight must be >= 0")):
+             "--bweight must be >= 0"),
+            (["op", "phi", "--input", "P1", "--p", "2", "--deg", "2",
+              "--bweight", "2", "--tfloor", "-1"],
+             "--tfloor -1 is too shallow"),
+            (["op", "phi", "--input", "P1", "--p", "2", "--deg", "2",
+              "--bweight", "2", "--tfloor", "0"],
+             "--tfloor 0 is too shallow"),
+            (["op", "slice", "--input", "P1", "--p", "2", "--q", "t^-60"],
+             "t^-60 in 't^-60' is below the t floor -48")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

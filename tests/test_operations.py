@@ -226,8 +226,6 @@ def test_omega_che_line_bundle(ctx2):
     z = ctx2.var("z1")
     che = op.omega_che(ctx2, 2, (1,), roots=(z,))
     assert che == ctx2.formal_sum(z, ctx2.var("t"))
-    virt = op.omega_che(ctx2, 2, (1,), roots=(z,), minus_roots=(z,))
-    assert virt == ctx2.one()
 
 
 def test_chow_trace_kills_ambient(ctx2, p1):
@@ -302,7 +300,7 @@ def test_shift_action_shares_the_orbit_product_with_st(monkeypatch):
     monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
     ctx = op.make_context(3, deg=4, bweight=3)
     action = ShiftAction(ctx, 3)
-    assert action.pi() is op.quillen_steenrod(ctx, 3, (1, 2)).gamma
+    assert action.pi_power(1) is op.quillen_steenrod(ctx, 3, (1, 2)).gamma
     assert action.fp is formal_p(ctx, 3)
     assert action.image(2) is ctx.shift_image("x", 2)
 
@@ -555,6 +553,12 @@ def _random_series(ctx, rng, nterms):
     return out
 
 
+def _numerators_mod_p(s, p):
+    """s with each coefficient c replaced by c.numerator mod p, or 1."""
+    return GradedSeries(s.table, s.trunc_plus, s.trunc_minus,
+                        {e: c.numerator % p or 1 for e, c in s.sorted_terms()})
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_ideal_membership_is_p_divisibility(p):
     ctx = op.make_context(p, deg=4, bweight=4)
@@ -568,8 +572,8 @@ def test_ideal_membership_is_p_divisibility(p):
         member = fp.g * h
         assert verify._in_generator_ideal(member, p) == (True, None)
         assert _reference_in_generator_ideal(ginv, member, p)[0]
-        for f in (member + _random_series(ctx, rng, 1).map_coefficients(
-                lambda c: c.numerator % p or 1), _random_series(ctx, rng, 4)):
+        for f in (member + _numerators_mod_p(_random_series(ctx, rng, 1), p),
+                  _random_series(ctx, rng, 4)):
             ok, witness = verify._in_generator_ideal(f, p)
             want, _ = _reference_in_generator_ideal(ginv, f, p)
             assert ok == want

@@ -126,6 +126,12 @@ def test_normal_form_of_p_integral_coefficients(ctx, fp2):
         fp2.normal_form(ctx.mono({"t": 1}, Fraction(1, 2)))
 
 
+def test_coeffs_mod_p_multiplies_by_the_inverse_of_the_denominator(ctx):
+    # 2 is not its own inverse mod 5: 1/2 is 3 in F_5, while 2 mod 5 is 2
+    half_t = ctx.mono({"t": 1}, Fraction(1, 2))
+    assert coeffs_mod_p(half_t, 5) == ctx.mono({"t": 1}, 3)
+
+
 def test_laurent_reduce(ctx, fp2):
     f = fp2.g * ctx.mono({"t": -2, "b1": 1})
     ok, red, witness = fp2.is_integral_mod_ideal(f)

@@ -388,7 +388,7 @@ def test_diff_residue_split():
     s = t ** 3 + 2 * t
     assert s.diff("t") == 3 * t ** 2 + GradedSeries.const(tb, 8, 6, 2)
     lau = mono(tb, 8, 6, {"t": -1}, c=5) + t
-    assert lau.residue("t").constant() == 5
+    assert lau.coeff_of("t", -1).constant() == 5
     lo, hi = lau.split_parts("t")
     assert lo.coeff({"t": -1}) == 5
     assert hi == t

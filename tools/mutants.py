@@ -1,4 +1,4 @@
-"""Mutants of the kernels, for `tools/mutate.py`.
+"""Mutants of the kernels and of the slices, for `tools/mutate.py`.
 
 Each mutant replaces one exact anchor text in one file under `src/` and
 names the tests expected to kill it (fail on the mutated code), quickest
@@ -23,10 +23,12 @@ SERIES = "src/cobcalc/series.py"
 QUOTIENT = "src/cobcalc/quotient.py"
 FGL = "src/cobcalc/fgl.py"
 ACTIONS = "src/cobcalc/actions.py"
+OPERATIONS = "src/cobcalc/operations.py"
 
 ORACLE = "tests/test_kernel_oracle.py"
 MINORS = ("tests/test_actions.py"
           "::test_maximal_minors_match_cofactor_expansion")
+UV = "tests/test_operations.py::test_verifier_uv_p3"
 
 MUTANTS = [
     Mutant("mod_p multiplies by den, not by its inverse", SERIES,
@@ -37,6 +39,8 @@ MUTANTS = [
            "inv = pow(den, -1, p)",
            "inv = den % p",
            ["tests/test_quotient.py"
+            "::test_coeffs_mod_p_multiplies_by_the_inverse_of_the_denominator",
+            "tests/test_quotient.py"
             "::test_normal_form_of_p_integral_coefficients",
             ORACLE + "::test_normal_form_matches_repeated_subtraction"]),
     Mutant("coeffs_mod_p lets p into a denominator through", SERIES,
@@ -154,4 +158,17 @@ MUTANTS = [
            ["tests/test_actions.py"
             "::test_invariant_decompose_rejects_non_invariant",
             "tests/test_actions.py::test_invariance_is_checked_modulo_p"]),
+    # the uv suite's verdict, not a digest, must catch a wrong slice or trace
+    Mutant("chow_trace keeps the ambient b's", OPERATIONS,
+           "return series.kill_vars(ctx.b_names)",
+           "return series",
+           [UV]),
+    Mutant("slice_phi takes the t^-1 slice", OPERATIONS,
+           'return (q * phi * ctx.omega).coeff_of("t", 0)',
+           'return (q * phi * ctx.omega).coeff_of("t", -1)',
+           [UV]),
+    Mutant("st_slice takes the t^-1 slice", OPERATIONS,
+           'return chow_trace(ctx, (f * st.apply(e)).coeff_of("t", 0))',
+           'return chow_trace(ctx, (f * st.apply(e)).coeff_of("t", -1))',
+           [UV]),
 ]
