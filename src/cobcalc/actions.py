@@ -11,11 +11,10 @@ F^alpha(u,v) = alpha(F(beta(u), beta(v))) with integral coefficients.
 Invariance is decided in B/(p), since (g) = (p): the shift runs on the normal
 form and reduces it mod p after each Horner product.
 
-A ShiftAction holds no cache of its own: the shift images and the orbit
-product (`Context.shift_image`, `Context.orbit_product`, which St's gamma
-shares), the powers of pi, c(t), its unit inverse and the FormalP are all
-cached on the context under value keys, so two actions on one context share
-them and they die with the context.
+A ShiftAction holds no cache of its own: the shift images
+(`Context.shift_image`), the powers of pi, the unit inverse of c(t) and the
+FormalP are all cached on the context under value keys, so two actions on
+one context share them and they die with the context.
 """
 
 from __future__ import annotations
@@ -225,9 +224,6 @@ class ShiftAction:
         self.var = var
         self.fp = formal_p(ctx, p)
 
-    def image(self, k=1):
-        return self.ctx.shift_image(self.var, k)
-
     def pi_power(self, n):
         """pi^n, for the orbit product pi(x) = prod_{i<p} (x +_F [i]t)."""
         ctx = self.ctx
@@ -240,20 +236,14 @@ class ShiftAction:
             return self.pi_power(n - 1) * self.pi_power(1)
         return ctx.memo(("pi_power", self.var, self.p, n), build)
 
-    def c_series(self):
-        """prod_{i=1}^{p-1} [i]_F(t): the lowest coefficient of pi."""
-        def build():
-            out = self.ctx.one()
-            for i in range(1, self.p):
-                out = out * self.ctx.nseries(i)
-            return out
-        return self.ctx.memo(("c_series", self.p), build)
-
     def unit_inverse(self):
-        """Inverse of c(t)/t^(p-1), a unit with constant (p-1)!."""
+        """Inverse of c(t)/t^(p-1), c(t) = prod_{i<p} [i]_F(t) the lowest
+        coefficient of pi; a unit with constant (p-1)!."""
         def build():
-            unit = self.c_series().shift_var("t", -(self.p - 1))
-            return unit.mul_inverse()
+            c = self.ctx.one()
+            for i in range(1, self.p):
+                c = c * self.ctx.nseries(i)
+            return c.shift_var("t", -(self.p - 1)).mul_inverse()
         return self.ctx.memo(("c_unit_inverse", self.p), build)
 
 
@@ -273,8 +263,9 @@ def invariant_decompose(phi, action):
     # invariance is decided in B/(p): the normal form is a ring map that
     # commutes with truncated sums and products, so it can run first
     f = fp.normal_form(phi)
-    shifted = f.substitute({var: fp.normal_form(action.image(1))},
-                           reduce=fp.normal_form)
+    shifted = f.substitute(
+        {var: fp.normal_form(action.ctx.shift_image(var, 1))},
+        reduce=fp.normal_form)
     if not fp.normal_form(shifted - f).is_zero:
         raise SeriesError("series is not invariant under the shift")
     psi = {}
@@ -313,14 +304,14 @@ def reconstruct(action, psi):
     return out
 
 
-def _random_coefficient(ctx, rng, tmax=4, nterms=3, coeff_bound=9):
+def _random_coefficient(ctx, rng):
     picks = [{}, {"b1": 1}, {"b2": 1}, {"b1": 2}, {"b3": 1},
              {"b1": 1, "b2": 1}]
     out = ctx.zero()
-    for _ in range(nterms):
+    for _ in range(3):
         exps = dict(picks[rng.randrange(len(picks))])
-        exps["t"] = rng.randint(0, tmax)
-        out = out + ctx.mono(exps, coeff=rng.randint(-coeff_bound, coeff_bound))
+        exps["t"] = rng.randint(0, 4)
+        out = out + ctx.mono(exps, coeff=rng.randint(-9, 9))
     return out
 
 
@@ -445,8 +436,7 @@ def twisted_fgl_alpha(p, deg=6, bweight=6):
     beta = alpha.compositional_inverse("x")
     bu = beta.substitute({"x": ctx.var("u")})
     bv = beta.substitute({"x": ctx.var("v")})
-    mid = ctx.fgl("x", "y").substitute({"x": bu, "y": bv},
-                                       poly_vars=("x", "y"))
+    mid = ctx.fgl().substitute({"x": bu, "y": bv}, poly_vars=("x", "y"))
     f_alpha = alpha.substitute({"x": mid}, poly_vars=("x",))
 
     witness = None

@@ -86,8 +86,12 @@ def parse_element(ctx, text):
             sign = -1
             chunk = chunk[1:]
         factor = ctx.const(sign)
-        for atom in chunk.split("*"):
-            factor = factor * _parse_atom(ctx, atom, text)
+        try:
+            for atom in chunk.split("*"):
+                factor = factor * _parse_atom(ctx, atom, text)
+        except LaurentUnderflow:
+            raise SeriesError("%s in %r is below the t floor %d" % (
+                chunk, text, ctx.table.floors[ctx.table.index["t"]]))
         total = total + factor
     return total
 
@@ -176,20 +180,13 @@ def _frac_str(value):
 
 # ----- subcommand handlers ----------------------------------------------------
 
-def _base_ctx(args, deg, bweight):
-    if args.tfloor is not None:
-        return fgl.Context(deg, bweight, tfloor=args.tfloor,
-                           extra_vars=("x", "y"))
-    return fgl.base_context(deg, bweight)
-
-
 def _cmd_fgl(args):
     deg = _default_deg(args, 8)
     bweight = _default_bweight(args, 8)
-    ctx = _base_ctx(args, deg, bweight)
+    ctx = fgl.base_context(deg, bweight)
     what = args.what
     if what == "F":
-        series = ctx.fgl("x", "y")
+        series = ctx.fgl()
     elif what == "[n]":
         if args.n is None:
             raise SeriesError("--what [n] needs --n")
@@ -201,7 +198,7 @@ def _cmd_fgl(args):
     elif what == "omega":
         series = ctx.omega
     else:
-        series = ctx.iota
+        series = ctx.nseries(-1)
     doc = {"command": "fgl", "what": what, "deg": deg, "bweight": bweight,
            "result": series.to_json_dict()}
     _emit(args, series.render(), doc)
@@ -211,7 +208,7 @@ def _cmd_fgl(args):
 def _cmd_class(args):
     deg = _default_deg(args, 8)
     bweight = _default_bweight(args, 8)
-    ctx = _base_ctx(args, max(deg, args.n + 1), bweight)
+    ctx = fgl.base_context(max(deg, args.n + 1), bweight)
     if args.kind == "Pn":
         elem = fgl.pn_class(ctx, args.n)
     else:
@@ -391,14 +388,14 @@ def build_parser():
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--i", type=int, default=None)
     sp.add_argument("--j", type=int, default=None)
-    common(sp, "--deg", "--bweight", "--tfloor")
+    common(sp, "--deg", "--bweight")
     sp.set_defaults(func=_cmd_fgl)
 
     sp = sub.add_parser("class", help="ambient classes and their numbers")
     sp.add_argument("kind", choices=("Pn", "hypersurface"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, default=None)
-    common(sp, "--deg", "--bweight", "--tfloor")
+    common(sp, "--deg", "--bweight")
     sp.set_defaults(func=_cmd_class)
 
     sp = sub.add_parser("op", help="apply an operation to an element")

@@ -49,9 +49,9 @@ class Context(Memo):
     after t; b1..b_{bweight} of weight -i always follow; with_primes adds a
     second alphabet bp1..bp_{bweight} for total-operation targets.
 
-    Derived objects (series, classes, shift images and orbit products,
-    FormalP, St descriptors) are cached on the context through `memo`,
-    keyed by value, and die with it.
+    Derived objects (series, classes, shift images, FormalP, St
+    descriptors) are cached on the context through `memo`, keyed by value,
+    and die with it.
     """
 
     def __init__(self, deg, bweight, *, tfloor=None, extra_vars=(),
@@ -99,10 +99,6 @@ class Context(Memo):
     def var(self, name):
         return self.mono({name: 1})
 
-    @property
-    def additive(self):
-        return self.bweight == 0
-
     # ----- the exponential and its relatives ------------------------------
 
     @property
@@ -148,11 +144,6 @@ class Context(Memo):
             return self.B_of(self.log_t.scale(n))
         return self.memo(("nseries", n), build)
 
-    @property
-    def iota(self):
-        """The formal inverse: F(t, iota(t)) = 0."""
-        return self.nseries(-1)
-
     def shift_image(self, name, k):
         """name +_F [k]t: the carrier name under the k-th shift."""
         return self.memo(("shift", name, k), lambda: self.formal_sum(
@@ -162,22 +153,18 @@ class Context(Memo):
         """name * prod_{i in reps} (name +_F [i]t), multiplied in reps order.
 
         With Laurent t a truncated product need not be associative, so the
-        order is part of the value.
+        order is part of the value.  A caller that reuses it caches it.
         """
-        reps = tuple(reps)
+        out = self.var(name)
+        for i in reps:
+            out = out * self.shift_image(name, i)
+        return out
 
-        def build():
-            out = self.var(name)
-            for i in reps:
-                out = out * self.shift_image(name, i)
-            return out
-        return self.memo(("orbit", name, reps), build)
+    def fgl(self):
+        return self.memo("fgl", lambda: self.formal_sum(self.var("x"),
+                                                         self.var("y")))
 
-    def fgl(self, xname="x", yname="y"):
-        return self.memo(("fgl", xname, yname), lambda: self.formal_sum(
-            self.var(xname), self.var(yname)))
-
-    def a_coeff(self, i, j, xname="x", yname="y"):
+    def a_coeff(self, i, j):
         """FGL structure constant a_{i,j} as an ambient polynomial."""
         if i < 0 or j < 0:
             raise SeriesError("a_%d,%d needs i, j >= 0" % (i, j))
@@ -187,7 +174,7 @@ class Context(Memo):
         if i + j > self.trunc_plus:
             raise SeriesError("a_%d,%d needs trunc_plus >= %d, have %d"
                               % (i, j, i + j, self.trunc_plus))
-        return self.fgl(xname, yname).coeff_of(xname, i).coeff_of(yname, j)
+        return self.fgl().coeff_of("x", i).coeff_of("y", j)
 
     def m_coeff(self, n):
         """Logarithm coefficient m_n (coefficient of t^{n+1} in B^-1)."""
@@ -271,12 +258,11 @@ def pn_class(ctx, n):
     return LazardElement(ctx, ctx.m_coeff(n).scale(n + 1), n, "P^%d" % n)
 
 
-def proj_pushforward(ctx, f, n, var="x"):
+def proj_pushforward(ctx, f, n):
     """Pushforward along P^n -> point: the x^n coefficient of f * omega(x)."""
-    if f.min_degree(var) is not None and f.min_degree(var) < 0:
-        raise SeriesError("pushforward input must be a power series in %s"
-                          % var)
-    return (f * ctx.omega.rename_var("t", var)).coeff_of(var, n)
+    if (f.min_degree("x") or 0) < 0:
+        raise SeriesError("pushforward input must be a power series in x")
+    return (f * ctx.omega.rename_var("t", "x")).coeff_of("x", n)
 
 
 def hypersurface_class(ctx, n, d):
@@ -326,7 +312,8 @@ class ChowModel(Memo):
     and h, with h^dim at most, so chern_che's product of p - 1 scaled
     copies bottoms out at t^(-p*dim); the hypersurface inverse
     (t^2 + d*t*h)^-1 reaches t^(-2-dim).  `chern_series(p)` builds the
-    pair at that floor on first use and keeps it in `memo`.
+    pair over a `Context` with that t floor, h capped at dim and bounds
+    (n + 2, 0), on first use, and keeps it in `memo`.
     """
 
     def __init__(self, n, d=0):
@@ -341,7 +328,6 @@ class ChowModel(Memo):
         self.dim = n if d == 0 else n - 1
         if self.dim < 1:
             raise SeriesError("model dimension must be positive")
-        self.tp = n + 2
 
     def chern_series(self, p):
         """(c(T), c(-T)) over a t floor deep enough for chern_che at p."""
@@ -349,12 +335,9 @@ class ChowModel(Memo):
         floor = -max(p * dim, 2 + dim)
 
         def build():
-            table = VariableTable(
-                [Variable("t", 1, laurent_floor=floor), Variable("h", 1)],
-                degree_caps=[("h", dim)],
-            )
-            t = GradedSeries.monomial(table, self.tp, 0, {"t": 1})
-            h = GradedSeries.monomial(table, self.tp, 0, {"h": 1})
+            ctx = Context(n + 1, 0, tfloor=floor, extra_vars=("h",),
+                          degree_caps=[("h", dim)])
+            t, h = ctx.var("t"), ctx.var("h")
             th = (t + h) ** (n + 1)
             if d == 0:
                 c = th.shift_var("t", -1)
@@ -367,10 +350,10 @@ class ChowModel(Memo):
 
     def chern_che(self, p, reps):
         """Product over ī of c(-T)(i_j * t)."""
-        reps = _validate_reps(p, reps)
+        first, *rest = _validate_reps(p, reps)
         c_minus = self.chern_series(p)[1]
-        out = GradedSeries.one(c_minus.table, self.tp, 0)
-        for i in reps:
+        out = c_minus.scale_var("t", first)
+        for i in rest:
             out = out * c_minus.scale_var("t", i)
         return out
 

@@ -10,13 +10,14 @@ part of e^p - St(e), residue slices and Chow traces.  The verifier suites
 for the identities these satisfy live in `verify`; the module `__getattr__`
 forwards `VERIFIERS` and `run_verifier` from there only for `perfbench`.
 
-Caches: what depends on the context alone (classes, the grid, FormalP, the
-orbit product that is St's gamma, St descriptors) is cached on the Context
-through `Context.memo`; what a descriptor derives (the twisted exponential,
-b-tilde, gamma on a carrier, apply and Phi by input) is cached on the
-descriptor through the same `memo`, so descriptors built ad hoc take their
-caches with them.  `_CTX_CACHE` keeps one Laurent context per normalized
-`make_context` argument tuple for the process.
+Caches: what depends on the context alone (classes, the grid, shift
+images, FormalP, St descriptors, whose gamma is the orbit product) is cached
+on the Context through `Context.memo`; what a descriptor derives (b-tilde,
+gamma on a carrier, apply and Phi by input) is cached on the descriptor
+through the same `memo`, so descriptors built ad hoc take their caches with
+them.  The twisted exponential is not cached: only b-tilde reads it, once.
+`_CTX_CACHE` keeps one Laurent context per normalized `make_context`
+argument tuple for the process.
 """
 
 from __future__ import annotations
@@ -109,14 +110,12 @@ class OperationDescriptor(fgl.Memo):
 
     def twisted_exponential(self):
         """gamma(B(s/c)): the exponential of the target group law in s."""
-        def build():
-            ctx = self.ctx
-            bs = ctx.B_of(ctx.var("s") * self.c.mul_inverse())
-            out = self.gamma.substitute({"x": bs}, poly_vars=("x",))
-            if out.coeff_of("s", 1) != ctx.one():
-                raise SeriesError("twisted exponential is not normalized")
-            return out
-        return self.memo("exponential", build)
+        ctx = self.ctx
+        bs = ctx.B_of(ctx.var("s") * self.c.mul_inverse())
+        out = self.gamma.substitute({"x": bs}, poly_vars=("x",))
+        if out.coeff_of("s", 1) != ctx.one():
+            raise SeriesError("twisted exponential is not normalized")
+        return out
 
     def btilde(self, i):
         """Image of the ambient generator b_i."""
@@ -228,13 +227,11 @@ def st_slice(ctx, st, e, f):
     return chow_trace(ctx, (f * st.apply(e)).coeff_of("t", 0))
 
 
-def omega_che(ctx, p, reps, roots=()):
-    """che class prod_j c(N)([i_j]t) from the bundle's weight-1 roots."""
+def omega_che(ctx, reps):
+    """che class prod_j c(O(1))([i_j]t) = prod_j (z1 +_F [i_j]t)."""
     out = ctx.one()
     for i in reps:
-        it = ctx.nseries(i)
-        for lam in roots:
-            out = out * ctx.formal_sum(it, lam)
+        out = out * ctx.shift_image("z1", i)
     return out
 
 

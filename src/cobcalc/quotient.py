@@ -49,7 +49,8 @@ class FormalP:
     def __init__(self, ctx, p):
         if p < 2:
             raise SeriesError("p must be a prime >= 2")
-        self._certify(ctx.const(p) if ctx.additive
+        # the additive law (no b's) has [p](t) = p*t
+        self._certify(ctx.const(p) if ctx.bweight == 0
                       else ctx.nseries(p).shift_var("t", -1), int(p))
 
     @classmethod

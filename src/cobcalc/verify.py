@@ -25,19 +25,19 @@ from .series import FalsificationError, SeriesError, mod_p
 VERIFIERS = {}
 
 
-def _suite(name, reads="p deg bweight seed", primes=(2, 3, 5),
-           reps="all-choices"):
+def _suite(name, primes=(2, 3, 5), reps="all-choices"):
     """Register the suite under name; primes is the tuple of primes it
     runs, or what its report says instead when it reads no p.
 
-    The registered function takes p, deg, bweight and seed, fills those
-    left None from operations.DEFAULTS, refuses a p not in primes, passes
-    the suite the ones it reads (p as the list of primes to run) and
-    returns the report {"prop", "p", "reps", "cases", "summary"}.
+    The options a suite reads are its parameters.  The registered function
+    takes p, deg, bweight and seed, fills those left None from
+    operations.DEFAULTS, refuses a p not in primes, passes the suite the
+    ones it reads (p as the list of primes to run) and returns the report
+    {"prop", "p", "reps", "cases", "summary"}.
     """
-    reads = tuple(reads.split())
-
     def register(suite):
+        reads = suite.__code__.co_varnames[:suite.__code__.co_argcount]
+
         def report(p=None, deg=None, bweight=None, seed=None):
             label = list(primes) if isinstance(primes, tuple) else primes
             if p is not None and "p" in reads:
@@ -111,17 +111,16 @@ def _st_cases(check, p, deg, bweight, seed):
     return _cases(at, p)
 
 
-@_suite("fglaxioms", reads="deg bweight", primes="n/a", reps="n/a")
+@_suite("fglaxioms", primes="n/a", reps="n/a")
 def verify_fglaxioms(deg, bweight):
     """Unit, commutativity, associativity, and the low structure constants."""
-    ctx = fgl.Context(deg, bweight, extra_vars=("x", "y", "w"),
-                      trunc_plus=deg + 1)
+    ctx = fgl.Context(deg, bweight, extra_vars=("x", "y", "w"))
     # a_coeff names the bound that a small deg or bweight misses, before
     # b2 is looked up
     a11, a21 = ctx.a_coeff(1, 1), ctx.a_coeff(2, 1)
     b1, b2 = ctx.var("b1"), ctx.var("b2")
     x, y, w = ctx.var("x"), ctx.var("y"), ctx.var("w")
-    F = ctx.fgl("x", "y")
+    F = ctx.fgl()
     swapped = F.substitute({"x": y, "y": x}, poly_vars=("x", "y"))
     Fyw = F.substitute({"x": y, "y": w}, poly_vars=("x", "y"))
     left = F.substitute({"x": F, "y": w}, poly_vars=("x", "y"))
@@ -217,7 +216,7 @@ def verify_rr(p, deg, bweight, seed):
         qs = [("1", ctx.one()), ("t", ctx.var("t")),
               ("t^2", ctx.mono({"t": 2})), ("P1*t", p1 * ctx.var("t"))]
         gs = [("1", ctx.one()), ("z", z), ("P1*z", p1 * z)]
-        che = ops.omega_che(ctx, st.p, st.reps, roots=(z,))
+        che = ops.omega_che(ctx, st.reps)
         for ql, qser in qs:
             for gl, gser in gs:
                 lhs = ops.slice_phi(
@@ -237,7 +236,7 @@ _F1_CLASSES = (
 )
 
 
-@_suite("f1", reads="deg bweight seed", primes=(2, 3))
+@_suite("f1", primes=(2, 3))
 def verify_f1(deg, bweight, seed):
     """deg of the t^{p dim} slice of Phi([U]) equals the Chow-side eta,
     over a fixed table of (prime, class)."""
@@ -325,7 +324,7 @@ def _in_generator_ideal(diff, p):
     return bad is None, bad and "t^%d * %s (coefficient %s)" % bad
 
 
-@_suite("diagram", reads="p deg bweight", primes=(2, 3))
+@_suite("diagram", primes=(2, 3))
 def verify_diagram(p, deg, bweight):
     """St for different representatives agree with the Sq lift mod ([p]t)."""
     def check(q):
@@ -343,7 +342,7 @@ def verify_diagram(p, deg, bweight):
     return _cases(check, p)
 
 
-@_suite("tomdieck", reads="p deg bweight", reps="canonical")
+@_suite("tomdieck", reps="canonical")
 def verify_tomdieck(p, deg, bweight):
     """Sq lands in the quotient and reduces to p-th powers at t^0."""
     def check(q):
@@ -366,7 +365,7 @@ _IL1_CLASSES = (("P1", 1, 0), ("P2", 2, 0), ("P3", 3, 0), ("P4", 4, 0),
                 ("H(3,2)", 3, 2), ("H(4,3)", 4, 3), ("H(3,3)", 3, 3))
 
 
-@_suite("il1", reads="p seed")
+@_suite("il1")
 def verify_il1(p, seed):
     """eta mod p does not depend on the representative choice on I(p)."""
     fic = fgl.base_context(8, 6)
@@ -400,7 +399,7 @@ def verify_il1(p, seed):
 _IL3_CASES = ((2, 1), (3, 1), (2, 2))
 
 
-@_suite("il3", reads="", primes=(2, 3), reps="n/a")
+@_suite("il3", primes=(2, 3), reps="n/a")
 def verify_il3():
     """chi_{b_{p-1}^d}([H_{p,p^r}])/p is a unit mod p of binomial size."""
     cases = []
@@ -432,7 +431,7 @@ def verify_il3():
     return cases
 
 
-@_suite("soold", reads="deg bweight", primes=2, reps=[-1])
+@_suite("soold", primes=2, reps=[-1])
 def verify_soold(deg, bweight):
     """[p]-multiplied slices of Phi against q(0) e^p minus the St residue."""
     def check(q):
@@ -452,7 +451,7 @@ def verify_soold(deg, bweight):
     return _cases(check, [2], reps=[-1])
 
 
-@_suite("minors", reads="", primes="n/a", reps="n/a")
+@_suite("minors", primes="n/a", reps="n/a")
 def verify_minors():
     """The confluent Vandermonde determinant identity and its minors."""
     return [_suite_case("determinant and minors grid", actions.minors_suite())]
@@ -466,7 +465,7 @@ def verify_thmg(p, deg, bweight, seed):
             q, deg=deg, bweight=bweight, seed=seed))], p)
 
 
-@_suite("xy", reads="p deg bweight")
+@_suite("xy")
 def verify_xy(p, deg, bweight):
     """The addition series G and the twisted group law are integral."""
     def check(q):

@@ -198,17 +198,17 @@ def action_context(p, deg=6, bweight=6):
     return Context(deg, bweight, extra_vars=("x",), trunc_plus=3 * deg + 4)
 
 
-def _shift_power(action, k):
-    """sigma^k(x) by applying the one-step shift k - 1 times to image(1)."""
-    out = action.image(1)
+def _shift_power(ctx, k):
+    """sigma^k(x) by applying the one-step shift k - 1 times to x +_F t."""
+    out = ctx.shift_image("x", 1)
     for _ in range(k - 1):
-        out = out.substitute({action.var: action.image(1)})
+        out = out.substitute({"x": ctx.shift_image("x", 1)})
     return out
 
 
 def test_shift_automorphism_shape():
     ctx = action_context(2)
-    image = ShiftAction(ctx, 2, "x").image(1)
+    image = ctx.shift_image("x", 1)
     assert image.coeff_of("x", 0) == ctx.var("t")
     lam1 = image.coeff_of("x", 1)
     assert lam1.constant() == 1
@@ -218,18 +218,16 @@ def test_shift_automorphism_shape():
 @pytest.mark.parametrize("p", [2, 3])
 def test_shift_automorphism_order_p(p):
     ctx = action_context(p)
-    action = ShiftAction(ctx, p, "x")
-    assert _shift_power(action, 2) == action.image(2)
-    fp = action.fp
-    assert fp.normal_form(_shift_power(action, p) - ctx.var("x")).is_zero
+    assert _shift_power(ctx, 2) == ctx.shift_image("x", 2)
+    fp = FormalP(ctx, p)
+    assert fp.normal_form(_shift_power(ctx, p) - ctx.var("x")).is_zero
 
 
 def test_additive_shift_has_order_two():
     ctx = Context(6, 0, extra_vars=("x",), trunc_plus=12)
-    action = ShiftAction(ctx, 2, "x")
-    assert action.image(1) == ctx.var("x") + ctx.var("t")
+    assert ctx.shift_image("x", 1) == ctx.var("x") + ctx.var("t")
     fp = FormalP(ctx, 2)
-    assert fp.normal_form(_shift_power(action, 2) - ctx.var("x")).is_zero
+    assert fp.normal_form(_shift_power(ctx, 2) - ctx.var("x")).is_zero
 
 
 def test_invariant_decompose_pi_powers():

@@ -181,7 +181,10 @@ def test_bad_args_exit_two(capsys):
                  ["op", "st", "--input", "P1", "--q", "t"],
                  ["op", "sq", "--input", "P1", "--q", "t"],
                  ["op", "phi", "--input", "P1", "--q", "t"],
-                 ["op", "ln", "--input", "P1", "--q", "t"]):
+                 ["op", "ln", "--input", "P1", "--q", "t"],
+                 # only op reads --tfloor
+                 ["fgl", "--what", "F", "--tfloor", "-7"],
+                 ["class", "Pn", "--n", "2", "--tfloor", "-7"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -219,7 +222,10 @@ def test_bad_args_name_the_problem(capsys, monkeypatch):
               "--bweight", "2", "--tfloor", "0"],
              "--tfloor 0 is too shallow"),
             (["op", "slice", "--input", "P1", "--p", "2", "--q", "t^-60"],
-             "t^-60 in 't^-60' is below the t floor -48")):
+             "t^-60 in 't^-60' is below the t floor -48"),
+            # each atom is above the floor, their product is not
+            (["op", "st", "--input", "t^-30*t^-30", "--p", "2"],
+             "t^-30*t^-30 in 't^-30*t^-30' is below the t floor -48")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -285,7 +291,7 @@ def test_verify_pass_and_fail_paths(capsys, monkeypatch):
 
     monkeypatch.setattr(verify, "VERIFIERS", dict(verify.VERIFIERS))
 
-    @verify._suite("broken", reads="", primes="n/a", reps="n/a")
+    @verify._suite("broken", primes="n/a", reps="n/a")
     def broken():
         return [{"input": "x", "verdict": "fail", "witness": "w"}]
 

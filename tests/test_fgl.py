@@ -56,8 +56,8 @@ def test_fgl_integrality(ctx):
 
 def test_fgl_associativity():
     c = Context(6, 6, extra_vars=("x", "y", "w"))
-    lhs = c.formal_sum(c.fgl("x", "y"), c.var("w"))
-    rhs = c.formal_sum(c.var("x"), c.fgl("y", "w"))
+    lhs = c.formal_sum(c.fgl(), c.var("w"))
+    rhs = c.formal_sum(c.var("x"), c.formal_sum(c.var("y"), c.var("w")))
     assert lhs == rhs
 
 
@@ -73,7 +73,7 @@ def test_formal_int_mul(ctx):
 
 
 def test_formal_inverse(ctx):
-    inv = ctx.iota
+    inv = ctx.nseries(-1)
     assert inv.coeff({"t": 1}) == -1
     assert inv.coeff({"t": 2, "b1": 1}) == 2
     assert inv.coeff({"t": 3, "b1": 2}) == -4

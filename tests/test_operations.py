@@ -180,7 +180,7 @@ def test_morphism_invariant_small():
     for p in (2, 3):
         ctx = op.make_context(p, deg=4, bweight=3)
         st = op.quillen_steenrod(ctx, p, tuple(range(1, p)))
-        F = ctx.fgl("x", "y")
+        F = ctx.fgl()
         lhs = st.phi_hat(F).substitute(
             {"x": st.gamma, "y": st.gamma.substitute(
                 {"x": ctx.var("y")}, poly_vars=("x",))},
@@ -224,7 +224,7 @@ def test_tom_dieck_sq_tzero_is_pth_power():
 
 def test_omega_che_line_bundle(ctx2):
     z = ctx2.var("z1")
-    che = op.omega_che(ctx2, 2, (1,), roots=(z,))
+    che = op.omega_che(ctx2, (1,))
     assert che == ctx2.formal_sum(z, ctx2.var("t"))
 
 
@@ -300,9 +300,8 @@ def test_shift_action_shares_the_orbit_product_with_st(monkeypatch):
     monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
     ctx = op.make_context(3, deg=4, bweight=3)
     action = ShiftAction(ctx, 3)
-    assert action.pi_power(1) is op.quillen_steenrod(ctx, 3, (1, 2)).gamma
+    assert action.pi_power(1) == op.quillen_steenrod(ctx, 3, (1, 2)).gamma
     assert action.fp is formal_p(ctx, 3)
-    assert action.image(2) is ctx.shift_image("x", 2)
 
 
 def test_st_case_loop_reports_failing_checks(monkeypatch):
@@ -316,6 +315,20 @@ def test_st_case_loop_reports_failing_checks(monkeypatch):
     assert [c["reps"] for c in cases] == [list(reps) for _, reps
                                           in op.rep_choices(2)
                                           for _ in range(5)]
+
+
+def test_rr_reports_a_che_class_of_one(monkeypatch):
+    monkeypatch.setattr(op, "omega_che", lambda ctx, reps: ctx.one())
+    cases = verify.verify_rr(p=2)["cases"]
+    assert any(c["verdict"] == "fail" and c["witness"] for c in cases)
+
+
+def test_fglaxioms_reports_a_perturbed_law(monkeypatch):
+    law = fgl.Context.fgl
+    monkeypatch.setattr(fgl.Context, "fgl", lambda self: law(self) + self.mono(
+        {"x": 1, "y": 1, "b1": 1}))
+    cases = {c["input"]: c for c in verify.verify_fglaxioms()["cases"]}
+    assert cases["a11"]["verdict"] == "fail" and cases["a11"]["witness"]
 
 
 def test_operations_forwards_the_registry_to_verify():

@@ -1,4 +1,4 @@
-"""Mutants of the kernels and of the slices, for `tools/mutate.py`.
+"""Mutants of the kernels, the slices and the che class, for `tools/mutate.py`.
 
 Each mutant replaces one exact anchor text in one file under `src/` and
 names the tests expected to kill it (fail on the mutated code), quickest
@@ -29,6 +29,7 @@ ORACLE = "tests/test_kernel_oracle.py"
 MINORS = ("tests/test_actions.py"
           "::test_maximal_minors_match_cofactor_expansion")
 UV = "tests/test_operations.py::test_verifier_uv_p3"
+RR = "tests/test_operations.py::test_verifier_rr_p2"
 
 MUTANTS = [
     Mutant("mod_p multiplies by den, not by its inverse", SERIES,
@@ -153,7 +154,7 @@ MUTANTS = [
            "prefix + (c,), s, one)",
            [MINORS, "tests/test_actions.py::test_bareiss_examples"]),
     Mutant("the invariance check substitutes the identity", ACTIONS,
-           "fp.normal_form(action.image(1))",
+           "fp.normal_form(action.ctx.shift_image(var, 1))",
            "fp.normal_form(action.ctx.var(var))",
            ["tests/test_actions.py"
             "::test_invariant_decompose_rejects_non_invariant",
@@ -171,4 +172,13 @@ MUTANTS = [
            'return chow_trace(ctx, (f * st.apply(e)).coeff_of("t", 0))',
            'return chow_trace(ctx, (f * st.apply(e)).coeff_of("t", -1))',
            [UV]),
+    # and the rr suite's verdict a wrong che class
+    Mutant("omega_che shifts by -i", OPERATIONS,
+           'out = out * ctx.shift_image("z1", i)',
+           'out = out * ctx.shift_image("z1", -i)',
+           [RR]),
+    Mutant("omega_che drops the first rep", OPERATIONS,
+           "for i in reps:",
+           "for i in reps[1:]:",
+           [RR]),
 ]
