@@ -1,9 +1,10 @@
 """Multiplicative operations on cellular models L[[z1..zl]].
 
 An operation is a descriptor (p, representatives, gamma) acting on series as
-one ring map, a single `substitute`: z_i maps to gamma(z_i) and each ambient
-b_i to the coefficient of s^(i+1) in the twisted exponential gamma(B(s/c)),
-c = gamma'(0).  The module builds Quillen-Steenrod St(reps), the total
+one ring map: z_i maps to gamma(z_i) and each ambient b_i to the coefficient
+of s^(i+1) in the twisted exponential gamma(B(s/c)), c = gamma'(0).  The map
+is linear, so a series goes to the sum of its coefficients times the images
+of its monomials.  The module builds Quillen-Steenrod St(reps), the total
 Landweber-Novikov operation, the tom Dieck Sq (through the faithful Laurent
 quotient), Symmetric operations Phi = divide-by-formal-p of the nonpositive
 part of e^p - St(e), residue slices and Chow traces.  The verifier suites
@@ -13,11 +14,13 @@ forwards `VERIFIERS` and `run_verifier` from there only for `perfbench`.
 Caches: what depends on the context alone (classes, the grid, shift
 images, FormalP, St descriptors, whose gamma is the orbit product) is cached
 on the Context through `Context.memo`; what a descriptor derives (b-tilde,
-gamma on a carrier, apply and Phi by input) is cached on the descriptor
-through the same `memo`, so descriptors built ad hoc take their caches with
-them.  The twisted exponential is not cached: only b-tilde reads it, once.
-`_CTX_CACHE` keeps one Laurent context per normalized `make_context`
-argument tuple for the process.
+gamma on a carrier, the image of each monomial under `apply` and under
+`phi_hat`, Phi by input) is cached on the descriptor through the same
+`memo`, so descriptors built ad hoc take their caches with them.  `apply`
+keeps no result by input: an input whose monomials are all cached costs
+only scalings and sums.  The twisted exponential is not cached: only
+b-tilde reads it, once.  `_CTX_CACHE` keeps one Laurent context per
+normalized `make_context` argument tuple for the process.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import random
 
 from . import fgl
 from .quotient import formal_p
-from .series import FalsificationError, SeriesError
+from .series import FalsificationError, GradedSeries, SeriesError
 
 _CTX_CACHE = {}
 # what a verifier option left None, or the seed of rep_choices, falls back to
@@ -113,8 +116,11 @@ class OperationDescriptor(fgl.Memo):
         ctx = self.ctx
         bs = ctx.B_of(ctx.var("s") * self.c.mul_inverse())
         out = self.gamma.substitute({"x": bs}, poly_vars=("x",))
-        if out.coeff_of("s", 1) != ctx.one():
-            raise SeriesError("twisted exponential is not normalized")
+        # witness: the s^1 coefficient minus the 1 it must be
+        excess = out.coeff_of("s", 1) - ctx.one()
+        if not excess.is_zero:
+            raise FalsificationError("twisted exponential is not normalized",
+                                     witness=excess.render())
         return out
 
     def btilde(self, i):
@@ -125,15 +131,41 @@ class OperationDescriptor(fgl.Memo):
         return self.memo("btilde", build)[i]
 
     def _substitute(self, e, names):
-        """e with each of names that occurs in it sent to its image: a
-        carrier z to gamma(z), b_i to btilde_i; names[0] is Horner's outer
-        variable."""
-        images = {}
+        """e under the ring map that sends each of names to its image (a
+        carrier z to gamma(z), b_i to btilde_i) and fixes every other
+        variable: the sum of c * image(m) over the terms c * m of e.
+
+        A truncated product keeps each term by its key alone, so it is
+        bilinear, and this sum equals Horner's rule with names[0] outermost
+        exactly.  The monomial images are cached on the descriptor by the
+        full names tuple, so inputs that share monomials share their work.
+        """
+        images = self.memo(("monomials", names), dict)
+        out = e.scale(0)
+        for exp, c in e.sorted_terms():
+            out = out + self._monomial_image(images, names, exp).scale(c)
+        return out
+
+    def _monomial_image(self, images, names, exp):
+        """image(m) = image(m / v) * image(v), v the first of names that
+        divides m; a monomial in the passive variables is its own image."""
+        img = images.get(exp)
+        if img is not None:
+            return img
+        ctx = self.ctx
         for n in names:
-            if e.involves(n):
-                images[n] = (self.gamma_at(n) if n in self.ctx.z_names
-                             else self.btilde(self.ctx.b_names.index(n) + 1))
-        return e.substitute(images, poly_vars=names)
+            i = ctx.table.index[n]
+            if exp[i] > 0:
+                rest = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+                img = self._monomial_image(images, names, rest) * (
+                    self.gamma_at(n) if n in ctx.z_names
+                    else self.btilde(ctx.b_names.index(n) + 1))
+                break
+        else:
+            img = GradedSeries(ctx.table, ctx.trunc_plus, ctx.trunc_minus,
+                               {exp: 1})
+        images[exp] = img
+        return img
 
     def phi_hat(self, u):
         """Coefficient map: substitute b_i -> btilde_i, all else passive."""
@@ -145,11 +177,9 @@ class OperationDescriptor(fgl.Memo):
             {"x": self.ctx.var(name)}, poly_vars=("x",)))
 
     def apply(self, e):
-        """The ring map z -> gamma(z), b_i -> btilde_i, carriers outermost
-        (binding the b's first makes larger products)."""
-        return self.memo(("apply", e),
-                         lambda: self._substitute(
-                             e, self.ctx.z_names + self.ctx.b_names))
+        """The ring map z -> gamma(z), b_i -> btilde_i, as a linear
+        combination of the cached images of e's monomials."""
+        return self._substitute(e, self.ctx.z_names + self.ctx.b_names)
 
 
 def quillen_steenrod(ctx, p, reps):

@@ -57,6 +57,18 @@ def test_twisted_exponential_normalized(ctx2, st2):
     assert e.coeff_of("s", 0).is_zero
 
 
+def test_unnormalized_twisted_exponential_is_falsified(ctx2, st2):
+    # with c doubled, gamma(B(s/2c)) has s^1 coefficient 1/2: an identity
+    # fails (exit 3), not an argument (exit 2), and the witness is 1/2 - 1
+    bad = op.OperationDescriptor(ctx2, 2, st2.gamma, reps=st2.reps)
+    bad.c = st2.c.scale(2)
+    with pytest.raises(FalsificationError) as info:
+        bad.twisted_exponential()
+    assert info.value.witness == ctx2.const(Fraction(-1, 2)).render()
+    with pytest.raises(FalsificationError):
+        bad.apply(ctx2.var("b1"))
+
+
 def test_descriptor_rejects_bad_gamma(ctx2):
     with pytest.raises(SeriesError):
         op.OperationDescriptor(ctx2, 2, ctx2.one())
@@ -501,8 +513,9 @@ def test_ln_apply_and_phi_hat_match_the_grouped_reference():
 
 def test_st_apply_product_terms_ceiling(monkeypatch):
     # output terms of every product St.apply makes over the grid at p = 3,
-    # each choice of reps: 7,373 with the carriers as Horner's outer
-    # variable, 7,733 with the b's outer, 9,111 with the grouped loop
+    # each choice of reps: 6,341 with each monomial's image built once from
+    # the image of a smaller monomial (7,373 with Horner's rule, carriers
+    # outermost, and an apply memo by input)
     monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
     ctx = op.make_context(3, deg=6, bweight=6)
     grid = op.grid_elements(ctx)
@@ -512,13 +525,37 @@ def test_st_apply_product_terms_ceiling(monkeypatch):
 
     def counting_mul(a, b):
         out = mul(a, b)
-        terms[0] += len(out.terms)
+        terms[0] += len(out.sorted_terms())
         return out
     monkeypatch.setattr(GradedSeries, "__mul__", counting_mul)
     for st in sts:
         for _label, e, _dim in grid:
             st.apply(e)
-    assert terms[0] <= 7373
+    assert terms[0] <= 6341
+
+
+def test_st_apply_of_a_sum_reuses_the_monomial_images(monkeypatch):
+    # once St has mapped every grid element, u + v has no monomial whose
+    # image is not cached, so apply makes no series product
+    monkeypatch.setattr(op, "_CTX_CACHE", {})
+    ctx = op.make_context(3, deg=6, bweight=6)
+    grid = [e for _label, e, _dim in op.grid_elements(ctx)]
+    sts = [op.quillen_steenrod(ctx, 3, reps) for _, reps in op.rep_choices(3)]
+    for st in sts:
+        for e in grid:
+            st.apply(e)
+    products = [0]
+    mul = GradedSeries.__mul__
+
+    def counting_mul(a, b):
+        products[0] += 1
+        return mul(a, b)
+    monkeypatch.setattr(GradedSeries, "__mul__", counting_mul)
+    for st in sts:
+        for u in grid:
+            for v in grid:
+                st.apply(u + v)
+    assert products[0] == 0
 
 
 def test_products_never_build_the_tuple_view(monkeypatch):

@@ -1,4 +1,5 @@
-"""Mutants of the kernels, the slices and the che class, for `tools/mutate.py`.
+"""Mutants of the kernels, the operations, the slices and the che class,
+for `tools/mutate.py`.
 
 Each mutant replaces one exact anchor text in one file under `src/` and
 names the tests expected to kill it (fail on the mutated code), quickest
@@ -30,6 +31,8 @@ MINORS = ("tests/test_actions.py"
           "::test_maximal_minors_match_cofactor_expansion")
 UV = "tests/test_operations.py::test_verifier_uv_p3"
 RR = "tests/test_operations.py::test_verifier_rr_p2"
+APPLY_ORACLE = ("tests/test_operations.py"
+                "::test_st_apply_and_phi_hat_match_the_grouped_reference")
 
 MUTANTS = [
     Mutant("mod_p multiplies by den, not by its inverse", SERIES,
@@ -172,6 +175,15 @@ MUTANTS = [
            'return chow_trace(ctx, (f * st.apply(e)).coeff_of("t", 0))',
            'return chow_trace(ctx, (f * st.apply(e)).coeff_of("t", -1))',
            [UV]),
+    # the grouped reference, not a digest, must catch a wrong image cache
+    Mutant("apply and phi_hat share one monomial image cache", OPERATIONS,
+           'images = self.memo(("monomials", names), dict)',
+           'images = self.memo("monomials", dict)',
+           [APPLY_ORACLE]),
+    Mutant("the twisted exponential scales s by c, not by c^-1", OPERATIONS,
+           'ctx.var("s") * self.c.mul_inverse()',
+           'ctx.var("s") * self.c',
+           ["tests/test_operations.py::test_btilde_oracle_p2", UV]),
     # and the rr suite's verdict a wrong che class
     Mutant("omega_che shifts by -i", OPERATIONS,
            'out = out * ctx.shift_image("z1", i)',
