@@ -120,6 +120,10 @@ def maximal_minors(rows, one):
             below = []
             for row in piv[1:]:
                 rc = row[c]
+                if rc.is_zero and pc == prev:
+                    # (row * pc - 0 * top) / prev is the row itself
+                    below.append(row)
+                    continue
                 below.append([None] * (c + 1) + [
                     (row[j] * pc - rc * top[j]).exact_divide(prev,
                                                             integral=True)
@@ -170,23 +174,31 @@ def check_minor_determinant(blocks, exhaustive_minors=False):
     """
     blocks = tuple(blocks)
     n_total = sum(blocks)
-    square = ConfluentMatrix(blocks, n_total)
-    det = bareiss_det(square.rows, square.one())
-    prod = vandermonde_product(square)
+    m = n_total + 2
+    if exhaustive_minors:
+        # the square matrix is the wide one's first n_total columns, so its
+        # determinant is the walk's first minor
+        wide = ConfluentMatrix(blocks, m)
+        prod = vandermonde_product(wide)
+        minors = maximal_minors(wide.rows, wide.one())
+        _cols, det = next(minors)
+    else:
+        square = ConfluentMatrix(blocks, n_total)
+        det = bareiss_det(square.rows, square.one())
+        prod = vandermonde_product(square)
     verdict = det == prod
     witness = None
     cases = 1
     if not verdict:
         witness = "det A(%s;%d) != product" % (",".join(map(str, blocks)),
                                                n_total)
-    if exhaustive_minors and verdict:
-        m = n_total + 2
-        wide = ConfluentMatrix(blocks, m)
-        wprod = vandermonde_product(wide)
-        for cols, sub in maximal_minors(wide.rows, wide.one()):
+    elif exhaustive_minors:
+        # the first minor equals the product, so the product divides it
+        cases += 1
+        for cols, sub in minors:
             cases += 1
             try:
-                sub.exact_divide(wprod, integral=True)
+                sub.exact_divide(prod, integral=True)
             except NotDivisible:
                 verdict = False
                 witness = "minor columns %s of A(%s;%d)" % (

@@ -37,6 +37,9 @@ visited; the pair loop adds and multiplies plain ints, and one mask on each
 output key drops the terms past a degree cap and finds those below a
 Laurent floor.  Exact division keeps its remainder in a heap of int keys in
 graded-lexicographic order and subtracts each shifted divisor term by term.
+A one-term operand or divisor needs neither: the result is one key shift of
+the other operand's rows (`_shift`), with the same drops and errors;
+`shift_var`, `diff` and the inverses multiply by a monomial the same way.
 A series changes its bounds only through `retruncate`, which within one
 geometry filters its keys.  Substitution is Horner's rule (Brent and Kung,
 J. ACM 1978): degree K in one variable costs K products.  Reversion is
@@ -51,7 +54,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 import json
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 import re
 from types import MappingProxyType
 
@@ -598,16 +601,23 @@ class GradedSeries:
     # ----- ring operations ----------------------------------------------
 
     def __add__(self, other):
+        return self._merge(other, 1)
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def _merge(self, other, sign):
+        """self + sign * other in one pass over other's rows."""
         if not isinstance(other, GradedSeries):
             return NotImplemented
         self._compat(other)
         if not other._rows:
             return self
         if not self._rows:
-            return other
+            return other if sign == 1 else -other
         da, db = self._den, other._den
         den = lcm(da, db)
-        fa, fb = den // da, den // db
+        fa, fb = den // da, sign * (den // db)
         out = dict(self._rows) if fa == 1 else {
             k: v * fa for k, v in self._rows.items()}
         get = out.get
@@ -632,11 +642,6 @@ class GradedSeries:
     def __neg__(self):
         return self._make({k: -v for k, v in self._rows.items()}, self._den)
 
-    def __sub__(self, other):
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, c):
         c = _exact_scalar(c)
         if c == 0:
@@ -654,12 +659,16 @@ class GradedSeries:
                 return self.scale(other)
             return NotImplemented
         self._compat(other)
+        if len(self._rows) > len(other._rows):
+            self, other = other, self
         a, b = self._rows, other._rows
-        if not a or not b:
+        if not a:
             return self._make({})
-        if len(a) > len(b):
-            a, b = b, a
         lay = self._lay
+        if len(a) == 1:
+            # one term: shift the other operand's keys, no pair loop
+            (ka, ca), = a.items()
+            return other._shift(ka - lay.base, ca, self._den)
         pshift, pmask, mshift = lay.pshift, lay.pmask, lay.mshift
         # the truncations as bounds on the degree fields of two keys' sum
         pmax = self.trunc_plus + 2 * lay.pconst
@@ -724,39 +733,41 @@ class GradedSeries:
                 base = base * base
         return result
 
-    def _times_monomial(self, exp, c):
-        """self * (c * monomial exp) without the product kernel; terms that
-        leave the truncations or pass a cap are dropped."""
+    def _shift(self, delta, n, d):
+        """self * (n/d) * the monomial keyed base + delta, one key shift per
+        term: terms past a bound or a cap are dropped, and a kept term below
+        a floor raises.  The fields must hold every shifted key, as they do
+        when the monomial is a difference of two admissible terms."""
         lay = self._lay
-        table = self.table
-        dp = sum(map(mul, exp, table._wplus))
-        dm = sum(map(mul, exp, table._wminus))
-        caps = []
-        for idxs, off, mask, lim in lay.caps:
-            s = sum(exp[i] for i in idxs)
-            if s:
-                caps.append((off, mask, lim - s))
-        lows = [(lay.fields[i], f or 0, d, v.name)
-                for i, (d, f, v) in enumerate(zip(exp, table.floors,
-                                                  table.variables)) if d < 0]
         pshift, pmask, mshift = lay.pshift, lay.pmask, lay.mshift
-        ptop = self.trunc_plus + lay.pconst - dp
-        mtop = self.trunc_minus + lay.mconst - dm
-        delta = lay.key(exp) - lay.base
-        c = Fraction(c)
-        n, d = c.numerator, c.denominator
+        ptop = self.trunc_plus + lay.pconst
+        mtop = self.trunc_minus + lay.mconst
+        capbits, expbits = lay.capbits, lay.expbits
         out = {}
         for k, v in self._rows.items():
+            k += delta
             if ((k >> pshift) & pmask > ptop or k >> mshift > mtop
-                    or any((k >> o) & m > lim for o, m, lim in caps)):
+                    or k & capbits):
                 continue
-            for (o, m, fc), f, dd, name in lows:
-                e = ((k >> o) & m) - fc + dd
-                if e < f:
-                    raise LaurentUnderflow("exponent %d of %s below floor"
-                                           % (e, name))
-            out[k + delta] = v * n
+            if k & expbits != expbits:
+                self._underflow(k)
+            out[k] = v * n
         return self._make(out, self._den * d)
+
+    def _times_monomial(self, exp, c):
+        """self * (c * monomial exp); terms that leave the truncations or
+        pass a cap are dropped."""
+        table, lay = self.table, self._lay
+        c = Fraction(c)
+        if (_outside(table, *lay.depth, [max(e, 0) for e in exp])
+                or _outside(table, *lay.depth, [max(-e, 0) for e in exp])):
+            # past the field ranges: the exponent-tuple constructor applies
+            # the same rules
+            return GradedSeries(self.table, self.trunc_plus, self.trunc_minus,
+                                {tuple(map(add, e, exp)): v * c
+                                 for e, v in self._items()})
+        return self._shift(lay.key(exp) - lay.base, c.numerator,
+                           c.denominator)
 
     # ----- variable-level operations --------------------------------------
 
@@ -784,22 +795,22 @@ class GradedSeries:
         return self._times_monomial(e, 1)
 
     def rename_var(self, old, new):
-        """Move every exponent of old onto new (same weight required)."""
-        io = self.table.index[old]
-        im = self.table.index[new]
-        vo, vn = self.table.variables[io], self.table.variables[im]
-        if vo.weight != vn.weight:
+        """Move every exponent of old onto new (same weight required): each
+        digit of old, times new to its exponent, by a key shift."""
+        table = self.table
+        if table.weights[table.index[old]] != table.weights[table.index[new]]:
             raise SeriesError("rename across different weights")
-        out = {}
-        for exp, v in self._items():
-            if exp[im] != 0 and exp[io] != 0:
+        (oo, om, oc), (no, nm, nc) = self._field(old), self._field(new)
+        for k in self._rows:
+            if (k >> oo) & om != oc and (k >> no) & nm != nc:
                 raise SeriesError("rename collision on %s" %
-                                  self.table.monomial_str(exp))
-            e = list(exp)
-            e[im] += e[io]
-            e[io] = 0
-            out[tuple(e)] = v
-        return GradedSeries(self.table, self.trunc_plus, self.trunc_minus, out)
+                                  table.monomial_str(self._lay.unpack(k)))
+        out, exp = self._make({}), [0] * len(table.variables)
+        i = table.index[new]
+        for e, digit in self.as_poly_in(old).items():
+            exp[i] = e
+            out = out + digit._times_monomial(exp, 1)
+        return out
 
     def kill_vars(self, names):
         """Project away all terms that involve any of the named variables."""
@@ -980,6 +991,18 @@ class GradedSeries:
         pmax, mtop = ptop + lay.pconst, self.trunc_minus + lay.mconst
         capbits, expbits, floorbits = lay.capbits, lay.expbits, lay.floorbits
         kg = min(g._rows, key=lambda k: k & order)
+        if len(g._rows) == 1:
+            # one term: shift the keys back by kg, unless some quotient term
+            # falls below a floor or, under integral, is no integer; then
+            # the loop below raises for the least such term
+            cg = g._rows[kg]
+            n, d = (g._den, cg) if cg > 0 else (-g._den, -cg)
+            den, delta = self._den * d, base - kg
+            strict = integral and den != 1
+            if not any((k + delta) & expbits != expbits
+                       or strict and v * n % den
+                       for k, v in self._rows.items()):
+                return self._shift(delta, n, d)
         cg = g._value(g._rows[kg])
         # divisor terms by positive degree, so the truncation ends the loop
         grows = sorted((((k >> pshift) & pmask, k - base, g._value(v))
@@ -1065,14 +1088,12 @@ class GradedSeries:
     # ----- calculus ---------------------------------------------------------
 
     def diff(self, name):
-        i = self.table.index[name]
-        out = {}
-        for exp, c in self._items():
-            k = exp[i]
-            if k == 0:
-                continue
-            out[exp[:i] + (k - 1,) + exp[i + 1:]] = c * k
-        return GradedSeries(self.table, self.trunc_plus, self.trunc_minus, out)
+        """d/d name: each term times its exponent, shifted by name^-1."""
+        off, mask, c = self._field(name)
+        rows = {k: v * e for k, v in self._rows.items()
+                if (e := ((k >> off) & mask) - c)}
+        step = self._lay.scale[self.table.index[name]]
+        return self._make(rows, self._den)._shift(-step, 1, 1)
 
     def split_parts(self, name, at=0):
         """(terms with exponent of name <= at, terms with exponent > at)."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cobcalc import operations
+from cobcalc import actions, operations
 from cobcalc.actions import (ConfluentMatrix, ShiftAction, bareiss_det,
                              check_minor_determinant, invariant_decompose,
                              maximal_minors, minors_suite, prop_xy_series,
@@ -137,8 +137,8 @@ def test_minor_determinant_work_ceiling(monkeypatch):
     monkeypatch.setattr(GradedSeries, "__mul__", counted_mul)
     rep = check_minor_determinant((2, 2, 1), exhaustive_minors=True)
     assert rep["verdict"] and rep["cases"] == 1 + 21
-    assert counts["exact_divide"] <= 248
-    assert counts["mul"] <= 474
+    assert counts["exact_divide"] <= 205
+    assert counts["mul"] <= 380
 
 
 def test_theorem_g_work_ceiling(monkeypatch):
@@ -185,6 +185,31 @@ def test_minor_determinant_report():
     rep = check_minor_determinant((2, 1), exhaustive_minors=True)
     assert rep["verdict"] and rep["witness"] is None
     assert rep["cases"] == 1 + 10  # square + C(5,3) minors
+
+
+def test_minor_determinant_catches_a_wrong_product(monkeypatch):
+    """The square identity, read from the wide walk's first minor, still
+    fails when the product it is compared with is wrong."""
+    product = actions.vandermonde_product
+    monkeypatch.setattr(actions, "vandermonde_product",
+                        lambda matrix: product(matrix) * 2)
+    rep = check_minor_determinant((2, 2, 1), exhaustive_minors=True)
+    assert not rep["verdict"] and rep["cases"] == 1
+    assert rep["witness"] == "det A(2,2,1;5) != product"
+
+
+def test_minor_determinant_catches_a_wrong_minor(monkeypatch):
+    """A later minor plus 1 is not divisible by the product."""
+    walk = actions.maximal_minors
+
+    def off_by_one(rows, one):
+        for i, (cols, minor) in enumerate(walk(rows, one)):
+            yield cols, minor + one if i == 7 else minor
+    monkeypatch.setattr(actions, "maximal_minors", off_by_one)
+    rep = check_minor_determinant((2, 2, 1), exhaustive_minors=True)
+    cols = list(itertools.combinations(range(7), 5))[7]
+    assert not rep["verdict"] and rep["cases"] == 1 + 8
+    assert rep["witness"] == "minor columns %s of A(2,2,1;7)" % (cols,)
 
 
 def test_minors_suite_small():

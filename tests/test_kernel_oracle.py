@@ -33,6 +33,7 @@ from cobcalc.series import (  # noqa: E402
     LaurentUnderflow,
     NonUnitLowest,
     NotDivisible,
+    SeriesError,
     Variable,
     VariableTable,
     coeffs_mod_p,
@@ -640,6 +641,9 @@ def test_laurent_underflow_through_the_packed_path():
         return GradedSeries.monomial(table, 6, 0, exps, coeff=c)
     with pytest.raises(LaurentUnderflow, match="exponent -3 of t"):
         m({"t": -2}) * m({"t": -1, "x": 1})
+    # the same term through the pair loop
+    with pytest.raises(LaurentUnderflow, match="exponent -3 of t"):
+        (m({"t": -2}) + m({"x": 1})) * (m({"t": -1, "x": 1}) + m({"x": 2}))
     with pytest.raises(LaurentUnderflow, match="exponent -3 of t"):
         (m({"t": -1}) + m({"x": 1})).shift_var("t", -2)
     # t^-2 over t^-1 + t^-2*x^2: the quotient term t^-1 times t^-2*x^2
@@ -662,6 +666,199 @@ def test_a_product_at_the_geometry_depth_carries_no_field():
     assert a._lay.depth == (12, 0)
     with pytest.raises(LaurentUnderflow, match="exponent -4 of t"):
         a * a
+
+
+# ----- one-term operands -----------------------------------------------------
+#
+# A product with a one-term operand and a division by a one-term divisor
+# shift keys instead of running the pair loop or the heap, and `diff` and
+# `rename_var` move each term's key.  These checks compare each with the
+# ring's rules on exponent tuples, down to the error it raises and the term
+# that error names: for a product or a move the first term in key order,
+# for a division the least in graded-lexicographic order.
+
+
+def below(table, e):
+    return any(k < (f or 0) for k, f in zip(e, table.floors))
+
+
+def underflow_message(table, e):
+    """The LaurentUnderflow message for the term at e: its first exponent
+    below a floor."""
+    i = next(i for i, (k, f) in enumerate(zip(e, table.floors))
+             if k < (f or 0))
+    return "exponent %d of %s below floor" % (e[i], table.variables[i].name)
+
+
+def in_key_order(s):
+    return sorted(s.terms.items(), key=lambda item: s._lay.key(item[0]))
+
+
+def one_term(draw, table, tp, tm):
+    """A series with exactly one term, often with a negative exponent."""
+    exps = st.tuples(*[st.integers(v.laurent_floor or 0, 2)
+                       for v in table.variables])
+    m = GradedSeries(table, tp, tm, {draw(exps): draw(COEFFS.filter(bool))})
+    hypothesis.assume(not m.is_zero)
+    return m
+
+
+@st.composite
+def one_term_products(draw):
+    table, tp, tm = draw(tables())
+    return series(draw, table, tp, tm), one_term(draw, table, tp, tm)
+
+
+def _laurent_one_term():
+    a = _laurent_pair()[0]
+    return a, GradedSeries(a.table, 4, 2, {(-2, 1): 3})
+
+
+@SETTINGS
+@given(one_term_products())
+@example(_laurent_one_term())
+def test_one_term_products_match_the_tuple_oracle(case):
+    a, m = case
+    (em, cm), = m.terms.items()
+    want, underflow = ring_rules(a.table, a.trunc_plus, a.trunc_minus, {
+        tuple(x + y for x, y in zip(e, em)): Fraction(c) * cm
+        for e, c in in_key_order(a)})
+    for left, right in ((a, m), (m, a)):
+        if underflow:
+            low = next(e for e in want if below(a.table, e))
+            with pytest.raises(LaurentUnderflow) as err:
+                left * right
+            assert str(err.value) == underflow_message(a.table, low)
+        else:
+            assert (left * right).terms == want
+
+
+def monomial_division_oracle(f, g, integral):
+    """The terms of f / g for a one-term g, or the (message, monomial) of
+    the NotDivisible that the least offending term of f raises."""
+    table = f.table
+    (eg, cg), = g.terms.items()
+    mono = table.monomial_str
+    acc = {}
+    for e, c in sorted(f.terms.items(), key=lambda item: (sum(item[0]),
+                                                          item[0])):
+        q = tuple(x - y for x, y in zip(e, eg))
+        if below(table, q):
+            return ("monomial %s not divisible by %s" % (mono(e), mono(eg)),
+                    mono(e))
+        c = Fraction(c) / cg
+        if integral and c.denominator != 1:
+            return "coefficient of %s not divisible" % mono(e), mono(e)
+        acc[q] = c
+    return ring_rules(table, f.trunc_plus, f.trunc_minus, acc)[0]
+
+
+@st.composite
+def one_term_divisions(draw):
+    """(f, g) with g one term; f is often a multiple of g."""
+    table, tp, tm = draw(tables())
+    g = one_term(draw, table, tp, tm)
+    f = series(draw, table, tp, tm)
+    if draw(st.booleans()):
+        try:
+            f = f * g
+        except LaurentUnderflow:
+            hypothesis.assume(False)
+    return f, g
+
+
+def _two_failures():
+    # t^-1 * x fails the floor and x^2/2 the integral check; x is least
+    table = VariableTable([Variable("t", 1, laurent_floor=-1),
+                           Variable("x", 1)])
+    f = GradedSeries(table, 6, 0, {(-1, 1): 1, (0, 2): Fraction(1, 2)})
+    return f, GradedSeries(table, 6, 0, {(0, 1): 2})
+
+
+@SETTINGS
+@given(one_term_divisions(), st.booleans())
+@example(_two_failures(), True)
+@example(_two_failures(), False)
+def test_one_term_divisions_match_the_tuple_oracle(case, integral):
+    f, g = case
+    want = monomial_division_oracle(f, g, integral)
+    if isinstance(want, tuple):
+        with pytest.raises(NotDivisible) as err:
+            f.exact_divide(g, integral=integral)
+        assert (str(err.value), err.value.monomial) == want
+    else:
+        assert f.exact_divide(g, integral=integral).terms == want
+
+
+def rename_oracle(a, i, j):
+    """a with every exponent of variable i moved onto variable j, or the
+    (exception type, message) the move raises; a move below a floor names
+    the least such exponent."""
+    table = a.table
+    if table.weights[i] != table.weights[j]:
+        return SeriesError, "rename across different weights"
+    moved = []
+    for e, c in in_key_order(a):
+        if e[i] and e[j]:
+            return SeriesError, "rename collision on %s" % (
+                table.monomial_str(e))
+        m = list(e)
+        m[i], m[j] = 0, e[j] + e[i]
+        moved.append((tuple(m), c))
+    acc, lows = {}, []
+    for m, c in moved:
+        if ring_rules(table, a.trunc_plus, a.trunc_minus, {m: c})[0]:
+            if below(table, m):
+                lows.append(m)
+            acc[m] = acc.get(m, 0) + Fraction(c)
+    if lows:
+        return LaurentUnderflow, underflow_message(table, min(
+            lows, key=lambda m: m[j]))
+    return {m: c for m, c in acc.items() if c}
+
+
+def diff_oracle(a, i):
+    """d/dv_i of a, or the (exception type, message) it raises."""
+    want, underflow = ring_rules(a.table, a.trunc_plus, a.trunc_minus, {
+        e[:i] + (e[i] - 1,) + e[i + 1:]: Fraction(c) * e[i]
+        for e, c in in_key_order(a) if e[i]})
+    if underflow:
+        low = next(e for e in want if below(a.table, e))
+        return LaurentUnderflow, underflow_message(a.table, low)
+    return want
+
+
+def _raises_or_equals(call, want):
+    if isinstance(want, tuple):
+        with pytest.raises(want[0]) as err:
+            call()
+        assert str(err.value) == want[1]
+    else:
+        assert call().terms == want
+
+
+@SETTINGS
+@given(operands(), st.data())
+def test_rename_and_diff_match_the_tuple_oracle(pair, data):
+    for a in pair:
+        weights = a.table.weights
+        i = data.draw(st.integers(0, len(weights) - 1))
+        # most often onto a variable of the same weight, i itself included
+        j = data.draw(st.sampled_from(
+            [j for j, w in enumerate(weights) if w == weights[i]]
+            if data.draw(st.booleans()) else range(len(weights))))
+        old, new = a.table.variables[i].name, a.table.variables[j].name
+        _raises_or_equals(lambda: a.diff(old), diff_oracle(a, i))
+        _raises_or_equals(lambda: a.rename_var(old, new),
+                          rename_oracle(a, i, j))
+
+
+def test_rename_adds_the_terms_it_merges():
+    table = VariableTable([Variable("x", 1), Variable("y", 1)])
+    s = GradedSeries(table, 4, 0, {(2, 0): 1, (0, 2): Fraction(1, 2),
+                                   (1, 0): 3})
+    assert s.rename_var("x", "y").terms == {(0, 2): Fraction(3, 2),
+                                            (0, 1): 3}
 
 
 # ----- ring laws under truncation --------------------------------------------

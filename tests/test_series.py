@@ -124,6 +124,9 @@ def test_degree_caps_are_ring_quotients():
     h = mono(tb, 10, 0, {"h": 1})
     assert (h * h * h).is_zero
     assert not (h * h).is_zero
+    # the same cap through the pair loop
+    one = GradedSeries.one(tb, 10, 0)
+    assert (h + one) * (h * h + one) == h * h + h + one
 
 
 def test_group_degree_cap():

@@ -135,6 +135,17 @@ MUTANTS = [
            [ORACLE + "::test_exact_divide_roundtrip_integral",
             ORACLE + "::test_exact_divide_roundtrip_fractions",
             ORACLE + "::test_packed_results_match_the_tuple_oracle"]),
+    Mutant("the key shift keeps a term past a cap", SERIES,
+           "                    or k & capbits):",
+           "                    or False):",
+           ["tests/test_series.py::test_degree_caps_are_ring_quotients",
+            ORACLE + "::test_one_term_products_match_the_tuple_oracle",
+            ORACLE + "::test_one_term_divisions_match_the_tuple_oracle"]),
+    Mutant("a one-term divisor skips the integral check", SERIES,
+           "strict = integral and den != 1",
+           "strict = False",
+           ["tests/test_series.py::test_exact_divide_integral_flag",
+            ORACLE + "::test_one_term_divisions_match_the_tuple_oracle"]),
     Mutant("reversion stops one degree short", SERIES,
            "his[i] + 1",
            "his[i]",
@@ -156,6 +167,10 @@ MUTANTS = [
            "prefix + (c,), s, pc)",
            "prefix + (c,), s, one)",
            [MINORS, "tests/test_actions.py::test_bareiss_examples"]),
+    Mutant("the walk carries a row when pc != prev", ACTIONS,
+           "if rc.is_zero and pc == prev:",
+           "if rc.is_zero:",
+           [MINORS]),
     Mutant("the invariance check substitutes the identity", ACTIONS,
            "fp.normal_form(action.ctx.shift_image(var, 1))",
            "fp.normal_form(action.ctx.var(var))",
