@@ -51,8 +51,8 @@ class ConfluentMatrix:
         variables = [Variable("t%d" % (i + 1), 1)
                      for i in range(len(self.blocks))]
         self.table = VariableTable(variables)
-        # Bareiss intermediates are 2x2 determinants of minors, so their
-        # degree stays below twice the maximal minor degree.
+        # every intermediate is itself a minor, of degree below
+        # n_total * width, so no term reaches this bound
         self.trunc_plus = 2 * n_total * self.width + 4
         rows = []
         for i, n in enumerate(self.blocks):
@@ -77,14 +77,16 @@ class ConfluentMatrix:
 
 
 def maximal_minors(rows, one):
-    """All maximal minors of an n x m matrix (n <= m), fraction-free.
+    """All maximal minors of an n x m matrix (n <= m), by Laplace expansion
+    along one row at a time.
 
     Yields (columns, minor) in itertools.combinations(range(m), n) order.
-    After Bareiss steps on columns c_0 < ... < c_{k-1}, entry (i, j) is the
-    minor on rows 0..k-1, i and columns c_0..c_{k-1}, j (Bareiss, Math.
-    Comp. 1968).  It depends only on that column prefix and on j, so each
-    prefix's step is done once and every minor that extends it reuses it.
-    Every division is exact over the integers.
+    Level k holds the minor on rows 0..k-1 and columns S for every k-subset
+    S, and comes from level k-1 by expanding along row k-1:
+    M(S) = sum (-1)^(k-1+i) a_{k-1,j} M(S minus j), j the i-th column of S.
+    It forms only sums and products with single entries, never a division,
+    so an entry with one term makes each product a key shift.  The last
+    level is built lazily, so a caller that stops early skips the rest.
     """
     n = len(rows)
     m = len(rows[0]) if rows else 0
@@ -93,48 +95,30 @@ def maximal_minors(rows, one):
                           "with n <= m")
     zero = one - one
 
-    def walk(k, lo, mat, prefix, sign, prev):
-        # mat: rows k..n-1 after k steps; columns lo..m-1 are still live
-        if k == n - 1:
-            for c in range(lo, m):
-                minor = mat[0][c]
-                yield prefix + (c,), minor if sign == 1 else -minor
-            return
-        for c in range(lo, m - n + k + 1):
-            piv, s = mat, sign
-            if mat[0][c].is_zero:
-                for i in range(1, len(mat)):
-                    if not mat[i][c].is_zero:
-                        piv = list(mat)
-                        piv[0], piv[i] = mat[i], mat[0]
-                        s = -sign
-                        break
-                else:
-                    tails = itertools.combinations(range(c + 1, m),
-                                                   n - k - 1)
-                    for tail in tails:
-                        yield prefix + (c,) + tail, zero
-                    continue
-            top = piv[0]
-            pc = top[c]
-            below = []
-            for row in piv[1:]:
-                rc = row[c]
-                if rc.is_zero and pc == prev:
-                    # (row * pc - 0 * top) / prev is the row itself
-                    below.append(row)
-                    continue
-                below.append([None] * (c + 1) + [
-                    (row[j] * pc - rc * top[j]).exact_divide(prev,
-                                                            integral=True)
-                    for j in range(c + 1, m)])
-            yield from walk(k + 1, c + 1, below, prefix + (c,), s, pc)
+    def expand(k, cols, level):
+        out = zero
+        for i, j in enumerate(cols):
+            entry, sub = rows[k - 1][j], level[cols[:i] + cols[i + 1:]]
+            if entry.is_zero or sub.is_zero:
+                continue
+            term = entry * sub
+            out = out - term if (k - 1 + i) % 2 else out + term
+        return out
 
-    return walk(0, 0, rows, (), 1, one)
+    def walk():
+        level = {(): one}
+        for k in range(1, n):
+            level = {cols: expand(k, cols, level)
+                     for cols in itertools.combinations(range(m), k)}
+        for cols in itertools.combinations(range(m), n):
+            yield cols, expand(n, cols, level)
+
+    return walk()
 
 
 def bareiss_det(rows, one):
-    """Fraction-free determinant; every division is exact over the integers."""
+    """Determinant of a square matrix, its one maximal minor.  The name is
+    kept for the benchmark's tracer, which wraps it."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise SeriesError("determinant of a non-square matrix")
@@ -177,7 +161,7 @@ def check_minor_determinant(blocks, exhaustive_minors=False):
     m = n_total + 2
     if exhaustive_minors:
         # the square matrix is the wide one's first n_total columns, so its
-        # determinant is the walk's first minor
+        # determinant is the first maximal minor
         wide = ConfluentMatrix(blocks, m)
         prod = vandermonde_product(wide)
         minors = maximal_minors(wide.rows, wide.one())

@@ -77,11 +77,19 @@ def _cofactor_det(rows, zero):
 
 
 def _random_rows(cm, rng, n, m):
-    """Small integers times monomials of degree at most 2 in t1, t2."""
-    return [[mono(cm, {"t1": rng.randint(0, 1), "t2": rng.randint(0, 1)},
-                  coeff=rng.choice((-3, -2, -1, 1, 2, 3)))
-             if rng.random() > 0.15 else cm._zero() for _ in range(m)]
-            for _ in range(n)]
+    """Small integers times monomials of degree at most 2 in t1, t2; about a
+    third of the nonzero entries add a second, different monomial, so the
+    expansion multiplies by multi-term entries too."""
+    def entry():
+        a, b = rng.randint(0, 1), rng.randint(0, 1)
+        out = mono(cm, {"t1": a, "t2": b},
+                   coeff=rng.choice((-3, -2, -1, 1, 2, 3)))
+        if rng.random() < 0.35:
+            out = out + mono(cm, {"t1": 1 - a, "t2": b},
+                             coeff=rng.choice((-2, -1, 1, 2)))
+        return out
+    return [[entry() if rng.random() > 0.15 else cm._zero()
+             for _ in range(m)] for _ in range(n)]
 
 
 def test_maximal_minors_match_cofactor_expansion():
@@ -90,20 +98,21 @@ def test_maximal_minors_match_cofactor_expansion():
     rng = random.Random(1309)
     cases = []
     for n, m in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (4, 6)):
-        # the first pivot is zero and the row below it is not: a swap
-        swap = _random_rows(cm, rng, n, m)
-        swap[0][0], swap[1][0] = zero, one
-        # column 1 is zero: every prefix that pivots on it is a zero branch
+        # the first entry of row 0 is zero, and the second row's is one
+        lead = _random_rows(cm, rng, n, m)
+        lead[0][0], lead[1][0] = zero, one
+        # column 1 is zero: every minor on it expands over zero entries
         dead = _random_rows(cm, rng, n, m)
         for row in dead:
             row[1] = zero
-        # rows 0 and 1 agree on columns 0 and 1, so after the first step the
-        # second pivot on column 1 is zero: a swap (n >= 3) or a zero minor
+        # rows 0 and 1 agree on columns 0 and 1, so the sub-minor on them is
+        # zero and every minor over both columns skips it
         deep = _random_rows(cm, rng, n, m)
         deep[0][0] = one
         deep[1][:2] = deep[0][:2]
-        cases += [(swap, one), (dead, one), (deep, one),
+        cases += [(lead, one), (dead, one), (deep, one),
                   (_random_rows(cm, rng, n, m), one)]
+    assert any(len(e.terms) > 1 for rows, _ in cases for r in rows for e in r)
     wide = ConfluentMatrix((2, 1), 5)
     cases.append((wide.rows, wide.one()))
     for rows, unit in cases:
@@ -119,9 +128,11 @@ def test_maximal_minors_match_cofactor_expansion():
 
 
 def test_minor_determinant_work_ceiling(monkeypatch):
-    """Exact work counts of criterion 02 on A(2,2,1); a change may lower
-    these ceilings, and raising one must be argued."""
-    counts = {"exact_divide": 0, "mul": 0}
+    """Exact work counts of criterion 02 on A(2,2,1): exact divisions,
+    products of two operands with two terms or more, and one-term products
+    (key shifts); a change may lower these ceilings, and raising one must
+    be argued."""
+    counts = {"exact_divide": 0, "multi": 0, "shift": 0}
     divide, mul = GradedSeries.exact_divide, GradedSeries.__mul__
 
     def counted_divide(self, g, integral=False):
@@ -129,16 +140,18 @@ def test_minor_determinant_work_ceiling(monkeypatch):
         return divide(self, g, integral=integral)
 
     def counted_mul(self, other):
-        if isinstance(other, GradedSeries):
-            counts["mul"] += 1
+        if isinstance(other, GradedSeries) and self._rows and other._rows:
+            two = len(self._rows) > 1 and len(other._rows) > 1
+            counts["multi" if two else "shift"] += 1
         return mul(self, other)
 
     monkeypatch.setattr(GradedSeries, "exact_divide", counted_divide)
     monkeypatch.setattr(GradedSeries, "__mul__", counted_mul)
     rep = check_minor_determinant((2, 2, 1), exhaustive_minors=True)
     assert rep["verdict"] and rep["cases"] == 1 + 21
-    assert counts["exact_divide"] <= 205
-    assert counts["mul"] <= 380
+    assert counts["exact_divide"] <= 20
+    assert counts["multi"] <= 6
+    assert counts["shift"] <= 377
 
 
 def test_theorem_g_work_ceiling(monkeypatch):

@@ -343,6 +343,32 @@ def test_fglaxioms_reports_a_perturbed_law(monkeypatch):
     assert cases["a11"]["verdict"] == "fail" and cases["a11"]["witness"]
 
 
+def test_addphi_reports_a_doubled_defect(monkeypatch):
+    """Phi is additive up to f_p(u,v) exactly: twice the defect fails."""
+    assert verify.verify_addphi(p=2, deg=4, bweight=4)["summary"]["fail"] == 0
+    defect = verify._binomial_defect
+    monkeypatch.setattr(verify, "_binomial_defect",
+                        lambda ctx, p, u, v: defect(ctx, p, u, v).scale(2))
+    cases = verify.verify_addphi(p=2, deg=4, bweight=4)["cases"]
+    failed = [c for c in cases if c["verdict"] == "fail"]
+    assert failed and all(c["witness"] for c in failed)
+    # f_2(1,1) = 1, so Phi(2) - 2 Phi(1) is 1, not 2
+    assert (cases[0]["input"], cases[0]["witness"]) == ("1,1", "-1")
+
+
+def test_multphi_reports_a_doubled_phi(monkeypatch):
+    """2 Phi misses the product rule by nonpos(2 Phi(u) Phi(v) g)."""
+    assert verify.verify_multphi(p=2, deg=4, bweight=6)["summary"]["fail"] == 0
+    phi = op.symmetric_operation
+    monkeypatch.setattr(op, "symmetric_operation",
+                        lambda st, e: phi(st, e).scale(2))
+    cases = verify.verify_multphi(p=2, deg=4, bweight=6)["cases"]
+    failed = [c for c in cases if c["verdict"] == "fail"]
+    assert failed and all(c["witness"] for c in failed)
+    assert {c["reps"][0] for c in failed if c["input"] == "P1,P1"} == {
+        reps[0] for _, reps in op.rep_choices(2)}
+
+
 def test_operations_forwards_the_registry_to_verify():
     assert op.VERIFIERS is verify.VERIFIERS
     assert op.run_verifier is verify.run_verifier

@@ -9,7 +9,8 @@ from cobcalc import actions, fgl, operations
 from cobcalc.fgl import Context
 from cobcalc.quotient import (FormalP, PDivisibilityError, coeffs_mod_p,
                               formal_p)
-from cobcalc.series import Geometry, GradedSeries, SeriesError, vp
+from cobcalc.series import (Geometry, GradedSeries, SeriesError, Variable,
+                            VariableTable, vp)
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +193,17 @@ def test_divide_by_formal_p_examples(ctx, fp2):
     with pytest.raises(PDivisibilityError) as exc:
         fp2.divide_by_formal_p(ctx.one())
     assert exc.value.witness is not None
+
+
+def test_u_inverse_reaches_as_deep_as_the_t_floor():
+    """g * t^-2 divides to t^-2: the t^-2 brings the terms of u^-1 two
+    degrees past g's bound back into range, so u^-1 must hold them."""
+    table = VariableTable([Variable("t", 1, laurent_floor=-2),
+                           Variable("v0", 1)])
+    u = GradedSeries(table, 3, 0, {(0, 0): 1, (1, 0): -3, (1, 1): -3})
+    fp = FormalP.from_generator(u.scale(2), 2)
+    t2 = GradedSeries.monomial(table, 3, 0, {"t": -2})
+    assert fp.divide_by_formal_p(fp.g * t2) == t2
 
 
 def test_divide_by_formal_p_uniqueness(ctx):

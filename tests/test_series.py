@@ -150,6 +150,14 @@ def test_addition_and_cancellation():
     assert two_t.coeff({"t": 1}) == 2
 
 
+def test_retruncate_keeps_the_terms_at_the_new_bound():
+    table = VariableTable([Variable("x", 1), Variable("b", -1)])
+    s = GradedSeries(table, 8, 2, {(2, 0): 1, (5, 0): 2, (6, 0): 3,
+                                   (1, 1): 4, (1, 2): 5})
+    assert s.retruncate(5, 1) == GradedSeries(table, 5, 1, {
+        (2, 0): 1, (5, 0): 2, (1, 1): 4})
+
+
 def test_truncation_mismatch_guard():
     tb = table_tb()
     a = mono(tb, 8, 6, {"t": 1})

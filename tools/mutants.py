@@ -29,6 +29,7 @@ OPERATIONS = "src/cobcalc/operations.py"
 ORACLE = "tests/test_kernel_oracle.py"
 MINORS = ("tests/test_actions.py"
           "::test_maximal_minors_match_cofactor_expansion")
+BAREISS = "tests/test_actions.py::test_bareiss_examples"
 UV = "tests/test_operations.py::test_verifier_uv_p3"
 RR = "tests/test_operations.py::test_verifier_rr_p2"
 APPLY_ORACLE = ("tests/test_operations.py"
@@ -69,7 +70,9 @@ MUTANTS = [
     Mutant("u^-1 is not kept deeper than the t floor", QUOTIENT,
            "g.trunc_plus - floor, g.trunc_minus",
            "g.trunc_plus, g.trunc_minus",
-           [ORACLE + "::test_divide_by_formal_p_matches_triangular_solve",
+           ["tests/test_quotient.py"
+            "::test_u_inverse_reaches_as_deep_as_the_t_floor",
+            ORACLE + "::test_divide_by_formal_p_matches_triangular_solve",
             ORACLE + "::test_is_integral_matches_sequential_reduction"]),
     Mutant("normal_form accepts t^-1", QUOTIENT,
            "if lo is not None and lo < 0:\n"
@@ -88,7 +91,9 @@ MUTANTS = [
     Mutant("retruncate drops the terms at the new bound", SERIES,
            "if (k >> old.pshift) & old.pmask <= ptop",
            "if (k >> old.pshift) & old.pmask < ptop",
-           [ORACLE + "::test_retruncate_moves_terms_between_layouts"]),
+           ["tests/test_series.py"
+            "::test_retruncate_keeps_the_terms_at_the_new_bound",
+            ORACLE + "::test_retruncate_moves_terms_between_layouts"]),
     Mutant("retruncate shares the rows when one bound rises", SERIES,
            "old is new and trunc_plus >= self.trunc_plus\n"
            "                and trunc_minus >= self.trunc_minus)",
@@ -151,25 +156,23 @@ MUTANTS = [
            "his[i]",
            [ORACLE + "::test_compositional_inverse_round_trip",
             "tests/test_series.py::test_compositional_inverse"]),
-    Mutant("a pivot row swap keeps the sign", ACTIONS,
-           "s = -sign",
-           "s = sign",
-           [MINORS]),
-    Mutant("the pivot-column range stops one column short", ACTIONS,
-           "for c in range(lo, m - n + k + 1):",
-           "for c in range(lo, m - n + k):",
-           [MINORS, "tests/test_actions.py::test_bareiss_examples"]),
-    Mutant("a zero pivot column yields one completion too few", ACTIONS,
-           "for tail in tails:",
-           "for tail in list(tails)[:-1]:",
-           [MINORS]),
-    Mutant("prev stays one after the first step", ACTIONS,
-           "prefix + (c,), s, pc)",
-           "prefix + (c,), s, one)",
-           [MINORS, "tests/test_actions.py::test_bareiss_examples"]),
-    Mutant("the walk carries a row when pc != prev", ACTIONS,
-           "if rc.is_zero and pc == prev:",
-           "if rc.is_zero:",
+    # the cofactor oracle must catch a wrong expansion on its own
+    Mutant("the expansion sign ignores the row index", ACTIONS,
+           "(k - 1 + i) % 2",
+           "i % 2",
+           [MINORS, BAREISS]),
+    Mutant("the sub-minor keeps the expanded column", ACTIONS,
+           "level[cols[:i] + cols[i + 1:]]",
+           "level[cols[1:]]",
+           [MINORS, BAREISS]),
+    Mutant("a zero entry ends the row's expansion", ACTIONS,
+           "if entry.is_zero or sub.is_zero:\n                continue",
+           "if entry.is_zero or sub.is_zero:\n                break",
+           [MINORS, BAREISS]),
+    Mutant("the last level is yielded out of combinations order", ACTIONS,
+           "for cols in itertools.combinations(range(m), n):",
+           "for cols in sorted(itertools.combinations(range(m), n),\n"
+           "                            reverse=True):",
            [MINORS]),
     Mutant("the invariance check substitutes the identity", ACTIONS,
            "fp.normal_form(action.ctx.shift_image(var, 1))",
