@@ -8,13 +8,15 @@ divisibility certificates at every stripping step, and derives the
 two-variable consequences: the addition series G(u,v) with
 prod(x +_F y +_F [i]t) = G(pi(x), pi(y)), and the twisted group law
 F^alpha(u,v) = alpha(F(beta(u), beta(v))) with integral coefficients.
-Invariance is decided in B/(p), since (g) = (p): the shift runs on the normal
-form and reduces it mod p after each Horner product.
+Invariance is decided in B/(p), since (g) = (p): the shifted series is the
+sum of each x-digit of the normal form times the normal form of the matching
+power of x +_F t.
 
 A ShiftAction holds no cache of its own: the shift images
-(`Context.shift_image`), the powers of pi, the unit inverse of c(t) and the
-FormalP are all cached on the context under value keys, so two actions on
-one context share them and they die with the context.
+(`Context.shift_image`), the powers of pi and of the shift image, the unit
+inverse of c(t) and the FormalP are all cached on the context under value
+keys, so two actions on one context share them and they die with the
+context.
 """
 
 from __future__ import annotations
@@ -232,6 +234,38 @@ class ShiftAction:
             return self.pi_power(n - 1) * self.pi_power(1)
         return ctx.memo(("pi_power", self.var, self.p, n), build)
 
+    def image_power(self, k):
+        """The normal form of (var +_F t)^k, each power from the one below."""
+        ctx, nf = self.ctx, self.fp.normal_form
+
+        def build():
+            if k == 0:
+                return ctx.one()
+            if k == 1:
+                return nf(ctx.shift_image(self.var, 1))
+            return nf(self.image_power(k - 1) * self.image_power(1))
+        return ctx.memo(("image_power", self.var, self.p, k), build)
+
+    def shift(self, f):
+        """The normal form of f(var +_F t): the sum over the var-digits of
+        f's normal form of nf(digit_k * image_power(k)).
+
+        Without a Laurent floor truncation is a quotient by an ideal and the
+        normal form a ring map, so this equals the normal form of
+        `substitute`'s Horner value; truncated Laurent products are not
+        associative, so a table with a floor is refused.
+        """
+        if any(floor is not None for floor in self.ctx.table.floors):
+            raise SeriesError("the shift is summed over powers of its image, "
+                              "which needs a table without Laurent floors")
+        nf = self.fp.normal_form
+        f = nf(f)
+        f.check_bindings({self.var: self.image_power(1)})
+        out = self.ctx.zero()
+        for k, digit in f.as_poly_in(self.var).items():
+            out = out + nf(digit * self.image_power(k))
+        return nf(out)
+
     def unit_inverse(self):
         """Inverse of c(t)/t^(p-1), c(t) = prod_{i<p} [i]_F(t) the lowest
         coefficient of pi; a unit with constant (p-1)!."""
@@ -256,13 +290,9 @@ def invariant_decompose(phi, action):
     fp = action.fp
     var = action.var
     p = action.p
-    # invariance is decided in B/(p): the normal form is a ring map that
-    # commutes with truncated sums and products, so it can run first
+    # invariance is decided in B/(p)
     f = fp.normal_form(phi)
-    shifted = f.substitute(
-        {var: fp.normal_form(action.ctx.shift_image(var, 1))},
-        reduce=fp.normal_form)
-    if not fp.normal_form(shifted - f).is_zero:
+    if action.shift(f) != f:
         raise SeriesError("series is not invariant under the shift")
     psi = {}
     certificates = []

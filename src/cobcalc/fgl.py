@@ -113,8 +113,14 @@ class Context(Memo):
 
     @property
     def log_t(self):
+        """B^-1(t) = sum m_n t^(n+1).  m_n has b-weight n, so no term passes
+        t^(bweight+1) and the reversion stops there; raising the bounds
+        back keeps the key geometry and so shares the rows."""
         if self._log_t is None:
-            self._log_t = self.exp_t.compositional_inverse("t")
+            tp, tm = self.trunc_plus, self.trunc_minus
+            self._log_t = self.exp_t.retruncate(
+                min(tp, self.bweight + 1), tm).compositional_inverse(
+                "t").retruncate(tp, tm)
         return self._log_t
 
     @property

@@ -871,23 +871,15 @@ class GradedSeries:
             return False
         return True
 
-    def substitute(self, bindings, poly_vars=(), reduce=None):
-        """Simultaneously replace variables by series over the same table,
-        by Horner's rule in each variable (`_horner`).
+    def check_bindings(self, bindings, poly_vars=()):
+        """Raise unless substituting bindings into this series is sound.
 
         A replaced variable must either receive a self-sufficient image (see
         above) or be listed in poly_vars, asserting that this series is an
         exact polynomial in it (its support was never clipped in that
-        direction), e.g. an ambient polynomial in the b's.
-
-        reduce, when given, is applied to the Horner accumulator after each
-        product.  It must be a ring map that commutes with truncated sums
-        and products, as `FormalP.normal_form` (coefficients mod p) does
-        where no Laurent floor is in play; then reduce of the result is the
-        same with or without it, and the operands stay small.
+        direction), e.g. an ambient polynomial in the b's; and no replaced
+        variable may carry a negative power.
         """
-        if not bindings:
-            return self
         poly_vars = set(poly_vars)
         for n, img in bindings.items():
             self._compat(img)
@@ -896,9 +888,18 @@ class GradedSeries:
                     "substitution for %s may need terms beyond truncation" % n)
         if any((self.min_degree(n) or 0) < 0 for n in bindings):
             raise SeriesError("cannot substitute into a negative power")
-        return self._horner(list(bindings), bindings, reduce)
 
-    def _horner(self, names, bindings, reduce):
+    def substitute(self, bindings, poly_vars=()):
+        """Simultaneously replace variables by series over the same table,
+        by Horner's rule in each variable (`_horner`), after
+        `check_bindings`.
+        """
+        if not bindings:
+            return self
+        self.check_bindings(bindings, poly_vars)
+        return self._horner(list(bindings), bindings)
+
+    def _horner(self, names, bindings):
         """Horner's rule in names[0]; each coefficient, which is free of it,
         takes the remaining bindings first, so the images are never
         substituted into and the substitution stays simultaneous."""
@@ -906,13 +907,11 @@ class GradedSeries:
         if not digits:
             return self
         img, rest, top = bindings[names[0]], names[1:], max(digits)
-        acc = digits[top]._horner(rest, bindings, reduce)
+        acc = digits[top]._horner(rest, bindings)
         for k in range(top - 1, -1, -1):
             acc = acc * img
-            if reduce is not None:
-                acc = reduce(acc)
             if k in digits:
-                acc = acc + digits[k]._horner(rest, bindings, reduce)
+                acc = acc + digits[k]._horner(rest, bindings)
         return acc
 
     # ----- inverses and division -------------------------------------------

@@ -169,7 +169,29 @@ def test_theorem_g_work_ceiling(monkeypatch):
     monkeypatch.setattr(GradedSeries, "__mul__", counted_mul)
     rep = theorem_g_suite(3, count=3, seed=11)
     assert rep["verdict"] and rep["cases"] == 3
-    assert work[0] <= 509198
+    assert work[0] <= 296584
+
+
+def test_a_second_theorem_g_case_builds_no_new_power(monkeypatch):
+    """The invariance check reads the powers of the shift image from the
+    context, so a second round trip whose input reaches no higher x-power
+    than the first builds none (seed 20260814 at p = 3 is such a pair)."""
+    built = []
+    memo = Context.memo
+
+    def counted_memo(self, key, build):
+        def counted_build():
+            built.append(key)
+            return build()
+        return memo(self, key, counted_build)
+
+    monkeypatch.setattr(Context, "memo", counted_memo)
+    counts = []
+    for count in (1, 2):
+        built.clear()
+        assert theorem_g_suite(3, count=count)["verdict"]
+        counts.append(sum(key[0] == "image_power" for key in built))
+    assert counts[0] > 1 and counts[1] == counts[0]
 
 
 def test_reversion_work_ceiling(monkeypatch):
@@ -190,8 +212,8 @@ def test_reversion_work_ceiling(monkeypatch):
     monkeypatch.setattr(GradedSeries, "__mul__", counted_mul)
     log_t = ctx.log_t
     assert log_t.coeff({"t": 1}) == 1
-    assert work["mul"] <= 65
-    assert work["pairs"] <= 251920
+    assert work["mul"] <= 17
+    assert work["pairs"] <= 36448
 
 
 def test_minor_determinant_report():
@@ -283,6 +305,51 @@ def test_invariant_decompose_pi_powers():
     live = {k for k, q in psi2.items() if not fp.normal_form(q).is_zero}
     assert live == {2}
     assert fp.normal_form(psi2[2] - ctx.one()).is_zero
+
+
+def _horner_shift(action, f):
+    """The normal form of f(x +_F t) by plain Horner substitution."""
+    nf = action.fp.normal_form
+    img = nf(action.ctx.shift_image(action.var, 1))
+    return nf(f.substitute({action.var: img}))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_shift_matches_horner(p):
+    """The sum over cached image powers equals Horner's value, on invariant
+    series and on series that are not."""
+    ctx = action_context(p)
+    action = ShiftAction(ctx, p, "x")
+    nf = action.fp.normal_form
+    x, t, b1 = ctx.var("x"), ctx.var("t"), ctx.var("b1")
+    pi = action.pi_power(1)
+    invariant = [pi, action.pi_power(2) + pi * t * b1.scale(2),
+                 action.pi_power(3).scale(Fraction(1, 5)), ctx.one() + t]
+    other = [x, x * x * t + x * b1, pi + x, (x + t) ** 7 * b1]
+    for f in invariant:
+        assert action.shift(f) == _horner_shift(action, f) == nf(f)
+    for f in other:
+        assert action.shift(f) == _horner_shift(action, f) != nf(f)
+
+
+def test_shift_keeps_the_image_powers_of_each_variable():
+    """x and y on one context have different shift images, so their powers
+    must not share a cache entry."""
+    ctx = xy_context(2, deg=4, bweight=4)
+    x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
+    f = x * x * y + y * y * y * t + x * y + y
+    for var in ("x", "y", "x", "y"):
+        action = ShiftAction(ctx, 2, var)
+        assert action.shift(f) == _horner_shift(action, f)
+
+
+def test_invariant_decompose_refuses_a_laurent_floor():
+    """Truncated Laurent products are not associative, so the sum over
+    image powers need not equal the substituted series there."""
+    ctx = Context(4, 3, tfloor=-4, extra_vars=("x",), trunc_plus=10)
+    action = ShiftAction(ctx, 2, "x")
+    with pytest.raises(SeriesError, match="Laurent floors"):
+        invariant_decompose(action.pi_power(1), action)
 
 
 def test_invariant_decompose_rejects_non_invariant():

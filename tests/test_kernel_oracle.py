@@ -8,7 +8,8 @@ does not call GradedSeries.__mul__ or anything that product uses.  Exact
 division, multiplicative and compositional inverses are checked by round
 trips, and products against the ring laws that truncation keeps.
 Substitution is checked against products with materialized powers of the
-images.  The quotient modulo g = p*u is checked against general algorithms
+images, and the shift of `actions.ShiftAction`, summed over cached powers of
+its image, against Horner substitution modulo p.  The quotient modulo g = p*u is checked against general algorithms
 that hold for any g = p + (terms of positive t-degree), over Z_(p): the
 normal form against a carry sweep up the t-digits, against repeated
 subtraction of multiples of g and against num * den^-1 mod p of each
@@ -27,6 +28,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from cobcalc.actions import ShiftAction  # noqa: E402
+from cobcalc.fgl import Context  # noqa: E402
 from cobcalc.quotient import FormalP, PDivisibilityError  # noqa: E402
 from cobcalc.series import (  # noqa: E402
     GradedSeries,
@@ -36,7 +39,6 @@ from cobcalc.series import (  # noqa: E402
     SeriesError,
     Variable,
     VariableTable,
-    coeffs_mod_p,
     vp,
 )
 
@@ -288,18 +290,51 @@ def test_substitute_matches_materialized_powers(case):
     assert f.substitute(bindings) == substitute_oracle(f, bindings)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(substitutions(), st.sampled_from([2, 3, 5]))
-def test_substitute_reducing_after_each_product_keeps_the_residues(case, p):
-    """coeffs_mod_p commutes with truncated sums and products, so reducing
-    the Horner accumulator leaves the result's residues unchanged."""
-    f, bindings = case
-    hypothesis.assume(all(s.denominator % p
-                          for s in (f, *bindings.values())))
+_SHIFT_ACTIONS = {}
 
-    def nf(s):
-        return coeffs_mod_p(s, p)
-    assert nf(f.substitute(bindings, reduce=nf)) == nf(f.substitute(bindings))
+
+def shift_action(p):
+    """A ShiftAction on x over a small context without a Laurent floor, one
+    per p, so that examples share its cached image powers as the round
+    trips of one context do."""
+    if p not in _SHIFT_ACTIONS:
+        ctx = Context(4, 3, extra_vars=("x",), trunc_plus=10)
+        _SHIFT_ACTIONS[p] = ShiftAction(ctx, p, "x")
+    return _SHIFT_ACTIONS[p]
+
+
+@st.composite
+def shift_inputs(draw):
+    """(action, f): f is sum_k q_k * w^k for w the orbit product pi, which
+    makes f invariant, or for w = x, with q_k drawn in t and the b's and
+    denominators prime to p."""
+    p = draw(st.sampled_from([2, 3]))
+    action = shift_action(p)
+    ctx = action.ctx
+    base = action.pi_power(1) if draw(st.booleans()) else ctx.var("x")
+    f = ctx.zero()
+    for k in draw(st.lists(st.integers(0, 3), max_size=3, unique=True)):
+        q = ctx.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            exps = draw(st.sampled_from([{}, {"b1": 1}, {"b2": 1},
+                                         {"b1": 2}, {"b3": 1}]))
+            q = q + ctx.mono(dict(exps, t=draw(st.integers(0, 3))),
+                             coeff=draw(st.builds(Fraction,
+                                                  st.integers(-3, 3),
+                                                  st.sampled_from([1, 5, 7]))))
+        f = f + q * base ** k
+    return action, f
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shift_inputs())
+def test_shift_matches_horner_substitution(case):
+    """The shift summed over cached powers of the image equals the normal
+    form of Horner's substitution of the image's normal form."""
+    action, f = case
+    nf = action.fp.normal_form
+    img = nf(action.ctx.shift_image("x", 1))
+    assert action.shift(f) == nf(f.substitute({"x": img}))
 
 
 def test_substitute_oracle_example_is_simultaneous():

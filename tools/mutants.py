@@ -175,11 +175,23 @@ MUTANTS = [
            "                            reverse=True):",
            [MINORS]),
     Mutant("the invariance check substitutes the identity", ACTIONS,
-           "fp.normal_form(action.ctx.shift_image(var, 1))",
-           "fp.normal_form(action.ctx.var(var))",
+           "return nf(ctx.shift_image(self.var, 1))",
+           "return nf(ctx.var(self.var))",
            ["tests/test_actions.py"
             "::test_invariant_decompose_rejects_non_invariant",
             "tests/test_actions.py::test_invariance_is_checked_modulo_p"]),
+    Mutant("the power of the shift image is one step short", ACTIONS,
+           "return nf(self.image_power(k - 1) * self.image_power(1))",
+           "return self.image_power(k - 1)",
+           ["tests/test_actions.py::test_shift_matches_horner",
+            "tests/test_actions.py::test_invariant_decompose_pi_powers"]),
+    # x and y of prop_xy_series would then read each other's powers
+    Mutant("the image power memo key drops var", ACTIONS,
+           '("image_power", self.var, self.p, k)',
+           '("image_power", self.p, k)',
+           ["tests/test_actions.py"
+            "::test_shift_keeps_the_image_powers_of_each_variable",
+            "tests/test_actions.py::test_prop_xy_universal_p2"]),
     # the uv suite's verdict, not a digest, must catch a wrong slice or trace
     Mutant("chow_trace keeps the ambient b's", OPERATIONS,
            "return series.kill_vars(ctx.b_names)",
