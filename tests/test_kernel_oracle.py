@@ -8,16 +8,16 @@ does not call GradedSeries.__mul__ or anything that product uses.  Exact
 division, multiplicative and compositional inverses are checked by round
 trips, and products against the ring laws that truncation keeps.
 Substitution is checked against products with materialized powers of the
-images, and the shift of `actions.ShiftAction`, summed over cached powers of
-its image, against Horner substitution modulo p.  The quotient modulo g = p*u is checked against general algorithms
-that hold for any g = p + (terms of positive t-degree), over Z_(p): the
-normal form against a carry sweep up the t-digits, against repeated
-subtraction of multiples of g and against num * den^-1 mod p of each
-coefficient; the division by g against a digit-by-digit solve; and the
-integrality check against clearing one negative digit at a time.  A digit
-c of Z_(p) splits as r + p*q with r the one residue in range(p) that
-leaves p dividing c - r, found by search.  These oracles use the product
-checked first.
+images, and the shift of `actions.ShiftAction`, summed over cached powers
+of its image, against Horner substitution modulo p.  The quotient modulo
+g = p*u is checked against general algorithms that hold for any
+g = p + (terms of positive t-degree), over Z_(p): the normal form against
+a carry sweep up the t-digits, against repeated subtraction of multiples
+of g and against num * den^-1 mod p of each coefficient; the division by
+g against a digit-by-digit solve; and the integrality check against
+clearing one negative digit at a time.  A digit c of Z_(p) splits as
+r + p*q with r the one residue in range(p) that leaves p dividing c - r,
+found by search.  These oracles use the product checked first.
 """
 
 from fractions import Fraction
