@@ -27,8 +27,8 @@ import random
 
 from .fgl import Context
 from .quotient import formal_p
-from .series import (FalsificationError, GradedSeries, NotDivisible,
-                     SeriesError, Variable, VariableTable)
+from .series import (FalsificationError, GradedSeries, SeriesError,
+                     Variable, VariableTable)
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +39,12 @@ class ConfluentMatrix:
     """A(n_1,...,n_r; m) with entries binom(v-1, ubar) * t_i^(v-1-ubar).
 
     Rows are grouped in blocks: block i contributes n_i rows indexed by
-    ubar = 0..n_i-1, all in the symbol t_i; columns are v = 1..m.
+    ubar = 0..n_i-1, all in the symbol t_i; columns are v = 1..m.  The
+    table holds t1..t_n for n = n_1 + ... + n_r, so the matrices of all
+    compositions of n at one width share it and have the same row(i, ubar).
     """
 
-    __slots__ = ("blocks", "width", "table", "trunc_plus", "rows")
+    __slots__ = ("blocks", "width", "table", "trunc_plus", "_rows")
 
     def __init__(self, blocks, width):
         self.blocks = tuple(int(n) for n in blocks)
@@ -50,26 +52,31 @@ class ConfluentMatrix:
         if not self.blocks or any(n < 1 for n in self.blocks) or self.width < 1:
             raise SeriesError("blocks must be positive and width >= 1")
         n_total = sum(self.blocks)
-        variables = [Variable("t%d" % (i + 1), 1)
-                     for i in range(len(self.blocks))]
-        self.table = VariableTable(variables)
+        self.table = VariableTable([Variable("t%d" % (i + 1), 1)
+                                    for i in range(n_total)])
         # every intermediate is itself a minor, of degree below
         # n_total * width, so no term reaches this bound
         self.trunc_plus = 2 * n_total * self.width + 4
-        rows = []
-        for i, n in enumerate(self.blocks):
-            for ubar in range(n):
-                row = []
-                for v in range(1, self.width + 1):
-                    coeff = math.comb(v - 1, ubar)
-                    if coeff == 0:
-                        row.append(self._zero())
-                    else:
-                        row.append(GradedSeries.monomial(
-                            self.table, self.trunc_plus, 0,
-                            {"t%d" % (i + 1): v - 1 - ubar}, coeff=coeff))
-                rows.append(tuple(row))
-        self.rows = tuple(rows)
+        self._rows = None
+
+    def row(self, i, ubar):
+        """Row ubar of block i: binom(v-1, ubar) * t_(i+1)^(v-1-ubar)."""
+        return tuple(
+            GradedSeries.monomial(self.table, self.trunc_plus, 0,
+                                  {"t%d" % (i + 1): v - 1 - ubar},
+                                  coeff=math.comb(v - 1, ubar))
+            if v > ubar else self._zero()
+            for v in range(1, self.width + 1))
+
+    @property
+    def rows(self):
+        """All rows, built on first use; a walk over the compositions reads
+        single rows and never needs them."""
+        if self._rows is None:
+            self._rows = tuple(self.row(i, ubar)
+                               for i, n in enumerate(self.blocks)
+                               for ubar in range(n))
+        return self._rows
 
     def _zero(self):
         return GradedSeries.zero(self.table, self.trunc_plus, 0)
@@ -78,44 +85,44 @@ class ConfluentMatrix:
         return GradedSeries.one(self.table, self.trunc_plus, 0)
 
 
-def maximal_minors(rows, one):
-    """All maximal minors of an n x m matrix (n <= m), by Laplace expansion
-    along one row at a time.
+def laplace_step(level, row, zero):
+    """The minors on one more row, by Laplace expansion along it.
 
-    Yields (columns, minor) in itertools.combinations(range(m), n) order.
-    Level k holds the minor on rows 0..k-1 and columns S for every k-subset
-    S, and comes from level k-1 by expanding along row k-1:
+    level maps every (k-1)-subset of columns, in combinations order, to the
+    minor on the first k-1 rows; row is row k.  Returns the level of every
+    k-subset S, in itertools.combinations order:
     M(S) = sum (-1)^(k-1+i) a_{k-1,j} M(S minus j), j the i-th column of S.
     It forms only sums and products with single entries, never a division,
-    so an entry with one term makes each product a key shift.  The last
-    level is built lazily, so a caller that stops early skips the rest.
+    so an entry with one term makes each product a key shift.
     """
+    k = len(next(iter(level))) + 1
+    out = {}
+    for cols in itertools.combinations(range(len(row)), k):
+        acc = zero
+        for i, j in enumerate(cols):
+            entry, sub = row[j], level[cols[:i] + cols[i + 1:]]
+            if entry.is_zero or sub.is_zero:
+                continue
+            term = entry * sub
+            acc = acc - term if (k - 1 + i) % 2 else acc + term
+        out[cols] = acc
+    return out
+
+
+def maximal_minors(rows, one):
+    """All maximal minors of an n x m matrix (n <= m), one `laplace_step`
+    per row.  Yields (columns, minor) in itertools.combinations(range(m), n)
+    order."""
     n = len(rows)
     m = len(rows[0]) if rows else 0
     if n == 0 or any(len(r) != m for r in rows) or m < n:
         raise SeriesError("maximal minors need a nonempty n x m matrix "
                           "with n <= m")
     zero = one - one
-
-    def expand(k, cols, level):
-        out = zero
-        for i, j in enumerate(cols):
-            entry, sub = rows[k - 1][j], level[cols[:i] + cols[i + 1:]]
-            if entry.is_zero or sub.is_zero:
-                continue
-            term = entry * sub
-            out = out - term if (k - 1 + i) % 2 else out + term
-        return out
-
-    def walk():
-        level = {(): one}
-        for k in range(1, n):
-            level = {cols: expand(k, cols, level)
-                     for cols in itertools.combinations(range(m), k)}
-        for cols in itertools.combinations(range(m), n):
-            yield cols, expand(n, cols, level)
-
-    return walk()
+    level = {(): one}
+    for row in rows:
+        level = laplace_step(level, row, zero)
+    return iter(level.items())
 
 
 def bareiss_det(rows, one):
@@ -151,60 +158,96 @@ def compositions(n):
             yield (first,) + rest
 
 
+def _composition_walk(n_total, width):
+    """(A(blocks; width), its maximal minors by columns) for every
+    composition of n_total, in compositions(n_total) order.
+
+    Depth first: the rows of a composition begin with those of each of its
+    prefixes, so a node adds one row, ubar = 0 of a new block first, then
+    the next ubar of the last block, and its level is its parent's by one
+    `laplace_step`.  Only the levels on the current path are kept.
+    """
+    # any composition of n_total gives the rows of all of them
+    frame = ConfluentMatrix((n_total,), width)
+    rows = {(i, ubar): frame.row(i, ubar)
+            for i in range(n_total) for ubar in range(n_total - i)}
+    zero = frame._zero()
+
+    def visit(blocks, level):
+        if sum(blocks) == n_total:
+            yield ConfluentMatrix(blocks, width), level
+            return
+        children = [(blocks + (1,), rows[len(blocks), 0])]
+        if blocks:
+            children.append((blocks[:-1] + (blocks[-1] + 1,),
+                             rows[len(blocks) - 1, blocks[-1]]))
+        for child, row in children:
+            yield from visit(child, laplace_step(level, row, zero))
+
+    return visit((), {(): frame.one()})
+
+
+def _check_minors(matrix, minors):
+    """(verdict, cases, witness) of criterion 02 on A(blocks; m) from its
+    maximal minors, (columns, minor) in combinations order: the first is
+    det A(blocks; n) and must equal the product, and for m > n every other
+    must be divisible by it.
+
+    The factors (t_i - t_j)^(n_i n_j) are pairwise coprime, so the product
+    divides a minor when each factor does (`divisible_by_difference`, which
+    also asks for integer coefficients); it is primitive, so by Gauss's
+    lemma the quotient of an integral minor is integral.
+    """
+    blocks, m = matrix.blocks, matrix.width
+    name = ",".join(map(str, blocks))
+    it = iter(minors)
+    _cols, det = next(it)
+    if det != vandermonde_product(matrix):
+        return False, 1, "det A(%s;%d) != product" % (name, sum(blocks))
+    # with m > n the first minor is the product, so the product divides it
+    cases = 1 if m == sum(blocks) else 2
+    factors = [("t%d" % (i + 1), "t%d" % (j + 1), blocks[i] * blocks[j])
+               for i in range(len(blocks)) for j in range(i)]
+    for cols, sub in it:
+        cases += 1
+        if not all(sub.divisible_by_difference(x, y, k)
+                   for x, y, k in factors):
+            witness = "minor columns %s of A(%s;%d)" % (cols, name, m)
+            return False, cases, witness
+    return True, cases, None
+
+
 def check_minor_determinant(blocks, exhaustive_minors=False):
     """Square determinant identity, optionally all maximal minors of the
-    matrix two columns wider.
+    matrix two columns wider: the one root-to-leaf path of the walk that
+    `minors_suite` takes over all compositions.
 
     Returns a report dict; a failed identity is a falsification and sets
     verdict False with the offending minor as witness.
     """
     blocks = tuple(blocks)
     n_total = sum(blocks)
-    m = n_total + 2
-    if exhaustive_minors:
-        # the square matrix is the wide one's first n_total columns, so its
-        # determinant is the first maximal minor
-        wide = ConfluentMatrix(blocks, m)
-        prod = vandermonde_product(wide)
-        minors = maximal_minors(wide.rows, wide.one())
-        _cols, det = next(minors)
-    else:
-        square = ConfluentMatrix(blocks, n_total)
-        det = bareiss_det(square.rows, square.one())
-        prod = vandermonde_product(square)
-    verdict = det == prod
-    witness = None
-    cases = 1
-    if not verdict:
-        witness = "det A(%s;%d) != product" % (",".join(map(str, blocks)),
-                                               n_total)
-    elif exhaustive_minors:
-        # the first minor equals the product, so the product divides it
-        cases += 1
-        for cols, sub in minors:
-            cases += 1
-            try:
-                sub.exact_divide(prod, integral=True)
-            except NotDivisible:
-                verdict = False
-                witness = "minor columns %s of A(%s;%d)" % (
-                    cols, ",".join(map(str, blocks)), m)
-                break
+    matrix = ConfluentMatrix(blocks, n_total + 2 if exhaustive_minors
+                             else n_total)
+    verdict, cases, witness = _check_minors(
+        matrix, maximal_minors(matrix.rows, matrix.one()))
     return {"statement": "minors", "blocks": list(blocks),
             "cases": cases, "verdict": verdict, "witness": witness}
 
 
 def minors_suite(max_square=6, max_minor=5):
-    """The determinant identity for all compositions, then all wide minors."""
+    """The determinant identity for all compositions, then all wide minors,
+    one depth-first walk per n_total."""
     cases = 0
     for n_total in range(1, max_square + 1):
-        for blocks in compositions(n_total):
-            rep = check_minor_determinant(blocks,
-                                          exhaustive_minors=n_total <= max_minor)
-            cases += rep["cases"]
-            if not rep["verdict"]:
-                rep["cases"] = cases
-                return rep
+        width = n_total + 2 if n_total <= max_minor else n_total
+        for matrix, minors in _composition_walk(n_total, width):
+            verdict, leaf_cases, witness = _check_minors(matrix,
+                                                         minors.items())
+            cases += leaf_cases
+            if not verdict:
+                return {"statement": "minors", "blocks": list(matrix.blocks),
+                        "cases": cases, "verdict": False, "witness": witness}
     return {"statement": "minors", "blocks": None, "cases": cases,
             "verdict": True, "witness": None}
 

@@ -71,7 +71,7 @@ class FormalP:
         floor = g.table.floors[ti] or 0
         if floor and any(ti in idxs for idxs, _bound in g.table.caps):
             raise SeriesError("a degree cap on t is no ideal below t^0")
-        self.p, self.g = p, g
+        self.p, self.g, self._t_floor = p, g, floor
         # as deep as the t floor, so f*u^-1 misses no term t^-k brings back
         self.u_inv = g.scale(Fraction(1, p)).retruncate(
             g.trunc_plus - floor, g.trunc_minus).mul_inverse()
@@ -87,9 +87,11 @@ class FormalP:
     def normal_form(self, f):
         """mod_p of every coefficient: the normal form, as (g) = (p)."""
         f._compat(self.g)
-        lo = f.min_degree("t")
-        if lo is not None and lo < 0:
-            raise SeriesError("normal form expects no negative t-powers")
+        # without a t floor the table already refuses negative t-powers
+        if self._t_floor:
+            lo = f.min_degree("t")
+            if lo is not None and lo < 0:
+                raise SeriesError("normal form expects no negative t-powers")
         return coeffs_mod_p(f, self.p)
 
     def is_integral_mod_ideal(self, f):

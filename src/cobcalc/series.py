@@ -53,7 +53,7 @@ from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 import json
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
 import re
 from types import MappingProxyType
@@ -1054,6 +1054,42 @@ class GradedSeries:
                                   if (k >> pshift) & pmask <= ptop
                                   and k >> mshift <= mtop
                                   and not k & capbits})
+
+    def divisible_by_difference(self, x, y, k):
+        """True when (x - y)^k divides this series with an integral quotient.
+
+        (x - y)^k divides a polynomial exactly when its Hasse derivatives of
+        order m < k in x vanish on x = y (Hasse, J. reine angew. Math. 175,
+        1936): x^e goes to C(e, m) y^(e-m), and every coefficient of the sum
+        must be 0.  Each term is keyed once with x^e moved onto y^e, which
+        relabels the terms of every order alike, so an order is one pass
+        that sums C(e, m) times the coefficients over each key.  x - y is
+        monic in x, so a quotient of integer coefficients is integral, and a
+        series with a denominator has none.  x and y must share one weight
+        and carry no negative floor and no cap: then (x - y)^k is
+        homogeneous, and dividing within the truncation is dividing each
+        kept homogeneous part.
+        """
+        table = self.table
+        ix, iy = table.index[x], table.index[y]
+        if (ix == iy or k < 0 or table.weights[ix] != table.weights[iy]
+                or (table.floors[ix] or 0) < 0 or (table.floors[iy] or 0) < 0
+                or any(ix in idxs or iy in idxs for idxs, _b in table.caps)):
+            raise SeriesError("(%s - %s)^%d needs two variables of one weight "
+                              "with no negative floor or cap" % (x, y, k))
+        if self._den != 1:
+            return False
+        off, mask, c = self._lay.fields[ix]
+        step = self._lay.scale[iy] - self._lay.scale[ix]
+        groups = {}
+        for key, v in self._rows.items():
+            e = ((key >> off) & mask) - c
+            groups.setdefault(key + e * step, []).append((e, v))
+        for m in range(k):
+            for terms in groups.values():
+                if sum(comb(e, m) * v for e, v in terms):
+                    return False
+        return True
 
     def compositional_inverse(self, name):
         """Series g with self(g) = name, for self = c1*name + higher order,

@@ -7,9 +7,10 @@ import pytest
 
 from cobcalc import actions, operations
 from cobcalc.actions import (ConfluentMatrix, ShiftAction, bareiss_det,
-                             check_minor_determinant, invariant_decompose,
-                             maximal_minors, minors_suite, prop_xy_series,
-                             reconstruct, theorem_g_suite, twisted_context,
+                             check_minor_determinant, compositions,
+                             invariant_decompose, maximal_minors,
+                             minors_suite, prop_xy_series, reconstruct,
+                             theorem_g_suite, twisted_context,
                              twisted_fgl_alpha, vandermonde_product,
                              xy_context)
 from cobcalc.fgl import Context
@@ -127,11 +128,9 @@ def test_maximal_minors_match_cofactor_expansion():
             assert minor == _cofactor_det(sub, unit - unit), (n, m, cols)
 
 
-def test_minor_determinant_work_ceiling(monkeypatch):
-    """Exact work counts of criterion 02 on A(2,2,1): exact divisions,
-    products of two operands with two terms or more, and one-term products
-    (key shifts); a change may lower these ceilings, and raising one must
-    be argued."""
+def _count_minor_work(monkeypatch):
+    """Count exact divisions, products of two operands with two terms or
+    more, and one-term products (key shifts) from here on."""
     counts = {"exact_divide": 0, "multi": 0, "shift": 0}
     divide, mul = GradedSeries.exact_divide, GradedSeries.__mul__
 
@@ -147,11 +146,41 @@ def test_minor_determinant_work_ceiling(monkeypatch):
 
     monkeypatch.setattr(GradedSeries, "exact_divide", counted_divide)
     monkeypatch.setattr(GradedSeries, "__mul__", counted_mul)
+    return counts
+
+
+def test_minor_determinant_work_ceiling(monkeypatch):
+    """Exact work counts of criterion 02 on A(2,2,1); a change may lower
+    these ceilings, and raising one must be argued."""
+    counts = _count_minor_work(monkeypatch)
     rep = check_minor_determinant((2, 2, 1), exhaustive_minors=True)
     assert rep["verdict"] and rep["cases"] == 1 + 21
-    assert counts["exact_divide"] <= 20
+    assert counts["exact_divide"] == 0
     assert counts["multi"] <= 6
     assert counts["shift"] <= 377
+
+
+def test_minors_suite_work_ceiling(monkeypatch):
+    """Exact work counts of the whole of criterion 02: the compositions of
+    each n share their Laplace levels, and divisibility is certified
+    without a division.  A change may lower these ceilings, and raising
+    one must be argued."""
+    counts = _count_minor_work(monkeypatch)
+    rep = minors_suite(max_square=6, max_minor=5)
+    assert rep["verdict"] and rep["cases"] == 574
+    assert counts["exact_divide"] == 0
+    assert counts["multi"] <= 393
+    assert counts["shift"] <= 5291
+
+
+def test_composition_walk_matches_each_matrix():
+    """The shared walk reaches the compositions in order, each with the
+    maximal minors of its own matrix."""
+    for n_total, width in ((3, 5), (4, 4)):
+        got = list(actions._composition_walk(n_total, width))
+        assert [m.blocks for m, _ in got] == list(compositions(n_total))
+        for matrix, minors in got:
+            assert minors == dict(maximal_minors(matrix.rows, matrix.one()))
 
 
 def test_theorem_g_work_ceiling(monkeypatch):
@@ -233,18 +262,73 @@ def test_minor_determinant_catches_a_wrong_product(monkeypatch):
     assert rep["witness"] == "det A(2,2,1;5) != product"
 
 
+def _replace_a_wide_minor(monkeypatch, index, change, leaf=0):
+    """Replace minor `index` (combinations order) of the leaf-th 5 x 7 last
+    level by change(minor), at the step that builds the level."""
+    step = actions.laplace_step
+    seen = [0]
+
+    def tampered(level, row, zero):
+        out = step(level, row, zero)
+        cols = list(out)
+        if len(cols[0]) == 5 and len(row) == 7:
+            if seen[0] == leaf:
+                out[cols[index]] = change(out[cols[index]])
+            seen[0] += 1
+        return out
+    monkeypatch.setattr(actions, "laplace_step", tampered)
+
+
+def _plus_one(minor):
+    return minor + GradedSeries.one(minor.table, minor.trunc_plus, 0)
+
+
+def _refused_at_minor_7(rep):
+    cols = list(itertools.combinations(range(7), 5))[7]
+    return (not rep["verdict"] and rep["cases"] == 1 + 8
+            and rep["witness"] == "minor columns %s of A(2,2,1;7)" % (cols,))
+
+
 def test_minor_determinant_catches_a_wrong_minor(monkeypatch):
     """A later minor plus 1 is not divisible by the product."""
-    walk = actions.maximal_minors
+    _replace_a_wide_minor(monkeypatch, 7, _plus_one)
+    assert _refused_at_minor_7(
+        check_minor_determinant((2, 2, 1), exhaustive_minors=True))
 
-    def off_by_one(rows, one):
-        for i, (cols, minor) in enumerate(walk(rows, one)):
-            yield cols, minor + one if i == 7 else minor
-    monkeypatch.setattr(actions, "maximal_minors", off_by_one)
-    rep = check_minor_determinant((2, 2, 1), exhaustive_minors=True)
-    cols = list(itertools.combinations(range(7), 5))[7]
-    assert not rep["verdict"] and rep["cases"] == 1 + 8
-    assert rep["witness"] == "minor columns %s of A(2,2,1;7)" % (cols,)
+
+def test_minor_certificate_reads_every_derivative_order(monkeypatch):
+    """A minor divisible by (t2 - t1)^3 but not by (t2 - t1)^4 is refused:
+    the check reaches the Hasse derivative of order 3."""
+    wide = ConfluentMatrix((2, 2, 1), 7)
+    d21 = mono(wide, {"t2": 1}) - mono(wide, {"t1": 1})
+    short = vandermonde_product(wide).exact_divide(d21)
+    assert short.divisible_by_difference("t2", "t1", 3)
+    assert not short.divisible_by_difference("t2", "t1", 4)
+    _replace_a_wide_minor(monkeypatch, 7, lambda minor: short)
+    assert _refused_at_minor_7(
+        check_minor_determinant((2, 2, 1), exhaustive_minors=True))
+
+
+def test_minor_certificate_asks_for_integer_coefficients(monkeypatch):
+    """A minor plus half the product is divisible by the product over the
+    rationals, but not with an integral quotient."""
+    wide = ConfluentMatrix((2, 2, 1), 7)
+    half = vandermonde_product(wide).scale(Fraction(1, 2))
+    _replace_a_wide_minor(monkeypatch, 7, lambda minor: minor + half)
+    assert _refused_at_minor_7(
+        check_minor_determinant((2, 2, 1), exhaustive_minors=True))
+
+
+def test_minors_suite_reports_the_first_wrong_leaf(monkeypatch):
+    """The suite's walk stops at the first refused minor of A(2,2,1;7) and
+    counts the cases of every leaf before it."""
+    leaf = list(compositions(5)).index((2, 2, 1))
+    _replace_a_wide_minor(monkeypatch, 7, _plus_one, leaf)
+    rep = minors_suite(max_square=6, max_minor=5)
+    before = sum(len(list(compositions(n))) * (1 + math.comb(n + 2, n))
+                 for n in range(1, 5)) + leaf * (1 + math.comb(7, 5))
+    assert rep["blocks"] == [2, 2, 1] and rep["cases"] == before + 1 + 8
+    assert _refused_at_minor_7(dict(rep, cases=1 + 8))
 
 
 def test_minors_suite_small():

@@ -207,6 +207,47 @@ def test_exact_divide_roundtrip_fractions(pair, den):
     assert f.exact_divide(g) * g == f
 
 
+@st.composite
+def difference_powers(draw):
+    """(q, bump, x - y, k): integer polynomials in x, y and maybe z, with x
+    and y of one weight; bounds that keep all of (x - y)^k, k <= 4."""
+    w = draw(st.sampled_from([1, 2, -1]))
+    variables = [Variable("x", w), Variable("y", w)]
+    if draw(st.booleans()):
+        variables.append(Variable("z", draw(st.sampled_from([-1, 1, 2]))))
+    table = VariableTable(variables)
+    tp, tm = draw(st.integers(8, 14)), draw(st.integers(4, 10))
+    ints = st.integers(-3, 3)
+    q = series(draw, table, tp, tm, coeffs=ints, nonneg=True)
+    x, y = (GradedSeries.monomial(table, tp, tm, {n: 1}) for n in "xy")
+    k = draw(st.integers(0, 4))
+    # a bump that keeps the factor, one a degree short of it, or any
+    bump = series(draw, table, tp, tm, coeffs=ints, nonneg=True)
+    bump = draw(st.sampled_from([bump * (x - y) ** k,
+                                 bump * (x - y) ** max(k - 1, 0), bump]))
+    return q, bump, x - y, k
+
+
+@SETTINGS
+@given(difference_powers())
+def test_difference_power_certificate_matches_exact_divide(case):
+    q, bump, d, k = case
+    g = d ** k
+    f = q * g
+    assert f.divisible_by_difference("x", "y", k)
+    h = f + bump
+    try:
+        h.exact_divide(g, integral=True)
+        divides = True
+    except NotDivisible:
+        divides = False
+    assert h.divisible_by_difference("x", "y", k) == divides
+    # h + g/2 is divisible over the rationals exactly when h is, and never
+    # with an integral quotient
+    assert not (h + g.scale(Fraction(1, 2))).divisible_by_difference(
+        "x", "y", k)
+
+
 def test_not_divisible_names_the_seed_monomial():
     table = VariableTable([Variable("t", 1, laurent_floor=-2),
                            Variable("x", 1), Variable("b", -1)],

@@ -77,6 +77,22 @@ def test_normal_form_rejects_negative_t(ctx, fp2):
         fp2.normal_form(ctx.mono({"t": -1}))
 
 
+def test_normal_form_scans_t_only_under_a_floor(ctx, fp2, monkeypatch):
+    """A Laurent table still refuses a t^-1 among other terms; a table with
+    no t floor cannot hold one, so its normal form reads no t-degree."""
+    f = ctx.mono({"t": -1, "b1": 1}, 3) + ctx.var("t") + ctx.one()
+    with pytest.raises(SeriesError, match="negative t-powers"):
+        fp2.normal_form(f)
+    plain = Context(6, 4)
+    fp = FormalP(plain, 2)
+    g = plain.mono({"t": 2, "b1": 1}, 3) + plain.const(5)
+
+    def no_scan(self, name):
+        raise AssertionError("min_degree(%r) scanned" % name)
+    monkeypatch.setattr(GradedSeries, "min_degree", no_scan)
+    assert fp.normal_form(g) == plain.mono({"t": 2, "b1": 1}) + plain.one()
+
+
 def test_normal_form_digit_range_and_ring_structure(ctx):
     rng = random.Random(20260814)
     for p in (2, 3, 5):

@@ -368,6 +368,39 @@ def test_exact_divide_monomial_obstruction():
     assert q.coeff({"b1": 1, "t": -1}) == 1
 
 
+def test_divisible_by_difference_examples():
+    tb = VariableTable([Variable("x", 1), Variable("y", 1), Variable("z", 2),
+                        Variable("b", -1)])
+    x, y, z, b = (mono(tb, 9, 3, {n: 1}) for n in "xyzb")
+    d = x - y
+    f = d ** 3 * (x * z + b + GradedSeries.const(tb, 9, 3, 2))
+    assert [f.divisible_by_difference("x", "y", k) for k in range(6)] == [
+        True, True, True, True, False, False]
+    # the same factor read from y, and y - x, its negative
+    assert f.divisible_by_difference("y", "x", 3)
+    assert not f.divisible_by_difference("y", "x", 4)
+    # x^2 - y^2 has no factor (x - y)^2: its first derivative is 2y at x = y
+    assert (x * x - y * y).divisible_by_difference("x", "y", 1)
+    assert not (x * x - y * y).divisible_by_difference("x", "y", 2)
+    assert not (f + z).divisible_by_difference("x", "y", 1)
+    assert f.scale(3).divisible_by_difference("x", "y", 3)
+    # divisible over the rationals, but the quotient is not integral
+    assert not f.scale(Fraction(1, 2)).divisible_by_difference("x", "y", 1)
+    assert S(tb, 9, 3).divisible_by_difference("x", "y", 4)
+    # z has another weight; a negative floor or a cap on x or y breaks the
+    # grading that the truncation keeps
+    for u, v, k in (("x", "z", 1), ("x", "x", 1), ("x", "y", -1)):
+        with pytest.raises(SeriesError):
+            f.divisible_by_difference(u, v, k)
+    laurent = VariableTable([Variable("x", 1, laurent_floor=-2),
+                             Variable("y", 1)])
+    capped = VariableTable([Variable("x", 1), Variable("y", 1)],
+                           degree_caps=[("y", 3)])
+    for table in (laurent, capped):
+        with pytest.raises(SeriesError):
+            S(table, 6, 0).divisible_by_difference("x", "y", 1)
+
+
 def test_compositional_inverse():
     tb = table_tb()
     t = mono(tb, 8, 6, {"t": 1})

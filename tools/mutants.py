@@ -30,6 +30,8 @@ ORACLE = "tests/test_kernel_oracle.py"
 MINORS = ("tests/test_actions.py"
           "::test_maximal_minors_match_cofactor_expansion")
 BAREISS = "tests/test_actions.py::test_bareiss_examples"
+SUITE = "tests/test_actions.py::test_minors_suite_small"
+CERTIFICATE = "tests/test_actions.py::test_minor_certificate_"
 UV = "tests/test_operations.py::test_verifier_uv_p3"
 RR = "tests/test_operations.py::test_verifier_rr_p2"
 APPLY_ORACLE = ("tests/test_operations.py"
@@ -76,10 +78,12 @@ MUTANTS = [
             ORACLE + "::test_is_integral_matches_sequential_reduction"]),
     Mutant("normal_form accepts t^-1", QUOTIENT,
            "if lo is not None and lo < 0:\n"
-           "            raise SeriesError(\"normal form expects",
+           "                raise SeriesError(\"normal form expects",
            "if lo is not None and lo < -1:\n"
-           "            raise SeriesError(\"normal form expects",
-           ["tests/test_quotient.py::test_normal_form_rejects_negative_t"]),
+           "                raise SeriesError(\"normal form expects",
+           ["tests/test_quotient.py::test_normal_form_rejects_negative_t",
+            "tests/test_quotient.py"
+            "::test_normal_form_scans_t_only_under_a_floor"]),
     Mutant("ChowModel's floor misses the last Chern factor", FGL,
            "floor = -max(p * dim, 2 + dim)",
            "floor = -max((p - 1) * dim, 2 + dim)",
@@ -151,29 +155,44 @@ MUTANTS = [
            "strict = False",
            ["tests/test_series.py::test_exact_divide_integral_flag",
             ORACLE + "::test_one_term_divisions_match_the_tuple_oracle"]),
+    # the minor checks of criterion 02, not its digest, must catch a weak
+    # divisibility certificate
+    Mutant("the certificate stops one derivative order short", SERIES,
+           "for m in range(k):",
+           "for m in range(k - 1):",
+           ["tests/test_series.py::test_divisible_by_difference_examples",
+            CERTIFICATE + "reads_every_derivative_order",
+            ORACLE + "::test_difference_power_certificate_matches_exact_divide"]),
+    Mutant("the certificate drops the denominator guard", SERIES,
+           "if self._den != 1:\n            return False",
+           "if False:\n            return False",
+           ["tests/test_series.py::test_divisible_by_difference_examples",
+            CERTIFICATE + "asks_for_integer_coefficients",
+            ORACLE + "::test_difference_power_certificate_matches_exact_divide"]),
     Mutant("reversion stops one degree short", SERIES,
            "his[i] + 1",
            "his[i]",
            [ORACLE + "::test_compositional_inverse_round_trip",
             "tests/test_series.py::test_compositional_inverse"]),
-    # the cofactor oracle must catch a wrong expansion on its own
+    # the cofactor oracle must catch a wrong expansion on its own; the
+    # Laplace step is the one that every walk of criterion 02 takes
     Mutant("the expansion sign ignores the row index", ACTIONS,
            "(k - 1 + i) % 2",
            "i % 2",
-           [MINORS, BAREISS]),
+           [MINORS, BAREISS, SUITE]),
     Mutant("the sub-minor keeps the expanded column", ACTIONS,
            "level[cols[:i] + cols[i + 1:]]",
            "level[cols[1:]]",
-           [MINORS, BAREISS]),
+           [MINORS, BAREISS, SUITE]),
     Mutant("a zero entry ends the row's expansion", ACTIONS,
            "if entry.is_zero or sub.is_zero:\n                continue",
            "if entry.is_zero or sub.is_zero:\n                break",
-           [MINORS, BAREISS]),
-    Mutant("the last level is yielded out of combinations order", ACTIONS,
-           "for cols in itertools.combinations(range(m), n):",
-           "for cols in sorted(itertools.combinations(range(m), n),\n"
-           "                            reverse=True):",
-           [MINORS]),
+           [MINORS, BAREISS, SUITE]),
+    Mutant("a level is built out of combinations order", ACTIONS,
+           "for cols in itertools.combinations(range(len(row)), k):",
+           "for cols in sorted(itertools.combinations(range(len(row)), k),\n"
+           "                       reverse=True):",
+           [MINORS, SUITE]),
     Mutant("the invariance check substitutes the identity", ACTIONS,
            "return nf(ctx.shift_image(self.var, 1))",
            "return nf(ctx.var(self.var))",
