@@ -3,8 +3,8 @@
 B = L[[t]]/([p]_F(t)/t) carries the order-p automorphism x -> x +_F t.  This
 module builds the confluent Vandermonde matrices A(n_1..n_r; m) and checks
 their determinant identity, constructs the shift automorphism, decomposes
-invariant series as power series in pi(x) = prod_i (x +_F [i]t) with exact
-divisibility certificates at every stripping step, and derives the
+invariant series as power series in pi(x) = prod_i (x +_F [i]t), checking
+exact divisibility at every stripping step, and derives the
 two-variable consequences: the addition series G(u,v) with
 prod(x +_F y +_F [i]t) = G(pi(x), pi(y)), and the twisted group law
 F^alpha(u,v) = alpha(F(beta(u), beta(v))) with integral coefficients.
@@ -217,18 +217,15 @@ def _check_minors(matrix, minors):
     return True, cases, None
 
 
-def check_minor_determinant(blocks, exhaustive_minors=False):
-    """Square determinant identity, optionally all maximal minors of the
-    matrix two columns wider: the one root-to-leaf path of the walk that
-    `minors_suite` takes over all compositions.
+def check_minor_determinant(blocks):
+    """Square determinant identity and all maximal minors of the matrix two
+    columns wider, built for these blocks alone through `maximal_minors`.
 
     Returns a report dict; a failed identity is a falsification and sets
     verdict False with the offending minor as witness.
     """
     blocks = tuple(blocks)
-    n_total = sum(blocks)
-    matrix = ConfluentMatrix(blocks, n_total + 2 if exhaustive_minors
-                             else n_total)
+    matrix = ConfluentMatrix(blocks, sum(blocks) + 2)
     verdict, cases, witness = _check_minors(
         matrix, maximal_minors(matrix.rows, matrix.one()))
     return {"statement": "minors", "blocks": list(blocks),
@@ -323,12 +320,11 @@ class ShiftAction:
 def invariant_decompose(phi, action):
     """Write an invariant series as a polynomial in the orbit product.
 
-    Returns (psi, certificates): psi maps n to the coefficient of pi^n, each
-    extracted after certifying that the lowest coefficient is divisible by
-    c(t)^n (t-order at least n(p-1) modulo the ideal); certificates record
-    those exact divisibilities.  Raises SeriesError on input with p in a
-    denominator or not invariant modulo p; a divisibility failure raises
-    FalsificationError.
+    Returns psi, which maps n to the coefficient of pi^n, each extracted
+    after certifying that the lowest coefficient is divisible by c(t)^n
+    (t-order at least n(p-1) modulo the ideal); a divisibility failure
+    raises FalsificationError.  Raises SeriesError on input with p in a
+    denominator or not invariant modulo p.
     """
     fp = action.fp
     var = action.var
@@ -338,7 +334,6 @@ def invariant_decompose(phi, action):
     if action.shift(f) != f:
         raise SeriesError("series is not invariant under the shift")
     psi = {}
-    certificates = []
     while not f.is_zero:
         n = f.min_degree(var)
         alpha = f.coeff_of(var, n)
@@ -358,12 +353,11 @@ def invariant_decompose(phi, action):
                     (var, n, n),
                     witness="t-order %d < %d at level %d" % (lo, need, n))
             q = nf.shift_var("t", -need)
-        certificates.append({"power": n, "t_order": need})
         psi[n] = q
         f = fp.normal_form(f - q * action.pi_power(n))
         if not f.is_zero and f.min_degree(var) <= n:
             raise SeriesError("stripping failed to raise the lowest degree")
-    return psi, certificates
+    return psi
 
 
 def reconstruct(action, psi):
@@ -398,7 +392,7 @@ def theorem_g_suite(p, deg=6, bweight=6, count=20, seed=20260814):
     for case in range(count):
         truth = {k: _random_coefficient(ctx, rng) for k in range(kmax + 1)}
         phi = reconstruct(action, truth)
-        psi, _certs = invariant_decompose(phi, action)
+        psi = invariant_decompose(phi, action)
         for k in range(kmax + 1):
             got = psi.get(k, ctx.zero())
             if not fp.normal_form(got - truth[k]).is_zero:
@@ -447,10 +441,10 @@ def prop_xy_series(p, deg=6, bweight=6):
     phi = s
     for i in range(1, p):
         phi = phi * ctx.formal_sum(s, ctx.nseries(i))
-    inner, _ = invariant_decompose(phi, ax)
+    inner = invariant_decompose(phi, ax)
     coefficients = {}
     for k, r_k in inner.items():
-        outer, _ = invariant_decompose(r_k, ay)
+        outer = invariant_decompose(r_k, ay)
         for l, q in outer.items():
             if not fp.normal_form(q).is_zero:
                 coefficients[(k, l)] = q

@@ -15,35 +15,36 @@ from the low end, a field per exponent (the first variable highest), the
 plain exponent sum, a field per degree cap, the positive degree and, on top,
 the negative-weight degree.  A key is an affine function of the exponent
 vector, so the key of a product is the sum of the keys less the key of 1,
-and every field is wide enough for the sum of two admissible terms and for
-the difference that exact division forms.  The geometry has headroom past
-the first bounds the table is asked for, and every series at bounds within
-it keys its terms by it (`VariableTable.layout`), so a term has one key at
-all those bounds, as in the fixed-field packed monomials of Monagan and
-Pearce (Sparse polynomial division using a heap, J. Symb. Comp. 2011).  A
-kernel reads the bounds from the series itself: trunc_plus + pconst and
-trunc_minus + mconst top the degree fields.  Sorted keys bucket by negative
-degree and order each bucket by positive degree; keys masked to their sum
-and exponent fields order terms graded-lexicographically.  A series holds a
-dict from sorted keys to int numerators and one common denominator in
-lowest terms, as FLINT's fmpq_poly keeps one content per polynomial;
-`terms`, a read-only view by exponent tuple, is built only when something
-reads it.
+and every field is wide enough for the sum of two admissible terms.  The
+geometry has headroom past the first bounds the table is asked for, and
+every series at bounds within it keys its terms by it
+(`VariableTable.layout`), so a term has one key at all those bounds, as in
+the fixed-field packed monomials of Monagan and Pearce (Sparse polynomial
+division using a heap, J. Symb. Comp. 2011).  A kernel reads the bounds
+from the series itself: trunc_plus + pconst and trunc_minus + mconst top
+the degree fields.  Sorted keys bucket by negative degree and order each
+bucket by positive degree; keys masked to their sum and exponent fields
+order terms graded-lexicographically.  A series holds a dict from sorted
+keys to int numerators and one common denominator in lowest terms, as
+FLINT's fmpq_poly keeps one content per polynomial; `terms`, a read-only
+view by exponent tuple, is built only when something reads it.
 
 The product is one sparse kernel in the manner of Monagan and Pearce
 (Sparse polynomial multiplication and division in Maple 14, 2009): both
 truncations end their loops with a break, so only admissible pairs are
 visited; the pair loop adds and multiplies plain ints, and one mask on each
 output key drops the terms past a degree cap and finds those below a
-Laurent floor.  Exact division keeps its remainder in a heap of int keys in
-graded-lexicographic order and subtracts each shifted divisor term by term.
-A one-term operand or divisor needs neither: the result is one key shift of
-the other operand's rows (`_shift`), with the same drops and errors;
-`shift_var`, `diff` and the inverses multiply by a monomial the same way.
-A series changes its bounds only through `retruncate`, which within one
-geometry filters its keys.  Substitution is Horner's rule (Brent and Kung,
-J. ACM 1978): degree K in one variable costs K products.  Reversion is
-Lagrange inversion: one inverse, then one product per degree.
+Laurent floor.  A one-term operand needs no pair loop: the product is one
+key shift of the other operand's rows (`_shift`), with the same drops and
+errors; `shift_var`, `diff` and the inverses multiply by a monomial the same
+way.  Exact division forms no key: it keeps its remainder by exponent tuple
+in a heap in graded-lexicographic order, subtracts each quotient term times
+the divisor's other terms under the ring's rules, and builds the quotient
+through the exponent-tuple constructor.  A series changes its bounds only
+through `retruncate`, which within one geometry filters its keys.
+Substitution is Horner's rule (Brent and Kung, J. ACM 1978): degree K in
+one variable costs K products.  Reversion is Lagrange inversion: one
+inverse, then one product per degree.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 import json
 from math import comb, gcd, lcm
-from operator import add, itemgetter, mul
+from operator import add, mul, sub
 import re
 from types import MappingProxyType
 
@@ -205,8 +206,8 @@ class Geometry:
     plus a constant.  Over admissible terms a function ranges over [lo, hi],
     and over a digit of a negative power (`coeff_of`), which may lie past
     the bounds, over [2lo - hi, 2hi - lo].  A field holds [5lo - 4hi,
-    5hi - 4lo], which covers the sum of two such terms and the er - eg + eh
-    of exact division, so those keys never carry between fields; digits
+    5hi - 4lo], which covers the sum of two such terms, [4lo - 2hi,
+    4hi - 2lo], so a product's keys never carry between fields; digits
     keep every exponent in [lo, hi], so an exponent field needs only
     [2lo - hi, 2hi - lo].  An exponent field's constant sets its guard bit
     exactly when the exponent is at or above its floor; a cap field's sets
@@ -226,7 +227,7 @@ class Geometry:
 
     __slots__ = ("fields", "scale", "base", "order", "capbits", "floorbits",
                  "expbits", "caps", "pshift", "pmask", "pconst", "mshift",
-                 "mconst", "width", "depth")
+                 "mconst", "depth")
 
     def __init__(self, table, trunc_plus, trunc_minus):
         weights = table.weights
@@ -267,7 +268,6 @@ class Geometry:
         off += (9 * (trunc_plus - pfloor)).bit_length()
         self.pmask = (1 << off - self.pshift) - 1
         self.mshift, self.mconst = off, 4 * trunc_minus - 5 * mfloor
-        self.width = off + (9 * (trunc_minus - mfloor)).bit_length()
         self.base = base + (self.mconst << off)
         self.scale = tuple(
             (1 << fields[i][0]) + (1 << soff)
@@ -585,11 +585,6 @@ class GradedSeries:
             return None
         return max((k >> off) & mask for k in self._rows) - c
 
-    def involves(self, name):
-        """True when some term carries a nonzero power of name."""
-        off, mask, c = self._field(name)
-        return any((k >> off) & mask != c for k in self._rows)
-
     def weight(self):
         """Common weighted degree of all terms, or None if inhomogeneous."""
         lay = self._lay
@@ -707,15 +702,14 @@ class GradedSeries:
         if len(out) < len(acc) and floorbits:
             for k, v in acc.items():
                 if v and k & floorbits != floorbits:
-                    self._underflow(k)
+                    self._underflow(lay.unpack(k))
         return self._make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
-    def _underflow(self, key):
-        """Raise for the first exponent of key below its floor."""
-        for e, v, f in zip(self._lay.unpack(key), self.table.variables,
-                           self.table.floors):
+    def _underflow(self, exp):
+        """Raise for the first exponent of exp below its floor, if any."""
+        for e, v, f in zip(exp, self.table.variables, self.table.floors):
             if e < (f or 0):
                 raise LaurentUnderflow("exponent %d of %s below floor"
                                        % (e, v.name))
@@ -750,7 +744,7 @@ class GradedSeries:
                     or k & capbits):
                 continue
             if k & expbits != expbits:
-                self._underflow(k)
+                self._underflow(lay.unpack(k))
             out[k] = v * n
         return self._make(out, self._den * d)
 
@@ -979,81 +973,42 @@ class GradedSeries:
         if g.is_zero:
             raise SeriesError("division by the zero series")
         self._compat(g)
-        lay = self._lay
-
-        def mono(k):
-            return self.table.monomial_str(lay.unpack(k))
-        base, order, width = lay.base, lay.order, lay.width
-        full = (1 << width) - 1
-        pshift, pmask, mshift = lay.pshift, lay.pmask, lay.mshift
-        ptop = self.trunc_plus + lay.pconst
-        pmax, mtop = ptop + lay.pconst, self.trunc_minus + lay.mconst
-        capbits, expbits, floorbits = lay.capbits, lay.expbits, lay.floorbits
-        kg = min(g._rows, key=lambda k: k & order)
-        if len(g._rows) == 1:
-            # one term: shift the keys back by kg, unless some quotient term
-            # falls below a floor or, under integral, is no integer; then
-            # the loop below raises for the least such term
-            cg = g._rows[kg]
-            n, d = (g._den, cg) if cg > 0 else (-g._den, -cg)
-            den, delta = self._den * d, base - kg
-            strict = integral and den != 1
-            if not any((k + delta) & expbits != expbits
-                       or strict and v * n % den
-                       for k, v in self._rows.items()):
-                return self._shift(delta, n, d)
-        cg = g._value(g._rows[kg])
-        # divisor terms by positive degree, so the truncation ends the loop
-        grows = sorted((((k >> pshift) & pmask, k - base, g._value(v))
-                        for k, v in g._rows.items()), key=itemgetter(0))
-        rem = {k: self._value(v) for k, v in self._rows.items()}
-        # a heap entry is the order key above the key itself
-        heap = [(k & order) << width | k for k in rem]
+        table, tp, tm = self.table, self.trunc_plus, self.trunc_minus
+        mono = table.monomial_str
+        floors = [f or 0 for f in table.floors]
+        (eg, cg), *rest = g.sorted_terms()
+        rem = dict(self._items())
+        # (sum(e), e) orders the heap as sorted_terms orders the terms
+        heap = [(sum(e), e) for e in rem]
         heapify(heap)
         q = {}
         while heap:
-            kr = heappop(heap) & full
-            cr = rem.get(kr)
+            er = heappop(heap)[1]
+            cr = rem.pop(er, None)
             if cr is None:
                 continue
             # the quotient term er - eg, which must respect every floor
-            ke = kr - kg + base
-            if ke & expbits != expbits:
+            e = tuple(map(sub, er, eg))
+            if any(k < f for k, f in zip(e, floors)):
                 raise NotDivisible("monomial %s not divisible by %s"
-                                   % (mono(kr), mono(kg)), monomial=mono(kr))
-            if type(cr) is int and type(cg) is int and not cr % cg:
-                c = cr // cg
-            else:
-                c = _norm_coeff(Fraction(cr) / Fraction(cg))
-                if integral and not isinstance(c, int):
-                    raise NotDivisible("coefficient of %s not divisible"
-                                       % mono(kr), monomial=mono(kr))
-            q[ke] = c
-            # rem -= c * e * g; every term lies at or above er in the order
-            pe = (ke >> pshift) & pmask
-            for ph, kh, ch in grows:
-                if pe + ph > pmax:
-                    break
-                k = ke + kh
-                if k >> mshift > mtop or k & capbits:
+                                   % (mono(er), mono(eg)), monomial=mono(er))
+            c = q[e] = _norm_coeff(Fraction(cr) / cg)
+            if integral and type(c) is not int:
+                raise NotDivisible("coefficient of %s not divisible"
+                                   % mono(er), monomial=mono(er))
+            # rem -= c * e * (g - lead); every term lies above er in the order
+            for eh, ch in rest:
+                k = tuple(map(add, e, eh))
+                if _outside(table, tp, tm, k):
                     continue
-                if k & floorbits != floorbits:
-                    self._underflow(k)
-                v = rem.get(k)
-                if v is None:
-                    rem[k] = -c * ch
-                    heappush(heap, (k & order) << width | k)
-                else:
-                    v -= c * ch
-                    if v:
-                        rem[k] = v
-                    else:
-                        del rem[k]
-        # the quotient terms within both truncations and every cap
-        return self._make_values({k: q[k] for k in sorted(q)
-                                  if (k >> pshift) & pmask <= ptop
-                                  and k >> mshift <= mtop
-                                  and not k & capbits})
+                self._underflow(k)
+                if k not in rem:
+                    heappush(heap, (sum(k), k))
+                v = rem.pop(k, 0) - c * ch
+                if v:
+                    rem[k] = v
+        # the constructor keeps the quotient terms within the bounds and caps
+        return GradedSeries(table, tp, tm, q)
 
     def divisible_by_difference(self, x, y, k):
         """True when (x - y)^k divides this series with an integral quotient.

@@ -153,7 +153,7 @@ def test_minor_determinant_work_ceiling(monkeypatch):
     """Exact work counts of criterion 02 on A(2,2,1); a change may lower
     these ceilings, and raising one must be argued."""
     counts = _count_minor_work(monkeypatch)
-    rep = check_minor_determinant((2, 2, 1), exhaustive_minors=True)
+    rep = check_minor_determinant((2, 2, 1))
     assert rep["verdict"] and rep["cases"] == 1 + 21
     assert counts["exact_divide"] == 0
     assert counts["multi"] <= 6
@@ -246,7 +246,7 @@ def test_reversion_work_ceiling(monkeypatch):
 
 
 def test_minor_determinant_report():
-    rep = check_minor_determinant((2, 1), exhaustive_minors=True)
+    rep = check_minor_determinant((2, 1))
     assert rep["verdict"] and rep["witness"] is None
     assert rep["cases"] == 1 + 10  # square + C(5,3) minors
 
@@ -257,7 +257,7 @@ def test_minor_determinant_catches_a_wrong_product(monkeypatch):
     product = actions.vandermonde_product
     monkeypatch.setattr(actions, "vandermonde_product",
                         lambda matrix: product(matrix) * 2)
-    rep = check_minor_determinant((2, 2, 1), exhaustive_minors=True)
+    rep = check_minor_determinant((2, 2, 1))
     assert not rep["verdict"] and rep["cases"] == 1
     assert rep["witness"] == "det A(2,2,1;5) != product"
 
@@ -293,7 +293,7 @@ def test_minor_determinant_catches_a_wrong_minor(monkeypatch):
     """A later minor plus 1 is not divisible by the product."""
     _replace_a_wide_minor(monkeypatch, 7, _plus_one)
     assert _refused_at_minor_7(
-        check_minor_determinant((2, 2, 1), exhaustive_minors=True))
+        check_minor_determinant((2, 2, 1)))
 
 
 def test_minor_certificate_reads_every_derivative_order(monkeypatch):
@@ -306,7 +306,7 @@ def test_minor_certificate_reads_every_derivative_order(monkeypatch):
     assert not short.divisible_by_difference("t2", "t1", 4)
     _replace_a_wide_minor(monkeypatch, 7, lambda minor: short)
     assert _refused_at_minor_7(
-        check_minor_determinant((2, 2, 1), exhaustive_minors=True))
+        check_minor_determinant((2, 2, 1)))
 
 
 def test_minor_certificate_asks_for_integer_coefficients(monkeypatch):
@@ -316,7 +316,7 @@ def test_minor_certificate_asks_for_integer_coefficients(monkeypatch):
     half = vandermonde_product(wide).scale(Fraction(1, 2))
     _replace_a_wide_minor(monkeypatch, 7, lambda minor: minor + half)
     assert _refused_at_minor_7(
-        check_minor_determinant((2, 2, 1), exhaustive_minors=True))
+        check_minor_determinant((2, 2, 1)))
 
 
 def test_minors_suite_reports_the_first_wrong_leaf(monkeypatch):
@@ -379,13 +379,12 @@ def test_invariant_decompose_pi_powers():
     action = ShiftAction(ctx, 2, "x")
     fp = action.fp
 
-    psi, certs = invariant_decompose(action.pi_power(1), action)
+    psi = invariant_decompose(action.pi_power(1), action)
     assert set(psi) == {1}
     assert psi[1] == ctx.one()
-    assert {"power": 1, "t_order": 1} in certs
 
     noise = fp.g * ctx.mono({"x": 1, "t": 2}, 3)
-    psi2, _ = invariant_decompose(action.pi_power(2) + noise, action)
+    psi2 = invariant_decompose(action.pi_power(2) + noise, action)
     live = {k for k, q in psi2.items() if not fp.normal_form(q).is_zero}
     assert live == {2}
     assert fp.normal_form(psi2[2] - ctx.one()).is_zero
@@ -461,7 +460,7 @@ def test_invariance_is_checked_modulo_p(p):
     ctx = action_context(p)
     action = ShiftAction(ctx, p, "x")
     pi = action.pi_power(1)
-    psi, _ = invariant_decompose(pi + ctx.var("x").scale(p), action)
+    psi = invariant_decompose(pi + ctx.var("x").scale(p), action)
     assert psi == {1: ctx.one()}
     with pytest.raises(SeriesError, match="not invariant"):
         invariant_decompose(pi + ctx.var("x"), action)
@@ -471,7 +470,7 @@ def test_invariant_decompose_additive():
     ctx = Context(6, 0, extra_vars=("x",), trunc_plus=12)
     action = ShiftAction(ctx, 2, "x")
     phi = ctx.var("x") * (ctx.var("x") + ctx.var("t"))
-    psi, _ = invariant_decompose(phi, action)
+    psi = invariant_decompose(phi, action)
     assert set(psi) == {1} and psi[1] == ctx.one()
 
 

@@ -368,6 +368,18 @@ def test_exact_divide_monomial_obstruction():
     assert q.coeff({"b1": 1, "t": -1}) == 1
 
 
+def test_exact_divide_drops_products_past_a_bound_or_a_cap():
+    """As in a product, a term past a bound or a cap is dropped before the
+    floor check: (t^-1*x^2)^2 lies below the t floor, and past trunc_plus
+    in the first table and past the x cap in the second, so t^-1*x^2
+    divided by 1 + t^-1*x^2 is t^-1*x^2."""
+    for caps, tp in (((), 1), ([("x", 3)], 10)):
+        tb = VariableTable([Variable("t", 1, laurent_floor=-1),
+                            Variable("x", 1)], degree_caps=caps)
+        f = mono(tb, tp, 0, {"t": -1, "x": 2})
+        assert f.exact_divide(GradedSeries.one(tb, tp, 0) + f) == f
+
+
 def test_divisible_by_difference_examples():
     tb = VariableTable([Variable("x", 1), Variable("y", 1), Variable("z", 2),
                         Variable("b", -1)])

@@ -138,22 +138,29 @@ MUTANTS = [
            "if False:",
            ["tests/test_series.py::test_degree_caps_are_ring_quotients",
             ORACLE + "::test_packed_results_match_the_tuple_oracle"]),
-    Mutant("exact_divide admits a term past a cap", SERIES,
-           "if k >> mshift > mtop or k & capbits:",
-           "if k >> mshift > mtop:",
-           [ORACLE + "::test_exact_divide_roundtrip_integral",
-            ORACLE + "::test_exact_divide_roundtrip_fractions",
-            ORACLE + "::test_packed_results_match_the_tuple_oracle"]),
     Mutant("the key shift keeps a term past a cap", SERIES,
            "                    or k & capbits):",
            "                    or False):",
            ["tests/test_series.py::test_degree_caps_are_ring_quotients",
-            ORACLE + "::test_one_term_products_match_the_tuple_oracle",
-            ORACLE + "::test_one_term_divisions_match_the_tuple_oracle"]),
-    Mutant("a one-term divisor skips the integral check", SERIES,
-           "strict = integral and den != 1",
-           "strict = False",
+            ORACLE + "::test_one_term_products_match_the_tuple_oracle"]),
+    # exact_divide then never empties its heap on a truncated remainder, so
+    # only a test that fails at the first product may be named
+    Mutant("exact_divide keeps the products past a bound or a cap", SERIES,
+           "if _outside(table, tp, tm, k):",
+           "if False:",
+           ["tests/test_series.py"
+            "::test_exact_divide_drops_products_past_a_bound_or_a_cap"]),
+    Mutant("exact_divide skips the integral check", SERIES,
+           "if integral and type(c) is not int:",
+           "if False:",
            ["tests/test_series.py::test_exact_divide_integral_flag",
+            ORACLE + "::test_not_divisible_names_the_seed_monomial",
+            ORACLE + "::test_one_term_divisions_match_the_tuple_oracle"]),
+    Mutant("exact_divide lets a quotient term below a floor through", SERIES,
+           "if any(k < f for k, f in zip(e, floors)):",
+           "if any(k < f - 1 for k, f in zip(e, floors)):",
+           ["tests/test_series.py::test_exact_divide_monomial_obstruction",
+            ORACLE + "::test_not_divisible_names_the_seed_monomial",
             ORACLE + "::test_one_term_divisions_match_the_tuple_oracle"]),
     # the minor checks of criterion 02, not its digest, must catch a weak
     # divisibility certificate
