@@ -746,12 +746,12 @@ def test_a_product_at_the_geometry_depth_carries_no_field():
 
 # ----- one-term operands -----------------------------------------------------
 #
-# A product with a one-term operand and a division by a one-term divisor
-# shift keys instead of running the pair loop or the heap, and `diff` and
-# `rename_var` move each term's key.  These checks compare each with the
-# ring's rules on exponent tuples, down to the error it raises and the term
-# that error names: for a product or a move the first term in key order,
-# for a division the least in graded-lexicographic order.
+# A product with a one-term operand shifts keys instead of running the pair
+# loop, `diff` and `rename_var` move each term's key, and a division by a
+# one-term divisor has no product to subtract.  These checks compare each
+# with the ring's rules on exponent tuples, down to the error it raises and
+# the term that error names: for a product or a move the first term in key
+# order, for a division the least in graded-lexicographic order.
 
 
 def below(table, e):
