@@ -1,12 +1,13 @@
 """Cyclic shift actions on B[[x]] and confluent Vandermonde identities.
 
 B = L[[t]]/([p]_F(t)/t) carries the order-p automorphism x -> x +_F t.  This
-module builds the confluent Vandermonde matrices A(n_1..n_r; m) and checks
-their determinant identity, constructs the shift automorphism, decomposes
-invariant series as power series in pi(x) = prod_i (x +_F [i]t), checking
-exact divisibility at every stripping step, and derives the
-two-variable consequences: the addition series G(u,v) with
-prod(x +_F y +_F [i]t) = G(pi(x), pi(y)), and the twisted group law
+module builds the rows of the confluent Vandermonde matrices A(n_1..n_r; m)
+and checks their determinant identity and the divisibility of their wide
+minors on one walk over the compositions, constructs the shift
+automorphism, decomposes invariant series as power series in
+pi(x) = prod_i (x +_F [i]t), checking exact divisibility at every stripping
+step, and derives the two-variable consequences: the addition series
+G(u,v) with prod(x +_F y +_F [i]t) = G(pi(x), pi(y)), and the twisted group law
 F^alpha(u,v) = alpha(F(beta(u), beta(v))) with integral coefficients.
 Invariance is decided in B/(p), since (g) = (p): the shifted series is the
 sum of each x-digit of the normal form times the normal form of the matching
@@ -35,54 +36,28 @@ from .series import (FalsificationError, GradedSeries, SeriesError,
 # confluent Vandermonde matrices
 
 
-class ConfluentMatrix:
-    """A(n_1,...,n_r; m) with entries binom(v-1, ubar) * t_i^(v-1-ubar).
+def confluent_rows(n_total, width):
+    """The rows of every A(n_1,...,n_r; width) with n_1 + ... + n_r =
+    n_total, over one table t1..tn: {(i, ubar): row}, row ubar of block i
+    having entries binom(v-1, ubar) * t_(i+1)^(v-1-ubar), v = 1..width.
 
-    Rows are grouped in blocks: block i contributes n_i rows indexed by
-    ubar = 0..n_i-1, all in the symbol t_i; columns are v = 1..m.  The
-    table holds t1..t_n for n = n_1 + ... + n_r, so the matrices of all
-    compositions of n at one width share it and have the same row(i, ubar).
+    The rows of A(blocks; width) are rows[i, ubar] for ubar < n_i, block by
+    block; block i of a composition has at most n_total - i rows.
     """
-
-    __slots__ = ("blocks", "width", "table", "trunc_plus", "_rows")
-
-    def __init__(self, blocks, width):
-        self.blocks = tuple(int(n) for n in blocks)
-        self.width = int(width)
-        if not self.blocks or any(n < 1 for n in self.blocks) or self.width < 1:
-            raise SeriesError("blocks must be positive and width >= 1")
-        n_total = sum(self.blocks)
-        self.table = VariableTable([Variable("t%d" % (i + 1), 1)
-                                    for i in range(n_total)])
-        # every intermediate is itself a minor, of degree below
-        # n_total * width, so no term reaches this bound
-        self.trunc_plus = 2 * n_total * self.width + 4
-        self._rows = None
-
-    def row(self, i, ubar):
-        """Row ubar of block i: binom(v-1, ubar) * t_(i+1)^(v-1-ubar)."""
-        return tuple(
-            GradedSeries.monomial(self.table, self.trunc_plus, 0,
-                                  {"t%d" % (i + 1): v - 1 - ubar},
-                                  coeff=math.comb(v - 1, ubar))
-            if v > ubar else self._zero()
-            for v in range(1, self.width + 1))
-
-    @property
-    def rows(self):
-        """All rows, built on first use; a walk over the compositions reads
-        single rows and never needs them."""
-        if self._rows is None:
-            self._rows = tuple(self.row(i, ubar)
-                               for i, n in enumerate(self.blocks)
-                               for ubar in range(n))
-        return self._rows
-
-    def _zero(self):
-        return GradedSeries.zero(self.table, self.trunc_plus, 0)
-
-    def one(self):
-        return GradedSeries.one(self.table, self.trunc_plus, 0)
+    if n_total < 1 or width < 1:
+        raise SeriesError("n_total and width must be positive")
+    table = VariableTable([Variable("t%d" % (i + 1), 1)
+                           for i in range(n_total)])
+    # every intermediate is itself a minor, of degree below
+    # n_total * width, so no term reaches this bound
+    trunc_plus = 2 * n_total * width + 4
+    zero = GradedSeries.zero(table, trunc_plus, 0)
+    return {(i, ubar): tuple(
+        GradedSeries.monomial(table, trunc_plus, 0,
+                              {"t%d" % (i + 1): v - 1 - ubar},
+                              coeff=math.comb(v - 1, ubar))
+        if v > ubar else zero for v in range(1, width + 1))
+        for i in range(n_total) for ubar in range(n_total - i)}
 
 
 def laplace_step(level, row, zero):
@@ -135,101 +110,68 @@ def bareiss_det(rows, one):
     return det
 
 
-def vandermonde_product(matrix):
-    """prod_{i>j} (t_i - t_j)^(n_i * n_j) over the matrix's symbols."""
-    out = matrix.one()
-    blocks = matrix.blocks
-    for i in range(len(blocks)):
-        for j in range(i):
-            ti = GradedSeries.monomial(matrix.table, matrix.trunc_plus, 0,
-                                       {"t%d" % (i + 1): 1})
-            tj = GradedSeries.monomial(matrix.table, matrix.trunc_plus, 0,
-                                       {"t%d" % (j + 1): 1})
-            out = out * (ti - tj) ** (blocks[i] * blocks[j])
-    return out
-
-
-def compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first,) + rest
-
-
 def _composition_walk(n_total, width):
-    """(A(blocks; width), its maximal minors by columns) for every
-    composition of n_total, in compositions(n_total) order.
+    """(blocks, product, minors) for every composition of n_total, in
+    lexicographic order: the product prod_{i>j} (t_i - t_j)^(n_i n_j) and
+    the maximal minors of A(blocks; width) by columns.
 
     Depth first: the rows of a composition begin with those of each of its
     prefixes, so a node adds one row, ubar = 0 of a new block first, then
     the next ubar of the last block, and its level is its parent's by one
-    `laplace_step`.  Only the levels on the current path are kept.
+    `laplace_step`.  Either child grows the last block i by one, so its
+    product is its parent's times prod_{j<i} (t_i - t_j)^(n_j).  Only the
+    levels and products on the current path are kept.
     """
-    # any composition of n_total gives the rows of all of them
-    frame = ConfluentMatrix((n_total,), width)
-    rows = {(i, ubar): frame.row(i, ubar)
-            for i in range(n_total) for ubar in range(n_total - i)}
-    zero = frame._zero()
+    rows = confluent_rows(n_total, width)
+    one = rows[0, 0][0]
+    zero = one - one
+    t = [GradedSeries.monomial(one.table, one.trunc_plus, 0,
+                               {"t%d" % (i + 1): 1}) for i in range(n_total)]
 
-    def visit(blocks, level):
+    def visit(blocks, product, level):
         if sum(blocks) == n_total:
-            yield ConfluentMatrix(blocks, width), level
+            yield blocks, product, level
             return
         children = [(blocks + (1,), rows[len(blocks), 0])]
         if blocks:
             children.append((blocks[:-1] + (blocks[-1] + 1,),
                              rows[len(blocks) - 1, blocks[-1]]))
         for child, row in children:
-            yield from visit(child, laplace_step(level, row, zero))
+            i, grown = len(child) - 1, product
+            for j in range(i):
+                grown = grown * (t[i] - t[j]) ** child[j]
+            yield from visit(child, grown, laplace_step(level, row, zero))
 
-    return visit((), {(): frame.one()})
+    return visit((), one, {(): one})
 
 
-def _check_minors(matrix, minors):
-    """(verdict, cases, witness) of criterion 02 on A(blocks; m) from its
-    maximal minors, (columns, minor) in combinations order: the first is
-    det A(blocks; n) and must equal the product, and for m > n every other
-    must be divisible by it.
+def _check_minors(blocks, width, product, minors):
+    """(verdict, cases, witness) of criterion 02 on A(blocks; width) from
+    its Vandermonde product and its maximal minors, (columns, minor) in
+    combinations order: the first is det A(blocks; n) and must equal the
+    product, and for width > n every other must be divisible by it.
 
     The factors (t_i - t_j)^(n_i n_j) are pairwise coprime, so the product
     divides a minor when each factor does (`divisible_by_difference`, which
     also asks for integer coefficients); it is primitive, so by Gauss's
     lemma the quotient of an integral minor is integral.
     """
-    blocks, m = matrix.blocks, matrix.width
     name = ",".join(map(str, blocks))
     it = iter(minors)
     _cols, det = next(it)
-    if det != vandermonde_product(matrix):
+    if det != product:
         return False, 1, "det A(%s;%d) != product" % (name, sum(blocks))
-    # with m > n the first minor is the product, so the product divides it
-    cases = 1 if m == sum(blocks) else 2
+    # with width > n the first minor is the product, so the product divides it
+    cases = 1 if width == sum(blocks) else 2
     factors = [("t%d" % (i + 1), "t%d" % (j + 1), blocks[i] * blocks[j])
                for i in range(len(blocks)) for j in range(i)]
     for cols, sub in it:
         cases += 1
         if not all(sub.divisible_by_difference(x, y, k)
                    for x, y, k in factors):
-            witness = "minor columns %s of A(%s;%d)" % (cols, name, m)
+            witness = "minor columns %s of A(%s;%d)" % (cols, name, width)
             return False, cases, witness
     return True, cases, None
-
-
-def check_minor_determinant(blocks):
-    """Square determinant identity and all maximal minors of the matrix two
-    columns wider, built for these blocks alone through `maximal_minors`.
-
-    Returns a report dict; a failed identity is a falsification and sets
-    verdict False with the offending minor as witness.
-    """
-    blocks = tuple(blocks)
-    matrix = ConfluentMatrix(blocks, sum(blocks) + 2)
-    verdict, cases, witness = _check_minors(
-        matrix, maximal_minors(matrix.rows, matrix.one()))
-    return {"statement": "minors", "blocks": list(blocks),
-            "cases": cases, "verdict": verdict, "witness": witness}
 
 
 def minors_suite(max_square=6, max_minor=5):
@@ -238,12 +180,12 @@ def minors_suite(max_square=6, max_minor=5):
     cases = 0
     for n_total in range(1, max_square + 1):
         width = n_total + 2 if n_total <= max_minor else n_total
-        for matrix, minors in _composition_walk(n_total, width):
-            verdict, leaf_cases, witness = _check_minors(matrix,
-                                                         minors.items())
+        for blocks, product, minors in _composition_walk(n_total, width):
+            verdict, leaf_cases, witness = _check_minors(
+                blocks, width, product, minors.items())
             cases += leaf_cases
             if not verdict:
-                return {"statement": "minors", "blocks": list(matrix.blocks),
+                return {"statement": "minors", "blocks": list(blocks),
                         "cases": cases, "verdict": False, "witness": witness}
     return {"statement": "minors", "blocks": None, "cases": cases,
             "verdict": True, "witness": None}

@@ -1,6 +1,7 @@
 """The mutant list of `tools/mutate.py` stays applicable to the code."""
 
 import importlib.util
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -9,12 +10,16 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ("test_verify_all_json_is_pinned", "test_op_json_output_is_pinned")
 
 
-def _mutants():
+def _tool(name):
     spec = importlib.util.spec_from_file_location(
-        "mutants", ROOT / "tools" / "mutants.py")
+        name, ROOT / "tools" / ("%s.py" % name))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
+
+
+def _mutants():
+    return _tool("mutants").MUTANTS
 
 
 def test_each_mutant_anchor_occurs_once_and_names_existing_tests():
@@ -40,3 +45,13 @@ def test_no_mutant_is_killed_by_a_digest():
             # a whole file runs every test in it, digests included
             assert name or not any("\ndef %s(" % d in (ROOT / path).read_text()
                                    for d in DIGESTS), (m.name, test)
+
+
+def test_a_run_past_its_limit_is_stopped_as_a_timeout(tmp_path):
+    (tmp_path / "test_sleep.py").write_text(
+        "import time\n\n\ndef test_sleep():\n    time.sleep(60)\n")
+    start = time.perf_counter()
+    outcome, secs = _tool("mutate").run_tests(tmp_path, ["test_sleep.py"],
+                                              limit=1)
+    assert outcome == "timeout" and 1 <= secs < 10
+    assert time.perf_counter() - start < 10

@@ -31,6 +31,8 @@ MINORS = ("tests/test_actions.py"
           "::test_maximal_minors_match_cofactor_expansion")
 BAREISS = "tests/test_actions.py::test_bareiss_examples"
 SUITE = "tests/test_actions.py::test_minors_suite_small"
+PRODUCT = ("tests/test_actions.py"
+           "::test_the_walk_carries_each_vandermonde_product")
 CERTIFICATE = "tests/test_actions.py::test_minor_certificate_"
 UV = "tests/test_operations.py::test_verifier_uv_p3"
 RR = "tests/test_operations.py::test_verifier_rr_p2"
@@ -200,6 +202,20 @@ MUTANTS = [
            "for cols in sorted(itertools.combinations(range(len(row)), k),\n"
            "                       reverse=True):",
            [MINORS, SUITE]),
+    # the direct product of the tests and the suite's square identity, not
+    # its digest, must catch a wrong product carried down the walk
+    Mutant("the carried product takes each factor once", ACTIONS,
+           "grown = grown * (t[i] - t[j]) ** child[j]",
+           "grown = grown * (t[i] - t[j])",
+           [PRODUCT, SUITE]),
+    Mutant("the carried product stops one block short", ACTIONS,
+           "for j in range(i):",
+           "for j in range(i - 1):",
+           [PRODUCT, SUITE]),
+    Mutant("the carried product takes t_j - t_i", ACTIONS,
+           "(t[i] - t[j]) ** child[j]",
+           "(t[j] - t[i]) ** child[j]",
+           [PRODUCT, SUITE]),
     Mutant("the invariance check substitutes the identity", ACTIONS,
            "return nf(ctx.shift_image(self.var, 1))",
            "return nf(ctx.var(self.var))",
