@@ -123,7 +123,7 @@ def _composition_walk(n_total, width):
     levels and products on the current path are kept.
     """
     rows = confluent_rows(n_total, width)
-    one = rows[0, 0][0]
+    one = rows[0, 0][0]  # binom(0, 0) * t1^0
     zero = one - one
     t = [GradedSeries.monomial(one.table, one.trunc_plus, 0,
                                {"t%d" % (i + 1): 1}) for i in range(n_total)]

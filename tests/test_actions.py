@@ -45,9 +45,9 @@ def _direct_product(blocks, ref):
     out = unit(ref)
     for i in range(len(blocks)):
         for j in range(i):
-            diff = mono(ref, {"t%d" % (i + 1): 1}) - mono(ref,
-                                                          {"t%d" % (j + 1): 1})
-            out = out * diff ** (blocks[i] * blocks[j])
+            ti = mono(ref, {"t%d" % (i + 1): 1})
+            tj = mono(ref, {"t%d" % (j + 1): 1})
+            out = out * (ti - tj) ** (blocks[i] * blocks[j])
     return out
 
 
