@@ -11,23 +11,22 @@ variables, so a series can be a Laurent polynomial in t with polynomial
 coefficients in the b's at the same time.
 
 Series stay packed.  Each table value has one key geometry (`Geometry`):
-from the low end, a field per exponent (the first variable highest), the
-plain exponent sum, a field per degree cap, the positive degree and, on top,
-the negative-weight degree.  A key is an affine function of the exponent
-vector, so the key of a product is the sum of the keys less the key of 1,
-and every field is wide enough for the sum of two admissible terms.  The
-geometry has headroom past the first bounds the table is asked for, and
-every series at bounds within it keys its terms by it
+from the low end, a field per degree cap, a field per exponent (the first
+variable lowest), the positive degree and, on top, the negative-weight degree.
+A key is an affine function of the exponent vector, so the key of a product
+is the sum of the keys less the key of 1, and every field holds the sums the
+kernels form.  The geometry has headroom past the first bounds the table is
+asked for, and every series at bounds within it keys its terms by it
 (`VariableTable.layout`), so a term has one key at all those bounds, as in
 the fixed-field packed monomials of Monagan and Pearce (Sparse polynomial
 division using a heap, J. Symb. Comp. 2011).  A kernel reads the bounds
-from the series itself: trunc_plus + pconst and trunc_minus + mconst top
-the degree fields.  Sorted keys bucket by negative degree and order each
-bucket by positive degree; keys masked to their sum and exponent fields
-order terms graded-lexicographically.  A series holds a dict from sorted
-keys to int numerators and one common denominator in lowest terms, as
-FLINT's fmpq_poly keeps one content per polynomial; `terms`, a read-only
-view by exponent tuple, is built only when something reads it.
+from the series itself: trunc_plus + pconst and trunc_minus + mconst top the
+degree fields.  Sorted keys bucket by negative degree and order each bucket
+by positive degree; terms are ordered graded-lexicographically by exponent
+tuple (`_grlex`).  A series holds a dict from sorted keys to int numerators
+and one common denominator in lowest terms, as FLINT's fmpq_poly keeps one
+content per polynomial; `terms`, a read-only view by exponent tuple, is
+built only when something reads it.
 
 The product is one sparse kernel in the manner of Monagan and Pearce
 (Sparse polynomial multiplication and division in Maple 14, 2009): both
@@ -201,17 +200,24 @@ class Geometry:
     """The packed key format of one table value, shared by its series at
     every bounds up to `depth`.
 
-    A field holds an affine function of the exponents (one exponent, the
-    exponent sum, a cap group's sum, the positive or the negative degree)
-    plus a constant.  Over admissible terms a function ranges over [lo, hi],
-    and over a digit of a negative power (`coeff_of`), which may lie past
-    the bounds, over [2lo - hi, 2hi - lo].  A field holds [5lo - 4hi,
-    5hi - 4lo], which covers the sum of two such terms, [4lo - 2hi,
-    4hi - 2lo], so a product's keys never carry between fields; digits
-    keep every exponent in [lo, hi], so an exponent field needs only
-    [2lo - hi, 2hi - lo].  An exponent field's constant sets its guard bit
-    exactly when the exponent is at or above its floor; a cap field's sets
-    its guard bit exactly when the group's sum is past the cap.
+    A field holds an affine function of the exponents (one exponent, a cap
+    group's sum, the positive or the negative degree) plus a constant.  Over
+    admissible terms a function ranges over [lo, hi], lo <= 0 <= hi.  A
+    kernel adds two keys less the key of 1; each operand is an admissible
+    term, a digit of one (`coeff_of`, `as_poly_in`), in [lo, hi - lo], or a
+    `_shift` monomial, whose positive and negative parts lie within `depth`,
+    in [-hi, hi]: all in [2lo - hi, 2hi - lo], so a sum lies in [4lo - 2hi,
+    4hi - 2lo].  No field carries into the next:
+    - an exponent is in [lo, hi] but in a monomial, so sums stay in
+      [2lo - hi, 2hi - lo]: g = (2(hi - lo)).bit_length() and g + 1 bits,
+      with constant 2^g - lo, set the top (guard) bit exactly when the
+      exponent is at or above its floor;
+    - a cap b on a group of floor sum F: g + 1 bits with constant
+      2^g - 1 - b set the guard bit exactly when the sum passes b, and
+      hold [4F - 2b, 4b - 2F] when 2^g > 3b - 4F: g = (3b - 4F).bit_length();
+    - a degree, with constant 2hi - 4lo, lies in [0, 6(hi - lo)]: the
+      positive degree takes (6(hi - lo)).bit_length() bits and the
+      negative degree, on top, needs no bound.
 
     The ranges are taken at `depth`, (trunc_plus - 2 pfloor, trunc_minus -
     2 mfloor) for the bounds the geometry is built at, with pfloor and
@@ -225,9 +231,9 @@ class Geometry:
     mconst and whose cap guard bits are clear.
     """
 
-    __slots__ = ("fields", "scale", "base", "order", "capbits", "floorbits",
-                 "expbits", "caps", "pshift", "pmask", "pconst", "mshift",
-                 "mconst", "depth")
+    __slots__ = ("fields", "scale", "base", "capbits", "floorbits",
+                 "expbits", "pshift", "pmask", "pconst", "mshift", "mconst",
+                 "depth")
 
     def __init__(self, table, trunc_plus, trunc_minus):
         weights = table.weights
@@ -236,11 +242,19 @@ class Geometry:
         trunc_minus -= 2 * mfloor
         self.depth = (trunc_plus, trunc_minus)
         his = _highest(table, trunc_plus, trunc_minus)
-        # from the low end; base accumulates the key of exponent zero
+        # cap sums, then exponents from the first variable: a dict slots an
+        # int by the low bits of its value mod 2^61 - 1, so the fields that
+        # vary most sit lowest; base accumulates the key of exponent zero
+        off = base = self.capbits = self.floorbits = self.expbits = 0
+        caps = []
+        for idxs, bound in table.caps:
+            g = (3 * bound - 4 * sum(floors[j] for j in idxs)).bit_length()
+            caps.append((idxs, off))
+            base += ((1 << g) - 1 - bound) << off
+            self.capbits |= 1 << off + g
+            off += g + 1
         fields = [None] * len(weights)
-        off = base = 0
-        self.floorbits = self.expbits = 0
-        for i in reversed(range(len(weights))):
+        for i in range(len(weights)):
             lo, g = floors[i], (2 * (his[i] - floors[i])).bit_length()
             fields[i] = (off, (2 << g) - 1, (1 << g) - lo)
             base += fields[i][2] << off
@@ -249,29 +263,14 @@ class Geometry:
                 self.floorbits |= 1 << off + g
             off += g + 1
         self.fields = tuple(fields)
-        lo, hi = sum(floors), sum(his)
-        soff = off
-        base += (4 * hi - 5 * lo) << off
-        off += (9 * (hi - lo)).bit_length()
-        self.order = (1 << off) - 1
-        caps = []
-        self.capbits = 0
-        for idxs, bound in table.caps:
-            g = (5 * (bound - sum(floors[j] for j in idxs))).bit_length()
-            caps.append((idxs, off, (2 << g) - 1, (1 << g) - 1))
-            base += ((1 << g) - 1 - bound) << off
-            self.capbits |= 1 << off + g
-            off += g + 1
-        self.caps = tuple(caps)
-        self.pshift, self.pconst = off, 4 * trunc_plus - 5 * pfloor
+        self.pshift, self.pconst = off, 2 * trunc_plus - 4 * pfloor
         base += self.pconst << off
-        off += (9 * (trunc_plus - pfloor)).bit_length()
+        off += (6 * (trunc_plus - pfloor)).bit_length()
         self.pmask = (1 << off - self.pshift) - 1
-        self.mshift, self.mconst = off, 4 * trunc_minus - 5 * mfloor
+        self.mshift, self.mconst = off, 2 * trunc_minus - 4 * mfloor
         self.base = base + (self.mconst << off)
         self.scale = tuple(
-            (1 << fields[i][0]) + (1 << soff)
-            + sum(1 << c[1] for c in caps if i in c[0])
+            (1 << fields[i][0]) + sum(1 << o for idxs, o in caps if i in idxs)
             + (max(w, 0) << self.pshift) + (max(-w, 0) << self.mshift)
             for i, w in enumerate(weights))
 
@@ -301,8 +300,7 @@ class VariableTable:
     """
 
     __slots__ = ("variables", "index", "weights", "floors", "caps",
-                 "_pos_plain", "_laurent", "_tp_inactive_bound",
-                 "_wplus", "_wminus", "_layouts")
+                 "_pos_plain", "_laurent", "_wplus", "_wminus", "_layouts")
 
     def __init__(self, variables, degree_caps=()):
         self.variables = tuple(variables)
@@ -329,19 +327,6 @@ class VariableTable:
                                 if v.weight > 0 and v.laurent_floor is None)
         self._laurent = tuple(i for i, v in enumerate(self.variables)
                               if v.laurent_floor is not None)
-        # Largest positive degree any admissible term can reach, or None if
-        # unbounded.  Used to decide whether trunc_plus actually clips.
-        bound = 0
-        ok = True
-        for i, v in enumerate(self.variables):
-            if v.weight <= 0:
-                continue
-            per = [b for (idxs, b) in self.caps if i in idxs]
-            if not per:
-                ok = False
-                break
-            bound += v.weight * min(per)
-        self._tp_inactive_bound = bound if ok else None
         self._layouts = _LAYOUTS.setdefault((self.variables, self.caps), {})
 
     def layout(self, trunc_plus, trunc_minus):
@@ -387,6 +372,12 @@ def _outside(table, trunc_plus, trunc_minus, exp):
                 for idxs, bound in table.caps)
             or sum(map(mul, exp, table._wplus)) > trunc_plus
             or sum(map(mul, exp, table._wminus)) > trunc_minus)
+
+
+def _grlex(exp):
+    """The graded-lexicographic sort key of an exponent tuple: the exponent
+    sum, then the exponents from the first variable on."""
+    return sum(exp), exp
 
 
 def _content(rows, den):
@@ -533,10 +524,7 @@ class GradedSeries:
 
     def sorted_terms(self):
         """(exponent tuple, coefficient) in graded-lexicographic order."""
-        order, unpack = self._lay.order, self._lay.unpack
-        rows, value = self._rows, self._value
-        return [(unpack(k), value(rows[k]))
-                for k in sorted(rows, key=lambda k: k & order)]
+        return sorted(self._items(), key=lambda term: _grlex(term[0]))
 
     def constant(self):
         return self._value(self._rows.get(self._lay.base, 0))
@@ -844,17 +832,14 @@ class GradedSeries:
 
     def _binding_self_sufficient(self, img):
         """True when substituting img for a variable cannot resurrect terms
-        this series already truncated away.  Each image term must (a) keep
-        total positive degree >= 1 when trunc_plus clips at all, and (b)
-        carry positive degree in capped/minus-graded directions."""
+        this series already truncated away.  Each image term must (a) have
+        positive degree >= 1, and (b) carry positive degree in
+        capped/minus-graded directions."""
         table = self.table
-        tp_idle = (table._tp_inactive_bound is not None
-                   and table._tp_inactive_bound <= self.trunc_plus)
         for exp, _c in img._items():
-            dp = sum(map(mul, exp, table._wplus))
-            dm = sum(map(mul, exp, table._wminus))
-            if not tp_idle and dp < 1:
+            if sum(map(mul, exp, table._wplus)) < 1:
                 return False
+            dm = sum(map(mul, exp, table._wminus))
             dpnl = sum(table.weights[i] * exp[i] for i in table._pos_plain if exp[i])
             if dpnl + dm >= 1:
                 continue
@@ -918,13 +903,13 @@ class GradedSeries:
             raise SeriesError("zero series has no inverse")
         table, lay = self.table, self._lay
         floors = [f or 0 for f in table.floors]
-        candidates = [k for k in self._rows
-                      if all(-e >= f for e, f in zip(lay.unpack(k), floors))]
+        unpacked = ((lay.unpack(k), k) for k in self._rows)
+        candidates = sorted((_grlex(e), k) for e, k in unpacked
+                            if all(-x >= f for x, f in zip(e, floors)))
         if not candidates:
-            e0 = lay.unpack(min(self._rows, key=lambda k: k & lay.order))
+            e0 = min(map(lay.unpack, self._rows), key=_grlex)
             raise NonUnitLowest("no invertible term in %s"
                                 % table.monomial_str(e0))
-        candidates.sort(key=lambda k: k & lay.order)
         bound = self.trunc_plus + self.trunc_minus + 4
         for idxs, b in table.caps:
             bound += b
@@ -932,8 +917,8 @@ class GradedSeries:
             f = table.floors[i]
             if f is not None:
                 bound -= f
-        for k0 in candidates:
-            inv_exp = tuple(-k for k in lay.unpack(k0))
+        for (_sum, e0), k0 in candidates:
+            inv_exp = tuple(-x for x in e0)
             if _outside(table, self.trunc_plus, self.trunc_minus, inv_exp):
                 # the inverse of this lead lies past the bounds: no inverse
                 # here starts with it
@@ -978,8 +963,8 @@ class GradedSeries:
         floors = [f or 0 for f in table.floors]
         (eg, cg), *rest = g.sorted_terms()
         rem = dict(self._items())
-        # (sum(e), e) orders the heap as sorted_terms orders the terms
-        heap = [(sum(e), e) for e in rem]
+        # the heap pops the terms in the order of sorted_terms
+        heap = [_grlex(e) for e in rem]
         heapify(heap)
         q = {}
         while heap:
@@ -1003,7 +988,7 @@ class GradedSeries:
                     continue
                 self._underflow(k)
                 if k not in rem:
-                    heappush(heap, (sum(k), k))
+                    heappush(heap, _grlex(k))
                 v = rem.pop(k, 0) - c * ch
                 if v:
                     rem[k] = v

@@ -51,7 +51,7 @@ def test_fgl_structure_constants(ctx):
 
 def test_fgl_integrality(ctx):
     F = ctx.fgl()
-    assert all(isinstance(c, int) for c in F.terms.values())
+    assert all(isinstance(c, int) for _e, c in F.sorted_terms())
 
 
 def test_fgl_associativity():
@@ -217,7 +217,7 @@ def test_chow_tangent_series():
     t = m.chern_series(2)[0]
     assert t.coeff({"t": 1}) == 1
     assert t.coeff({"h": 1}) == 2
-    assert len(t.terms) == 2
+    assert len(t.sorted_terms()) == 2
     conic = ChowModel(2, 2)
     conic_t = conic.chern_series(2)[0]
     assert conic_t.coeff({"t": 1}) == 1

@@ -21,6 +21,7 @@ found by search.  These oracles use the product checked first.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -47,6 +48,11 @@ SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
 COEFFS = st.one_of(st.integers(-3, 3),
                    st.builds(Fraction, st.integers(-3, 3),
                              st.sampled_from([2, 3, 4])))
+
+
+def terms_of(s):
+    """The terms of s by exponent tuple."""
+    return dict(s.sorted_terms())
 
 
 def degrees(table, e):
@@ -80,8 +86,8 @@ def ring_rules(table, tp, tm, acc):
 def oracle(a, b):
     """(terms of a*b, whether a kept term lies below a floor)."""
     acc = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
+    for ea, ca in a.sorted_terms():
+        for eb, cb in b.sorted_terms():
             e = tuple(x + y for x, y in zip(ea, eb))
             acc[e] = acc.get(e, 0) + Fraction(ca) * Fraction(cb)
     return ring_rules(a.table, a.trunc_plus, a.trunc_minus, acc)
@@ -157,9 +163,9 @@ def test_product_matches_all_pairs_oracle(pair):
                 left * right
             continue
         got = left * right
-        assert got.terms == expected
+        assert terms_of(got) == expected
         assert all(type(c) is int or c.denominator != 1
-                   for c in got.terms.values())
+                   for _e, c in got.sorted_terms())
         assert (got.trunc_plus, got.trunc_minus) == (a.trunc_plus,
                                                      a.trunc_minus)
 
@@ -172,10 +178,10 @@ def test_oracle_examples_reach_each_branch():
     a, b = _cancelling_pair()
     expected, underflow = oracle(a, b)
     assert not underflow and (1, 1) not in expected
-    assert (a * b).terms == {(2, 0): 1, (0, 2): Fraction(-1, 4)}
+    assert terms_of(a * b) == {(2, 0): 1, (0, 2): Fraction(-1, 4)}
     a, b = _capped_underflow_pair()
     expected, underflow = oracle(a, b)
-    assert not underflow and (a * b).terms == expected
+    assert not underflow and terms_of(a * b) == expected
 
 
 @st.composite
@@ -195,7 +201,7 @@ def test_exact_divide_roundtrip_integral(pair):
     q, g = pair
     f = q * g
     quotient = f.exact_divide(g, integral=True)
-    assert all(type(c) is int for c in quotient.terms.values())
+    assert all(type(c) is int for _e, c in quotient.sorted_terms())
     assert quotient * g == f
 
 
@@ -274,7 +280,7 @@ def substitute_oracle(f, bindings):
     one = GradedSeries.one(table, f.trunc_plus, f.trunc_minus)
     bound = {table.index[n]: img for n, img in bindings.items()}
     total = GradedSeries.zero(table, f.trunc_plus, f.trunc_minus)
-    for exp, c in f.terms.items():
+    for exp, c in f.sorted_terms():
         rest = tuple(0 if i in bound else k for i, k in enumerate(exp))
         part = GradedSeries(table, f.trunc_plus, f.trunc_minus, {rest: c})
         for i, img in bound.items():
@@ -389,7 +395,7 @@ def test_substitute_oracle_example_is_simultaneous():
 def _first_indivisible(series, p):
     """The least exponent, in graded order, whose coefficient p does not
     divide; None if p divides them all."""
-    bad = [e for e, c in series.terms.items() if vp(c, p) < 1]
+    bad = [e for e, c in series.sorted_terms() if vp(c, p) < 1]
     return min(bad, key=lambda e: (sum(e), e)) if bad else None
 
 
@@ -444,13 +450,13 @@ def normal_form_oracle(fp, f):
     c = r + p*q, until none is left."""
     ti = f.table.index["t"]
     while True:
-        bad = [(e[ti], e) for e, c in f.terms.items()
+        bad = [(e[ti], e) for e, c in f.sorted_terms()
                if not (type(c) is int and 0 <= c < fp.p)]
         if not bad:
             return f
         e = min(bad)[1]
         m = GradedSeries(f.table, f.trunc_plus, f.trunc_minus,
-                         {e: _digit_split(f.terms[e], fp.p)[0]})
+                         {e: _digit_split(terms_of(f)[e], fp.p)[0]})
         f = f - m * fp.g
 
 
@@ -461,9 +467,9 @@ def carry_sweep_oracle(fp, f):
     digits."""
     p, table, tp, tm = fp.p, f.table, f.trunc_plus, f.trunc_minus
     tail = sorted(degrees(table, e)[::-1] + (e[0], e, c)
-                  for e, c in fp.g.terms.items() if e[0] >= 1)
+                  for e, c in fp.g.sorted_terms() if e[0] >= 1)
     digits = {}
-    for exp, c in f.terms.items():
+    for exp, c in f.sorted_terms():
         digits.setdefault(exp[0], {})[exp] = c
     out = {}
     for k in range(tp + 1):
@@ -496,8 +502,8 @@ def test_normal_form_matches_repeated_subtraction(case):
     assert nf == normal_form_oracle(fp, f) == carry_sweep_oracle(fp, f)
     assert nf == GradedSeries(f.table, f.trunc_plus, f.trunc_minus, {
         e: Fraction(c).numerator * pow(Fraction(c).denominator, -1, p) % p
-        for e, c in f.terms.items()})
-    assert all(type(c) is int and 0 <= c < p for c in nf.terms.values())
+        for e, c in f.sorted_terms()})
+    assert all(type(c) is int and 0 <= c < p for _e, c in nf.sorted_terms())
     assert fp.normal_form(nf) == nf
     assert fp.normal_form(f + h * fp.g) == nf
 
@@ -514,7 +520,7 @@ def triangular_solve_oracle(fp, S):
         if e is not None:
             mono = val.table.monomial_str(e)
             return ("p-divisibility violated at t^%d on %s (coefficient %s)"
-                    % (j, mono, val.terms[e]), "t^%d * %s" % (j, mono))
+                    % (j, mono, terms_of(val)[e]), "t^%d * %s" % (j, mono))
         phi = phi + val.scale(Fraction(1, fp.p)).shift_var("t", j)
     return phi
 
@@ -529,13 +535,13 @@ def is_integral_oracle(fp, f):
         e = _first_indivisible(digit, p)
         if e is not None:
             return False, None, "t^%d * %s (coefficient %s)" % (
-                j, digit.table.monomial_str(e), digit.terms[e])
+                j, digit.table.monomial_str(e), terms_of(digit)[e])
         f = f - digit.scale(Fraction(1, p)).shift_var("t", j) * fp.g
-    bad = [e for e, c in f.terms.items() if Fraction(c).denominator % p == 0]
+    bad = [e for e, c in f.sorted_terms() if Fraction(c).denominator % p == 0]
     if bad:
         e = min(bad, key=lambda e: (sum(e), e))
         return False, None, "%s (coefficient %s)" % (
-            f.table.monomial_str(e), f.terms[e])
+            f.table.monomial_str(e), terms_of(f)[e])
     return True, f, None
 
 
@@ -621,8 +627,8 @@ def derived(draw, table, tp, tm):
         hypothesis.assume(not underflow)
         return a * b, want
     if kind == "add":
-        acc = dict(a.terms)
-        for e, c in b.terms.items():
+        acc = terms_of(a)
+        for e, c in b.sorted_terms():
             acc[e] = acc.get(e, 0) + c
         return a + b, ring_rules(table, tp, tm, acc)[0]
     if kind == "digit":
@@ -633,14 +639,14 @@ def derived(draw, table, tp, tm):
         k = draw(st.sampled_from(sorted(digits)))
         assert a.coeff_of(name, k) == digits[k]
         return digits[k], {e[:i] + (0,) + e[i + 1:]: c
-                           for e, c in a.terms.items() if e[i] == k}
+                           for e, c in a.sorted_terms() if e[i] == k}
     if kind == "split":
         above = draw(st.booleans())
         return a.split_parts(name)[above], {
-            e: c for e, c in a.terms.items() if (e[i] > 0) == above}
+            e: c for e, c in a.sorted_terms() if (e[i] > 0) == above}
     k = draw(st.integers(-2, 2))
     want, underflow = ring_rules(table, tp, tm, {
-        e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in a.terms.items()})
+        e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in a.sorted_terms()})
     hypothesis.assume(not underflow)
     return a.shift_var(name, k), want
 
@@ -659,12 +665,12 @@ def derived_operands(draw):
 def test_packed_results_match_the_tuple_oracle(case):
     (x, xterms), (y, yterms), g = case
     table, tp, tm = x.table, x.trunc_plus, x.trunc_minus
-    assert x.terms == xterms and y.terms == yterms
+    assert terms_of(x) == xterms and terms_of(y) == yterms
     # a sum drops only the terms that cancel
     acc = dict(xterms)
     for e, c in yterms.items():
         acc[e] = acc.get(e, 0) + c
-    assert (x + y).terms == {e: c for e, c in acc.items() if c}
+    assert terms_of(x + y) == {e: c for e, c in acc.items() if c}
     assert (x - y) + y == x + y - y
     want, underflow = oracle(x, y)
     if underflow:
@@ -674,13 +680,35 @@ def test_packed_results_match_the_tuple_oracle(case):
     product = x * y
     # equal to the series built from tuples: one denominator, lowest terms
     assert product == GradedSeries(table, tp, tm, want)
-    assert product.terms == want
+    assert terms_of(product) == want
     assert GradedSeries.from_json(product.to_json()) == product
     try:
         f = product * g
     except LaurentUnderflow:
         return
     assert f.exact_divide(g) * g == f
+
+
+@st.composite
+def derived_series(draw):
+    table, tp, tm = draw(tables())
+    return derived(draw, table, tp, tm)
+
+
+def _lex_against_grlex():
+    # x^2 comes first lexicographically, y first by degree
+    table = VariableTable([Variable("y", 1), Variable("x", 1)])
+    want = {(0, 2): 1, (1, 0): 1}
+    return GradedSeries(table, 4, 0, want), want
+
+
+@SETTINGS
+@given(derived_series())
+@example(_lex_against_grlex())
+def test_sorted_terms_are_graded_lexicographic(case):
+    s, want = case
+    assert s.sorted_terms() == sorted(want.items(),
+                                      key=lambda t: (sum(t[0]), t[0]))
 
 
 @SETTINGS
@@ -692,14 +720,14 @@ def test_retruncate_moves_terms_between_layouts(pair, up, down, past):
         # past the depth of a's key geometry: the move repacks every key
         up += a._lay.depth[0] - tp + 1
     deep_a = a.retruncate(tp + up, tm + up)
-    assert deep_a.terms == a.terms
+    assert terms_of(deep_a) == terms_of(a)
     assert deep_a.retruncate(tp, tm) == a
     if past:
         assert deep_a._lay is not a._lay
     lower = (max(tp - down, 0), max(tm - down, 0))
     for bounds in (lower, (tp + up, lower[1]), (lower[0], tm + up)):
-        assert a.retruncate(*bounds).terms == ring_rules(table, *bounds,
-                                                         a.terms)[0]
+        assert terms_of(a.retruncate(*bounds)) == ring_rules(
+            table, *bounds, terms_of(a))[0]
     # a product at deeper bounds, cut back, is the product at these: both
     # hold the same operand terms
     try:
@@ -744,6 +772,50 @@ def test_a_product_at_the_geometry_depth_carries_no_field():
         a * a
 
 
+def test_sums_at_the_ends_of_the_degree_and_cap_fields():
+    # first asked for at (2, 1), this table's key geometry has depth
+    # (10, 1): over admissible terms the positive degree ranges over
+    # [-4, 10] and the cap group (t, x), of floor sum -4, over [-4, 2].
+    # The digits of t^-4 reach the top of both ranges (y^14, x^6), t^-4
+    # their bottom, and y^-10 and x^-2 are the lowest monomials within
+    # the depth; their products and shifts must match the tuple oracle
+    table = VariableTable([Variable("t", 1, laurent_floor=-4),
+                           Variable("x", 1), Variable("y", 1),
+                           Variable("b", -1)],
+                          degree_caps=[(("t", "x"), 2)])
+    GradedSeries.one(table, 2, 1)
+
+    def s(terms):
+        return GradedSeries(table, 10, 1, terms)
+    a = s({(-4, 6, 0, 0): 1, (-4, 0, 14, 0): 2, (-4, 0, 0, 0): 3,
+           (0, 0, 0, 1): 1})
+    assert a._lay.depth == (10, 1)
+    high = a.coeff_of("t", -4)
+    top = s({(-4, 0, 14, 0): 2}).coeff_of("t", -4)
+    assert terms_of(high) == {(0, 6, 0, 0): 1, (0, 0, 14, 0): 2,
+                              (0, 0, 0, 0): 3}
+    low, lows = s({(-4, 0, 0, 0): 3}), s({(-4, 0, 0, 0): 3, (0, 0, 0, 1): 1})
+    for u, v in ((high, high), (top, high), (top, top), (low, low),
+                 (lows, lows), (low, high), (lows, a)):
+        want, underflow = oracle(u, v)
+        if underflow:
+            with pytest.raises(LaurentUnderflow):
+                u * v
+        else:
+            assert terms_of(u * v) == want
+    for u in (a, high, low):
+        for name, k in (("y", -10), ("x", -2), ("y", 10), ("x", 2)):
+            i = table.index[name]
+            want, underflow = ring_rules(table, 10, 1, {
+                e[:i] + (e[i] + k,) + e[i + 1:]: c
+                for e, c in u.sorted_terms()})
+            if underflow:
+                with pytest.raises(LaurentUnderflow):
+                    u.shift_var(name, k)
+            else:
+                assert terms_of(u.shift_var(name, k)) == want
+
+
 # ----- one-term operands -----------------------------------------------------
 #
 # A product with a one-term operand shifts keys instead of running the pair
@@ -767,7 +839,7 @@ def underflow_message(table, e):
 
 
 def in_key_order(s):
-    return sorted(s.terms.items(), key=lambda item: s._lay.key(item[0]))
+    return sorted(s.sorted_terms(), key=lambda item: s._lay.key(item[0]))
 
 
 def one_term(draw, table, tp, tm):
@@ -795,7 +867,7 @@ def _laurent_one_term():
 @example(_laurent_one_term())
 def test_one_term_products_match_the_tuple_oracle(case):
     a, m = case
-    (em, cm), = m.terms.items()
+    (em, cm), = m.sorted_terms()
     want, underflow = ring_rules(a.table, a.trunc_plus, a.trunc_minus, {
         tuple(x + y for x, y in zip(e, em)): Fraction(c) * cm
         for e, c in in_key_order(a)})
@@ -806,17 +878,17 @@ def test_one_term_products_match_the_tuple_oracle(case):
                 left * right
             assert str(err.value) == underflow_message(a.table, low)
         else:
-            assert (left * right).terms == want
+            assert terms_of(left * right) == want
 
 
 def monomial_division_oracle(f, g, integral):
     """The terms of f / g for a one-term g, or the (message, monomial) of
     the NotDivisible that the least offending term of f raises."""
     table = f.table
-    (eg, cg), = g.terms.items()
+    (eg, cg), = g.sorted_terms()
     mono = table.monomial_str
     acc = {}
-    for e, c in sorted(f.terms.items(), key=lambda item: (sum(item[0]),
+    for e, c in sorted(f.sorted_terms(), key=lambda item: (sum(item[0]),
                                                           item[0])):
         q = tuple(x - y for x, y in zip(e, eg))
         if below(table, q):
@@ -863,7 +935,7 @@ def test_one_term_divisions_match_the_tuple_oracle(case, integral):
             f.exact_divide(g, integral=integral)
         assert (str(err.value), err.value.monomial) == want
     else:
-        assert f.exact_divide(g, integral=integral).terms == want
+        assert terms_of(f.exact_divide(g, integral=integral)) == want
 
 
 def rename_oracle(a, i, j):
@@ -910,7 +982,7 @@ def _raises_or_equals(call, want):
             call()
         assert str(err.value) == want[1]
     else:
-        assert call().terms == want
+        assert terms_of(call()) == want
 
 
 @SETTINGS
@@ -933,8 +1005,8 @@ def test_rename_adds_the_terms_it_merges():
     table = VariableTable([Variable("x", 1), Variable("y", 1)])
     s = GradedSeries(table, 4, 0, {(2, 0): 1, (0, 2): Fraction(1, 2),
                                    (1, 0): 3})
-    assert s.rename_var("x", "y").terms == {(0, 2): Fraction(3, 2),
-                                            (0, 1): 3}
+    assert terms_of(s.rename_var("x", "y")) == {(0, 2): Fraction(3, 2),
+                                                 (0, 1): 3}
 
 
 # ----- ring laws under truncation --------------------------------------------
@@ -993,7 +1065,7 @@ def invertible(draw):
 def reach(table, series):
     """How far below zero the terms of series reach in each truncated
     quantity: the positive degree, the negative degree, each cap's sum."""
-    terms = list(series.terms)
+    terms = [e for e, _c in series.sorted_terms()]
     return ([max([0] + [-degrees(table, e)[j] for e in terms])
              for j in (0, 1)],
             [max([0] + [-sum(e[i] for i in idxs) for e in terms])
@@ -1039,9 +1111,44 @@ def test_mul_inverse_round_trip_with_floors_and_caps(case):
     assert a.retruncate(tp + 2, tm + 2).mul_inverse().retruncate(tp, tm) \
         == inv
     (sp, sm), caps = reach(table, a)
-    for e in (a * inv - GradedSeries.one(table, tp, tm)).terms:
+    for e in terms_of(a * inv - GradedSeries.one(table, tp, tm)):
         dp, dm = degrees(table, e)
         assert (dp > tp - sp or dm > tm - sm
                 or any(sum(e[i] for i in idxs) > bound - s
                        for (idxs, bound), s in zip(table.caps, caps))), e
 
+
+def _two_invertible_leads():
+    # t*u^-1 is least graded-lexicographically, u lexicographically
+    table = VariableTable([Variable("t", 1, laurent_floor=-2),
+                           Variable("u", 1, laurent_floor=-2)])
+    return GradedSeries(table, 6, 0, {(1, -1): 1, (0, 1): 2})
+
+
+@SETTINGS
+@given(derived_series())
+@example((_two_invertible_leads(), None))
+def test_mul_inverse_starts_from_the_least_invertible_term(case):
+    """The first lead mul_inverse tries is the graded-lexicographically
+    least term whose inverse is admissible; with no invertible term, the
+    error names the least term."""
+    a = case[0]
+    hypothesis.assume(not a.is_zero)
+    table, tp, tm = a.table, a.trunc_plus, a.trunc_minus
+    order = sorted(terms_of(a), key=lambda e: (sum(e), e))
+    inverses = [tuple(-k for k in e) for e in order]
+    invertible = [e for e in inverses if not below(table, e)]
+    tried, times = [], GradedSeries._times_monomial
+
+    def spy(series, exp, c):
+        tried.append(tuple(exp))
+        return times(series, exp, c)
+    with mock.patch.object(GradedSeries, "_times_monomial", spy):
+        try:
+            a.mul_inverse()
+        except NonUnitLowest as err:
+            if not invertible:
+                assert str(err) == "no invertible term in %s" % (
+                    table.monomial_str(order[0]))
+    first = [e for e in invertible if ring_rules(table, tp, tm, {e: 1})[0]]
+    assert tried[:1] == first[:1]

@@ -12,7 +12,7 @@ from cobcalc import operations as op
 from cobcalc import verify
 from cobcalc.actions import FalsificationError, ShiftAction
 from cobcalc.quotient import FormalP, coeffs_mod_p, formal_p
-from cobcalc.series import GradedSeries, SeriesError, vp
+from cobcalc.series import Geometry, GradedSeries, SeriesError, vp
 
 
 @pytest.fixture(scope="module")
@@ -165,14 +165,14 @@ def test_landweber_novikov_total():
     # killing b instead transports the class to the primed alphabet
     traced = out.kill_vars(ctx.b_names)
     swapped = {}
-    for exp, c in p2.terms.items():
+    for exp, c in p2.sorted_terms():
         new = list(exp)
         for i in range(1, ctx.bweight + 1):
             bi = ctx.table.index["b%d" % i]
             bpi = ctx.table.index["bp%d" % i]
             new[bpi], new[bi] = new[bi], new[bpi]
         swapped[tuple(new)] = c
-    assert dict(traced.terms) == swapped
+    assert dict(traced.sorted_terms()) == swapped
 
 
 def test_st_is_not_stable(st2):
@@ -181,7 +181,7 @@ def test_st_is_not_stable(st2):
 
 def _joint_part(series, names, bound):
     slots = [series.table.index[n] for n in names]
-    kept = {exp: c for exp, c in series.terms.items()
+    kept = {exp: c for exp, c in series.sorted_terms()
             if sum(exp[i] for i in slots) <= bound}
     return kept
 
@@ -220,7 +220,7 @@ def test_tom_dieck_sq_p2(ctx2):
     assert nf.coeff_of("t", 0) == z * z
     lo = nf.min_degree("t")
     assert lo is None or lo >= 0
-    assert all(0 <= c < 2 for c in nf.terms.values())
+    assert all(0 <= c < 2 for _e, c in nf.sorted_terms())
     assert op.tom_dieck_sq(ctx2, 2, ctx2.one()) == ctx2.one()
     with pytest.raises(FalsificationError):
         op.tom_dieck_sq(ctx2, 2, ctx2.mono({"z1": 1}, Fraction(1, 2)))
@@ -248,7 +248,7 @@ def test_chow_trace_kills_ambient(ctx2, p1):
 
 def _by_monomial(series):
     return {series.table.monomial_str(exp): c
-            for exp, c in series.terms.items()}
+            for exp, c in series.sorted_terms()}
 
 
 def test_grid_classes_match_base_context():
@@ -472,7 +472,7 @@ def _reference_phi_hat(desc, u, products):
     ctx = desc.ctx
     bslots = [u.table.index[n] for n in ctx.b_names]
     out = ctx.zero()
-    for exp, c in u.terms.items():
+    for exp, c in u.sorted_terms():
         bexp = tuple(exp[i] for i in bslots)
         rest = tuple(0 if i in bslots else k for i, k in enumerate(exp))
         if bexp not in products:
@@ -491,7 +491,7 @@ def _reference_apply(desc, e):
     ctx = desc.ctx
     zslots = [ctx.table.index[n] for n in ctx.z_names]
     groups = {}
-    for exp, c in e.terms.items():
+    for exp, c in e.sorted_terms():
         zexp = tuple(exp[i] for i in zslots)
         rest = tuple(0 if i in zslots else k for i, k in enumerate(exp))
         groups.setdefault(zexp, {})[rest] = c
@@ -584,20 +584,35 @@ def test_st_apply_of_a_sum_reuses_the_monomial_images(monkeypatch):
     assert products[0] == 0
 
 
-def test_products_never_build_the_tuple_view(monkeypatch):
-    # log_t at (8, 8) and St.apply over the p = 3 grid stay packed: no
-    # series builds its exponent-tuple view, and every product still goes
-    # through GradedSeries.__mul__
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cli_context_keys_fit_in_120_bits(p):
+    # four 30-bit digits hold every field of the CLI's default geometry,
+    # up to the negative degree of the widest sum of two operands on top
+    ctx = op.make_context(p, 8, 8)
+    table, lay = ctx.table, ctx.one()._lay
+    mfloor = sum(-w * (f or 0) for w, f in zip(table.weights, table.floors)
+                 if w < 0)
+    assert lay.mshift + (6 * (lay.depth[1] - mfloor)).bit_length() <= 120
+
+
+def test_products_never_unpack_a_key(monkeypatch):
+    # log_t at (8, 8) and St.apply over the p = 3 grid multiply packed
+    # keys: no product unpacks a key into an exponent tuple, and every
+    # product still goes through GradedSeries.__mul__
     monkeypatch.setattr(op, "_CTX_CACHE", {})
-    views, products = [], [0]
-    build = GradedSeries._tuple_view
-    monkeypatch.setattr(GradedSeries, "_tuple_view",
-                        lambda s: views.append(s) or build(s))
+    unpacked, products, inside = [], [0], [0]
+    unpack = Geometry.unpack
+    monkeypatch.setattr(Geometry, "unpack", lambda lay, key: (
+        inside[0] and unpacked.append(key)) or unpack(lay, key))
     mul = GradedSeries.__mul__
 
     def counting_mul(a, b):
         products[0] += 1
-        return mul(a, b)
+        inside[0] += 1
+        try:
+            return mul(a, b)
+        finally:
+            inside[0] -= 1
     monkeypatch.setattr(GradedSeries, "__mul__", counting_mul)
     fgl.Context(8, 8).log_t
     ctx = op.make_context(3, deg=6, bweight=6)
@@ -606,13 +621,13 @@ def test_products_never_build_the_tuple_view(monkeypatch):
         for _label, e, _dim in op.grid_elements(ctx):
             st.apply(e)
     assert products[0] > 100
-    assert views == []
+    assert unpacked == []
 
 
 def _reference_in_generator_ideal(ginv, diff, p):
     """Membership in (g) as p-integrality of diff * g^-1."""
     ratio = diff * ginv
-    for exp, c in sorted(ratio.terms.items()):
+    for exp, c in sorted(ratio.sorted_terms()):
         if vp(c, p) < 0:
             return False, (exp, c)
     return True, None
@@ -660,7 +675,7 @@ def test_ideal_membership_is_p_divisibility(p):
             # p-integral, and a monomial that is not p-integral there
             bad = {(exp[ti], ctx.table.monomial_str(
                 exp[:ti] + (0,) + exp[ti + 1:]))
-                for exp, c in (f * ginv).terms.items() if vp(c, p) < 0}
+                for exp, c in (f * ginv).sorted_terms() if vp(c, p) < 0}
             j = min(k for k, _m in bad)
             assert witness.startswith("t^%d * " % j)
             assert (j, witness.split(" * ")[1].split(" (")[0]) in bad

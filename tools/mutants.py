@@ -120,6 +120,21 @@ MUTANTS = [
            "(his[i] - floors[i]).bit_length()",
            [ORACLE + "::test_a_product_at_the_geometry_depth_carries_no_field",
             ORACLE + "::test_product_matches_all_pairs_oracle"]),
+    # the sums at the ends of the narrowed fields, not a digest, must catch
+    # a field sized without the floors' margin
+    Mutant("a degree field is sized without the floors", SERIES,
+           "(6 * (trunc_plus - pfloor)).bit_length()",
+           "(6 * trunc_plus).bit_length()",
+           [ORACLE + "::test_sums_at_the_ends_of_the_degree_and_cap_fields"]),
+    Mutant("a cap field is sized without its floor sum", SERIES,
+           "(3 * bound - 4 * sum(floors[j] for j in idxs)).bit_length()",
+           "(3 * bound).bit_length()",
+           [ORACLE + "::test_sums_at_the_ends_of_the_degree_and_cap_fields"]),
+    Mutant("graded-lexicographic order drops the exponent sum", SERIES,
+           "return sum(exp), exp",
+           "return 0, exp",
+           [ORACLE + "::test_sorted_terms_are_graded_lexicographic",
+            ORACLE + "::test_mul_inverse_starts_from_the_least_invertible_term"]),
     Mutant("an exponent's guard bit admits one below its floor", SERIES,
            "fields[i] = (off, (2 << g) - 1, (1 << g) - lo)",
            "fields[i] = (off, (2 << g) - 1, (1 << g) - lo + 1)",
