@@ -42,7 +42,9 @@ the divisor's other terms under the ring's rules, and builds the quotient
 through the exponent-tuple constructor.  A series changes its bounds only
 through `retruncate`, which within one geometry filters its keys.
 Substitution is Horner's rule (Brent and Kung, J. ACM 1978): degree K in
-one variable costs K products.  Reversion is Lagrange inversion: one
+one variable costs K products, and before each product the accumulator and
+the image drop the terms that the products left push past a degree cap
+(`_horner`).  Reversion is Lagrange inversion: one
 inverse, then one product per degree.
 """
 
@@ -228,10 +230,11 @@ class Geometry:
     -pfloor and -mfloor.  A key means the same exponents at all bounds up to
     the depth; a series at bounds (trunc_plus, trunc_minus) keeps the keys
     whose degree fields are at most trunc_plus + pconst and trunc_minus +
-    mconst and whose cap guard bits are clear.
+    mconst and whose cap guard bits are clear.  `caps` holds each cap
+    field's (offset, mask) for `GradedSeries._least_cap_sums`.
     """
 
-    __slots__ = ("fields", "scale", "base", "capbits", "floorbits",
+    __slots__ = ("fields", "caps", "scale", "base", "capbits", "floorbits",
                  "expbits", "pshift", "pmask", "pconst", "mshift", "mconst",
                  "depth")
 
@@ -249,7 +252,7 @@ class Geometry:
         caps = []
         for idxs, bound in table.caps:
             g = (3 * bound - 4 * sum(floors[j] for j in idxs)).bit_length()
-            caps.append((idxs, off))
+            caps.append((off, (2 << g) - 1))
             base += ((1 << g) - 1 - bound) << off
             self.capbits |= 1 << off + g
             off += g + 1
@@ -262,7 +265,7 @@ class Geometry:
             if lo:
                 self.floorbits |= 1 << off + g
             off += g + 1
-        self.fields = tuple(fields)
+        self.fields, self.caps = tuple(fields), tuple(caps)
         self.pshift, self.pconst = off, 2 * trunc_plus - 4 * pfloor
         base += self.pconst << off
         off += (6 * (trunc_plus - pfloor)).bit_length()
@@ -270,7 +273,8 @@ class Geometry:
         self.mshift, self.mconst = off, 2 * trunc_minus - 4 * mfloor
         self.base = base + (self.mconst << off)
         self.scale = tuple(
-            (1 << fields[i][0]) + sum(1 << o for idxs, o in caps if i in idxs)
+            (1 << fields[i][0]) + sum(1 << o for (o, _m), (idxs, _b)
+                                      in zip(caps, table.caps) if i in idxs)
             + (max(w, 0) << self.pshift) + (max(-w, 0) << self.mshift)
             for i, w in enumerate(weights))
 
@@ -881,17 +885,53 @@ class GradedSeries:
     def _horner(self, names, bindings):
         """Horner's rule in names[0]; each coefficient, which is free of it,
         takes the remaining bindings first, so the images are never
-        substituted into and the substitution stays simultaneous."""
+        substituted into and the substitution stays simultaneous.
+
+        Before step k, which k more products follow, the accumulator drops
+        the terms whose sum s in some cap group g has s + (k + 1) m_g past
+        the cap, and the image those with s + k m_g past it; m_g is the
+        group's least sum over the image (`_least_cap_sums`), which every
+        product adds at least.  Exact: a truncated product keeps terms by
+        key alone, so it is bilinear, and all a dropped term leads to ends
+        past a cap, where a product drops it (raising no LaurentUnderflow).
+        The image side needs the accumulator's sums >= 0: groups over a
+        negative floor are left out.  One key offset tests every group:
+        field g, s + 2^g - 1 - b in g + 1 bits, carries only when
+        s + k m_g > b + 2^g, and the lowest field that carries got no
+        carry, so a guard bit a carry sets marks a term past its cap.
+        """
         digits = self.as_poly_in(names[0]) if names else None
         if not digits:
             return self
         img, rest, top = bindings[names[0]], names[1:], max(digits)
+        step = img._least_cap_sums() if top else 0
         acc = digits[top]._horner(rest, bindings)
         for k in range(top - 1, -1, -1):
-            acc = acc * img
+            acc = (acc._within_caps((k + 1) * step)
+                   * img._within_caps(k * step))
             if k in digits:
                 acc = acc + digits[k]._horner(rest, bindings)
         return acc
+
+    def _least_cap_sums(self):
+        """The key offset that adds each cap group's least sum over these
+        terms to its field, where positive and no variable has a floor."""
+        table, step = self.table, 0
+        for (off, mask), (idxs, bound) in zip(self._lay.caps, table.caps):
+            if self._rows and not any(table.floors[i] for i in idxs):
+                least = (min((k >> off) & mask for k in self._rows)
+                         - (mask >> 1) + bound)
+                step += max(least, 0) << off
+        return step
+
+    def _within_caps(self, offset):
+        """The terms whose key plus offset sets no cap guard bit."""
+        if not offset:
+            return self
+        rows = {k: v for k, v in self._rows.items()
+                if not (k + offset) & self._lay.capbits}
+        return (self if len(rows) == len(self._rows)
+                else self._make(rows, self._den))
 
     # ----- inverses and division -------------------------------------------
 

@@ -329,9 +329,22 @@ def _swap_example():
     return f, {"u": v, "v": u * u + u * v}
 
 
+def _capped_prune_example():
+    # every image term carries y, capped at 3, and f has x-degree 5: Horner
+    # drops the accumulator's top terms before its first product
+    table = VariableTable([Variable("x", 1), Variable("y", 1),
+                           Variable("b", -1)], degree_caps=[(("y", "b"), 3)])
+    f = GradedSeries(table, 9, 2, {(5, 0, 0): 1, (4, 0, 1): 3,
+                                   (2, 1, 0): -2, (1, 0, 0): Fraction(1, 2)})
+    img = GradedSeries(table, 9, 2, {(0, 1, 0): 1, (1, 1, 0): -1,
+                                     (0, 2, 1): 2})
+    return f, {"x": img}
+
+
 @SETTINGS
 @given(substitutions())
 @example(_swap_example())
+@example(_capped_prune_example())
 def test_substitute_matches_materialized_powers(case):
     f, bindings = case
     assert f.substitute(bindings) == substitute_oracle(f, bindings)
@@ -390,6 +403,99 @@ def test_substitute_oracle_example_is_simultaneous():
     for n, img in bindings.items():
         sequential = sequential.substitute({n: img})
     assert substitute_oracle(f, bindings) != sequential
+
+
+def plain_horner(f, name, img):
+    """f with img for name by Horner's rule with nothing dropped early."""
+    digits = f.as_poly_in(name)
+    acc = GradedSeries.zero(f.table, f.trunc_plus, f.trunc_minus)
+    for k in range(max(digits, default=0), -1, -1):
+        acc = acc * img
+        if k in digits:
+            acc = acc + digits[k]
+    return acc
+
+
+def test_prune_examples_drop_terms():
+    """Horner's first product in each prune example starts from an
+    accumulator the prune has cut."""
+    for f, bindings in (_capped_prune_example(), _carry_example()):
+        (name, img), = bindings.items()
+        digits = f.as_poly_in(name)
+        top = max(digits)
+        acc = digits[top]
+        assert acc._within_caps(top * img._least_cap_sums()) != acc
+
+
+@st.composite
+def twisted_substitutions(draw):
+    """(f, image of x) over a table shaped like `actions.twisted_context`:
+    t with a floor, b's of negative weight and x, u, v under one cap,
+    where every image term carries u or v and t^-1 at the lowest."""
+    table = VariableTable(
+        [Variable("t", 1, laurent_floor=-6), Variable("b1", -1),
+         Variable("b2", -2), Variable("x", 1), Variable("u", 1),
+         Variable("v", 1)], degree_caps=[(("x", "u", "v"), 3)])
+
+    def draw_series(exps):
+        terms = draw(st.dictionaries(st.tuples(*exps), COEFFS, min_size=1,
+                                     max_size=6))
+        return GradedSeries(table, 9, 3, terms)
+    f = draw_series([st.integers(0, 2), st.integers(0, 1), st.just(0),
+                     st.integers(0, 6), st.integers(0, 1), st.just(0)])
+    img = draw_series([st.integers(-1, 1), st.integers(0, 1),
+                       st.integers(0, 1), st.just(0), st.integers(0, 2),
+                       st.integers(0, 1)])
+    carrier = draw(st.sampled_from(["u", "v"]))
+    return f, img * GradedSeries.monomial(table, 9, 3, {carrier: 1})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(twisted_substitutions())
+def test_substitute_in_a_twisted_table_matches_plain_horner(case):
+    f, img = case
+    assert f.substitute({"x": img}, poly_vars=("x",)) == plain_horner(
+        f, "x", img)
+
+
+def _carry_example():
+    # caps of bound 1 take 3-bit fields, and y is in every image term:
+    # from x^8 down, k * m_y passes 2^3 and carries out of y's field
+    table = VariableTable([Variable("y", 1), Variable("z", 1),
+                           Variable("x", 1), Variable("w", 1)],
+                          degree_caps=[("y", 1), ("z", 1)])
+    f = GradedSeries(table, 12, 0, {
+        (0, z, k, w): k + 2 * z - w for k in range(9) for z in (0, 1)
+        for w in (0, 1) if k + 2 * z - w})
+    img = GradedSeries(table, 12, 0, {(1, 0, 0, 0): 1, (1, 0, 0, 1): 2,
+                                      (1, 1, 0, 0): -3})
+    return f, {"x": img}
+
+
+def test_substitute_past_a_cap_field_carry_matches_plain_horner():
+    f, bindings = _carry_example()
+    img = bindings["x"]
+    assert [mask for _off, mask in f._lay.caps] == [0b111, 0b111]
+    got = f.substitute(bindings)
+    assert got == plain_horner(f, "x", img)
+    assert got == substitute_oracle(f, bindings)
+
+
+def test_substitute_under_a_capped_laurent_variable_matches_plain_horner():
+    """A cap group holding t, of floor -3: an accumulator term may have a
+    negative sum there, and an image of negative least sum would move the
+    key down."""
+    table = VariableTable([Variable("t", 1, laurent_floor=-3),
+                           Variable("y", 1), Variable("x", 1)],
+                          degree_caps=[(("t", "y"), 2)])
+    cases = [({(-2, 0, 4): 1, (0, 1, 2): 3, (1, 0, 1): 5},
+              {(0, 1, 0): 1}),
+             ({(1, 0, 3): 1, (0, 2, 2): 3, (0, 1, 1): -1, (1, 0, 0): 5},
+              {(-1, 0, 0): 1, (0, 1, 0): 2})]
+    for f, img in cases:
+        f, img = (GradedSeries(table, 8, 0, terms) for terms in (f, img))
+        got = f.substitute({"x": img}, poly_vars=("x",))
+        assert not got.is_zero and got == plain_horner(f, "x", img)
 
 
 def _first_indivisible(series, p):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cobcalc import fgl
+from cobcalc import actions, fgl
 from cobcalc import operations as op
 from cobcalc import verify
 from cobcalc.actions import FalsificationError, ShiftAction
@@ -367,6 +367,37 @@ def test_multphi_reports_a_doubled_phi(monkeypatch):
     assert failed and all(c["witness"] for c in failed)
     assert {c["reps"][0] for c in failed if c["input"] == "P1,P1"} == {
         reps[0] for _, reps in op.rep_choices(2)}
+
+
+def test_thmg_reports_a_perturbed_reconstruction(monkeypatch):
+    """A reconstruction that doubles the coefficient of pi^1 hands the
+    decomposition an invariant whose power 1 is not the one drawn."""
+    reconstruct = actions.reconstruct
+    monkeypatch.setattr(actions, "reconstruct", lambda action, psi: (
+        reconstruct(action, {k: q.scale(2) if k == 1 else q
+                             for k, q in psi.items()})))
+    (case,) = verify.verify_thmg(p=2)["cases"]
+    assert (case["verdict"], case["witness"]) == (
+        "fail", "case 0 power 1 mismatch")
+
+
+def test_xy_reports_a_twisted_law_of_a_perturbed_orbit_product(monkeypatch):
+    """alpha = pi(x) + t x^2 still gives x^3 at t = 0, but its twisted law
+    is not integral."""
+    twisted_context = actions.twisted_context
+
+    def perturbed(p, deg=6, bweight=6):
+        ctx = twisted_context(p, deg=deg, bweight=bweight)
+        orbit = ctx.orbit_product
+        monkeypatch.setattr(ctx, "orbit_product", lambda name, reps: (
+            orbit(name, reps) + ctx.mono({name: 2, "t": 1})))
+        return ctx
+    monkeypatch.setattr(actions, "twisted_context", perturbed)
+    cases = {c["input"]: c for c in verify.verify_xy(p=3)["cases"]}
+    assert cases["integral coefficients"]["verdict"] == "pass"
+    law = cases["twisted law"]
+    assert law["verdict"] == "fail"
+    assert law["witness"].startswith("coefficient u^1 v^1: ")
 
 
 def test_operations_forwards_the_registry_to_verify():

@@ -36,8 +36,19 @@ PRODUCT = ("tests/test_actions.py"
 CERTIFICATE = "tests/test_actions.py::test_minor_certificate_"
 UV = "tests/test_operations.py::test_verifier_uv_p3"
 RR = "tests/test_operations.py::test_verifier_rr_p2"
+CARRY = (ORACLE + "::test_substitute_past_a_cap_field_carry"
+         "_matches_plain_horner")
+POWERS = ORACLE + "::test_substitute_matches_materialized_powers"
+TWISTED = ORACLE + "::test_substitute_in_a_twisted_table_matches_plain_horner"
+LAURENT_CAP = (ORACLE + "::test_substitute_under_a_capped_laurent_variable"
+               "_matches_plain_horner")
 APPLY_ORACLE = ("tests/test_operations.py"
                 "::test_st_apply_and_phi_hat_match_the_grouped_reference")
+# the two lines between a cap group's test and its offset in
+# GradedSeries._least_cap_sums
+LEAST = ("                least = (min((k >> off) & mask"
+         " for k in self._rows)\n"
+         "                         - (mask >> 1) + bound)\n                ")
 
 MUTANTS = [
     Mutant("mod_p multiplies by den, not by its inverse", SERIES,
@@ -160,6 +171,25 @@ MUTANTS = [
            "                    or False):",
            ["tests/test_series.py::test_degree_caps_are_ring_quotients",
             ORACLE + "::test_one_term_products_match_the_tuple_oracle"]),
+    # Horner's prune drops a term only when the products left push it past
+    # a cap; looking one product further drops terms that end within it
+    Mutant("Horner's accumulator looks one product too far", SERIES,
+           "acc._within_caps((k + 1) * step)",
+           "acc._within_caps((k + 2) * step)",
+           [CARRY, POWERS, TWISTED]),
+    Mutant("Horner's image looks one product too far", SERIES,
+           "img._within_caps(k * step)",
+           "img._within_caps((k + 1) * step)",
+           [CARRY, POWERS, TWISTED]),
+    Mutant("Horner's prune keeps non-positive least sums", SERIES,
+           "if self._rows and not any(table.floors[i] for i in idxs):\n"
+           + LEAST + "step += max(least, 0) << off",
+           "if self._rows:\n" + LEAST + "step += least << off",
+           [LAURENT_CAP]),
+    Mutant("Horner's prune reads a group over a negative floor", SERIES,
+           "if self._rows and not any(table.floors[i] for i in idxs):",
+           "if self._rows:",
+           [LAURENT_CAP]),
     # exact_divide then never empties its heap on a truncated remainder, so
     # only a test that fails at the first product may be named
     Mutant("exact_divide keeps the products past a bound or a cap", SERIES,
