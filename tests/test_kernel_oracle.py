@@ -8,8 +8,10 @@ does not call GradedSeries.__mul__ or anything that product uses.  Exact
 division, multiplicative and compositional inverses are checked by round
 trips, and products against the ring laws that truncation keeps.
 Substitution is checked against products with materialized powers of the
-images, and the shift of `actions.ShiftAction`, summed over cached powers
-of its image, against Horner substitution modulo p.  The quotient modulo
+images, and, where its Horner steps drop terms early at a degree cap,
+against a plain Horner's rule of products and sums; the shift of
+`actions.ShiftAction`, summed over cached powers of its image, is checked
+against Horner substitution modulo p.  The quotient modulo
 g = p*u is checked against general algorithms that hold for any
 g = p + (terms of positive t-degree), over Z_(p): the normal form against
 a carry sweep up the t-digits, against repeated subtraction of multiples
