@@ -67,20 +67,19 @@ def laplace_step(level, row, zero):
     minor on the first k-1 rows; row is row k.  Returns the level of every
     k-subset S, in itertools.combinations order:
     M(S) = sum (-1)^(k-1+i) a_{k-1,j} M(S minus j), j the i-th column of S.
-    It forms only sums and products with single entries, never a division,
-    so an entry with one term makes each product a key shift.
+    Each minor is one `GradedSeries.add_products` over its cofactors, which
+    skips those with a zero factor; the row and its negation are built
+    once per step.  It forms only sums and products with single entries,
+    never a division, so an entry with one term makes each product a key
+    shift.
     """
     k = len(next(iter(level))) + 1
+    signed = (row, tuple(-entry for entry in row))
     out = {}
     for cols in itertools.combinations(range(len(row)), k):
-        acc = zero
-        for i, j in enumerate(cols):
-            entry, sub = row[j], level[cols[:i] + cols[i + 1:]]
-            if entry.is_zero or sub.is_zero:
-                continue
-            term = entry * sub
-            acc = acc - term if (k - 1 + i) % 2 else acc + term
-        out[cols] = acc
+        out[cols] = zero.add_products(
+            [(signed[(k - 1 + i) % 2][j], level[cols[:i] + cols[i + 1:]])
+             for i, j in enumerate(cols)])
     return out
 
 
@@ -303,10 +302,8 @@ def invariant_decompose(phi, action):
 
 
 def reconstruct(action, psi):
-    out = action.ctx.zero()
-    for n, q in psi.items():
-        out = out + q * action.pi_power(n)
-    return out
+    return action.ctx.zero().add_products(
+        [(q, action.pi_power(n)) for n, q in psi.items()])
 
 
 def _random_coefficient(ctx, rng):

@@ -31,21 +31,27 @@ built only when something reads it.
 The product is one sparse kernel in the manner of Monagan and Pearce
 (Sparse polynomial multiplication and division in Maple 14, 2009): both
 truncations end their loops with a break, so only admissible pairs are
-visited; the pair loop adds and multiplies plain ints, and one mask on each
-output key drops the terms past a degree cap and finds those below a
-Laurent floor.  A one-term operand needs no pair loop: the product is one
-key shift of the other operand's rows (`_shift`), with the same drops and
-errors; `shift_var`, `diff` and the inverses multiply by a monomial the same
-way.  Exact division forms no key: it keeps its remainder by exponent tuple
-in a heap in graded-lexicographic order, subtracts each quotient term times
-the divisor's other terms under the ring's rules, and builds the quotient
+visited; the pair loop (`_pairs_into`) adds and multiplies plain ints into
+a dict it is given, and skips the pairs past a degree cap by one mask on
+each key.  A one-term operand needs no pair loop: the product is one key
+shift of the other operand's rows (`_shift_into`); `shift_var`, `diff` and
+the inverses multiply by a monomial the same way.  One finish (`_finish`)
+sorts the keys, drops the zero sums and raises for a kept term below a
+Laurent floor.  As Monagan and Pearce accumulate a whole sum of products in
+one structure, `add_products` adds seed + sum a*b into one dict over one
+denominator and finishes once: a product followed by a sum, or a Laplace
+expansion of many cofactors, builds no series per product.
+
+Exact division forms no key: it keeps its remainder by exponent tuple in a
+heap in graded-lexicographic order, subtracts each quotient term times the
+divisor's other terms under the ring's rules, and builds the quotient
 through the exponent-tuple constructor.  A series changes its bounds only
 through `retruncate`, which within one geometry filters its keys.
 Substitution is Horner's rule (Brent and Kung, J. ACM 1978): degree K in
-one variable costs K products, and before each product the accumulator and
-the image drop the terms that the products left push past a degree cap
-(`_horner`).  Reversion is Lagrange inversion: one
-inverse, then one product per degree.
+one variable costs K products, each added onto its digit by `add_products`,
+and before each product the accumulator and the image drop the terms that
+the products left push past a degree cap (`_horner`).  Reversion is
+Lagrange inversion: one inverse, then one product per degree.
 """
 
 from __future__ import annotations
@@ -234,9 +240,8 @@ class Geometry:
     field's (offset, mask) for `GradedSeries._least_cap_sums`.
     """
 
-    __slots__ = ("fields", "caps", "scale", "base", "capbits", "floorbits",
-                 "expbits", "pshift", "pmask", "pconst", "mshift", "mconst",
-                 "depth")
+    __slots__ = ("fields", "caps", "scale", "base", "capbits", "expbits",
+                 "pshift", "pmask", "pconst", "mshift", "mconst", "depth")
 
     def __init__(self, table, trunc_plus, trunc_minus):
         weights = table.weights
@@ -248,7 +253,7 @@ class Geometry:
         # cap sums, then exponents from the first variable: a dict slots an
         # int by the low bits of its value mod 2^61 - 1, so the fields that
         # vary most sit lowest; base accumulates the key of exponent zero
-        off = base = self.capbits = self.floorbits = self.expbits = 0
+        off = base = self.capbits = self.expbits = 0
         caps = []
         for idxs, bound in table.caps:
             g = (3 * bound - 4 * sum(floors[j] for j in idxs)).bit_length()
@@ -262,8 +267,6 @@ class Geometry:
             fields[i] = (off, (2 << g) - 1, (1 << g) - lo)
             base += fields[i][2] << off
             self.expbits |= 1 << off + g
-            if lo:
-                self.floorbits |= 1 << off + g
             off += g + 1
         self.fields, self.caps = tuple(fields), tuple(caps)
         self.pshift, self.pconst = off, 2 * trunc_plus - 4 * pfloor
@@ -648,19 +651,65 @@ class GradedSeries:
         self._compat(other)
         if len(self._rows) > len(other._rows):
             self, other = other, self
-        a, b = self._rows, other._rows
-        if not a:
+        if not self._rows:
             return self._make({})
-        lay = self._lay
-        if len(a) == 1:
+        if len(self._rows) == 1:
             # one term: shift the other operand's keys, no pair loop
-            (ka, ca), = a.items()
-            return other._shift(ka - lay.base, ca, self._den)
+            (ka, ca), = self._rows.items()
+            return other._shift(ka - self._lay.base, ca, self._den)
+        acc = {}
+        self._pairs_into(acc, other, 1)
+        return self._finish(acc, self._den * other._den)
+
+    __rmul__ = __mul__
+
+    def add_products(self, pairs):
+        """self + the sum of a * b over pairs (a, b) of series, in one dict.
+
+        All terms share one denominator, the lcm of self's and of each
+        den_a * den_b; the dict starts from self's rows, each product adds
+        into it as `*` would form it (a pair loop, or a key shift for a
+        one-term operand), and one sort ends it.  Each product keeps and
+        drops terms exactly as `*` does, but the floor is checked once, on
+        the sum: LaurentUnderflow is raised when the sum keeps a nonzero
+        term below a floor, so a term that cancels across products raises
+        nothing.
+        """
+        live = []
+        for a, b in pairs:
+            self._compat(a)
+            self._compat(b)
+            if a._rows and b._rows:
+                live.append((a, b) if len(a._rows) <= len(b._rows)
+                            else (b, a))
+        if not live:
+            return self
+        den = lcm(self._den, *(a._den * b._den for a, b in live))
+        f = den // self._den
+        acc = dict(self._rows) if f == 1 else {
+            k: v * f for k, v in self._rows.items()}
+        base = self._lay.base
+        for a, b in live:
+            n = den // (a._den * b._den)
+            if len(a._rows) == 1:
+                (ka, ca), = a._rows.items()
+                b._shift_into(acc, ka - base, ca * n)
+            else:
+                a._pairs_into(acc, b, n)
+        return self._finish(acc, den)
+
+    def _pairs_into(self, acc, other, n):
+        """Add n * ca * cb at key ka + kb - base into acc for every pair of
+        rows of self and other inside both truncations: both truncations
+        end their loops with a break, and a pair past a cap is skipped.
+        The outer loop walks self, best the operand with fewer rows."""
+        lay = self._lay
         pshift, pmask, mshift = lay.pshift, lay.pmask, lay.mshift
         # the truncations as bounds on the degree fields of two keys' sum
         pmax = self.trunc_plus + 2 * lay.pconst
         mmax = self.trunc_minus + 2 * lay.mconst
         base, capbits = lay.base, lay.capbits
+        b = other._rows
         bkeys = list(b)
         brows = list(b.items())
         buckets = []
@@ -671,33 +720,43 @@ class GradedSeries:
             buckets.append((fm, fm << mshift, bkeys[start:end],
                             brows[start:end]))
             start = end
-        acc = {}
         get = acc.get
-        for ka, ca in a.items():
+        for ka, ca in self._rows.items():
             mlim = mmax - (ka >> mshift)
             plim = (pmax - ((ka >> pshift) & pmask) + 1) << pshift
             ka -= base
+            ca *= n
             for fm, mbase, keys, rows in buckets:
                 if fm > mlim:
                     break
-                n = bisect_left(keys, mbase + plim)
-                for kb, cb in (rows if n == len(rows) else rows[:n]):
+                cut = bisect_left(keys, mbase + plim)
+                for kb, cb in (rows if cut == len(rows) else rows[:cut]):
                     k = ka + kb
                     # a pair past a cap never reaches the accumulator
                     if k & capbits:
                         continue
                     acc[k] = get(k, 0) + ca * cb
-        # a kept key with a guard bit clear lies below a Laurent floor
-        floorbits = lay.floorbits
-        out = {k: v for k, v in sorted(acc.items())
-               if v and k & floorbits == floorbits}
-        if len(out) < len(acc) and floorbits:
-            for k, v in acc.items():
-                if v and k & floorbits != floorbits:
-                    self._underflow(lay.unpack(k))
-        return self._make(out, self._den * other._den)
 
-    __rmul__ = __mul__
+    def _finish(self, acc, den, shifted=False):
+        """The series of the rows acc accumulated over den: zero sums are
+        dropped, the keys sorted, and a kept key with an exponent's guard
+        bit clear, below a floor, raises LaurentUnderflow for the first such
+        key.  shifted says acc is one key shift of nonzero rows into an
+        empty dict: in key order, with no zero sum."""
+        lay = self._lay
+        expbits = lay.expbits
+        if shifted:
+            if all(k & expbits == expbits for k in acc):
+                return self._make(acc, den)
+            rows = acc.items()
+        else:
+            rows = sorted(acc.items())
+        out = {k: v for k, v in rows if v and k & expbits == expbits}
+        if len(out) < len(acc):
+            for k, v in rows:
+                if v and k & expbits != expbits:
+                    self._underflow(lay.unpack(k))
+        return self._make(out, den)
 
     def _underflow(self, exp):
         """Raise for the first exponent of exp below its floor, if any."""
@@ -720,25 +779,28 @@ class GradedSeries:
         return result
 
     def _shift(self, delta, n, d):
-        """self * (n/d) * the monomial keyed base + delta, one key shift per
-        term: terms past a bound or a cap are dropped, and a kept term below
-        a floor raises.  The fields must hold every shifted key, as they do
-        when the monomial is a difference of two admissible terms."""
+        """self * (n/d) * the monomial keyed base + delta (`_shift_into`)."""
+        acc = {}
+        self._shift_into(acc, delta, n)
+        return self._finish(acc, self._den * d, shifted=True)
+
+    def _shift_into(self, acc, delta, n):
+        """Add n * v at key k + delta into acc for every row k: v of self,
+        one key shift per term, skipping the terms past a bound or a cap.
+        The fields must hold every shifted key, as they do when the
+        monomial is a difference of two admissible terms."""
         lay = self._lay
         pshift, pmask, mshift = lay.pshift, lay.pmask, lay.mshift
         ptop = self.trunc_plus + lay.pconst
         mtop = self.trunc_minus + lay.mconst
-        capbits, expbits = lay.capbits, lay.expbits
-        out = {}
+        capbits = lay.capbits
+        get = acc.get
         for k, v in self._rows.items():
             k += delta
             if ((k >> pshift) & pmask > ptop or k >> mshift > mtop
                     or k & capbits):
                 continue
-            if k & expbits != expbits:
-                self._underflow(lay.unpack(k))
-            out[k] = v * n
-        return self._make(out, self._den * d)
+            acc[k] = get(k, 0) + v * n
 
     def _times_monomial(self, exp, c):
         """self * (c * monomial exp); terms that leave the truncations or
@@ -905,12 +967,11 @@ class GradedSeries:
             return self
         img, rest, top = bindings[names[0]], names[1:], max(digits)
         step = img._least_cap_sums() if top else 0
-        acc = digits[top]._horner(rest, bindings)
+        acc, zero = digits[top]._horner(rest, bindings), self._make({})
         for k in range(top - 1, -1, -1):
-            acc = (acc._within_caps((k + 1) * step)
-                   * img._within_caps(k * step))
-            if k in digits:
-                acc = acc + digits[k]._horner(rest, bindings)
+            digit = digits[k]._horner(rest, bindings) if k in digits else zero
+            acc = digit.add_products([(acc._within_caps((k + 1) * step),
+                                       img._within_caps(k * step))])
         return acc
 
     def _least_cap_sums(self):
@@ -925,13 +986,13 @@ class GradedSeries:
         return step
 
     def _within_caps(self, offset):
-        """The terms whose key plus offset sets no cap guard bit."""
-        if not offset:
+        """The terms whose key plus offset sets no cap guard bit; self, with
+        no dict built, when that is every term."""
+        capbits = self._lay.capbits
+        if not offset or not any((k + offset) & capbits for k in self._rows):
             return self
-        rows = {k: v for k, v in self._rows.items()
-                if not (k + offset) & self._lay.capbits}
-        return (self if len(rows) == len(self._rows)
-                else self._make(rows, self._den))
+        return self._make({k: v for k, v in self._rows.items()
+                           if not (k + offset) & capbits}, self._den)
 
     # ----- inverses and division -------------------------------------------
 
@@ -1043,7 +1104,9 @@ class GradedSeries:
         1936): x^e goes to C(e, m) y^(e-m), and every coefficient of the sum
         must be 0.  Each term is keyed once with x^e moved onto y^e, which
         relabels the terms of every order alike, so an order is one pass
-        that sums C(e, m) times the coefficients over each key.  x - y is
+        that sums C(e, m) times the coefficients over each key; for k = 1,
+        order 0 alone, one pass adds each coefficient at its moved key
+        without grouping the terms first.  x - y is
         monic in x, so a quotient of integer coefficients is integral, and a
         series with a denominator has none.  x and y must share one weight
         and carry no negative floor and no cap: then (x - y)^k is
@@ -1061,6 +1124,14 @@ class GradedSeries:
             return False
         off, mask, c = self._lay.fields[ix]
         step = self._lay.scale[iy] - self._lay.scale[ix]
+        if k == 1:
+            # order 0 alone: one sum per moved key
+            sums = {}
+            get = sums.get
+            for key, v in self._rows.items():
+                key += (((key >> off) & mask) - c) * step
+                sums[key] = get(key, 0) + v
+            return not any(sums.values())
         groups = {}
         for key, v in self._rows.items():
             e = ((key >> off) & mask) - c

@@ -163,10 +163,9 @@ def verify_emb(p, deg, bweight, seed):
 
 def _binomial_defect(ctx, p, u, v):
     """f_p(u,v) = sum_l C(p,l)/p u^l v^{p-l}, the p-typical defect."""
-    out = ctx.zero()
-    for l in range(1, p):
-        out = out + (u ** l * v ** (p - l)).scale(Fraction(math.comb(p, l), p))
-    return out
+    return ctx.zero().add_products(
+        [((u ** l).scale(Fraction(math.comb(p, l), p)), v ** (p - l))
+         for l in range(1, p)])
 
 
 def _grid_pairs(ctx):
@@ -201,7 +200,8 @@ def verify_multphi(p, deg, bweight, seed):
         for label, u, v in _grid_pairs(ctx):
             pu = ops.symmetric_operation(st, u)
             pv = ops.symmetric_operation(st, v)
-            rhs = pu * st.apply(v) + st.apply(u) * pv + pu * pv * g
+            rhs = ctx.zero().add_products(
+                [(pu, st.apply(v)), (st.apply(u), pv), (pu * pv, g)])
             want, _pos = rhs.split_parts("t")
             yield label, ops.symmetric_operation(st, u * v), want
     return _st_cases(check, p, deg, bweight, seed)

@@ -171,36 +171,62 @@ def test_maximal_minors_match_cofactor_expansion():
 
 def _count_minor_work(monkeypatch):
     """Count exact divisions, products of two operands with two terms or
-    more, and one-term products (key shifts) from here on."""
-    counts = {"exact_divide": 0, "multi": 0, "shift": 0}
+    more, one-term products (key shifts) and the series built from here
+    on.  A product counts whether `*` forms it or `add_products` adds it
+    into a sum."""
+    counts = {"exact_divide": 0, "multi": 0, "shift": 0, "series": 0}
     divide, mul = GradedSeries.exact_divide, GradedSeries.__mul__
+    add_products = GradedSeries.add_products
+    packed, init = GradedSeries._packed.__func__, GradedSeries.__init__
+
+    def count_product(a, b):
+        if isinstance(b, GradedSeries) and a._rows and b._rows:
+            two = len(a._rows) > 1 and len(b._rows) > 1
+            counts["multi" if two else "shift"] += 1
 
     def counted_divide(self, g, integral=False):
         counts["exact_divide"] += 1
         return divide(self, g, integral=integral)
 
     def counted_mul(self, other):
-        if isinstance(other, GradedSeries) and self._rows and other._rows:
-            two = len(self._rows) > 1 and len(other._rows) > 1
-            counts["multi" if two else "shift"] += 1
+        count_product(self, other)
         return mul(self, other)
+
+    def counted_add_products(self, pairs):
+        pairs = list(pairs)
+        for a, b in pairs:
+            count_product(a, b)
+        return add_products(self, pairs)
+
+    def counted_packed(cls, *args, **kwargs):
+        counts["series"] += 1
+        return packed(cls, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts["series"] += 1
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(GradedSeries, "exact_divide", counted_divide)
     monkeypatch.setattr(GradedSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(GradedSeries, "add_products", counted_add_products)
+    monkeypatch.setattr(GradedSeries, "_packed", classmethod(counted_packed))
+    monkeypatch.setattr(GradedSeries, "__init__", counted_init)
     return counts
 
 
 def test_minors_suite_work_ceiling(monkeypatch):
     """Exact work counts of the whole of criterion 02: the compositions of
     each n share their Laplace levels and carry their Vandermonde products,
-    and divisibility is certified without a division.  A change may lower
-    these ceilings, and raising one must be argued."""
+    each minor is one sum of products, and divisibility is certified
+    without a division.  A change may lower these ceilings, and raising
+    one must be argued."""
     counts = _count_minor_work(monkeypatch)
     rep = minors_suite(max_square=6, max_minor=5)
     assert rep["verdict"] and rep["cases"] == 574
     assert counts["exact_divide"] == 0
     assert counts["multi"] <= 282
     assert counts["shift"] <= 5210
+    assert counts["series"] <= 3423
 
 
 def test_composition_walk_matches_each_matrix():
@@ -226,16 +252,23 @@ def test_the_walk_carries_each_vandermonde_product():
 def test_theorem_g_work_ceiling(monkeypatch):
     """Operand-size products (sum of |a|*|b| over series x series products)
     of three thmG round trips at p = 3; a change may lower this ceiling,
-    and raising it must be argued."""
+    and raising it must be argued.  A product counts whether `*` forms it
+    or `add_products` adds it into a sum."""
     work = [0]
-    mul = GradedSeries.__mul__
+    mul, add_products = GradedSeries.__mul__, GradedSeries.add_products
 
     def counted_mul(self, other):
         if isinstance(other, GradedSeries):
             work[0] += len(self._rows) * len(other._rows)
         return mul(self, other)
 
+    def counted_add_products(self, pairs):
+        pairs = list(pairs)
+        work[0] += sum(len(a._rows) * len(b._rows) for a, b in pairs)
+        return add_products(self, pairs)
+
     monkeypatch.setattr(GradedSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(GradedSeries, "add_products", counted_add_products)
     rep = theorem_g_suite(3, count=3, seed=11)
     assert rep["verdict"] and rep["cases"] == 3
     assert work[0] <= 296584

@@ -6,7 +6,11 @@ drop zero coefficients, drop terms past a degree cap or a truncation bound,
 and raise LaurentUnderflow when a kept term lies below a Laurent floor.  It
 does not call GradedSeries.__mul__ or anything that product uses.  Exact
 division, multiplicative and compositional inverses are checked by round
-trips, and products against the ring laws that truncation keeps.
+trips, and products against the ring laws that truncation keeps.  A sum
+of products (`add_products`) is checked against the same all-pairs rules
+applied to the whole sum, and against products and sums built from `*`
+and `+`; the divisibility certificate for (x - y)^k against exact
+division.
 Substitution is checked against products with materialized powers of the
 images, and, where its Horner steps drop terms early at a degree cap,
 against a plain Horner's rule of products and sums; the shift of
@@ -186,6 +190,111 @@ def test_oracle_examples_reach_each_branch():
     assert not underflow and terms_of(a * b) == expected
 
 
+def sum_of_products_oracle(seed, pairs):
+    """(terms of seed + the sum of a*b over pairs, whether a kept term of
+    the sum lies below a floor): every pair of every product summed with
+    Fraction arithmetic before the ring's rules."""
+    acc = {e: Fraction(c) for e, c in seed.sorted_terms()}
+    for a, b in pairs:
+        for ea, ca in a.sorted_terms():
+            for eb, cb in b.sorted_terms():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                acc[e] = acc.get(e, 0) + Fraction(ca) * Fraction(cb)
+    return ring_rules(seed.table, seed.trunc_plus, seed.trunc_minus, acc)
+
+
+@st.composite
+def sums_of_products(draw):
+    """(seed, pairs): up to three products over one table, an operand often
+    a single term or empty, and a product often followed by its negation,
+    so that sums cancel across products."""
+    table, tp, tm = draw(tables())
+
+    def operand():
+        kind = draw(st.sampled_from(["series", "series", "one", "empty"]))
+        if kind == "one":
+            return one_term(draw, table, tp, tm)
+        if kind == "empty":
+            return GradedSeries.zero(table, tp, tm)
+        return series(draw, table, tp, tm)
+    seed = (series(draw, table, tp, tm) if draw(st.booleans())
+            else GradedSeries.zero(table, tp, tm))
+    pairs = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = operand(), operand()
+        pairs.append((a, b))
+        if draw(st.booleans()):
+            # the same product negated, on either side, often changed a bit
+            c = draw(st.sampled_from([0, 1, Fraction(1, 2)]))
+            a2 = -a + a.scale(c) if draw(st.booleans()) else a
+            b2 = b if a2 is not a else -b + b.scale(c)
+            pairs.append((b2, a2) if draw(st.booleans()) else (a2, b2))
+    return seed, pairs
+
+
+def _cancelling_underflow_example():
+    # t^-1 * t^-1 (a key shift) and (t^-1 + x)(t^-1 - x) (a pair loop) each
+    # keep t^-2, below the floor; the sum keeps x^2 over the seed's 1/2
+    table = VariableTable([Variable("t", 1, laurent_floor=-1),
+                           Variable("x", 1)])
+    t_inv = GradedSeries(table, 4, 0, {(-1, 0): 1})
+    x = GradedSeries(table, 4, 0, {(0, 1): 1})
+    seed = GradedSeries(table, 4, 0, {(0, 0): Fraction(1, 2)})
+    return seed, [(t_inv, t_inv), (-(t_inv + x), t_inv - x)]
+
+
+def _denominators_example():
+    # the seed's denominator 2 and the products' 3 * 5 and 7 * 1
+    table = VariableTable([Variable("x", 1), Variable("y", 1)])
+    x = GradedSeries(table, 6, 0, {(1, 0): Fraction(1, 3), (0, 1): 1})
+    y = GradedSeries(table, 6, 0, {(0, 1): Fraction(2, 5), (1, 0): 1})
+    seed = GradedSeries(table, 6, 0, {(1, 1): Fraction(1, 2)})
+    return seed, [(x, y), (x.scale(Fraction(1, 7)), x.scale(3))]
+
+
+@SETTINGS
+@given(sums_of_products())
+@example(_cancelling_underflow_example())
+@example(_denominators_example())
+def test_add_products_matches_products_and_sums(case):
+    """add_products equals seed + the sum of a*b built from `*` and `+`
+    whenever every product exists, and the all-pairs oracle always: a term
+    below a floor raises only when the sum keeps it, and the error names
+    the first such term in key order."""
+    seed, pairs = case
+    table = seed.table
+    want, underflow = sum_of_products_oracle(seed, pairs)
+    if underflow:
+        low = min((e for e in want if below(table, e)), key=seed._lay.key)
+        with pytest.raises(LaurentUnderflow) as err:
+            seed.add_products(pairs)
+        assert str(err.value) == underflow_message(table, low)
+        return
+    got = seed.add_products(pairs)
+    assert terms_of(got) == want
+    assert (got.trunc_plus, got.trunc_minus) == (seed.trunc_plus,
+                                                 seed.trunc_minus)
+    try:
+        products = [a * b for a, b in pairs]
+    except LaurentUnderflow:
+        return
+    reference = seed
+    for product in products:
+        reference = reference + product
+    assert got == reference
+
+
+def test_add_products_examples_reach_each_branch():
+    seed, pairs = _cancelling_underflow_example()
+    for a, b in pairs:
+        with pytest.raises(LaurentUnderflow):
+            a * b
+    assert terms_of(seed.add_products(pairs)) == {
+        (0, 0): Fraction(1, 2), (0, 2): 1}
+    seed, pairs = _denominators_example()
+    assert seed.add_products(pairs).denominator == 2 * 3 * 5 * 7
+
+
 @st.composite
 def divisions(draw):
     """(q, g) with int coefficients and g = +-1 + terms of higher order."""
@@ -216,7 +325,7 @@ def test_exact_divide_roundtrip_fractions(pair, den):
 
 
 @st.composite
-def difference_powers(draw):
+def difference_powers(draw, ks=st.integers(0, 4)):
     """(q, bump, x - y, k): integer polynomials in x, y and maybe z, with x
     and y of one weight; bounds that keep all of (x - y)^k, k <= 4."""
     w = draw(st.sampled_from([1, 2, -1]))
@@ -228,7 +337,7 @@ def difference_powers(draw):
     ints = st.integers(-3, 3)
     q = series(draw, table, tp, tm, coeffs=ints, nonneg=True)
     x, y = (GradedSeries.monomial(table, tp, tm, {n: 1}) for n in "xy")
-    k = draw(st.integers(0, 4))
+    k = draw(ks)
     # a bump that keeps the factor, one a degree short of it, or any
     bump = series(draw, table, tp, tm, coeffs=ints, nonneg=True)
     bump = draw(st.sampled_from([bump * (x - y) ** k,
@@ -254,6 +363,32 @@ def test_difference_power_certificate_matches_exact_divide(case):
     # with an integral quotient
     assert not (h + g.scale(Fraction(1, 2))).divisible_by_difference(
         "x", "y", k)
+
+
+def _first_order_example():
+    # x - y itself: its moved keys cancel, its own keys do not
+    table = VariableTable([Variable("x", 1), Variable("y", 1)])
+    one = GradedSeries.one(table, 8, 0)
+    d = GradedSeries(table, 8, 0, {(1, 0): 1, (0, 1): -1})
+    return one, GradedSeries.zero(table, 8, 0), d, 1
+
+
+@SETTINGS
+@given(difference_powers(ks=st.just(1)), COEFFS)
+@example(_first_order_example(), 1)
+def test_first_order_certificate_matches_exact_divide(case, c):
+    """For k = 1 the certificate is one pass of sums over the moved keys;
+    it agrees with an integral exact division on divisible series, on
+    series a bump breaks and on series with a denominator."""
+    q, bump, d, _k = case
+    f = q * d
+    for h in (f, f + bump, f + bump.scale(c), f.scale(c)):
+        try:
+            h.exact_divide(d, integral=True)
+            divides = True
+        except NotDivisible:
+            divides = False
+        assert h.divisible_by_difference("x", "y", 1) == divides
 
 
 def test_not_divisible_names_the_seed_monomial():

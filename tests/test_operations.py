@@ -570,21 +570,29 @@ def test_ln_apply_and_phi_hat_match_the_grouped_reference():
 
 def test_st_apply_product_terms_ceiling(monkeypatch):
     # output terms of every product St.apply makes over the grid at p = 3,
-    # each choice of reps: 6,341 with each monomial's image built once from
-    # the image of a smaller monomial (7,373 with Horner's rule, carriers
-    # outermost, and an apply memo by input)
+    # by `*` or inside `add_products`, each choice of reps: 6,341 with each
+    # monomial's image built once from the image of a smaller monomial
+    # (7,373 with Horner's rule, carriers outermost, and an apply memo by
+    # input)
     monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
     ctx = op.make_context(3, deg=6, bweight=6)
     grid = op.grid_elements(ctx)
     sts = [op.quillen_steenrod(ctx, 3, reps) for _, reps in op.rep_choices(3)]
     terms = [0]
-    mul = GradedSeries.__mul__
+    mul, add_products = GradedSeries.__mul__, GradedSeries.add_products
 
     def counting_mul(a, b):
         out = mul(a, b)
         terms[0] += len(out.sorted_terms())
         return out
+
+    def counting_add_products(self, pairs):
+        # the terms each product in the sum has on its own
+        pairs = list(pairs)
+        terms[0] += sum(len(mul(a, b).sorted_terms()) for a, b in pairs)
+        return add_products(self, pairs)
     monkeypatch.setattr(GradedSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(GradedSeries, "add_products", counting_add_products)
     for st in sts:
         for _label, e, _dim in grid:
             st.apply(e)
@@ -593,7 +601,8 @@ def test_st_apply_product_terms_ceiling(monkeypatch):
 
 def test_st_apply_of_a_sum_reuses_the_monomial_images(monkeypatch):
     # once St has mapped every grid element, u + v has no monomial whose
-    # image is not cached, so apply makes no series product
+    # image is not cached, so apply makes no series product, by `*` or
+    # inside `add_products`
     monkeypatch.setattr(op, "_CTX_CACHE", {})
     ctx = op.make_context(3, deg=6, bweight=6)
     grid = [e for _label, e, _dim in op.grid_elements(ctx)]
@@ -602,12 +611,18 @@ def test_st_apply_of_a_sum_reuses_the_monomial_images(monkeypatch):
         for e in grid:
             st.apply(e)
     products = [0]
-    mul = GradedSeries.__mul__
+    mul, add_products = GradedSeries.__mul__, GradedSeries.add_products
 
     def counting_mul(a, b):
         products[0] += 1
         return mul(a, b)
+
+    def counting_add_products(self, pairs):
+        pairs = list(pairs)
+        products[0] += len(pairs)
+        return add_products(self, pairs)
     monkeypatch.setattr(GradedSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(GradedSeries, "add_products", counting_add_products)
     for st in sts:
         for u in grid:
             for v in grid:
@@ -629,22 +644,26 @@ def test_cli_context_keys_fit_in_120_bits(p):
 def test_products_never_unpack_a_key(monkeypatch):
     # log_t at (8, 8) and St.apply over the p = 3 grid multiply packed
     # keys: no product unpacks a key into an exponent tuple, and every
-    # product still goes through GradedSeries.__mul__
+    # product still goes through GradedSeries.__mul__ or add_products
     monkeypatch.setattr(op, "_CTX_CACHE", {})
     unpacked, products, inside = [], [0], [0]
     unpack = Geometry.unpack
     monkeypatch.setattr(Geometry, "unpack", lambda lay, key: (
         inside[0] and unpacked.append(key)) or unpack(lay, key))
-    mul = GradedSeries.__mul__
+    mul, add_products = GradedSeries.__mul__, GradedSeries.add_products
 
-    def counting_mul(a, b):
-        products[0] += 1
-        inside[0] += 1
-        try:
-            return mul(a, b)
-        finally:
-            inside[0] -= 1
-    monkeypatch.setattr(GradedSeries, "__mul__", counting_mul)
+    def counting(kernel, count):
+        def counted(a, b):
+            products[0] += count(b)
+            inside[0] += 1
+            try:
+                return kernel(a, b)
+            finally:
+                inside[0] -= 1
+        return counted
+    monkeypatch.setattr(GradedSeries, "__mul__", counting(mul, lambda b: 1))
+    monkeypatch.setattr(GradedSeries, "add_products",
+                        counting(add_products, len))
     fgl.Context(8, 8).log_t
     ctx = op.make_context(3, deg=6, bweight=6)
     for _, reps in op.rep_choices(3):

@@ -42,6 +42,7 @@ POWERS = ORACLE + "::test_substitute_matches_materialized_powers"
 TWISTED = ORACLE + "::test_substitute_in_a_twisted_table_matches_plain_horner"
 LAURENT_CAP = (ORACLE + "::test_substitute_under_a_capped_laurent_variable"
                "_matches_plain_horner")
+ADD_PRODUCTS = ORACLE + "::test_add_products_matches_products_and_sums"
 APPLY_ORACLE = ("tests/test_operations.py"
                 "::test_st_apply_and_phi_hat_match_the_grouped_reference")
 # the two lines between a cap group's test and its offset in
@@ -157,8 +158,8 @@ MUTANTS = [
            ["tests/test_series.py::test_degree_caps_are_ring_quotients",
             ORACLE + "::test_product_matches_all_pairs_oracle"]),
     Mutant("a product keeps a term below a Laurent floor", SERIES,
-           "if v and k & floorbits == floorbits}",
-           "if v}",
+           "out = {k: v for k, v in rows if v and k & expbits == expbits}",
+           "out = {k: v for k, v in rows if v}",
            [ORACLE + "::test_laurent_underflow_through_the_packed_path",
             ORACLE + "::test_packed_results_match_the_tuple_oracle"]),
     Mutant("the pair loop keeps the pairs past a cap", SERIES,
@@ -171,6 +172,23 @@ MUTANTS = [
            "                    or False):",
            ["tests/test_series.py::test_degree_caps_are_ring_quotients",
             ORACLE + "::test_one_term_products_match_the_tuple_oracle"]),
+    Mutant("a key shift keeps a term below a Laurent floor", SERIES,
+           "if all(k & expbits == expbits for k in acc):",
+           "if True:",
+           [ORACLE + "::test_laurent_underflow_through_the_packed_path",
+            ORACLE + "::test_one_term_products_match_the_tuple_oracle"]),
+    # a sum of products must bring each product to the common denominator
+    # and start from its own terms; its oracle, not a digest, must catch
+    # either slip
+    Mutant("a pair is scaled by its own denominator", SERIES,
+           "n = den // (a._den * b._den)",
+           "n = a._den * b._den",
+           [ADD_PRODUCTS]),
+    Mutant("a sum of products drops the seed rows", SERIES,
+           "acc = dict(self._rows) if f == 1 else {\n"
+           "            k: v * f for k, v in self._rows.items()}",
+           "acc = {}",
+           [ADD_PRODUCTS, POWERS]),
     # Horner's prune drops a term only when the products left push it past
     # a cap; looking one product further drops terms that end within it
     Mutant("Horner's accumulator looks one product too far", SERIES,
@@ -217,6 +235,11 @@ MUTANTS = [
            ["tests/test_series.py::test_divisible_by_difference_examples",
             CERTIFICATE + "reads_every_derivative_order",
             ORACLE + "::test_difference_power_certificate_matches_exact_divide"]),
+    Mutant("the first-order certificate sums at the unmoved key", SERIES,
+           "key += (((key >> off) & mask) - c) * step",
+           "key += 0",
+           ["tests/test_series.py::test_divisible_by_difference_examples",
+            ORACLE + "::test_first_order_certificate_matches_exact_divide"]),
     Mutant("the certificate drops the denominator guard", SERIES,
            "if self._den != 1:\n            return False",
            "if False:\n            return False",
@@ -238,10 +261,14 @@ MUTANTS = [
            "level[cols[:i] + cols[i + 1:]]",
            "level[cols[1:]]",
            [MINORS, BAREISS, SUITE]),
-    Mutant("a zero entry ends the row's expansion", ACTIONS,
-           "if entry.is_zero or sub.is_zero:\n                continue",
-           "if entry.is_zero or sub.is_zero:\n                break",
-           [MINORS, BAREISS, SUITE]),
+    # a cofactor with a zero entry or sub-minor is an empty product, which
+    # add_products skips
+    Mutant("a sum of products stops at its first empty product", SERIES,
+           "            if a._rows and b._rows:\n",
+           "            if not (a._rows and b._rows):\n"
+           "                break\n"
+           "            if True:\n",
+           [MINORS, BAREISS, SUITE, ADD_PRODUCTS]),
     Mutant("a level is built out of combinations order", ACTIONS,
            "for cols in itertools.combinations(range(len(row)), k):",
            "for cols in sorted(itertools.combinations(range(len(row)), k),\n"
