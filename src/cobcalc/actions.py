@@ -228,13 +228,16 @@ class ShiftAction:
         return ctx.memo(("image_power", self.var, self.p, k), build)
 
     def shift(self, f):
-        """The normal form of f(var +_F t): the sum over the var-digits of
-        f's normal form of nf(digit_k * image_power(k)).
+        """The normal form of f(var +_F t): one `add_products` of
+        digit_k * image_power(k) over the var-digits of f's normal form,
+        then one normal form.
 
         Without a Laurent floor truncation is a quotient by an ideal and the
         normal form a ring map, so this equals the normal form of
         `substitute`'s Horner value; truncated Laurent products are not
-        associative, so a table with a floor is refused.
+        associative, so a table with a floor is refused.  The digits and
+        the powers are normal forms, so every product is p-integral and one
+        normal form of the sum equals the sum of theirs.
         """
         if any(floor is not None for floor in self.ctx.table.floors):
             raise SeriesError("the shift is summed over powers of its image, "
@@ -242,10 +245,9 @@ class ShiftAction:
         nf = self.fp.normal_form
         f = nf(f)
         f.check_bindings({self.var: self.image_power(1)})
-        out = self.ctx.zero()
-        for k, digit in f.as_poly_in(self.var).items():
-            out = out + nf(digit * self.image_power(k))
-        return nf(out)
+        return nf(self.ctx.zero().add_products(
+            [(digit, self.image_power(k))
+             for k, digit in f.as_poly_in(self.var).items()]))
 
     def unit_inverse(self):
         """Inverse of c(t)/t^(p-1), c(t) = prod_{i<p} [i]_F(t) the lowest

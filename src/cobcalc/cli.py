@@ -336,7 +336,9 @@ def _cmd_verify(args):
         reports.append(report)
         s = report["summary"]
         failed += s["fail"]
-        lines.append("%-10s pass=%d fail=%d" % (name, s["pass"], s["fail"]))
+        lines.append("%-10s pass=%d fail=%d" % (name, s["pass"], s["fail"])
+                     + (" outside=%d" % s["outside"] if "outside" in s
+                        else ""))
         for case in report["cases"]:
             if case["verdict"] == "fail":
                 lines.append("  FAIL %s: %s" % (case["input"],

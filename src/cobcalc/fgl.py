@@ -265,10 +265,11 @@ def pn_class(ctx, n):
 
 
 def proj_pushforward(ctx, f, n):
-    """Pushforward along P^n -> point: the x^n coefficient of f * omega(x)."""
+    """Pushforward along P^n -> point: the x^n coefficient of f * omega(x),
+    read from the x-slices whose degrees sum to n."""
     if (f.min_degree("x") or 0) < 0:
         raise SeriesError("pushforward input must be a power series in x")
-    return (f * ctx.omega.rename_var("t", "x")).coeff_of("x", n)
+    return f.product_coeff(ctx.omega.rename_var("t", "x"), "x", n)
 
 
 def hypersurface_class(ctx, n, d):

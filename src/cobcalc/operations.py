@@ -7,7 +7,9 @@ is linear, so a series goes to the sum of its coefficients times the images
 of its monomials.  The module builds Quillen-Steenrod St(reps), the total
 Landweber-Novikov operation, the tom Dieck Sq (through the faithful Laurent
 quotient), Symmetric operations Phi = divide-by-formal-p of the nonpositive
-part of e^p - St(e), residue slices and Chow traces.  The verifier suites
+part of e^p - St(e), residue slices and Chow traces.  A residue slice is
+one t-degree of a product, read with `GradedSeries.product_coeff` from the
+t-slices of the factors whose degrees sum to it.  The verifier suites
 for the identities these satisfy live in `verify`; the module `__getattr__`
 forwards `VERIFIERS` and `run_verifier` from there only for `perfbench`.
 
@@ -238,8 +240,10 @@ def symmetric_operation(st, e):
 
 
 def slice_phi(ctx, phi, q):
-    """Residue slice: the t^0 component of q * phi * omega."""
-    return (q * phi * ctx.omega).coeff_of("t", 0)
+    """Residue slice: the t^0 component of q * phi * omega, read from the
+    t-slices of q * phi and omega whose degrees sum to 0
+    (`GradedSeries.product_coeff`); the rest of the product is not formed."""
+    return (q * phi).product_coeff(ctx.omega, "t", 0)
 
 
 def chow_trace(ctx, series):
@@ -252,9 +256,10 @@ def st_slice(ctx, st, e, f):
 
     omega is left out: the trace is the ring map b_i -> 0, it commutes with
     coeff_of("t", 0), and omega = 1 + sum_n [P^n] t^n has every [P^n] in (b),
-    so the trace sends omega to 1.
+    so the trace sends omega to 1.  The t^0 part of f * St(e) is read from
+    their t-slices alone (`GradedSeries.product_coeff`).
     """
-    return chow_trace(ctx, (f * st.apply(e)).coeff_of("t", 0))
+    return chow_trace(ctx, f.product_coeff(st.apply(e), "t", 0))
 
 
 def omega_che(ctx, reps):

@@ -40,7 +40,12 @@ sorts the keys, drops the zero sums and raises for a kept term below a
 Laurent floor.  As Monagan and Pearce accumulate a whole sum of products in
 one structure, `add_products` adds seed + sum a*b into one dict over one
 denominator and finishes once: a product followed by a sum, or a Laplace
-expansion of many cofactors, builds no series per product.
+expansion of many cofactors, builds no series per product.  One degree of
+a product (`product_coeff`) groups each operand's rows by their exponent of
+the variable, each row keeping its full key, and runs one `add_products`
+over the pairs of slices whose exponents sum to that degree: the rest of
+the product is never formed, and bounds, caps and floors act on the keys
+as in `*`.
 
 Exact division forms no key: it keeps its remainder by exponent tuple in a
 heap in graded-lexicographic order, subtracts each quotient term times the
@@ -697,6 +702,35 @@ class GradedSeries:
             else:
                 a._pairs_into(acc, b, n)
         return self._finish(acc, den)
+
+    def product_coeff(self, other, name, k):
+        """(self * other).coeff_of(name, k), without the rest of the product.
+
+        Each operand's rows are grouped by their exponent of name, each row
+        keeping its full key, and one `add_products` sums the slice pairs
+        whose exponents add to k.  A truncated product keeps each term by
+        its key alone, so it is bilinear, and a slice key still holds name:
+        bounds, caps and floors act exactly as in `*`.  The one difference:
+        LaurentUnderflow is raised only for a kept term of this degree.
+        """
+        self._compat(other)
+        off, mask, c = self._field(name)
+
+        def slices(s):
+            """{exponent of name: the rows with it}, each in key order."""
+            out = {}
+            for key, v in s._rows.items():
+                e = ((key >> off) & mask) - c
+                rows = out.get(e)
+                if rows is None:
+                    rows = out[e] = {}
+                rows[key] = v
+            return out
+        mine, theirs = slices(self), slices(other)
+        pairs = [(self._make(rows, self._den), other._make(match, other._den))
+                 for e, rows in mine.items()
+                 if (match := theirs.get(k - e)) is not None]
+        return self._make({}).add_products(pairs).coeff_of(name, k)
 
     def _pairs_into(self, acc, other, n):
         """Add n * ca * cb at key ka + kb - base into acc for every pair of

@@ -300,6 +300,15 @@ def test_verify_pass_and_fail_paths(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_multphi_below_the_default_bweight_exits_zero(capsys):
+    """The pairs whose product truncation cuts are counted outside, and
+    neither pass nor fail."""
+    rc, out = run(capsys, "verify", "multphi", "--p", "2", "--deg", "4",
+                  "--bweight", "4")
+    assert rc == 0
+    assert out.strip() == "multphi    pass=99 fail=0 outside=9"
+
+
 def test_verify_json_reports(capsys):
     rc, out = run(capsys, "verify", "fglaxioms", "--format", "json")
     doc = json.loads(out)

@@ -9,8 +9,9 @@ division, multiplicative and compositional inverses are checked by round
 trips, and products against the ring laws that truncation keeps.  A sum
 of products (`add_products`) is checked against the same all-pairs rules
 applied to the whole sum, and against products and sums built from `*`
-and `+`; the divisibility certificate for (x - y)^k against exact
-division.
+and `+`; one degree of a product (`product_coeff`) against that degree of
+the all-pairs oracle and of `*`; the divisibility certificate for
+(x - y)^k against exact division.
 Substitution is checked against products with materialized powers of the
 images, and, where its Horner steps drop terms early at a degree cap,
 against a plain Horner's rule of products and sums; the shift of
@@ -293,6 +294,71 @@ def test_add_products_examples_reach_each_branch():
         (0, 0): Fraction(1, 2), (0, 2): 1}
     seed, pairs = _denominators_example()
     assert seed.add_products(pairs).denominator == 2 * 3 * 5 * 7
+
+
+@st.composite
+def sliced_products(draw):
+    """(a, b, name, k): two operands, a variable of their table and a
+    degree of it, often nonzero."""
+    a, b = draw(operands())
+    name = draw(st.sampled_from([v.name for v in a.table.variables]))
+    return a, b, name, draw(st.integers(-3, 4))
+
+
+def _sliced_example():
+    # t has a floor and shares a cap with h, and trunc_plus 5 cuts: at t^1
+    # the pairs h^2 * t h (past the cap) and y^3 * t y^2 (past trunc_plus)
+    # are dropped by their keys, as `*` drops them
+    table = VariableTable([Variable("t", 1, laurent_floor=-2),
+                           Variable("h", 1), Variable("y", 1)],
+                          degree_caps=[(("t", "h"), 2)])
+    a = GradedSeries(table, 5, 0, {(-1, 0, 1): 2, (0, 2, 0): 3, (0, 0, 3): 1,
+                                   (-2, 1, 1): Fraction(1, 2)})
+    b = GradedSeries(table, 5, 0, {(2, 0, 0): 1, (1, 1, 0): -1, (1, 0, 2): 1,
+                                   (0, 1, 1): 1})
+    return a, b, "t", 1
+
+
+@SETTINGS
+@given(sliced_products())
+@example(_sliced_example())
+@example((*_laurent_pair(), "t", -2))
+def test_product_coeff_matches_the_sliced_full_product(case):
+    """a.product_coeff(b, name, k) equals (a * b).coeff_of(name, k) whenever
+    the full product exists, and the all-pairs oracle's terms at name^k
+    always: it raises LaurentUnderflow only when one of those is kept below
+    a floor."""
+    a, b, name, k = case
+    i = a.table.index[name]
+    want = {e: c for e, c in oracle(a, b)[0].items() if e[i] == k}
+    if any(below(a.table, e) for e in want):
+        with pytest.raises(LaurentUnderflow):
+            a.product_coeff(b, name, k)
+        return
+    got = a.product_coeff(b, name, k)
+    assert terms_of(got) == {e[:i] + (0,) + e[i + 1:]: c
+                             for e, c in want.items()}
+    assert b.product_coeff(a, name, k) == got
+    try:
+        full = a * b
+    except LaurentUnderflow:
+        return
+    assert got == full.coeff_of(name, k)
+
+
+def test_the_sliced_example_drops_pairs_by_their_keys():
+    a, b, name, k = _sliced_example()
+    assert not {(1, 3, 0), (1, 0, 5)} & set(terms_of(a * b))
+    assert terms_of(a.product_coeff(b, name, k)) == {(0, 0, 1): 2,
+                                                     (0, 1, 3): -1}
+    assert a.product_coeff(b, name, k) == (a * b).coeff_of(name, k)
+    a, b = _laurent_pair()
+    with pytest.raises(LaurentUnderflow):
+        a * b
+    # only the t^-4 b term lies below the floor
+    assert terms_of(a.product_coeff(b, "t", -2)) == {(0, 0): -1}
+    with pytest.raises(LaurentUnderflow):
+        a.product_coeff(b, "t", -4)
 
 
 @st.composite

@@ -140,6 +140,31 @@ def test_slice_respects_linearity(ctx2, st2, p1):
     assert lhs == op.slice_phi(ctx2, pa, q) + op.slice_phi(ctx2, pb, q)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_slices_match_their_full_products_on_the_grid(p):
+    """slice_phi, st_slice and proj_pushforward read one degree of a
+    product from slices; each equals that degree of the full product."""
+    ctx = op.make_context(p)
+    qs = [ctx.one(), ctx.var("t"), ctx.mono({"t": 2}) + ctx.var("z1"),
+          ctx.mono({"t": -p})]
+    for _rlabel, reps in op.rep_choices(p):
+        st = op.quillen_steenrod(ctx, p, reps)
+        for _label, e, _dim in verify._grid(ctx):
+            phi = op.symmetric_operation(st, e)
+            ste = st.apply(e)
+            for q in qs:
+                assert op.slice_phi(ctx, phi, q) == (
+                    q * phi * ctx.omega).coeff_of("t", 0)
+                assert op.st_slice(ctx, st, e, q) == op.chow_trace(
+                    ctx, (q * ste).coeff_of("t", 0))
+    omega_x = ctx.omega.rename_var("t", "x")
+    for n in (1, 2, 3):
+        for f in (ctx.one(), ctx.var("x") + ctx.var("z1"),
+                  ctx.nseries(3).rename_var("t", "x")):
+            assert fgl.proj_pushforward(ctx, f, n) == (
+                f * omega_x).coeff_of("x", n)
+
+
 def test_f1_slice_matches_chow_eta_p5():
     ctx = op.make_context(5, deg=6, bweight=6)
     st = op.quillen_steenrod(ctx, 5, (1, 2, 3, 4))
@@ -369,6 +394,31 @@ def test_multphi_reports_a_doubled_phi(monkeypatch):
         reps[0] for _, reps in op.rep_choices(2)}
 
 
+def test_multphi_pairs_past_bweight_are_outside():
+    """A pair whose b-weights sum past bweight would be cut on formation:
+    its verdict is "outside", naming the bound, and it counts neither as a
+    pass nor as a fail."""
+    report = verify.run_verifier("multphi", p=2, deg=4, bweight=4)
+    assert report["summary"] == {"pass": 99, "fail": 0, "outside": 9}
+    outside = [c for c in report["cases"] if c["verdict"] == "outside"]
+    assert {c["input"] for c in outside} == {"P2,P3", "P3,P3", "P3,H(3,3)"}
+    assert {c["bound"] for c in outside} == {"b-weight 5 > bweight 4",
+                                             "b-weight 6 > bweight 4"}
+    summary = verify.run_verifier("multphi", p=2, deg=4, bweight=3)[
+        "summary"]
+    assert (summary["fail"], summary["outside"]) == (0, 24)
+
+
+def test_multphi_reports_a_doubled_phi_inside_a_low_bweight(monkeypatch):
+    """Outside pairs hide no failure of the pairs checked."""
+    phi = op.symmetric_operation
+    monkeypatch.setattr(op, "symmetric_operation",
+                        lambda st, e: phi(st, e).scale(2))
+    summary = verify.run_verifier("multphi", p=2, deg=4, bweight=4)[
+        "summary"]
+    assert summary["fail"] > 0 and summary["outside"] == 9
+
+
 def test_thmg_reports_a_perturbed_reconstruction(monkeypatch):
     """A reconstruction that doubles the coefficient of pi^1 hands the
     decomposition an invariant whose power 1 is not the one drawn."""
@@ -424,10 +474,11 @@ def test_reports_name_the_primes_their_cases_ran():
         primes = sorted({case["p"] for case in report["cases"]})
         p = report["p"]
         assert (p if isinstance(p, list) else [p]) == primes, name
-    # every case, label and witness of these reports, pinned
+    # every case, label and witness of these reports, pinned; multphi's
+    # pairs past bweight 4 are "outside", not falsified
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode())
-    assert digest.hexdigest() == ("3aeac2804cf0ca673038c4b626ce0e05"
-                                  "096c005ce5d94a2c2d82688f5c787a39")
+    assert digest.hexdigest() == ("d019535938dfd51dc7d9931274d26715"
+                                  "50c4f4e27ffb8f385538ab289ab052eb")
 
 
 def test_registry_fills_defaults_and_drops_unread_options():
@@ -463,7 +514,10 @@ def test_verifier_addphi_p2():
 
 
 def test_verifier_multphi_p2():
-    _assert_clean(verify.verify_multphi(p=2))
+    report = verify.verify_multphi(p=2)
+    _assert_clean(report)
+    # at the defaults no pair passes bweight
+    assert "outside" not in report["summary"]
 
 
 def test_verifier_rr_p2():

@@ -43,6 +43,8 @@ TWISTED = ORACLE + "::test_substitute_in_a_twisted_table_matches_plain_horner"
 LAURENT_CAP = (ORACLE + "::test_substitute_under_a_capped_laurent_variable"
                "_matches_plain_horner")
 ADD_PRODUCTS = ORACLE + "::test_add_products_matches_products_and_sums"
+PRODUCT_COEFF = (ORACLE + "::test_product_coeff_matches_the_sliced"
+                 "_full_product")
 APPLY_ORACLE = ("tests/test_operations.py"
                 "::test_st_apply_and_phi_hat_match_the_grouped_reference")
 # the two lines between a cap group's test and its offset in
@@ -189,6 +191,11 @@ MUTANTS = [
            "            k: v * f for k, v in self._rows.items()}",
            "acc = {}",
            [ADD_PRODUCTS, POWERS]),
+    # one degree of a product pairs the slices whose degrees sum to it
+    Mutant("product_coeff pairs slices whose degrees differ by k", SERIES,
+           "theirs.get(k - e)",
+           "theirs.get(k + e)",
+           [PRODUCT_COEFF]),
     # Horner's prune drops a term only when the products left push it past
     # a cap; looking one product further drops terms that end within it
     Mutant("Horner's accumulator looks one product too far", SERIES,
@@ -312,12 +319,12 @@ MUTANTS = [
            "return series",
            [UV]),
     Mutant("slice_phi takes the t^-1 slice", OPERATIONS,
-           'return (q * phi * ctx.omega).coeff_of("t", 0)',
-           'return (q * phi * ctx.omega).coeff_of("t", -1)',
+           'return (q * phi).product_coeff(ctx.omega, "t", 0)',
+           'return (q * phi).product_coeff(ctx.omega, "t", -1)',
            [UV]),
     Mutant("st_slice takes the t^-1 slice", OPERATIONS,
-           'return chow_trace(ctx, (f * st.apply(e)).coeff_of("t", 0))',
-           'return chow_trace(ctx, (f * st.apply(e)).coeff_of("t", -1))',
+           'return chow_trace(ctx, f.product_coeff(st.apply(e), "t", 0))',
+           'return chow_trace(ctx, f.product_coeff(st.apply(e), "t", -1))',
            [UV]),
     # the grouped reference, not a digest, must catch a wrong image cache
     Mutant("apply and phi_hat share one monomial image cache", OPERATIONS,
