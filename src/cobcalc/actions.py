@@ -3,21 +3,21 @@
 B = L[[t]]/([p]_F(t)/t) carries the order-p automorphism x -> x +_F t.  This
 module builds the rows of the confluent Vandermonde matrices A(n_1..n_r; m)
 and checks their determinant identity and the divisibility of their wide
-minors on one walk over the compositions, constructs the shift
-automorphism, decomposes invariant series as power series in
-pi(x) = prod_i (x +_F [i]t), checking exact divisibility at every stripping
-step, and derives the two-variable consequences: the addition series
-G(u,v) with prod(x +_F y +_F [i]t) = G(pi(x), pi(y)), and the twisted group law
-F^alpha(u,v) = alpha(F(beta(u), beta(v))) with integral coefficients.
-Invariance is decided in B/(p), since (g) = (p): the shifted series is the
-sum of each x-digit of the normal form times the normal form of the matching
-power of x +_F t.
+minors on one walk over the compositions, decomposes invariant series as
+power series in pi(x) = x prod_i (x +_F [i]t), checking exact divisibility
+at every stripping step, and derives the two-variable consequences: the
+addition series G(u,v) with pi(x +_F y) = G(pi(x), pi(y)), and the twisted
+group law F^alpha(u,v) = alpha(F(beta(u), beta(v))) with integral
+coefficients.  Invariance is decided in B/(p), since (g) = (p): the shifted
+series is the sum of each x-digit of the normal form times the normal form
+of the matching power of x +_F t.
 
-A ShiftAction holds no cache of its own: the shift images
-(`Context.shift_image`), the powers of pi and of the shift image, the unit
-inverse of c(t) and the FormalP are all cached on the context under value
-keys, so two actions on one context share them and they die with the
-context.
+No shift image is built here: they come from `Context.shift_image`, pi is
+`Context.orbit_product`, c(t) = prod_i [i](t) is pi's x^1 coefficient, and
+the orbit product that G decomposes is pi at x = F(x, y).  A ShiftAction
+holds no cache of its own: the powers of pi and of x +_F t, the unit
+inverse of c(t) and the FormalP are cached on the context under value keys,
+so two actions on one context share them and they die with the context.
 """
 
 from __future__ import annotations
@@ -250,12 +250,10 @@ class ShiftAction:
              for k, digit in f.as_poly_in(self.var).items()]))
 
     def unit_inverse(self):
-        """Inverse of c(t)/t^(p-1), c(t) = prod_{i<p} [i]_F(t) the lowest
-        coefficient of pi; a unit with constant (p-1)!."""
+        """Inverse of c(t)/t^(p-1), c(t) = prod_{i<p} [i]_F(t) read as the
+        var^1 coefficient of pi; a unit with constant (p-1)!."""
         def build():
-            c = self.ctx.one()
-            for i in range(1, self.p):
-                c = c * self.ctx.nseries(i)
+            c = self.pi_power(1).coeff_of(self.var, 1)
             return c.shift_var("t", -(self.p - 1)).mul_inverse()
         return self.ctx.memo(("c_unit_inverse", self.p), build)
 
@@ -329,30 +327,26 @@ def theorem_g_suite(p, deg=6, bweight=6, count=20, seed=20260814):
     action = ShiftAction(ctx, p, "x")
     fp = action.fp
     rng = random.Random(seed + p)
-    checked = 0
+    checked, witness = 0, None
     for case in range(count):
         truth = {k: _random_coefficient(ctx, rng) for k in range(kmax + 1)}
         phi = reconstruct(action, truth)
         psi = invariant_decompose(phi, action)
-        for k in range(kmax + 1):
-            got = psi.get(k, ctx.zero())
-            if not fp.normal_form(got - truth[k]).is_zero:
-                return {"statement": "thmG", "p": p, "cases": checked,
-                        "verdict": False,
-                        "witness": "case %d power %d mismatch" % (case, k)}
+        wrong = next((k for k in range(kmax + 1) if not fp.normal_form(
+            psi.get(k, ctx.zero()) - truth[k]).is_zero), None)
         extra = [k for k in psi if k > kmax
                  and not fp.normal_form(psi[k]).is_zero]
-        if extra:
-            return {"statement": "thmG", "p": p, "cases": checked,
-                    "verdict": False,
-                    "witness": "case %d spurious powers %s" % (case, extra)}
-        if not fp.normal_form(phi - reconstruct(action, psi)).is_zero:
-            return {"statement": "thmG", "p": p, "cases": checked,
-                    "verdict": False,
-                    "witness": "case %d reconstruction mismatch" % case}
+        if wrong is not None:
+            witness = "case %d power %d mismatch" % (case, wrong)
+        elif extra:
+            witness = "case %d spurious powers %s" % (case, extra)
+        elif not fp.normal_form(phi - reconstruct(action, psi)).is_zero:
+            witness = "case %d reconstruction mismatch" % case
+        if witness:
+            break
         checked += 1
-    return {"statement": "thmG", "p": p, "cases": checked, "verdict": True,
-            "witness": None}
+    return {"statement": "thmG", "p": p, "cases": checked,
+            "verdict": witness is None, "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +372,8 @@ def prop_xy_series(p, deg=6, bweight=6):
     ax = ShiftAction(ctx, p, "x")
     ay = ShiftAction(ctx, p, "y")
     fp = ax.fp
-    s = ctx.formal_sum(ctx.var("x"), ctx.var("y"))
-    phi = s
-    for i in range(1, p):
-        phi = phi * ctx.formal_sum(s, ctx.nseries(i))
+    # pi(x) at x = F(x, y) is the orbit product of x +_F y
+    phi = ax.pi_power(1).substitute({"x": ctx.fgl()})
     inner = invariant_decompose(phi, ax)
     coefficients = {}
     for k, r_k in inner.items():
@@ -397,9 +389,9 @@ def prop_xy_series(p, deg=6, bweight=6):
             break
     verdict = witness is None
     if verdict:
-        recon = ctx.zero()
-        for (k, l), q in coefficients.items():
-            recon = recon + q * ax.pi_power(k) * ay.pi_power(l)
+        recon = ctx.zero().add_products(
+            [(q * ax.pi_power(k), ay.pi_power(l))
+             for (k, l), q in coefficients.items()])
         if not fp.normal_form(phi - recon).is_zero:
             verdict = False
             witness = "G does not reproduce the orbit product"

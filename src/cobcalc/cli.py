@@ -135,18 +135,17 @@ def _atom_series(ctx, atom, full):
 def _check_op_input(ctx, e, p, text):
     """St at p multiplies b-weight and z-degree by p; refuse an input whose
     image would pass --bweight or --deg, where truncation would zero it."""
-    table = ctx.table
-    zidx = [table.index[n] for n in ctx.z_names]
-    for exp, _c in e.sorted_terms():
-        bw = sum(-w * k for w, k in zip(table.weights, exp) if w < 0)
-        if p * bw > ctx.bweight:
-            raise SeriesError("input %r has b-weight %d; p * %d = %d is "
-                              "past bweight %d"
-                              % (text, bw, bw, p * bw, ctx.bweight))
-        zd = sum(exp[i] for i in zidx)
-        if p * zd > ctx.deg:
-            raise SeriesError("input %r has z-degree %d; p * %d = %d is "
-                              "past deg %d" % (text, zd, zd, p * zd, ctx.deg))
+    bw = e.max_bweight()
+    if p * bw > ctx.bweight:
+        raise SeriesError("input %r has b-weight %d; p * %d = %d is "
+                          "past bweight %d"
+                          % (text, bw, bw, p * bw, ctx.bweight))
+    zidx = [ctx.table.index[n] for n in ctx.z_names]
+    zd = max((sum(exp[i] for i in zidx) for exp, _c in e.sorted_terms()),
+             default=0)
+    if p * zd > ctx.deg:
+        raise SeriesError("input %r has z-degree %d; p * %d = %d is "
+                          "past deg %d" % (text, zd, zd, p * zd, ctx.deg))
 
 
 def _refuse_unread(args, command, options, reads):

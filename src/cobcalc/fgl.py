@@ -3,10 +3,11 @@
 The engine works in Hurewitz coordinates: the exponential is the polynomial
 B(t) = t + b1*t^2 + b2*t^3 + ... and everything else is derived from it:
 the logarithm (its compositional inverse), the group law
-F(x,y) = B(B^-1(x) + B^-1(y)), integer multiples [n](t), the invariant form
-omega = (B^-1)', projective-space and hypersurface classes, characteristic
-numbers and the I(p)/nu_r predicates.  A Context owns one variable table and
-one pair of truncation bounds; contexts at different truncations coexist.
+F(x,y) = B(B^-1(x) + B^-1(y)), integer multiples [n](t), the shift images
+x +_F [k]t (each F(x, t) at t = [k]t), the invariant form omega = (B^-1)',
+projective-space and hypersurface classes, characteristic numbers and the
+I(p)/nu_r predicates.  A Context owns one variable table and one pair of
+truncation bounds; contexts at different truncations coexist.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ class Context(Memo):
     after t; b1..b_{bweight} of weight -i always follow; with_primes adds a
     second alphabet bp1..bp_{bweight} for total-operation targets.
 
-    Derived objects (series, classes, shift images, FormalP, St
-    descriptors) are cached on the context through `memo`, keyed by value,
-    and die with it.
+    Derived objects (series, classes, shift images, FormalP, St descriptors)
+    are cached on the context through `memo`, keyed by value, and die with it.
     """
 
     def __init__(self, deg, bweight, *, tfloor=None, extra_vars=(),
@@ -59,20 +59,14 @@ class Context(Memo):
         super().__init__()
         self.deg = int(deg)
         self.bweight = int(bweight)
-        variables = [Variable("t", 1, laurent_floor=tfloor)]
-        for entry in extra_vars:
-            if isinstance(entry, tuple):
-                variables.append(Variable(entry[0], entry[1]))
-            else:
-                variables.append(Variable(entry, 1))
+        variables = [Variable("t", 1, laurent_floor=tfloor)] + [
+            Variable(*e) if isinstance(e, tuple) else Variable(e, 1)
+            for e in extra_vars]
         self.b_names = tuple("b%d" % i for i in range(1, self.bweight + 1))
-        for i in range(1, self.bweight + 1):
-            variables.append(Variable("b%d" % i, -i))
-        self.bp_names = ()
-        if with_primes:
-            self.bp_names = tuple("bp%d" % i for i in range(1, self.bweight + 1))
-            for i in range(1, self.bweight + 1):
-                variables.append(Variable("bp%d" % i, -i))
+        self.bp_names = (tuple("bp" + n[1:] for n in self.b_names)
+                         if with_primes else ())
+        for names in (self.b_names, self.bp_names):
+            variables += [Variable(n, -i) for i, n in enumerate(names, 1)]
         self.table = VariableTable(variables, degree_caps=degree_caps)
         self.trunc_plus = int(trunc_plus) if trunc_plus is not None else self.deg + 1
         self.trunc_minus = self.bweight
@@ -151,9 +145,14 @@ class Context(Memo):
         return self.memo(("nseries", n), build)
 
     def shift_image(self, name, k):
-        """name +_F [k]t: the carrier name under the k-th shift."""
-        return self.memo(("shift", name, k), lambda: self.formal_sum(
-            self.var(name), self.nseries(k)))
+        """name +_F [k]t: the carrier name under the k-th shift.  The first
+        image is F(name, t); every other one is that image at t = [k]t."""
+        def build():
+            if k == 1:
+                return self.formal_sum(self.var(name), self.var("t"))
+            return self.shift_image(name, 1).substitute(
+                {"t": self.nseries(k)})
+        return self.memo(("shift", name, k), build)
 
     def orbit_product(self, name, reps):
         """name * prod_{i in reps} (name +_F [i]t), multiplied in reps order.
@@ -369,9 +368,7 @@ class ChowModel(Memo):
         che = self.chern_che(p, reps)
         comp = che.coeff_of("t", -p * self.dim)
         val = Fraction(comp.coeff({"h": self.dim}) * (self.d or 1))
-        rep_prod = 1
-        for i in reps:
-            rep_prod *= abs(int(i))
+        rep_prod = math.prod(abs(int(i)) for i in reps)
         if math.gcd(val.denominator, p) != 1:
             raise EtaDivisibilityError(
                 "eta denominator shares a factor with p", witness=str(val))

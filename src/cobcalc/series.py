@@ -556,6 +556,10 @@ class GradedSeries:
 
     def as_poly_in(self, name):
         """Split into {exponent of name: series with that variable cleared}."""
+        return {e: self._digit(d, e) for e, d in self._digit_rows(name)}
+
+    def _digit_rows(self, name):
+        """[(e, rows of the terms at name^e with name cleared)], e rising."""
         off, mask, c = self._field(name)
         step = self._lay.scale[self.table.index[name]]
         out = {}
@@ -565,13 +569,21 @@ class GradedSeries:
             if digit is None:
                 digit = out[e] = {}
             digit[k - e * step] = v
-        return {e: self._make(d, self._den) for e, d in sorted(out.items())}
+        return sorted(out.items())
 
     def coeff_of(self, name, k):
         off, mask, c = self._field(name)
         shift = k * self._lay.scale[self.table.index[name]]
-        return self._make({key - shift: v for key, v in self._rows.items()
-                           if (key >> off) & mask == k + c}, self._den)
+        return self._digit({key - shift: v for key, v in self._rows.items()
+                            if (key >> off) & mask == k + c}, k)
+
+    def _digit(self, rows, e):
+        """The digit e of some variable from its rows.  Clearing a negative
+        exponent raises degrees and cap sums: the constructor drops what
+        then passes a bound or a cap."""
+        s = self._make(rows, self._den)
+        return s if e >= 0 else GradedSeries(
+            self.table, self.trunc_plus, self.trunc_minus, dict(s._items()))
 
     def min_degree(self, name):
         off, mask, c = self._field(name)
@@ -584,6 +596,12 @@ class GradedSeries:
         if not self._rows:
             return None
         return max((k >> off) & mask for k in self._rows) - c
+
+    def max_bweight(self):
+        """The largest negative-weight degree (b-weight) of a term; 0 for 0."""
+        lay = self._lay
+        return max((k >> lay.mshift for k in self._rows),
+                   default=lay.mconst) - lay.mconst
 
     def weight(self):
         """Common weighted degree of all terms, or None if inhomogeneous."""
@@ -889,9 +907,10 @@ class GradedSeries:
                                   table.monomial_str(self._lay.unpack(k)))
         out, exp = self._make({}), [0] * len(table.variables)
         i = table.index[new]
-        for e, digit in self.as_poly_in(old).items():
+        # each digit is moved whole: new^e brings its degree back in bounds
+        for e, rows in self._digit_rows(old):
             exp[i] = e
-            out = out + digit._times_monomial(exp, 1)
+            out = out + self._make(rows, self._den)._times_monomial(exp, 1)
         return out
 
     def kill_vars(self, names):

@@ -198,13 +198,6 @@ def verify_addphi(p, deg, bweight, seed):
     return _st_cases(check, p, deg, bweight, seed)
 
 
-def _bweight(e):
-    """The largest b-weight (negative-weight degree) of a term of e."""
-    weights = e.table.weights
-    return max((sum(-w * k for w, k in zip(weights, exp) if w < 0)
-                for exp, _c in e.sorted_terms()), default=0)
-
-
 @_suite("multphi", primes=(2, 3))
 def verify_multphi(p, deg, bweight, seed):
     """Phi(uv) = nonpos(Phi(u) St(v) + St(u) Phi(v) + Phi(u) Phi(v) g).
@@ -224,7 +217,7 @@ def verify_multphi(p, deg, bweight, seed):
                 applied[e] = st.apply(e)
             return applied[e]
         for label, u, v in _grid_pairs(ctx):
-            weight = _bweight(u) + _bweight(v)
+            weight = u.max_bweight() + v.max_bweight()
             if weight > bweight:
                 yield _outside(label, "b-weight %d > bweight %d"
                                % (weight, bweight))

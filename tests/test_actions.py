@@ -444,6 +444,75 @@ def _shift_power(ctx, k):
     return out
 
 
+def _thmg_context(p, deg=6, bweight=6):
+    """The context `theorem_g_suite` builds, at kmax = 3."""
+    return Context(deg, bweight, extra_vars=("x",),
+                   trunc_plus=3 * p + deg + bweight + 4)
+
+
+def _rep_ks(p):
+    return sorted({k for _, reps in operations.rep_choices(p) for k in reps})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_shift_image_is_the_formal_sum_with_each_rep(p):
+    """Every image name +_F [k]t, built from the first one, equals the
+    formal sum of name and [k]t, in each context that reads images."""
+    contexts = [(operations.make_context(p), ("z1", "x")),
+                (_thmg_context(p), ("x",)), (xy_context(p), ("x", "y")),
+                (twisted_context(p), ("x",))]
+    for ctx, names in contexts:
+        for name in names:
+            for k in _rep_ks(p):
+                want = ctx.formal_sum(ctx.var(name), ctx.nseries(k))
+                assert ctx.shift_image(name, k) == want, (name, k)
+
+
+def test_prop_xy_orbit_product_is_the_product_of_formal_sums(monkeypatch):
+    """The series prop_xy_series decomposes is s * prod_i (s +_F [i]t),
+    s = x +_F y, built here from formal sums, and its G rebuilds it from
+    orbit products built here."""
+    seen = []
+    decompose = actions.invariant_decompose
+
+    def spy(phi, action):
+        seen.append(phi)
+        return decompose(phi, action)
+    monkeypatch.setattr(actions, "invariant_decompose", spy)
+    p = 2
+    for deg in (3, 4):
+        seen.clear()
+        coeffs, rep = prop_xy_series(p, deg=deg, bweight=deg)
+        assert rep["verdict"], rep["witness"]
+        ctx = xy_context(p, deg=deg, bweight=deg)
+        x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
+        s = ctx.formal_sum(x, y)
+        old = s
+        for i in range(1, p):
+            old = old * ctx.formal_sum(s, ctx.nseries(i))
+        assert seen[0] == old
+        pix, piy = x * ctx.formal_sum(x, t), y * ctx.formal_sum(y, t)
+        recon = ctx.zero()
+        for (k, l), q in coeffs.items():
+            recon = recon + q * pix ** k * piy ** l
+        assert FormalP(ctx, p).normal_form(old - recon).is_zero
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_unit_inverse_is_the_inverse_of_the_nseries_product(p):
+    """c(t) read from pi is prod_{i<p} [i](t): the unit inverse is that of
+    the product over t^(p-1), built here."""
+    for ctx in (_thmg_context(p), xy_context(p, deg=4, bweight=4)):
+        c = ctx.one()
+        for i in range(1, p):
+            c = c * ctx.nseries(i)
+        unit_c = c.shift_var("t", -(p - 1))
+        want = unit_c.mul_inverse()
+        assert ShiftAction(ctx, p, "x").unit_inverse() == want
+        assert want.constant() == Fraction(1, math.factorial(p - 1))
+        assert want * unit_c == ctx.one()
+
+
 def test_shift_automorphism_shape():
     ctx = action_context(2)
     image = ctx.shift_image("x", 1)

@@ -225,7 +225,12 @@ def test_bad_args_name_the_problem(capsys, monkeypatch):
              "t^-60 in 't^-60' is below the t floor -48"),
             # each atom is above the floor, their product is not
             (["op", "st", "--input", "t^-30*t^-30", "--p", "2"],
-             "t^-30*t^-30 in 't^-30*t^-30' is below the t floor -48")):
+             "t^-30*t^-30 in 't^-30*t^-30' is below the t floor -48"),
+            # the largest b-weight and z-degree of a term, times p
+            (["op", "st", "--input", "z^3+P2", "--p", "5"],
+             "input 'z^3+P2' has b-weight 2; p * 2 = 10 is past bweight 8"),
+            (["op", "st", "--input", "z+P1*z^5", "--p", "5"],
+             "input 'z+P1*z^5' has z-degree 5; p * 5 = 25 is past deg 8")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

@@ -824,14 +824,21 @@ def triangular_solve_oracle(fp, S):
     S, _pos = S.split_parts("t")
     phi = GradedSeries.zero(S.table, S.trunc_plus, S.trunc_minus)
     for j in range(min(S.min_degree("t") or 0, 0), 1):
-        val = (S - fp.g * phi).coeff_of("t", j)
+        val = t_slice(S - fp.g * phi, j)
         e = _first_indivisible(val, fp.p)
         if e is not None:
-            mono = val.table.monomial_str(e)
+            mono = val.table.monomial_str((0,) + e[1:])
             return ("p-divisibility violated at t^%d on %s (coefficient %s)"
                     % (j, mono, terms_of(val)[e]), "t^%d * %s" % (j, mono))
-        phi = phi + val.scale(Fraction(1, fp.p)).shift_var("t", j)
+        phi = phi + val.scale(Fraction(1, fp.p))
     return phi
+
+
+def t_slice(f, j):
+    """The terms of f at t^j, t kept (t the first variable): with t cleared
+    a negative digit may pass the bounds, and the ring drops those terms."""
+    return GradedSeries(f.table, f.trunc_plus, f.trunc_minus,
+                        {e: c for e, c in f.sorted_terms() if e[0] == j})
 
 
 def is_integral_oracle(fp, f):
@@ -840,12 +847,12 @@ def is_integral_oracle(fp, f):
     witness is the least offending term in graded order."""
     p = fp.p
     for j in range(min(f.min_degree("t") or 0, 0), 0):
-        digit = f.coeff_of("t", j)
+        digit = t_slice(f, j)
         e = _first_indivisible(digit, p)
         if e is not None:
             return False, None, "t^%d * %s (coefficient %s)" % (
-                j, digit.table.monomial_str(e), terms_of(digit)[e])
-        f = f - digit.scale(Fraction(1, p)).shift_var("t", j) * fp.g
+                j, digit.table.monomial_str((0,) + e[1:]), terms_of(digit)[e])
+        f = f - digit.scale(Fraction(1, p)) * fp.g
     bad = [e for e, c in f.sorted_terms() if Fraction(c).denominator % p == 0]
     if bad:
         e = min(bad, key=lambda e: (sum(e), e))
@@ -941,14 +948,16 @@ def derived(draw, table, tp, tm):
             acc[e] = acc.get(e, 0) + c
         return a + b, ring_rules(table, tp, tm, acc)[0]
     if kind == "digit":
-        # a digit of a negative power may hold terms past the bounds
+        # clearing a negative power raises degrees and cap sums: a digit
+        # keeps only the terms the ring keeps
         digits = a.as_poly_in(name)
         if not digits:
             return a, {}
         k = draw(st.sampled_from(sorted(digits)))
         assert a.coeff_of(name, k) == digits[k]
-        return digits[k], {e[:i] + (0,) + e[i + 1:]: c
-                           for e, c in a.sorted_terms() if e[i] == k}
+        return digits[k], ring_rules(table, tp, tm, {
+            e[:i] + (0,) + e[i + 1:]: c
+            for e, c in a.sorted_terms() if e[i] == k})[0]
     if kind == "split":
         above = draw(st.booleans())
         return a.split_parts(name)[above], {
@@ -1085,9 +1094,10 @@ def test_sums_at_the_ends_of_the_degree_and_cap_fields():
     # first asked for at (2, 1), this table's key geometry has depth
     # (10, 1): over admissible terms the positive degree ranges over
     # [-4, 10] and the cap group (t, x), of floor sum -4, over [-4, 2].
-    # The digits of t^-4 reach the top of both ranges (y^14, x^6), t^-4
-    # their bottom, and y^-10 and x^-2 are the lowest monomials within
-    # the depth; their products and shifts must match the tuple oracle
+    # The t^-4 digits that `rename_var` moves whole reach the top of both
+    # ranges (y^14, x^6), t^-4 their bottom, and y^-10 and x^-2 are the
+    # lowest monomials within the depth; their products and shifts must
+    # match the tuple oracle.  `coeff_of` drops what passes the bounds
     table = VariableTable([Variable("t", 1, laurent_floor=-4),
                            Variable("x", 1), Variable("y", 1),
                            Variable("b", -1)],
@@ -1096,11 +1106,15 @@ def test_sums_at_the_ends_of_the_degree_and_cap_fields():
 
     def s(terms):
         return GradedSeries(table, 10, 1, terms)
+
+    def digit(u):
+        return u._make(dict(u._digit_rows("t"))[-4], u.denominator)
     a = s({(-4, 6, 0, 0): 1, (-4, 0, 14, 0): 2, (-4, 0, 0, 0): 3,
            (0, 0, 0, 1): 1})
     assert a._lay.depth == (10, 1)
-    high = a.coeff_of("t", -4)
-    top = s({(-4, 0, 14, 0): 2}).coeff_of("t", -4)
+    assert terms_of(a.coeff_of("t", -4)) == {(0, 0, 0, 0): 3}
+    high = digit(a)
+    top = digit(s({(-4, 0, 14, 0): 2}))
     assert terms_of(high) == {(0, 6, 0, 0): 1, (0, 0, 14, 0): 2,
                               (0, 0, 0, 0): 3}
     low, lows = s({(-4, 0, 0, 0): 3}), s({(-4, 0, 0, 0): 3, (0, 0, 0, 1): 1})

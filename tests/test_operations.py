@@ -360,6 +360,43 @@ def test_rr_reports_a_che_class_of_one(monkeypatch):
     assert any(c["verdict"] == "fail" and c["witness"] for c in cases)
 
 
+def _perturb_the_second_image(monkeypatch, term):
+    """Fresh contexts whose image x +_F [2]t gains term(ctx, name); at p = 3
+    only the canonical reps (1, 2) read it."""
+    monkeypatch.setattr(op, "_CTX_CACHE", {})
+    image = fgl.Context.shift_image
+    monkeypatch.setattr(fgl.Context, "shift_image", lambda self, name, k: (
+        image(self, name, k) + term(self, name) if k == 2
+        else image(self, name, k)))
+
+
+def test_diagram_reports_a_perturbed_shift_image(monkeypatch):
+    """x +_F [2]t + x t^9 makes the canonical St differ from the +-1 St by
+    t^9 z^3, not a multiple of 3; so high a term keeps the Sq lift
+    integral."""
+    assert verify.verify_diagram(p=3, deg=4, bweight=4)["summary"][
+        "fail"] == 0
+    _perturb_the_second_image(
+        monkeypatch, lambda ctx, name: ctx.mono({name: 1, "t": 9}))
+    cases = {c["input"]: c for c in verify.verify_diagram(
+        p=3, deg=4, bweight=4)["cases"]}
+    assert (cases["z reps"]["verdict"], cases["z reps"]["witness"]) == (
+        "fail", "t^9 * z1^3 (coefficient 1)")
+
+
+def test_tomdieck_reports_a_perturbed_shift_image(monkeypatch):
+    """x +_F [2]t + x makes gamma 2x^3 at t = 0, so Sq(z) at t^0 is 2z^3,
+    not z^3."""
+    assert verify.verify_tomdieck(p=3, deg=4, bweight=4)["summary"][
+        "fail"] == 0
+    _perturb_the_second_image(monkeypatch, lambda ctx, name: ctx.var(name))
+    cases = {c["input"]: c for c in verify.verify_tomdieck(
+        p=3, deg=4, bweight=4)["cases"]}
+    assert (cases["z"]["verdict"], cases["z"]["witness"]) == ("fail",
+                                                              "2*z1^3")
+    assert cases["1"]["verdict"] == "pass"
+
+
 def test_fglaxioms_reports_a_perturbed_law(monkeypatch):
     law = fgl.Context.fgl
     monkeypatch.setattr(fgl.Context, "fgl", lambda self: law(self) + self.mono(

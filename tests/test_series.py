@@ -235,6 +235,23 @@ def test_shift_and_rename():
         bad.rename_var("x", "y")
 
 
+def test_a_negative_digit_drops_the_terms_past_trunc_plus():
+    """Clearing t^-2 from t^-2 x^7 leaves x^7, past trunc_plus 5: the
+    digit drops it, as the constructor does."""
+    tb = VariableTable([Variable("t", 1, laurent_floor=-3),
+                        Variable("x", 1)])
+    s = S(tb, 5, 0, {(-2, 7): 1, (-2, 3): 2, (0, 1): 1})
+    want = S(tb, 5, 0, {(0, 3): 2})
+    assert s.coeff_of("t", -2) == want
+    assert s.as_poly_in("t")[-2] == want
+    assert want * S(tb, 5, 0, {(0, 0): 1}) == want
+    # a rename moves the whole digit, so t^-2 x^7 stays (degree 5)
+    tu = VariableTable([Variable("t", 1, laurent_floor=-3),
+                        Variable("u", 1, laurent_floor=-3), Variable("x", 1)])
+    r = S(tu, 5, 0, {(-2, 0, 7): 1}).rename_var("t", "u")
+    assert r == S(tu, 5, 0, {(0, -2, 7): 1})
+
+
 def test_kill_vars():
     tb = table_tb()
     s = mono(tb, 8, 6, {"t": 1}) + mono(tb, 8, 6, {"b1": 1, "t": 1})

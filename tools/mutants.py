@@ -313,6 +313,38 @@ MUTANTS = [
            ["tests/test_actions.py"
             "::test_shift_keeps_the_image_powers_of_each_variable",
             "tests/test_actions.py::test_prop_xy_universal_p2"]),
+    # every image but the first is the first at t = [k]t: the oracle of
+    # the formal sum and the order of the shift must catch a wrong [k]t
+    Mutant("the shift image puts in [k+1]t for t", FGL,
+           '{"t": self.nseries(k)})',
+           '{"t": self.nseries(k + 1)})',
+           ["tests/test_actions.py"
+            "::test_shift_image_is_the_formal_sum_with_each_rep",
+            "tests/test_actions.py::test_shift_automorphism_order_p", UV]),
+    Mutant("c(t) is read from the x^2 coefficient of pi", ACTIONS,
+           "c = self.pi_power(1).coeff_of(self.var, 1)",
+           "c = self.pi_power(1).coeff_of(self.var, 2)",
+           ["tests/test_actions.py"
+            "::test_unit_inverse_is_the_inverse_of_the_nseries_product",
+            "tests/test_actions.py::test_invariant_decompose_pi_powers"]),
+    # pi(x + y) is invariant too, so only the oracle of the product of
+    # formal sums sees it
+    Mutant("the xy orbit product is pi at x + y", ACTIONS,
+           'phi = ax.pi_power(1).substitute({"x": ctx.fgl()})',
+           'phi = ax.pi_power(1).substitute({"x": ctx.var("x")'
+           ' + ctx.var("y")})',
+           ["tests/test_actions.py"
+            "::test_prop_xy_orbit_product_is_the_product_of_formal_sums"]),
+    Mutant("a negative digit keeps the terms past the bounds", SERIES,
+           "return s if e >= 0 else GradedSeries(",
+           "return s if e >= -9 else GradedSeries(",
+           ["tests/test_series.py"
+            "::test_a_negative_digit_drops_the_terms_past_trunc_plus",
+            ORACLE + "::test_packed_results_match_the_tuple_oracle"]),
+    Mutant("max_bweight takes the least b-weight of a term", SERIES,
+           "return max((k >> lay.mshift for k in self._rows),",
+           "return min((k >> lay.mshift for k in self._rows),",
+           ["tests/test_cli.py::test_bad_args_name_the_problem"]),
     # the uv suite's verdict, not a digest, must catch a wrong slice or trace
     Mutant("chow_trace keeps the ambient b's", OPERATIONS,
            "return series.kill_vars(ctx.b_names)",
