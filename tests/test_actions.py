@@ -450,10 +450,6 @@ def _thmg_context(p, deg=6, bweight=6):
                    trunc_plus=3 * p + deg + bweight + 4)
 
 
-def _rep_ks(p):
-    return sorted({k for _, reps in operations.rep_choices(p) for k in reps})
-
-
 @pytest.mark.parametrize("p", [2, 3])
 def test_shift_image_is_the_formal_sum_with_each_rep(p):
     """Every image name +_F [k]t, built from the first one, equals the
@@ -461,9 +457,10 @@ def test_shift_image_is_the_formal_sum_with_each_rep(p):
     contexts = [(operations.make_context(p), ("z1", "x")),
                 (_thmg_context(p), ("x",)), (xy_context(p), ("x", "y")),
                 (twisted_context(p), ("x",))]
+    ks = sorted({k for _, reps in operations.rep_choices(p) for k in reps})
     for ctx, names in contexts:
         for name in names:
-            for k in _rep_ks(p):
+            for k in ks:
                 want = ctx.formal_sum(ctx.var(name), ctx.nseries(k))
                 assert ctx.shift_image(name, k) == want, (name, k)
 
