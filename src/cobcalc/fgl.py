@@ -154,16 +154,15 @@ class Context(Memo):
                 {"t": self.nseries(k)})
         return self.memo(("shift", name, k), build)
 
-    def orbit_product(self, name, reps):
-        """name * prod_{i in reps} (name +_F [i]t), multiplied in reps order.
+    def shift_product(self, name, reps):
+        """prod_{i in reps} (name +_F [i]t), not cached.  Power-series factors
+        only raise degrees and cap sums, so any order keeps the same terms."""
+        return math.prod((self.shift_image(name, i) for i in reps),
+                         start=self.one())
 
-        With Laurent t a truncated product need not be associative, so the
-        order is part of the value.  A caller that reuses it caches it.
-        """
-        out = self.var(name)
-        for i in reps:
-            out = out * self.shift_image(name, i)
-        return out
+    def orbit_product(self, name, reps):
+        """pi = name * prod_{i in reps} (name +_F [i]t), not cached."""
+        return self.var(name) * self.shift_product(name, reps)
 
     def fgl(self):
         return self.memo("fgl", lambda: self.formal_sum(self.var("x"),
@@ -268,7 +267,7 @@ def proj_pushforward(ctx, f, n):
     read from the x-slices whose degrees sum to n."""
     if (f.min_degree("x") or 0) < 0:
         raise SeriesError("pushforward input must be a power series in x")
-    return f.product_coeff(ctx.omega.rename_var("t", "x"), "x", n)
+    return f.product_coeff(ctx.omega.substitute({"t": ctx.var("x")}), "x", n)
 
 
 def hypersurface_class(ctx, n, d):
@@ -276,7 +275,7 @@ def hypersurface_class(ctx, n, d):
     if n < 1 or d < 1:
         raise SeriesError("hypersurface needs n >= 1, d >= 1")
     _check_dimension(ctx, n - 1, "H(%d,%d)" % (n, d))
-    f = ctx.nseries(d).rename_var("t", "x")
+    f = ctx.nseries(d).substitute({"t": ctx.var("x")})
     return LazardElement(ctx, proj_pushforward(ctx, f, n), n - 1,
                          "H(%d,%d)" % (n, d))
 

@@ -263,11 +263,8 @@ def st_slice(ctx, st, e, f):
 
 
 def omega_che(ctx, reps):
-    """che class prod_j c(O(1))([i_j]t) = prod_j (z1 +_F [i_j]t)."""
-    out = ctx.one()
-    for i in reps:
-        out = out * ctx.shift_image("z1", i)
-    return out
+    """che class prod_j c(O(1))([i_j]t): the shift product of z1 over reps."""
+    return ctx.shift_product("z1", reps)
 
 
 def __getattr__(name):

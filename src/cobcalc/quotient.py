@@ -49,9 +49,7 @@ class FormalP:
     def __init__(self, ctx, p):
         if p < 2:
             raise SeriesError("p must be a prime >= 2")
-        # the additive law (no b's) has [p](t) = p*t
-        self._certify(ctx.const(p) if ctx.bweight == 0
-                      else ctx.nseries(p).shift_var("t", -1), int(p))
+        self._certify(ctx.nseries(p).shift_var("t", -1), int(p))
 
     @classmethod
     def from_generator(cls, g, p):

@@ -555,11 +555,7 @@ class GradedSeries:
         return self._lay.fields[self.table.index[name]]
 
     def as_poly_in(self, name):
-        """Split into {exponent of name: series with that variable cleared}."""
-        return {e: self._digit(d, e) for e, d in self._digit_rows(name)}
-
-    def _digit_rows(self, name):
-        """[(e, rows of the terms at name^e with name cleared)], e rising."""
+        """{exponent of name: its digit, name cleared}, in one pass, rising."""
         off, mask, c = self._field(name)
         step = self._lay.scale[self.table.index[name]]
         out = {}
@@ -569,7 +565,7 @@ class GradedSeries:
             if digit is None:
                 digit = out[e] = {}
             digit[k - e * step] = v
-        return sorted(out.items())
+        return {e: self._digit(d, e) for e, d in sorted(out.items())}
 
     def coeff_of(self, name, k):
         off, mask, c = self._field(name)
@@ -893,25 +889,6 @@ class GradedSeries:
         e = [0] * len(self.table.variables)
         e[self.table.index[name]] = k
         return self._times_monomial(e, 1)
-
-    def rename_var(self, old, new):
-        """Move every exponent of old onto new (same weight required): each
-        digit of old, times new to its exponent, by a key shift."""
-        table = self.table
-        if table.weights[table.index[old]] != table.weights[table.index[new]]:
-            raise SeriesError("rename across different weights")
-        (oo, om, oc), (no, nm, nc) = self._field(old), self._field(new)
-        for k in self._rows:
-            if (k >> oo) & om != oc and (k >> no) & nm != nc:
-                raise SeriesError("rename collision on %s" %
-                                  table.monomial_str(self._lay.unpack(k)))
-        out, exp = self._make({}), [0] * len(table.variables)
-        i = table.index[new]
-        # each digit is moved whole: new^e brings its degree back in bounds
-        for e, rows in self._digit_rows(old):
-            exp[i] = e
-            out = out + self._make(rows, self._den)._times_monomial(exp, 1)
-        return out
 
     def kill_vars(self, names):
         """Project away all terms that involve any of the named variables."""

@@ -72,6 +72,11 @@ def _case(label, ok, witness=None, **extra):
     return case
 
 
+def _falsified(label, exc):
+    """A failing case whose witness is the error's, or else its message."""
+    return _case(label, False, witness=exc.witness or str(exc))
+
+
 def _outside(label, bound):
     """A case whose input truncation cut, so it checks nothing: its verdict
     "outside" names the bound and is neither a pass nor a fail."""
@@ -150,7 +155,7 @@ def verify_sop(p, deg, bweight, seed):
             try:
                 phi = ops.symmetric_operation(st, e)
             except FalsificationError as exc:
-                yield _case(label, False, witness=str(exc))
+                yield _falsified(label, exc)
                 continue
             if st.p == 2 and rlabel == "canonical" and label == "P1":
                 yield label, phi, (ctx.mono({"t": -2})
@@ -354,14 +359,18 @@ def verify_diagram(p, deg, bweight):
     def check(q):
         ctx = ops.make_context(q, deg, bweight)
         # the canonical and the +-1 choices, which no seed changes
-        choices = ops.rep_choices(q)[:2]
-        st1 = ops.quillen_steenrod(ctx, q, choices[0][1])
-        st2 = ops.quillen_steenrod(ctx, q, choices[1][1])
+        st1, st2 = (ops.quillen_steenrod(ctx, q, reps)
+                    for _rlabel, reps in ops.rep_choices(q)[:2])
         for label, e, _dim in _grid(ctx):
             a1 = st1.apply(e)
             ok, wit = _in_generator_ideal(a1 - st2.apply(e), q)
             yield _case("%s reps" % label, ok, witness=wit)
-            ok, wit = _in_generator_ideal(a1 - ops.tom_dieck_sq(ctx, q, e), q)
+            try:
+                sq = ops.tom_dieck_sq(ctx, q, e)
+            except FalsificationError as exc:
+                yield _falsified("%s sq-lift" % label, exc)
+                continue
+            ok, wit = _in_generator_ideal(a1 - sq, q)
             yield _case("%s sq-lift" % label, ok, witness=wit)
     return _cases(check, p)
 
@@ -375,7 +384,7 @@ def verify_tomdieck(p, deg, bweight):
             try:
                 nf = ops.tom_dieck_sq(ctx, q, e)
             except FalsificationError as exc:
-                yield _case(label, False, witness=str(exc))
+                yield _falsified(label, exc)
                 continue
             ok = nf.coeff_of("t", 0) == coeffs_mod_p(e ** q, q)
             if label == "1":
@@ -395,27 +404,20 @@ def verify_il1(p, seed):
     fic = fgl.base_context(8, 6)
 
     def check(q):
-        tested = 0
-        for label, n, d in _IL1_CLASSES:
-            if d == 0:
-                elem = fgl.pn_class(fic, n)
-            else:
-                elem = fgl.hypersurface_class(fic, n, d)
-            if not elem.in_Ip(q):
-                continue
-            tested += 1
+        # the classes in I(q): q divides every coefficient
+        tested = [(label, n, d) for label, n, d in _IL1_CLASSES
+                  if coeffs_mod_p(ops._ambient_class(fic, n, d), q).is_zero]
+        for label, n, d in tested:
             model = fgl.ChowModel(n, d)
-            values = []
-            wit = None
             try:
-                for rlabel, reps in ops.rep_choices(q, seed):
-                    values.append(mod_p(model.eta(q, reps), q))
+                values = [mod_p(model.eta(q, reps), q)
+                          for _rlabel, reps in ops.rep_choices(q, seed)]
             except fgl.EtaDivisibilityError as exc:
-                wit = str(exc)
-            ok = wit is None and len(set(values)) == 1
-            yield _case(label, ok, witness=wit or ("etas %r" % values
-                                                   if not ok else None))
-        yield _case("nonempty", tested > 0,
+                yield _case(label, False, witness=str(exc))
+                continue
+            ok = len(set(values)) == 1
+            yield _case(label, ok, witness=None if ok else "etas %r" % values)
+        yield _case("nonempty", bool(tested),
                     witness=None if tested else "no I(%d) classes" % q)
     return _cases(check, p)
 

@@ -465,6 +465,23 @@ def test_shift_image_is_the_formal_sum_with_each_rep(p):
                 assert ctx.shift_image(name, k) == want, (name, k)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_orbit_product_is_the_carrier_times_the_shift_product(p):
+    """pi = x * prod_i (x +_F [i]t), and the shift product of power series
+    does not depend on the order of its factors."""
+    contexts = [(operations.make_context(p, 6, 6), ("z1", "x")),
+                (twisted_context(p), ("x",))]
+    choices = [reps for _, reps in operations.rep_choices(p)] + [(1, -1, 2)]
+    for ctx, names in contexts:
+        for name in names:
+            for reps in choices:
+                shifted = ctx.shift_product(name, reps)
+                assert ctx.orbit_product(name, reps) == (
+                    ctx.var(name) * shifted), (name, reps)
+                assert ctx.shift_product(name, reps[::-1]) == shifted, (
+                    name, reps)
+
+
 def test_prop_xy_orbit_product_is_the_product_of_formal_sums(monkeypatch):
     """The series prop_xy_series decomposes is s * prod_i (s +_F [i]t),
     s = x +_F y, built here from formal sums, and its G rebuilds it from

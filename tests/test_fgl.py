@@ -138,7 +138,7 @@ def test_hypersurface_classes(ctx):
 def test_hyperplane_is_smaller_projective_space(ctx):
     # degree-1 hypersurfaces: [d]_F with d = 1 pushes to [P^{n-1}]
     for n in (1, 2, 3, 4):
-        f = ctx.nseries(1).rename_var("t", "x")
+        f = ctx.nseries(1).substitute({"t": ctx.var("x")})
         val = proj_pushforward(ctx, f, n)
         assert val == pn_class(ctx, n - 1).series, n
 

@@ -44,7 +44,6 @@ from cobcalc.series import (  # noqa: E402
     LaurentUnderflow,
     NonUnitLowest,
     NotDivisible,
-    SeriesError,
     Variable,
     VariableTable,
     vp,
@@ -1094,7 +1093,7 @@ def test_sums_at_the_ends_of_the_degree_and_cap_fields():
     # first asked for at (2, 1), this table's key geometry has depth
     # (10, 1): over admissible terms the positive degree ranges over
     # [-4, 10] and the cap group (t, x), of floor sum -4, over [-4, 2].
-    # The t^-4 digits that `rename_var` moves whole reach the top of both
+    # The t^-4 digits moved whole, every term kept, reach the top of both
     # ranges (y^14, x^6), t^-4 their bottom, and y^-10 and x^-2 are the
     # lowest monomials within the depth; their products and shifts must
     # match the tuple oracle.  `coeff_of` drops what passes the bounds
@@ -1108,7 +1107,11 @@ def test_sums_at_the_ends_of_the_degree_and_cap_fields():
         return GradedSeries(table, 10, 1, terms)
 
     def digit(u):
-        return u._make(dict(u._digit_rows("t"))[-4], u.denominator)
+        # the rows at t^-4, with t^-4 taken out of each key
+        off, mask, c = u._field("t")
+        step = -4 * u._lay.scale[table.index["t"]]
+        return u._make({k - step: v for k, v in u._rows.items()
+                        if (k >> off) & mask == c - 4}, u.denominator)
     a = s({(-4, 6, 0, 0): 1, (-4, 0, 14, 0): 2, (-4, 0, 0, 0): 3,
            (0, 0, 0, 1): 1})
     assert a._lay.depth == (10, 1)
@@ -1142,8 +1145,8 @@ def test_sums_at_the_ends_of_the_degree_and_cap_fields():
 # ----- one-term operands -----------------------------------------------------
 #
 # A product with a one-term operand shifts keys instead of running the pair
-# loop, `diff` and `rename_var` move each term's key, and a division by a
-# one-term divisor has no product to subtract.  These checks compare each
+# loop, `diff` moves each term's key, and a division by a one-term divisor
+# has no product to subtract.  These checks compare each
 # with the ring's rules on exponent tuples, down to the error it raises and
 # the term that error names: for a product or a move the first term in key
 # order, for a division the least in graded-lexicographic order.
@@ -1261,33 +1264,6 @@ def test_one_term_divisions_match_the_tuple_oracle(case, integral):
         assert terms_of(f.exact_divide(g, integral=integral)) == want
 
 
-def rename_oracle(a, i, j):
-    """a with every exponent of variable i moved onto variable j, or the
-    (exception type, message) the move raises; a move below a floor names
-    the least such exponent."""
-    table = a.table
-    if table.weights[i] != table.weights[j]:
-        return SeriesError, "rename across different weights"
-    moved = []
-    for e, c in in_key_order(a):
-        if e[i] and e[j]:
-            return SeriesError, "rename collision on %s" % (
-                table.monomial_str(e))
-        m = list(e)
-        m[i], m[j] = 0, e[j] + e[i]
-        moved.append((tuple(m), c))
-    acc, lows = {}, []
-    for m, c in moved:
-        if ring_rules(table, a.trunc_plus, a.trunc_minus, {m: c})[0]:
-            if below(table, m):
-                lows.append(m)
-            acc[m] = acc.get(m, 0) + Fraction(c)
-    if lows:
-        return LaurentUnderflow, underflow_message(table, min(
-            lows, key=lambda m: m[j]))
-    return {m: c for m, c in acc.items() if c}
-
-
 def diff_oracle(a, i):
     """d/dv_i of a, or the (exception type, message) it raises."""
     want, underflow = ring_rules(a.table, a.trunc_plus, a.trunc_minus, {
@@ -1310,26 +1286,11 @@ def _raises_or_equals(call, want):
 
 @SETTINGS
 @given(operands(), st.data())
-def test_rename_and_diff_match_the_tuple_oracle(pair, data):
+def test_diff_matches_the_tuple_oracle(pair, data):
     for a in pair:
-        weights = a.table.weights
-        i = data.draw(st.integers(0, len(weights) - 1))
-        # most often onto a variable of the same weight, i itself included
-        j = data.draw(st.sampled_from(
-            [j for j, w in enumerate(weights) if w == weights[i]]
-            if data.draw(st.booleans()) else range(len(weights))))
-        old, new = a.table.variables[i].name, a.table.variables[j].name
-        _raises_or_equals(lambda: a.diff(old), diff_oracle(a, i))
-        _raises_or_equals(lambda: a.rename_var(old, new),
-                          rename_oracle(a, i, j))
-
-
-def test_rename_adds_the_terms_it_merges():
-    table = VariableTable([Variable("x", 1), Variable("y", 1)])
-    s = GradedSeries(table, 4, 0, {(2, 0): 1, (0, 2): Fraction(1, 2),
-                                   (1, 0): 3})
-    assert terms_of(s.rename_var("x", "y")) == {(0, 2): Fraction(3, 2),
-                                                 (0, 1): 3}
+        i = data.draw(st.integers(0, len(a.table.weights) - 1))
+        _raises_or_equals(lambda: a.diff(a.table.variables[i].name),
+                          diff_oracle(a, i))
 
 
 # ----- ring laws under truncation --------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -157,10 +158,11 @@ def test_slices_match_their_full_products_on_the_grid(p):
                     q * phi * ctx.omega).coeff_of("t", 0)
                 assert op.st_slice(ctx, st, e, q) == op.chow_trace(
                     ctx, (q * ste).coeff_of("t", 0))
-    omega_x = ctx.omega.rename_var("t", "x")
+    to_x = {"t": ctx.var("x")}
+    omega_x = ctx.omega.substitute(to_x)
     for n in (1, 2, 3):
         for f in (ctx.one(), ctx.var("x") + ctx.var("z1"),
-                  ctx.nseries(3).rename_var("t", "x")):
+                  ctx.nseries(3).substitute(to_x)):
             assert fgl.proj_pushforward(ctx, f, n) == (
                 f * omega_x).coeff_of("x", n)
 
@@ -370,6 +372,11 @@ def _perturb_the_second_image(monkeypatch, term):
         else image(self, name, k)))
 
 
+def _names_a_term(witness):
+    """A witness of `is_integral_mod_ideal`: the term and its coefficient."""
+    return re.fullmatch(r"t\^-?\d+ \* \S+ \(coefficient \S+\)", witness)
+
+
 def test_diagram_reports_a_perturbed_shift_image(monkeypatch):
     """x +_F [2]t + x t^9 makes the canonical St differ from the +-1 St by
     t^9 z^3, not a multiple of 3; so high a term keeps the Sq lift
@@ -395,6 +402,21 @@ def test_tomdieck_reports_a_perturbed_shift_image(monkeypatch):
     assert (cases["z"]["verdict"], cases["z"]["witness"]) == ("fail",
                                                               "2*z1^3")
     assert cases["1"]["verdict"] == "pass"
+    # Sq of P1 and P3 is not integral: the witness is the term that is not
+    for label in ("P1", "P3"):
+        assert cases[label]["verdict"] == "fail"
+        assert _names_a_term(cases[label]["witness"]), label
+
+
+def test_diagram_reports_a_non_integral_sq_lift(monkeypatch):
+    """x +_F [2]t + x makes Sq of P1, P3 and P1*z non-integral: their
+    sq-lift cases fail with the term, and the suite still reports."""
+    _perturb_the_second_image(monkeypatch, lambda ctx, name: ctx.var(name))
+    report = verify.verify_diagram(p=3, deg=4, bweight=4)
+    lifts = {c["input"]: c["witness"] for c in report["cases"]
+             if c["input"].endswith("sq-lift") and c["verdict"] == "fail"}
+    assert sorted(lifts) == ["P1 sq-lift", "P1*z sq-lift", "P3 sq-lift"]
+    assert all(_names_a_term(w) for w in lifts.values()), lifts
 
 
 def test_fglaxioms_reports_a_perturbed_law(monkeypatch):
@@ -580,6 +602,16 @@ def test_verifier_soold():
 def test_verifier_f1_and_il1():
     _assert_clean(verify.verify_f1())
     _assert_clean(verify.verify_il1())
+
+
+def test_il1_tests_the_classes_in_each_ideal():
+    """il1 tests the classes whose coefficients p divides, and only those."""
+    tested = {}
+    for c in verify.verify_il1()["cases"]:
+        if c["input"] != "nonempty":
+            tested.setdefault(c["p"], []).append(c["input"])
+    assert tested == {2: ["P1", "P3", "H(3,2)", "H(4,3)"],
+                      3: ["P2", "H(4,3)", "H(3,3)"], 5: ["P4"]}
 
 
 def test_verifier_tomdieck_p2():

@@ -1,5 +1,5 @@
-"""Mutants of the kernels, the operations, the slices and the che class,
-for `tools/mutate.py`.
+"""Mutants of the kernels, the operations, the slices, the shift product,
+the pushforward and the verifiers, for `tools/mutate.py`.
 
 Each mutant replaces one exact anchor text in one file under `src/` and
 names the tests expected to kill it (fail on the mutated code), quickest
@@ -25,6 +25,7 @@ QUOTIENT = "src/cobcalc/quotient.py"
 FGL = "src/cobcalc/fgl.py"
 ACTIONS = "src/cobcalc/actions.py"
 OPERATIONS = "src/cobcalc/operations.py"
+VERIFY = "src/cobcalc/verify.py"
 
 ORACLE = "tests/test_kernel_oracle.py"
 MINORS = ("tests/test_actions.py"
@@ -367,13 +368,27 @@ MUTANTS = [
            'ctx.var("s") * self.c.mul_inverse()',
            'ctx.var("s") * self.c',
            ["tests/test_operations.py::test_btilde_oracle_p2", UV]),
-    # and the rr suite's verdict a wrong che class
-    Mutant("omega_che shifts by -i", OPERATIONS,
-           'out = out * ctx.shift_image("z1", i)',
-           'out = out * ctx.shift_image("z1", -i)',
-           [RR]),
-    Mutant("omega_che drops the first rep", OPERATIONS,
-           "for i in reps:",
-           "for i in reps[1:]:",
-           [RR]),
+    # St's gamma and the che class are both read from the shift product:
+    # with -i they change alike into St and che at the reps -i, for which
+    # rr's projection formula holds, so the values of che and gamma must
+    # catch it; without the first rep gamma has p - 1 factors and rr fails
+    Mutant("the shift product shifts by -i", FGL,
+           "(self.shift_image(name, i) for i in reps)",
+           "(self.shift_image(name, -i) for i in reps)",
+           ["tests/test_operations.py::test_omega_che_line_bundle",
+            "tests/test_operations.py::test_gamma_digits_p2"]),
+    Mutant("the shift product drops the first rep", FGL,
+           "(self.shift_image(name, i) for i in reps)",
+           "(self.shift_image(name, i) for i in reps[1:])",
+           [RR, "tests/test_operations.py::test_omega_che_line_bundle"]),
+    Mutant("the pushforward puts 2x in for t in omega", FGL,
+           'ctx.omega.substitute({"t": ctx.var("x")})',
+           'ctx.omega.substitute({"t": ctx.var("x").scale(2)})',
+           ["tests/test_fgl.py::test_hyperplane_is_smaller_projective_space",
+            "tests/test_fgl.py::test_s_number_formula_hypersurfaces"]),
+    Mutant("il1 reads I(2) membership at every prime", VERIFY,
+           "coeffs_mod_p(ops._ambient_class(fic, n, d), q)",
+           "coeffs_mod_p(ops._ambient_class(fic, n, d), 2)",
+           ["tests/test_operations.py"
+            "::test_il1_tests_the_classes_in_each_ideal"]),
 ]
