@@ -1146,10 +1146,10 @@ def test_sums_at_the_ends_of_the_degree_and_cap_fields():
 #
 # A product with a one-term operand shifts keys instead of running the pair
 # loop, `diff` moves each term's key, and a division by a one-term divisor
-# has no product to subtract.  These checks compare each
-# with the ring's rules on exponent tuples, down to the error it raises and
-# the term that error names: for a product or a move the first term in key
-# order, for a division the least in graded-lexicographic order.
+# has no product to subtract.  These checks compare each with the ring's
+# rules on exponent tuples, down to the error it raises and the term that
+# error names: for a product or a move the first term in key order, for a
+# division the least in graded-lexicographic order.
 
 
 def below(table, e):
