@@ -7,9 +7,10 @@ is linear, so a series goes to the sum of its coefficients times the images
 of its monomials.  The module builds Quillen-Steenrod St(reps), the total
 Landweber-Novikov operation, the tom Dieck Sq (through the faithful Laurent
 quotient), Symmetric operations Phi = divide-by-formal-p of the nonpositive
-part of e^p - St(e), residue slices and Chow traces.  A residue slice is
-one t-degree of a product, read with `GradedSeries.product_coeff` from the
-t-slices of the factors whose degrees sum to it.  The verifier suites
+part of e^p - St(e) (the division is linear, so St's part of it is summed
+from per-monomial quotients), residue slices and Chow traces.  A residue
+slice is one t-degree of a product, read with `GradedSeries.product_coeff`
+from the t-slices of the factors whose degrees sum to it.  The verifier suites
 for the identities these satisfy live in `verify`; the module `__getattr__`
 forwards `VERIFIERS` and `run_verifier` from there only for `perfbench`.
 
@@ -17,12 +18,16 @@ Caches: what depends on the context alone (classes, the grid, shift
 images, FormalP, St descriptors, whose gamma is the orbit product) is cached
 on the Context through `Context.memo`; what a descriptor derives (b-tilde,
 gamma on a carrier, the image of each monomial under `apply` and under
-`phi_hat`, Phi by input) is cached on the descriptor through the same
-`memo`, so descriptors built ad hoc take their caches with them.  `apply`
-keeps no result by input: an input whose monomials are all cached costs
-only scalings and sums.  The twisted exponential is not cached: only
-b-tilde reads it, once.  `_CTX_CACHE` keeps one Laurent context per
-normalized `make_context` argument tuple for the process.
+`phi_hat`, and the certified quotient D(St m) of each monomial that Phi
+reads) is cached on the descriptor through the same `memo`, so descriptors
+built ad hoc take their caches with them.  Neither `apply` nor
+`symmetric_operation` keeps a result by input: an input whose monomials
+are all cached costs St only scalings and sums, and Phi those plus the
+lift of e^p (none for a t-free e) and its p-divisibility check.  A
+verifier that reads Phi or St of one input twice keeps them for its own
+check.  The twisted exponential is not cached: only b-tilde reads it,
+once.  `_CTX_CACHE` keeps one Laurent context per normalized
+`make_context` argument tuple for the process.
 """
 
 from __future__ import annotations
@@ -142,11 +147,12 @@ class OperationDescriptor(fgl.Memo):
         exactly.  The monomial images are cached on the descriptor by the
         full names tuple, so inputs that share monomials share their work.
         """
+        return _linear(e, self._images(names))
+
+    def _images(self, names):
+        """m -> its image under the map of `_substitute`, from the cache."""
         images = self.memo(("monomials", names), dict)
-        out = e.scale(0)
-        for exp, c in e.sorted_terms():
-            out = out + self._monomial_image(images, names, exp).scale(c)
-        return out
+        return lambda exp: self._monomial_image(images, names, exp)
 
     def _monomial_image(self, images, names, exp):
         """image(m) = image(m / v) * image(v), v the first of names that
@@ -182,6 +188,33 @@ class OperationDescriptor(fgl.Memo):
         """The ring map z -> gamma(z), b_i -> btilde_i, as a linear
         combination of the cached images of e's monomials."""
         return self._substitute(e, self.ctx.z_names + self.ctx.b_names)
+
+    def lifted_image(self, e):
+        """D(apply(e)), D the lift of `FormalP.lift` at p: the sum of
+        c * N(m) over the terms c * m of e, N(m) = D(apply(m)).
+
+        D is linear, so this is exact.  Each N(m) is certified when it is
+        built and cached on the descriptor next to the monomial images, so
+        inputs that share monomials share their divisions.
+        """
+        image = self._images(self.ctx.z_names + self.ctx.b_names)
+        quotients = self.memo("quotients", dict)
+        lift = formal_p(self.ctx, self.p).lift
+
+        def quotient(exp):
+            n = quotients.get(exp)
+            if n is None:
+                n = quotients[exp] = lift(image(exp))
+            return n
+        return _linear(e, quotient)
+
+
+def _linear(e, image):
+    """The sum of c * image(m) over the terms c * m of e."""
+    out = e.scale(0)
+    for exp, c in e.sorted_terms():
+        out = out + image(exp).scale(c)
+    return out
 
 
 def quillen_steenrod(ctx, p, reps):
@@ -222,21 +255,20 @@ def tom_dieck_sq(ctx, p, e):
 
 
 def symmetric_operation(st, e):
-    """Phi(reps)(e): the exact quotient of nonpos(e^p - St(e)) by [p]_F/t."""
-    def build():
-        s_series = e ** st.p - st.apply(e)
-        fp = formal_p(st.ctx, st.p)
-        phi = fp.divide_by_formal_p(s_series)
-        hi = phi.max_degree("t")
-        if hi is not None and hi > 0:
-            raise FalsificationError("Phi has positive t-powers")
-        resid = s_series - fp.g * phi
-        lo = resid.min_degree("t")
-        if lo is not None and lo < 1:
-            raise FalsificationError("remainder of the Phi division is not "
-                                     "strictly positive in t")
-        return phi
-    return st.memo(("phi", e), build)
+    """Phi(reps)(e): the exact quotient of nonpos(e^p - St(e)) by [p]_F/t.
+
+    That quotient is D(e^p - St(e))/p, D the lift of `FormalP.lift`, and
+    D is linear: p * Phi(e) = D(e^p) - D(St(e)).  Only e^p is not linear
+    in e; D(St(e)) is summed from the descriptor's cached, certified
+    quotients of e's monomials (`lifted_image`).  A t-free e^p lifts to
+    itself.  The positive-t and p-divisibility checks run on the sum.
+    """
+    fp = formal_p(st.ctx, st.p)
+    q = fp.lift(e ** st.p) - st.lifted_image(e)
+    hi = q.max_degree("t")
+    if hi is not None and hi > 0:
+        raise FalsificationError("Phi has positive t-powers")
+    return fp.over_p(q)
 
 
 def slice_phi(ctx, phi, q):

@@ -5,12 +5,15 @@ the Hurewitz coordinates R = Z[b1, b2, ...], B(t) = t + b1*t^2 + ... and so
 log(t) are integral, and p divides every term of [p]_F(t) = sum_i b_i
 (p*log t)^(i+1).  Hence g = p*u with u(0) = 1 a unit, and (g) = (p) (Adams,
 Stable Homotopy and Generalised Homology, II; Ravenel, Complex Cobordism,
-A2).  FormalP certifies g = p*u and keeps u^-1.  Every question is then one
-about coefficients in Z_(p), where a denominator prime to p is a unit, so
-coefficients stay the rationals they are: the normal form is mod_p of each
-coefficient, num * den^-1 mod p; Phi = nonpos(nonpos(S)*u^-1)/p; and f
-reduces to f - g*Q, Q = neg(f*u^-1)/p.  Integrality is certified in
-Z_(p)[b] (no p in a denominator), not in L.
+A2).  FormalP certifies g = p*u and g = p mod t, so u = u^-1 = 1 mod t,
+and keeps u^-1.  Every question is then one about coefficients in Z_(p),
+where a denominator prime to p is a unit, so coefficients stay the
+rationals they are: the normal form is mod_p of each coefficient,
+num * den^-1 mod p; Phi = D(S)/p, where the lift
+D(x) = nonpos(nonpos(x)*u^-1) is linear in x and, as u^-1 = 1 mod t, is
+x's t^0 digit plus the lift of its negative digits; and f reduces to
+f - g*Q, Q = neg(f*u^-1)/p.
+Integrality is certified in Z_(p)[b] (no p in a denominator), not in L.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 # coeffs_mod_p is imported from here too, as the normal form's rule
-from .series import FalsificationError, SeriesError, coeffs_mod_p, vp
+from .series import (FalsificationError, GradedSeries, SeriesError,
+                     coeffs_mod_p, vp)
 
 
 class PDivisibilityError(FalsificationError):
@@ -57,9 +61,12 @@ class FormalP:
         return cls.__new__(cls)._certify(g, p)
 
     def _certify(self, g, p):
-        if g.constant() != p:
-            raise SeriesError("generator must have constant term p")
-        if g.scale(Fraction(1, p)).denominator != 1:
+        # g = p mod t: u^-1 = 1 mod t, so a t^0 digit lifts to itself
+        if g.split_parts("t")[0] != GradedSeries.const(
+                g.table, g.trunc_plus, g.trunc_minus, p):
+            raise SeriesError("generator must be p modulo t")
+        u = g.scale(Fraction(1, p))
+        if u.denominator != 1:
             e, c = next((e, c) for e, c in g.sorted_terms()
                         if type(c) is not int or c % p)
             raise SeriesError("p = %d does not divide the coefficient %s "
@@ -69,9 +76,9 @@ class FormalP:
         floor = g.table.floors[ti] or 0
         if floor and any(ti in idxs for idxs, _bound in g.table.caps):
             raise SeriesError("a degree cap on t is no ideal below t^0")
-        self.p, self.g, self._t_floor = p, g, floor
+        self.p, self.g, self.u, self._t_floor = p, g, u, floor
         # as deep as the t floor, so f*u^-1 misses no term t^-k brings back
-        self.u_inv = g.scale(Fraction(1, p)).retruncate(
+        self.u_inv = u.retruncate(
             g.trunc_plus - floor, g.trunc_minus).mul_inverse()
         return self
 
@@ -111,14 +118,41 @@ class FormalP:
                 f.table.monomial_str(exp), c)
         return True, f, None
 
-    def divide_by_formal_p(self, S):
-        """The unique Phi with t-degrees <= 0 and S - g*Phi strictly positive,
-        nonpos(nonpos(S)*u^-1)/p; PDivisibilityError if p does not divide a
-        digit, which falsifies the claim behind Symmetric operations."""
-        phi = self._low_digits(S.split_parts("t")[0], 0)
-        bad = lowest_indivisible(phi, self.p)
+    def lift(self, f):
+        """D(f) = nonpos(nonpos(f)*u^-1), the Q with t-degrees <= 0 and
+        f - u*Q strictly positive in t, certified: FalsificationError, with
+        the remainder's terms at t^0 and below as witness, if it is not.
+
+        The t^0 digit of f passes through, so the division and the
+        certificate each make one product, on the negative digits alone;
+        a series without negative t-powers costs no product.
+        """
+        neg, zero = f.split_parts("t")[0].split_parts("t", -1)
+        if neg.is_zero:
+            return zero
+        q = self._low_digits(neg, 0)
+        rest = neg - self.u * q
+        lo = rest.min_degree("t")
+        if lo is not None and lo < 1:
+            raise FalsificationError(
+                "remainder of the division by [p](t)/t is not strictly "
+                "positive in t", witness=rest.split_parts("t")[0].render())
+        return zero + q
+
+    def over_p(self, q):
+        """q/p; PDivisibilityError, naming the least term p does not divide,
+        if there is one: it falsifies the claim behind Symmetric
+        operations."""
+        bad = lowest_indivisible(q, self.p)
         if bad is not None:
             raise PDivisibilityError(
                 "p-divisibility violated at t^%d on %s (coefficient %s)" % bad,
                 witness="t^%d * %s" % bad[:2])
-        return phi.scale(Fraction(1, self.p))
+        return q.scale(Fraction(1, self.p))
+
+    def divide_by_formal_p(self, S):
+        """The unique Phi with t-degrees <= 0 and S - g*Phi strictly positive,
+        D(S)/p (`over_p`) in one product, uncertified; PDivisibilityError if
+        p does not divide a digit."""
+        neg, zero = S.split_parts("t")[0].split_parts("t", -1)
+        return self.over_p(zero + self._low_digits(neg, 0))

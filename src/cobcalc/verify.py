@@ -109,6 +109,24 @@ def _cases(check, primes, **tags):
     return [_as_case(item, p=q, **tags) for q in primes for item in check(q)]
 
 
+def _once(fn):
+    """fn of one argument, each result kept by argument for as long as the
+    returned function lives: a check that reads Phi or St of one input
+    twice builds it once, and the library keeps no result by input."""
+    seen = {}
+
+    def once(e):
+        if e not in seen:
+            seen[e] = fn(e)
+        return seen[e]
+    return once
+
+
+def _phi_of(st):
+    """Phi at st, once per input (`_once`), through the module attribute."""
+    return _once(lambda e: ops.symmetric_operation(st, e))
+
+
 def _grid(ctx):
     """The grid inputs over ctx, built once per context."""
     return ctx.memo("grid", lambda: ops.grid_elements(ctx))
@@ -195,10 +213,9 @@ def _grid_pairs(ctx):
 def verify_addphi(p, deg, bweight, seed):
     """Phi(u+v) - Phi(u) - Phi(v) equals the binomial defect f_p(u,v)."""
     def check(ctx, st, _rlabel):
+        phi = _phi_of(st)
         for label, u, v in _grid_pairs(ctx):
-            got = (ops.symmetric_operation(st, u + v)
-                   - ops.symmetric_operation(st, u)
-                   - ops.symmetric_operation(st, v))
+            got = phi(u + v) - phi(u) - phi(v)
             yield label, got, _binomial_defect(ctx, st.p, u, v)
     return _st_cases(check, p, deg, bweight, seed)
 
@@ -214,25 +231,18 @@ def verify_multphi(p, deg, bweight, seed):
     """
     def check(ctx, st, _rlabel):
         g = formal_p(ctx, st.p).g
-        applied = {}
-
-        def st_of(e):
-            """St(e), applied once per grid input."""
-            if e not in applied:
-                applied[e] = st.apply(e)
-            return applied[e]
+        st_of, phi = _once(st.apply), _phi_of(st)
         for label, u, v in _grid_pairs(ctx):
             weight = u.max_bweight() + v.max_bweight()
             if weight > bweight:
                 yield _outside(label, "b-weight %d > bweight %d"
                                % (weight, bweight))
                 continue
-            pu = ops.symmetric_operation(st, u)
-            pv = ops.symmetric_operation(st, v)
+            pu, pv = phi(u), phi(v)
             rhs = ctx.zero().add_products(
                 [(pu, st_of(v)), (st_of(u), pv), (pu * pv, g)])
             want, _pos = rhs.split_parts("t")
-            yield label, ops.symmetric_operation(st, u * v), want
+            yield label, phi(u * v), want
     return _st_cases(check, p, deg, bweight, seed)
 
 
@@ -246,12 +256,11 @@ def verify_rr(p, deg, bweight, seed):
               ("t^2", ctx.mono({"t": 2})), ("P1*t", p1 * ctx.var("t"))]
         gs = [("1", ctx.one()), ("z", z), ("P1*z", p1 * z)]
         che = ops.omega_che(ctx, st.reps)
+        phi = _phi_of(st)
         for ql, qser in qs:
             for gl, gser in gs:
-                lhs = ops.slice_phi(
-                    ctx, ops.symmetric_operation(st, z * gser), qser)
-                rhs = z * ops.slice_phi(
-                    ctx, ops.symmetric_operation(st, gser), qser * che)
+                lhs = ops.slice_phi(ctx, phi(z * gser), qser)
+                rhs = z * ops.slice_phi(ctx, phi(gser), qser * che)
                 yield "q=%s,g=%s" % (ql, gl), lhs, rhs
     return _st_cases(check, p, deg, bweight, seed)
 

@@ -12,7 +12,8 @@ from cobcalc import actions, fgl
 from cobcalc import operations as op
 from cobcalc import verify
 from cobcalc.actions import FalsificationError, ShiftAction
-from cobcalc.quotient import FormalP, coeffs_mod_p, formal_p
+from cobcalc.quotient import (FormalP, PDivisibilityError, coeffs_mod_p,
+                              formal_p)
 from cobcalc.series import Geometry, GradedSeries, SeriesError, vp
 
 
@@ -362,6 +363,42 @@ def test_rr_reports_a_che_class_of_one(monkeypatch):
     assert any(c["verdict"] == "fail" and c["witness"] for c in cases)
 
 
+def test_sop_reports_a_quotient_that_fails_its_certificate(monkeypatch):
+    """u^-1 + t^6 lifts the t^-6 digit of St(m) to t^0 as well: only the
+    monomials of P3 reach t^-6, so only P3's quotients are wrong, and only
+    at t^0, where the remainder must be strictly positive."""
+    monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
+    ctx = op.make_context(2, 4, 4)
+    fp = formal_p(ctx, 2)
+    fp.u_inv = fp.u_inv + GradedSeries.monomial(
+        ctx.table, fp.u_inv.trunc_plus, fp.u_inv.trunc_minus, {"t": 6})
+    cases = verify.verify_sop(p=2, deg=4, bweight=4)["cases"]
+    assert len(cases) == 24
+    failed = [c for c in cases if c["verdict"] == "fail"]
+    assert [c["input"] for c in failed] == ["P3"] * 3
+    assert all(c["witness"] for c in failed)
+    st = op.quillen_steenrod(ctx, 2, (1,))
+    with pytest.raises(FalsificationError, match="not strictly positive"):
+        op.symmetric_operation(st, op._ambient_class(ctx, 3))
+
+
+def test_sop_reports_a_perturbed_cached_quotient(monkeypatch):
+    """N(z) + 1 leaves p * Phi(z) = -1, which 2 does not divide: z fails
+    with the term as its witness, and z^2 and the classes still pass."""
+    monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
+    ctx = op.make_context(2, 4, 4)
+    assert verify.verify_sop(p=2, deg=4, bweight=4)["summary"]["fail"] == 0
+    (z_exp, _c), = ctx.var("z1").sorted_terms()
+    for _rlabel, reps in op.rep_choices(2):
+        quotients = op.quillen_steenrod(ctx, 2, reps).memo("quotients", dict)
+        quotients[z_exp] = quotients[z_exp] + ctx.one()
+    cases = verify.verify_sop(p=2, deg=4, bweight=4)["cases"]
+    failed = [(c["input"], c["witness"]) for c in cases
+              if c["verdict"] == "fail"]
+    assert failed == [("z", "t^0 * 1")] * 3
+    assert len(cases) == 24
+
+
 def _perturb_the_second_image(monkeypatch, term):
     """Fresh contexts whose image x +_F [2]t gains term(ctx, name); at p = 3
     only the canonical reps (1, 2) read it."""
@@ -670,6 +707,52 @@ def _oracle_inputs(ctx):
     return [e for _label, e, _dim in op.grid_elements(ctx)] + [
         ctx.var("t") * op._ambient_class(ctx, 1),
         z ** 3 + op._ambient_class(ctx, 2) * z, every_b * z + every_b]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_phi_matches_the_division_of_the_whole_input(p):
+    """Phi sums cached per-monomial quotients; dividing e^p - St(e) whole
+    must give the same series, or fail with the same error.  The inputs
+    with t^-1 reach e^p's own lift: p t^-1 z has a Phi, t^-1 has none."""
+    ctx = op.make_context(p, deg=6, bweight=6)
+    fp = formal_p(ctx, p)
+    z, tinv = ctx.var("z1"), ctx.mono({"t": -1})
+    inputs = _oracle_inputs(ctx) + [(tinv * z).scale(p), tinv]
+
+    def outcome(compute):
+        try:
+            return compute()
+        except FalsificationError as exc:
+            return type(exc), str(exc), exc.witness
+    for _rlabel, reps in op.rep_choices(p):
+        st = op.quillen_steenrod(ctx, p, reps)
+        got = [outcome(lambda: op.symmetric_operation(st, e))
+               for e in inputs]
+        want = [outcome(lambda: fp.divide_by_formal_p(e ** p - st.apply(e)))
+                for e in inputs]
+        assert got == want, reps
+        assert isinstance(got[-2], GradedSeries)
+        assert got[-1][0] is PDivisibilityError
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_st_and_phi_multiply_the_weight_by_p(p):
+    """The grading of the Lazard ring: gamma has weight p, btilde_i weight
+    -p*i, and St and Phi take weight w to p*w (Phi(z) is 0)."""
+    ctx = op.make_context(p, deg=6, bweight=6)
+    z, p1 = ctx.var("z1"), op._ambient_class(ctx, 1)
+    inputs = [p1, op._ambient_class(ctx, 2), z, p1 * z]
+    for _rlabel, reps in op.rep_choices(p):
+        st = op.quillen_steenrod(ctx, p, reps)
+        assert st.gamma.weight() == p
+        assert [st.btilde(i).weight() for i in (1, 2, 3)] == [
+            -p, -2 * p, -3 * p]
+        for e in inputs:
+            w = e.weight()
+            assert st.apply(e).weight() == p * w, e.render()
+            phi = op.symmetric_operation(st, e)
+            assert phi.weight() == p * w or (phi.is_zero and e == z), \
+                e.render()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -9,8 +9,8 @@ from cobcalc import actions, fgl, operations
 from cobcalc.fgl import Context
 from cobcalc.quotient import (FormalP, PDivisibilityError, coeffs_mod_p,
                               formal_p)
-from cobcalc.series import (Geometry, GradedSeries, SeriesError, Variable,
-                            VariableTable, vp)
+from cobcalc.series import (FalsificationError, Geometry, GradedSeries,
+                            SeriesError, Variable, VariableTable, vp)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +271,48 @@ def test_formal_p_refuses_a_generator_p_does_not_divide(ctx):
     capped = Context(9, 6, tfloor=-8, degree_caps=(("t", 1),))
     with pytest.raises(SeriesError, match="cap on t"):
         FormalP(capped, 2)
+
+
+def test_formal_p_refuses_a_generator_that_is_not_p_modulo_t(ctx):
+    # u^-1 = 1 mod t is what lets a t^0 digit lift to itself
+    g = FormalP(ctx, 2).g
+    with pytest.raises(SeriesError, match="p modulo t"):
+        FormalP.from_generator(g + ctx.mono({"b1": 1}, 2), 2)
+
+
+def test_lift_passes_the_t0_digit_through(ctx, fp2, monkeypatch):
+    """D(g*h) = p*h for h without positive t-powers.  Only the negative
+    digits of the input meet u^-1, and an input without negative t-powers
+    costs no product."""
+    h = (ctx.mono({"t": -2}) + ctx.mono({"t": -1, "b1": 1}, 3)
+         + ctx.mono({"b2": 1}, -1) + ctx.one())
+    f = fp2.g * h
+    pos = ctx.var("t") + ctx.mono({"t": 2, "b1": 1}, 5)
+    operands = []
+    mul = GradedSeries.__mul__
+    monkeypatch.setattr(GradedSeries, "__mul__",
+                        lambda a, b: operands.append((a, b)) or mul(a, b))
+    assert fp2.lift(f) == h.scale(2)
+    assert len(operands) == 2
+    divided, = [a for a, b in operands if b is fp2.u_inv]
+    assert divided.max_degree("t") == -1
+    del operands[:]
+    assert fp2.lift(h.kill_vars(("t",)) + pos) == h.kill_vars(("t",))
+    assert not operands
+
+
+def test_lift_certifies_its_remainder(ctx):
+    """u^-1 + t^3 adds the t^-3 digit of f at t^0 to D(f): f - u*D(f) then
+    keeps that digit at t^0, and the remainder's t^0 part is the witness."""
+    fp = FormalP(ctx, 2)
+    f = fp.g * ctx.mono({"t": -3})
+    assert fp.lift(f) == ctx.mono({"t": -3}, 2)
+    fp.u_inv = fp.u_inv + GradedSeries.monomial(
+        ctx.table, fp.u_inv.trunc_plus, fp.u_inv.trunc_minus, {"t": 3})
+    with pytest.raises(FalsificationError,
+                       match="not strictly positive") as info:
+        fp.lift(f)
+    assert info.value.witness == "-2"
 
 
 def test_division_and_integrality_make_at_most_two_products(ctx, fp2,

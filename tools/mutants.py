@@ -1,5 +1,5 @@
-"""Mutants of the kernels, the operations, the slices, the shift product,
-the pushforward and the verifiers, for `tools/mutate.py`.
+"""Mutants of the kernels, the lift, the operations, the slices, the shift
+product, the pushforward and the verifiers, for `tools/mutate.py`.
 
 Each mutant replaces one exact anchor text in one file under `src/` and
 names the tests expected to kill it (fail on the mutated code), quickest
@@ -48,6 +48,12 @@ PRODUCT_COEFF = (ORACLE + "::test_product_coeff_matches_the_sliced"
                  "_full_product")
 APPLY_ORACLE = ("tests/test_operations.py"
                 "::test_st_apply_and_phi_hat_match_the_grouped_reference")
+PHI_ORACLE = ("tests/test_operations.py"
+              "::test_phi_matches_the_division_of_the_whole_input")
+LIFT_CERTIFICATE = "tests/test_quotient.py::test_lift_certifies_its_remainder"
+SOP_CERTIFICATE = ("tests/test_operations.py"
+                   "::test_sop_reports_a_quotient_that_fails_its_certificate")
+PASS_THROUGH = "tests/test_quotient.py::test_lift_passes_the_t0_digit_through"
 # the two lines between a cap group's test and its offset in
 # GradedSeries._least_cap_sums
 LEAST = ("                least = (min((k >> off) & mask"
@@ -364,6 +370,32 @@ MUTANTS = [
            'images = self.memo(("monomials", names), dict)',
            'images = self.memo("monomials", dict)',
            [APPLY_ORACLE]),
+    # a quotient that fails its certificate must fail Phi, and only a
+    # remainder at t^0, not below it, tells lo < 1 from lo < 0
+    Mutant("the lift skips its certificate", QUOTIENT,
+           "if lo is not None and lo < 1:",
+           "if False:",
+           [LIFT_CERTIFICATE, SOP_CERTIFICATE]),
+    Mutant("the lift's certificate tests lo < 0", QUOTIENT,
+           "if lo is not None and lo < 1:",
+           "if lo is not None and lo < 0:",
+           [LIFT_CERTIFICATE, SOP_CERTIFICATE]),
+    Mutant("the lift drops the t^0 digit", QUOTIENT,
+           "        return zero + q\n",
+           "        return q\n",
+           [PASS_THROUGH, PHI_ORACLE]),
+    # the value is the same, so only the operand of the product shows it
+    Mutant("the lift divides the t^0 digit too", QUOTIENT,
+           'neg, zero = f.split_parts("t")[0].split_parts("t", -1)',
+           'neg, zero = f.split_parts("t")[0].split_parts("t", 0)',
+           [PASS_THROUGH]),
+    # the whole-input division, not a digest, must catch a quotient read as
+    # an image or an image read as a quotient
+    Mutant("the quotient cache is the image cache", OPERATIONS,
+           'quotients = self.memo("quotients", dict)',
+           'quotients = self.memo(\n            ("monomials", self.ctx.z_names'
+           ' + self.ctx.b_names), dict)',
+           [PHI_ORACLE]),
     Mutant("the twisted exponential scales s by c, not by c^-1", OPERATIONS,
            'ctx.var("s") * self.c.mul_inverse()',
            'ctx.var("s") * self.c',
