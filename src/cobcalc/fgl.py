@@ -286,7 +286,8 @@ def base_context(deg=8, bweight=8):
 
 
 class EtaDivisibilityError(FalsificationError):
-    """deg of the zero-dimensional che component is not divisible by p."""
+    """deg of the zero-dimensional che component is not divisible by p; the
+    witness names the class, the reps and that deg."""
 
 
 def _validate_reps(p, reps):
@@ -333,6 +334,8 @@ class ChowModel(Memo):
         self.dim = n if d == 0 else n - 1
         if self.dim < 1:
             raise SeriesError("model dimension must be positive")
+        # as the verifiers and the CLI name the class
+        self.label = "P%d" % n if d == 0 else "H(%d,%d)" % (n, d)
 
     def chern_series(self, p):
         """(c(T), c(-T)) over a t floor deep enough for chern_che at p."""
@@ -368,19 +371,19 @@ class ChowModel(Memo):
         comp = che.coeff_of("t", -p * self.dim)
         val = Fraction(comp.coeff({"h": self.dim}) * (self.d or 1))
         rep_prod = math.prod(abs(int(i)) for i in reps)
+        witness = "%s at reps %s: deg %s" % (self.label, list(reps), val)
         if math.gcd(val.denominator, p) != 1:
             raise EtaDivisibilityError(
-                "eta denominator shares a factor with p", witness=str(val))
+                "eta denominator shares a factor with p", witness=witness)
         if val != 0 and vp(val, p) < 1:
             raise EtaDivisibilityError(
                 "deg of the zero-dimensional component is %s, not divisible "
-                "by %d" % (val, p), witness=str(val))
+                "by %d" % (val, p), witness=witness)
         den = val.denominator
         while den > 1:
             g = math.gcd(den, rep_prod)
             if g == 1:
                 raise EtaDivisibilityError(
-                    "eta has denominators outside Z[1/reps]",
-                    witness=str(val))
+                    "eta has denominators outside Z[1/reps]", witness=witness)
             den //= g
         return -val / p

@@ -20,7 +20,10 @@ on the Context through `Context.memo`; what a descriptor derives (b-tilde,
 gamma on a carrier, the image of each monomial under `apply` and under
 `phi_hat`, and the certified quotient D(St m) of each monomial that Phi
 reads) is cached on the descriptor through the same `memo`, so descriptors
-built ad hoc take their caches with them.  Neither `apply` nor
+built ad hoc take their caches with them.  A monomial's image is built
+from the image of the monomial with one b_i fewer, or, with no b left,
+one z fewer: each new image multiplies by a small btilde_i, and the
+powers of gamma(z) are shared by every z^a * B.  Neither `apply` nor
 `symmetric_operation` keeps a result by input: an input whose monomials
 are all cached costs St only scalings and sums, and Phi those plus the
 lift of e^p (none for a t-free e) and its p-divisibility check.  A
@@ -117,6 +120,12 @@ class OperationDescriptor(fgl.Memo):
         self.c = gamma.coeff_of("x", 1)
         if self.c.is_zero:
             raise SeriesError("gamma'(0) must be invertible")
+        # the variables `apply` maps, in the order `_monomial_image` strips
+        # them: b first, so a new image multiplies by one btilde_i (at most
+        # 30 terms at p = 2, 3 and the default bounds) rather than by
+        # gamma(z) (110-167 terms), and the images of the z-powers are
+        # shared by every z^a * B
+        self.image_names = ctx.b_names + ctx.z_names
 
     def twisted_exponential(self):
         """gamma(B(s/c)): the exponential of the target group law in s."""
@@ -156,7 +165,19 @@ class OperationDescriptor(fgl.Memo):
 
     def _monomial_image(self, images, names, exp):
         """image(m) = image(m / v) * image(v), v the first of names that
-        divides m; a monomial in the passive variables is its own image."""
+        divides m; a monomial in the passive variables is its own image.
+
+        Along `image_names` the image of z^a * B is gamma(z)^a times one
+        btilde_i after another.  Any order of the factors gives the same
+        series: truncated products are bilinear, and they fail to
+        associate only where an intermediate product drops a term at
+        trunc_plus (the degree caps and the b-weight cut are ideals).
+        Every factor is homogeneous, gamma(z) of weight p and btilde_i of
+        weight -p*i, so an image of m has weight p * weight(m)
+        (`test_st_and_phi_multiply_the_weight_by_p`), and a term of
+        b-weight <= bweight has positive degree <= p * deg + bweight,
+        below the trunc_plus of `make_context`.
+        """
         img = images.get(exp)
         if img is not None:
             return img
@@ -187,7 +208,7 @@ class OperationDescriptor(fgl.Memo):
     def apply(self, e):
         """The ring map z -> gamma(z), b_i -> btilde_i, as a linear
         combination of the cached images of e's monomials."""
-        return self._substitute(e, self.ctx.z_names + self.ctx.b_names)
+        return self._substitute(e, self.image_names)
 
     def lifted_image(self, e):
         """D(apply(e)), D the lift of `FormalP.lift` at p: the sum of
@@ -197,7 +218,7 @@ class OperationDescriptor(fgl.Memo):
         built and cached on the descriptor next to the monomial images, so
         inputs that share monomials share their divisions.
         """
-        image = self._images(self.ctx.z_names + self.ctx.b_names)
+        image = self._images(self.image_names)
         quotients = self.memo("quotients", dict)
         lift = formal_p(self.ctx, self.p).lift
 

@@ -40,6 +40,11 @@ def lowest_indivisible(series, p):
     # common denominator
     if series.scale(Fraction(1, p)).denominator % p:
         return None
+    return _least_indivisible_term(series, p)
+
+
+def _least_indivisible_term(series, p):
+    """`lowest_indivisible` of a series with a term p does not divide."""
     ti = series.table.index["t"]
     bad = min(((e[ti], sum(e) - e[ti], e[:ti] + (0,) + e[ti + 1:], c)
                for e, c in series.sorted_terms()
@@ -142,13 +147,15 @@ class FormalP:
     def over_p(self, q):
         """q/p; PDivisibilityError, naming the least term p does not divide,
         if there is one: it falsifies the claim behind Symmetric
-        operations."""
-        bad = lowest_indivisible(q, self.p)
-        if bad is not None:
+        operations.  q is scaled once, and that quotient's denominator is
+        the test."""
+        out = q.scale(Fraction(1, self.p))
+        if out.denominator % self.p == 0:
+            bad = _least_indivisible_term(q, self.p)
             raise PDivisibilityError(
                 "p-divisibility violated at t^%d on %s (coefficient %s)" % bad,
                 witness="t^%d * %s" % bad[:2])
-        return q.scale(Fraction(1, self.p))
+        return out
 
     def divide_by_formal_p(self, S):
         """The unique Phi with t-degrees <= 0 and S - g*Phi strictly positive,

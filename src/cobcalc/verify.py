@@ -72,9 +72,9 @@ def _case(label, ok, witness=None, **extra):
     return case
 
 
-def _falsified(label, exc):
+def _falsified(label, exc, **extra):
     """A failing case whose witness is the error's, or else its message."""
-    return _case(label, False, witness=exc.witness or str(exc))
+    return _case(label, False, witness=exc.witness or str(exc), **extra)
 
 
 def _outside(label, bound):
@@ -112,13 +112,15 @@ def _cases(check, primes, **tags):
 def _once(fn):
     """fn of one argument, each result kept by argument for as long as the
     returned function lives: a check that reads Phi or St of one input
-    twice builds it once, and the library keeps no result by input."""
+    twice builds it once, and the library keeps no result by input.  A
+    hit hashes e once: a series hashes all its terms."""
     seen = {}
 
     def once(e):
-        if e not in seen:
-            seen[e] = fn(e)
-        return seen[e]
+        out = seen.get(e)
+        if out is None:
+            out = seen[e] = fn(e)
+        return out
     return once
 
 
@@ -220,28 +222,45 @@ def verify_addphi(p, deg, bweight, seed):
     return _st_cases(check, p, deg, bweight, seed)
 
 
+def _product_rule(st, phi):
+    """(u, v) -> Phi(u) St(v) + St(u) Phi(v) + Phi(u) Phi(v) g, the right
+    side of multphi before nonpos, with phi the Phi of st (`_phi_of`).
+
+    It is formed as Phi(u) tail(v) + St(u) Phi(v), tail(v) = St(v) +
+    Phi(v) g kept once per input (`_once`): two products per pair, not
+    four.  The value is the same: (Phi(u) Phi(v)) g and Phi(u) (Phi(v) g)
+    could differ only by a term an intermediate product drops at
+    trunc_plus, and none reaches it.  The argument is the one of
+    `OperationDescriptor._monomial_image`: St and Phi of an input of
+    weight w have weight p * w, and g has weight 0.
+    """
+    g = formal_p(st.ctx, st.p).g
+    st_of = _once(st.apply)
+    tail = _once(lambda v: st_of(v) + phi(v) * g)
+    return lambda u, v: st.ctx.zero().add_products(
+        [(phi(u), tail(v)), (st_of(u), phi(v))])
+
+
 @_suite("multphi", primes=(2, 3))
 def verify_multphi(p, deg, bweight, seed):
     """Phi(uv) = nonpos(Phi(u) St(v) + St(u) Phi(v) + Phi(u) Phi(v) g).
 
     g = [p]_F(t)/t is the quotient generator: expanding St = (.)^p - g Phi - R
     shows the g-weighted cross term is what cancels the doubled g Phi Phi.
+    The right side is formed in two products per pair (`_product_rule`).
     A pair whose b-weights sum past bweight is "outside": truncation would
     cut uv on formation, so it is not checked.
     """
     def check(ctx, st, _rlabel):
-        g = formal_p(ctx, st.p).g
-        st_of, phi = _once(st.apply), _phi_of(st)
+        phi = _phi_of(st)
+        rule = _product_rule(st, phi)
         for label, u, v in _grid_pairs(ctx):
             weight = u.max_bweight() + v.max_bweight()
             if weight > bweight:
                 yield _outside(label, "b-weight %d > bweight %d"
                                % (weight, bweight))
                 continue
-            pu, pv = phi(u), phi(v)
-            rhs = ctx.zero().add_products(
-                [(pu, st_of(v)), (st_of(u), pv), (pu * pv, g)])
-            want, _pos = rhs.split_parts("t")
+            want, _pos = rule(u, v).split_parts("t")
             yield label, phi(u * v), want
     return _st_cases(check, p, deg, bweight, seed)
 
@@ -258,9 +277,10 @@ def verify_rr(p, deg, bweight, seed):
         che = ops.omega_che(ctx, st.reps)
         phi = _phi_of(st)
         for ql, qser in qs:
+            twisted = qser * che
             for gl, gser in gs:
                 lhs = ops.slice_phi(ctx, phi(z * gser), qser)
-                rhs = z * ops.slice_phi(ctx, phi(gser), qser * che)
+                rhs = z * ops.slice_phi(ctx, phi(gser), twisted)
                 yield "q=%s,g=%s" % (ql, gl), lhs, rhs
     return _st_cases(check, p, deg, bweight, seed)
 
@@ -290,8 +310,7 @@ def verify_f1(deg, bweight, seed):
             try:
                 eta = model.eta(q, reps)
             except fgl.EtaDivisibilityError as exc:
-                cases.append(_case(label, False, witness=str(exc),
-                                   p=q, reps=list(reps)))
+                cases.append(_falsified(label, exc, p=q, reps=list(reps)))
                 continue
             ok = got == ctx.const(eta)
             if q == 2 and label == "P1" and rlabel == "canonical":
@@ -422,7 +441,7 @@ def verify_il1(p, seed):
                 values = [mod_p(model.eta(q, reps), q)
                           for _rlabel, reps in ops.rep_choices(q, seed)]
             except fgl.EtaDivisibilityError as exc:
-                yield _case(label, False, witness=str(exc))
+                yield _falsified(label, exc)
                 continue
             ok = len(set(values)) == 1
             yield _case(label, ok, witness=None if ok else "etas %r" % values)

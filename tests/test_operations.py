@@ -515,6 +515,63 @@ def test_multphi_reports_a_doubled_phi_inside_a_low_bweight(monkeypatch):
     assert summary["fail"] > 0 and summary["outside"] == 9
 
 
+def _perturb_the_cached_image_of_z(ctx, p, term):
+    """Each St at p over ctx, its caches full, with image(z) + term: only a
+    direct read of the image of z sees it."""
+    (z_exp, _c), = ctx.var("z1").sorted_terms()
+    for _rlabel, reps in op.rep_choices(p):
+        st = op.quillen_steenrod(ctx, p, reps)
+        images = st.memo(("monomials", st.image_names), dict)
+        images[z_exp] = images[z_exp] + term
+
+
+def test_grad_reports_a_perturbed_cached_image(monkeypatch):
+    """image(z) + z1 adds 1 to the leading z-form of St(z): z^1*1 fails at
+    each reps with the witness 1, and every other case still passes."""
+    monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
+    ctx = op.make_context(2, 4, 4)
+    assert verify.verify_grad(p=2, deg=4, bweight=4)["summary"]["fail"] == 0
+    _perturb_the_cached_image_of_z(ctx, 2, ctx.var("z1"))
+    cases = verify.verify_grad(p=2, deg=4, bweight=4)["cases"]
+    failed = [(c["input"], c["witness"]) for c in cases
+              if c["verdict"] == "fail"]
+    assert failed == [("z^1*1", "1")] * 3
+    assert len(cases) == 21
+
+
+def test_uv_reports_a_perturbed_cached_image(monkeypatch):
+    """image(z) + z1 t^2 changes the t^2 coefficient of St(z), which the
+    slice of u = P1, q = 1 reads at p = 2 (f = t^-2): that case fails at
+    each reps with minus the term times eta(P1) (1, 1 and 1/9) as its
+    witness, and every other case still passes."""
+    monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
+    ctx = op.make_context(2, 4, 4)
+    assert verify.verify_uv(p=2, deg=4, bweight=4)["summary"]["fail"] == 0
+    _perturb_the_cached_image_of_z(ctx, 2, ctx.mono({"z1": 1, "t": 2}))
+    cases = verify.verify_uv(p=2, deg=4, bweight=4)["cases"]
+    failed = [(c["input"], c["witness"]) for c in cases
+              if c["verdict"] == "fail"]
+    assert failed == [("u=P1,v=z^1,q=1", w)
+                      for w in ("-z1", "-z1", "-1/9*z1")]
+
+
+def test_f1_and_il1_report_an_eta_failure_with_its_witness(monkeypatch):
+    """che / p leaves deg of its zero-dimensional component indivisible by
+    p: an eta case fails with a witness naming the class, the reps and
+    that deg, and the suites still report."""
+    che = fgl.ChowModel.chern_che
+    monkeypatch.setattr(fgl.ChowModel, "chern_che", lambda self, p, reps: (
+        che(self, p, reps).scale(Fraction(1, p))))
+    f1 = [c for c in verify.verify_f1()["cases"] if c["input"] == "P1"]
+    assert [(c["verdict"], c["witness"]) for c in f1] == [
+        ("fail", "P1 at reps [1]: deg -1"), ("fail", "P1 at reps [-1]: deg -1"),
+        ("fail", "P1 at reps [-3]: deg -1/9")]
+    il1 = {(c["p"], c["input"]): c for c in verify.verify_il1()["cases"]}
+    assert (il1[2, "P1"]["verdict"], il1[2, "P1"]["witness"]) == (
+        "fail", "P1 at reps [1]: deg -1")
+    assert il1[3, "H(3,3)"]["witness"] == "H(3,3) at reps [1, 2]: deg -1/2"
+
+
 def test_thmg_reports_a_perturbed_reconstruction(monkeypatch):
     """A reconstruction that doubles the coefficient of pi^1 hands the
     decomposition an invariant whose power 1 is not the one drawn."""
@@ -764,6 +821,66 @@ def test_st_apply_and_phi_hat_match_the_grouped_reference(p):
         for e in inputs:
             assert st.apply(e) == _reference_apply(st, e), (reps, e.render())
             assert st.phi_hat(e) == _reference_phi_hat(st, e, {})
+
+
+def _z_first_image(desc, exp):
+    """The image of the monomial exp with the carriers stripped first: the
+    product of the b-tildes of its b-part, then one gamma(z) at a time."""
+    ctx = desc.ctx
+    index = ctx.table.index
+    mapped = {index[n] for n in ctx.b_names + ctx.z_names}
+    rest = tuple(0 if i in mapped else k for i, k in enumerate(exp))
+    out = GradedSeries(ctx.table, ctx.trunc_plus, ctx.trunc_minus, {rest: 1})
+    for i, name in enumerate(ctx.b_names, 1):
+        for _ in range(exp[index[name]]):
+            out = out * desc.btilde(i)
+    for name in ctx.z_names:
+        for _ in range(exp[index[name]]):
+            out = out * desc.gamma_at(name)
+    return out
+
+
+def _pairs_inside_bweight(ctx):
+    """(u, v) for every ordered pair of grid inputs whose product
+    truncation does not cut."""
+    grid = [e for _label, e, _dim in op.grid_elements(ctx)]
+    return [(u, v) for u in grid for v in grid
+            if u.max_bweight() + v.max_bweight() <= ctx.bweight]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_images_along_the_b_first_chain_match_the_z_first_reference(p):
+    """St builds the image of z^a * B from gamma(z)^a times one btilde_i at
+    a time; on every monomial of the grid and of the grid-pair products
+    inside bweight it equals the image built with the carriers last."""
+    ctx = op.make_context(p, deg=6, bweight=6)
+    pairs = _pairs_inside_bweight(ctx)
+    exps = sorted({exp for u, v in pairs for e in (u, v, u * v)
+                   for exp, _c in e.sorted_terms()})
+    for _rlabel, reps in op.rep_choices(p):
+        st = op.quillen_steenrod(ctx, p, reps)
+        assert st.image_names == ctx.b_names + ctx.z_names
+        for exp in exps:
+            m = GradedSeries(ctx.table, ctx.trunc_plus, ctx.trunc_minus,
+                             {exp: 1})
+            assert st.apply(m) == _z_first_image(st, exp), (reps, m.render())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_product_rule_matches_its_four_products(p):
+    """multphi's right side, Phi(u) tail(v) + St(u) Phi(v) with tail(v) =
+    St(v) + Phi(v) g, equals its four products formed one at a time, on
+    every ordered grid pair inside bweight."""
+    ctx = op.make_context(p, deg=6, bweight=6)
+    g = formal_p(ctx, p).g
+    for _rlabel, reps in op.rep_choices(p):
+        st = op.quillen_steenrod(ctx, p, reps)
+        phi = verify._phi_of(st)
+        rule = verify._product_rule(st, phi)
+        for u, v in _pairs_inside_bweight(ctx):
+            pu, pv = phi(u), phi(v)
+            want = (pu * st.apply(v) + st.apply(u) * pv) + (pu * pv) * g
+            assert rule(u, v) == want, (reps, u.render(), v.render())
 
 
 def test_ln_apply_and_phi_hat_match_the_grouped_reference():

@@ -393,8 +393,7 @@ MUTANTS = [
     # an image or an image read as a quotient
     Mutant("the quotient cache is the image cache", OPERATIONS,
            'quotients = self.memo("quotients", dict)',
-           'quotients = self.memo(\n            ("monomials", self.ctx.z_names'
-           ' + self.ctx.b_names), dict)',
+           'quotients = self.memo(("monomials", self.image_names), dict)',
            [PHI_ORACLE]),
     Mutant("the twisted exponential scales s by c, not by c^-1", OPERATIONS,
            'ctx.var("s") * self.c.mul_inverse()',
@@ -423,4 +422,10 @@ MUTANTS = [
            "coeffs_mod_p(ops._ambient_class(fic, n, d), 2)",
            ["tests/test_operations.py"
             "::test_il1_tests_the_classes_in_each_ideal"]),
+    Mutant("the multphi tail drops Phi(v) g", VERIFY,
+           "tail = _once(lambda v: st_of(v) + phi(v) * g)",
+           "tail = _once(st_of)",
+           ["tests/test_operations.py::test_verifier_multphi_p2",
+            "tests/test_operations.py"
+            "::test_product_rule_matches_its_four_products"]),
 ]
