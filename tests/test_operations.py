@@ -893,10 +893,10 @@ def test_ln_apply_and_phi_hat_match_the_grouped_reference():
 
 def test_st_apply_product_terms_ceiling(monkeypatch):
     # output terms of every product St.apply makes over the grid at p = 3,
-    # by `*` or inside `add_products`, each choice of reps: 6,341 with each
-    # monomial's image built once from the image of a smaller monomial
-    # (7,373 with Horner's rule, carriers outermost, and an apply memo by
-    # input)
+    # by `*` or inside `add_products`, each choice of reps: 5,930 with each
+    # monomial's image built once from the image of a smaller monomial,
+    # b first or carriers first alike on the grid (7,373 with Horner's
+    # rule, carriers outermost, and an apply memo by input)
     monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
     ctx = op.make_context(3, deg=6, bweight=6)
     grid = op.grid_elements(ctx)
@@ -919,7 +919,7 @@ def test_st_apply_product_terms_ceiling(monkeypatch):
     for st in sts:
         for _label, e, _dim in grid:
             st.apply(e)
-    assert terms[0] <= 6341
+    assert terms[0] <= 5930
 
 
 def test_st_apply_of_a_sum_reuses_the_monomial_images(monkeypatch):
