@@ -564,7 +564,8 @@ def test_f1_and_il1_report_an_eta_failure_with_its_witness(monkeypatch):
         che(self, p, reps).scale(Fraction(1, p))))
     f1 = [c for c in verify.verify_f1()["cases"] if c["input"] == "P1"]
     assert [(c["verdict"], c["witness"]) for c in f1] == [
-        ("fail", "P1 at reps [1]: deg -1"), ("fail", "P1 at reps [-1]: deg -1"),
+        ("fail", "P1 at reps [1]: deg -1"),
+        ("fail", "P1 at reps [-1]: deg -1"),
         ("fail", "P1 at reps [-3]: deg -1/9")]
     il1 = {(c["p"], c["input"]): c for c in verify.verify_il1()["cases"]}
     assert (il1[2, "P1"]["verdict"], il1[2, "P1"]["witness"]) == (
