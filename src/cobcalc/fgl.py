@@ -334,8 +334,6 @@ class ChowModel(Memo):
         self.dim = n if d == 0 else n - 1
         if self.dim < 1:
             raise SeriesError("model dimension must be positive")
-        # as the verifiers and the CLI name the class
-        self.label = "P%d" % n if d == 0 else "H(%d,%d)" % (n, d)
 
     def chern_series(self, p):
         """(c(T), c(-T)) over a t floor deep enough for chern_che at p."""
@@ -371,7 +369,9 @@ class ChowModel(Memo):
         comp = che.coeff_of("t", -p * self.dim)
         val = Fraction(comp.coeff({"h": self.dim}) * (self.d or 1))
         rep_prod = math.prod(abs(int(i)) for i in reps)
-        witness = "%s at reps %s: deg %s" % (self.label, list(reps), val)
+        label = ("P%d" % self.n if not self.d
+                 else "H(%d,%d)" % (self.n, self.d))
+        witness = "%s at reps %s: deg %s" % (label, list(reps), val)
         if math.gcd(val.denominator, p) != 1:
             raise EtaDivisibilityError(
                 "eta denominator shares a factor with p", witness=witness)

@@ -23,14 +23,15 @@ reads) is cached on the descriptor through the same `memo`, so descriptors
 built ad hoc take their caches with them.  A monomial's image is built
 from the image of the monomial with one b_i fewer, or, with no b left,
 one z fewer: each new image multiplies by a small btilde_i, and the
-powers of gamma(z) are shared by every z^a * B.  Neither `apply` nor
-`symmetric_operation` keeps a result by input: an input whose monomials
-are all cached costs St only scalings and sums, and Phi those plus the
-lift of e^p (none for a t-free e) and its p-divisibility check.  A
-verifier that reads Phi or St of one input twice keeps them for its own
-check.  The twisted exponential is not cached: only b-tilde reads it,
-once.  `_CTX_CACHE` keeps one Laurent context per normalized
-`make_context` argument tuple for the process.
+powers of gamma(z) are shared by every z^a * B.  A monomial with a
+passive factor, such as t^k, is built carriers first (`_images`).
+Neither `apply` nor `symmetric_operation` keeps a result by input: an
+input whose monomials are all cached costs St only scalings and sums,
+and Phi those plus the lift of e^p (none for a t-free e) and its
+p-divisibility check.  A verifier that reads Phi or St of one input
+twice keeps them for its own check.  The twisted exponential is not
+cached: only b-tilde reads it, once.  `_CTX_CACHE` keeps one Laurent
+context per normalized `make_context` argument tuple for the process.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ class OperationDescriptor(fgl.Memo):
         if self.c.is_zero:
             raise SeriesError("gamma'(0) must be invertible")
         # the variables `apply` maps, in the order `_monomial_image` strips
-        # them: b first, so a new image multiplies by one btilde_i (at most
-        # 30 terms at p = 2, 3 and the default bounds) rather than by
-        # gamma(z) (110-167 terms), and the images of the z-powers are
-        # shared by every z^a * B
+        # them from a monomial in them alone: b first, so a new image
+        # multiplies by one btilde_i (at most 30 terms at p = 2, 3 and the
+        # default bounds) rather than by gamma(z) (110-167 terms), and the
+        # images of the z-powers are shared by every z^a * B
         self.image_names = ctx.b_names + ctx.z_names
 
     def twisted_exponential(self):
@@ -159,24 +160,49 @@ class OperationDescriptor(fgl.Memo):
         return _linear(e, self._images(names))
 
     def _images(self, names):
-        """m -> its image under the map of `_substitute`, from the cache."""
+        """m -> its image under the map of `_substitute`, from the cache.
+
+        A monomial in names alone is stripped in the order of names; one
+        with a passive factor (a power of t, say) is stripped carriers
+        first, so its chain multiplies the passive monomial by the
+        b-tildes before the gamma(z) (`_monomial_image` says why).  The
+        passive factor is the same all along a chain, so every cached
+        image keeps one order.
+        """
         images = self.memo(("monomials", names), dict)
-        return lambda exp: self._monomial_image(images, names, exp)
+        ctx = self.ctx
+        passive = [i for n, i in ctx.table.index.items() if n not in names]
+        carriers_first = (tuple(n for n in names if n in ctx.z_names)
+                          + tuple(n for n in names if n not in ctx.z_names))
+
+        def image(exp):
+            img = images.get(exp)
+            if img is None:
+                order = (carriers_first if any(exp[i] for i in passive)
+                         else names)
+                img = self._monomial_image(images, order, exp)
+            return img
+        return image
 
     def _monomial_image(self, images, names, exp):
         """image(m) = image(m / v) * image(v), v the first of names that
         divides m; a monomial in the passive variables is its own image.
 
         Along `image_names` the image of z^a * B is gamma(z)^a times one
-        btilde_i after another.  Any order of the factors gives the same
-        series: truncated products are bilinear, and they fail to
-        associate only where an intermediate product drops a term at
-        trunc_plus (the degree caps and the b-weight cut are ideals).
-        Every factor is homogeneous, gamma(z) of weight p and btilde_i of
-        weight -p*i, so an image of m has weight p * weight(m)
+        btilde_i after another.  For a monomial in the mapped variables
+        alone this is the series the carriers-first order gives:
+        truncated products are bilinear, and they fail to associate only
+        where an intermediate product drops a term at trunc_plus (the
+        degree caps and the b-weight cut are ideals).  Every factor is
+        homogeneous, gamma(z) of weight p and btilde_i of weight -p*i, so
+        the image of a monomial m' of weight w has weight p * w
         (`test_st_and_phi_multiply_the_weight_by_p`), and a term of
         b-weight <= bweight has positive degree <= p * deg + bweight,
-        below the trunc_plus of `make_context`.
+        below the trunc_plus of `make_context`.  A passive factor adds its
+        own degree to every intermediate term: t^k * gamma(z)^a can pass
+        trunc_plus before the b-tildes lower it, so `_images` strips such
+        a monomial carriers first: the b-tildes lower t^k before any
+        gamma(z) raises it.
         """
         img = images.get(exp)
         if img is not None:

@@ -40,11 +40,6 @@ def lowest_indivisible(series, p):
     # common denominator
     if series.scale(Fraction(1, p)).denominator % p:
         return None
-    return _least_indivisible_term(series, p)
-
-
-def _least_indivisible_term(series, p):
-    """`lowest_indivisible` of a series with a term p does not divide."""
     ti = series.table.index["t"]
     bad = min(((e[ti], sum(e) - e[ti], e[:ti] + (0,) + e[ti + 1:], c)
                for e, c in series.sorted_terms()
@@ -148,10 +143,10 @@ class FormalP:
         """q/p; PDivisibilityError, naming the least term p does not divide,
         if there is one: it falsifies the claim behind Symmetric
         operations.  q is scaled once, and that quotient's denominator is
-        the test."""
+        the test; only a failing q is scanned for its least such term."""
         out = q.scale(Fraction(1, self.p))
         if out.denominator % self.p == 0:
-            bad = _least_indivisible_term(q, self.p)
+            bad = lowest_indivisible(q, self.p)
             raise PDivisibilityError(
                 "p-divisibility violated at t^%d on %s (coefficient %s)" % bad,
                 witness="t^%d * %s" % bad[:2])

@@ -231,8 +231,9 @@ def _product_rule(st, phi):
     four.  The value is the same: (Phi(u) Phi(v)) g and Phi(u) (Phi(v) g)
     could differ only by a term an intermediate product drops at
     trunc_plus, and none reaches it.  The argument is the one of
-    `OperationDescriptor._monomial_image`: St and Phi of an input of
-    weight w have weight p * w, and g has weight 0.
+    `OperationDescriptor._monomial_image` for a monomial free of t: St
+    and Phi of a t-free input of weight w, as the grid's are, have weight
+    p * w, and g has weight 0.
     """
     g = formal_p(st.ctx, st.p).g
     st_of = _once(st.apply)

@@ -825,14 +825,15 @@ def test_st_apply_and_phi_hat_match_the_grouped_reference(p):
 
 
 def _z_first_image(desc, exp):
-    """The image of the monomial exp with the carriers stripped first: the
-    product of the b-tildes of its b-part, then one gamma(z) at a time."""
+    """The image of the monomial exp with the carriers stripped first, then
+    b1, b2, ...: its passive monomial times the b-tildes of its b-part,
+    the highest b first, then one gamma(z) at a time."""
     ctx = desc.ctx
     index = ctx.table.index
     mapped = {index[n] for n in ctx.b_names + ctx.z_names}
     rest = tuple(0 if i in mapped else k for i, k in enumerate(exp))
     out = GradedSeries(ctx.table, ctx.trunc_plus, ctx.trunc_minus, {rest: 1})
-    for i, name in enumerate(ctx.b_names, 1):
+    for i, name in reversed(list(enumerate(ctx.b_names, 1))):
         for _ in range(exp[index[name]]):
             out = out * desc.btilde(i)
     for name in ctx.z_names:
@@ -853,11 +854,18 @@ def _pairs_inside_bweight(ctx):
 def test_images_along_the_b_first_chain_match_the_z_first_reference(p):
     """St builds the image of z^a * B from gamma(z)^a times one btilde_i at
     a time; on every monomial of the grid and of the grid-pair products
-    inside bweight it equals the image built with the carriers last."""
+    inside bweight it equals the image built with the carriers last.  A
+    monomial t^k * z^a * B keeps the carriers-last chain exactly: with k
+    near trunc_plus - bweight, t^k * gamma(z) would pass trunc_plus
+    before the b-tildes lower it."""
     ctx = op.make_context(p, deg=6, bweight=6)
     pairs = _pairs_inside_bweight(ctx)
+    z_p1 = ctx.var("z1") * op.grid_elements(ctx)[3][1]
+    top = ctx.trunc_plus - ctx.bweight
     exps = sorted({exp for u, v in pairs for e in (u, v, u * v)
-                   for exp, _c in e.sorted_terms()})
+                   for exp, _c in e.sorted_terms()}
+                  | {exp for k in range(top - 2, top + 4)
+                     for exp, _c in z_p1.shift_var("t", k).sorted_terms()})
     for _rlabel, reps in op.rep_choices(p):
         st = op.quillen_steenrod(ctx, p, reps)
         assert st.image_names == ctx.b_names + ctx.z_names

@@ -395,6 +395,13 @@ MUTANTS = [
            'quotients = self.memo("quotients", dict)',
            'quotients = self.memo(("monomials", self.image_names), dict)',
            [PHI_ORACLE]),
+    # t^k * gamma(z) passes trunc_plus before the b-tildes lower it
+    Mutant("a monomial with a passive factor is stripped b first",
+           OPERATIONS,
+           "carriers_first if any(exp[i] for i in passive)",
+           "carriers_first if False",
+           ["tests/test_operations.py::test_images_along_the_b_first_chain"
+            "_match_the_z_first_reference"]),
     Mutant("the twisted exponential scales s by c, not by c^-1", OPERATIONS,
            'ctx.var("s") * self.c.mul_inverse()',
            'ctx.var("s") * self.c',
