@@ -17,14 +17,15 @@ forwards `VERIFIERS` and `run_verifier` from there only for `perfbench`.
 Caches: what depends on the context alone (classes, the grid, shift
 images, FormalP, St descriptors, whose gamma is the orbit product) is cached
 on the Context through `Context.memo`; what a descriptor derives (b-tilde,
-gamma on a carrier, the image of each monomial under `apply` and under
-`phi_hat`, and the certified quotient D(St m) of each monomial that Phi
-reads) is cached on the descriptor through the same `memo`, so descriptors
-built ad hoc take their caches with them.  A monomial's image is built
-from the image of the monomial with one b_i fewer, or, with no b left,
-one z fewer: each new image multiplies by a small btilde_i, and the
-powers of gamma(z) are shared by every z^a * B.  A monomial with a
-passive factor, such as t^k, is built carriers first (`_images`).
+gamma on a carrier, the image of each monomial in z and b alone, which
+`apply` and `phi_hat` share, and the certified quotient D(St m) of each
+monomial that Phi reads) is cached on the descriptor through the same
+`memo`, so descriptors built ad hoc take their caches with them.  Such a
+monomial's image is built from the image of the monomial with one b_i
+fewer, or, with no b left, one z fewer: each new image multiplies by a
+small btilde_i, and the powers of gamma(z) are shared by every z^a * B.
+The map fixes t, so a passive factor such as t^k multiplies the image
+last (`_images`).
 Neither `apply` nor `symmetric_operation` keeps a result by input: an
 input whose monomials are all cached costs St only scalings and sums,
 and Phi those plus the lift of e^p (none for a t-free e) and its
@@ -122,7 +123,7 @@ class OperationDescriptor(fgl.Memo):
         if self.c.is_zero:
             raise SeriesError("gamma'(0) must be invertible")
         # the variables `apply` maps, in the order `_monomial_image` strips
-        # them from a monomial in them alone: b first, so a new image
+        # them from a monomial: b first, so a new image
         # multiplies by one btilde_i (at most 30 terms at p = 2, 3 and the
         # default bounds) rather than by gamma(z) (110-167 terms), and the
         # images of the z-powers are shared by every z^a * B
@@ -147,72 +148,61 @@ class OperationDescriptor(fgl.Memo):
             return [e.coeff_of("s", k + 1) for k in range(self.ctx.bweight + 1)]
         return self.memo("btilde", build)[i]
 
-    def _substitute(self, e, names):
-        """e under the ring map that sends each of names to its image (a
-        carrier z to gamma(z), b_i to btilde_i) and fixes every other
-        variable: the sum of c * image(m) over the terms c * m of e.
-
-        A truncated product keeps each term by its key alone, so it is
-        bilinear, and this sum equals Horner's rule with names[0] outermost
-        exactly.  The monomial images are cached on the descriptor by the
-        full names tuple, so inputs that share monomials share their work.
-        """
-        return _linear(e, self._images(names))
-
     def _images(self, names):
-        """m -> its image under the map of `_substitute`, from the cache.
+        """m -> its image under the ring map that sends each of names to its
+        image (a carrier z to gamma(z), b_i to btilde_i) and fixes every
+        other variable.
 
-        A monomial in names alone is stripped in the order of names; one
-        with a passive factor (a power of t, say) is stripped carriers
-        first, so its chain multiplies the passive monomial by the
-        b-tildes before the gamma(z) (`_monomial_image` says why).  The
-        passive factor is the same all along a chain, so every cached
-        image keeps one order.
+        The map fixes the passive rest r of m (a power of t, say), so
+        image(m) is the image of m / r, read from the one chain cache
+        (`_monomial_image`), times r: one key shift, skipped when r is 1.
+        That shift is the whole truncated product, so no term of the image
+        is lost to an intermediate cut.  A truncated product keeps each
+        term by its key alone, so it is bilinear, and the sum of c *
+        image(m) over the terms c * m of an input (`_linear`) is the image
+        of the input.  A monomial in b alone has one image under `apply`
+        and `phi_hat`, so the two share the cache.
         """
-        images = self.memo(("monomials", names), dict)
         ctx = self.ctx
-        passive = [i for n, i in ctx.table.index.items() if n not in names]
-        carriers_first = (tuple(n for n in names if n in ctx.z_names)
-                          + tuple(n for n in names if n not in ctx.z_names))
+        mapped = {ctx.table.index[n] for n in names}
 
         def image(exp):
-            img = images.get(exp)
-            if img is None:
-                order = (carriers_first if any(exp[i] for i in passive)
-                         else names)
-                img = self._monomial_image(images, order, exp)
-            return img
+            head = tuple(k if i in mapped else 0 for i, k in enumerate(exp))
+            img = self._monomial_image(head)
+            if head == exp:
+                return img
+            rest = tuple(0 if i in mapped else k for i, k in enumerate(exp))
+            return img * GradedSeries(ctx.table, ctx.trunc_plus,
+                                      ctx.trunc_minus, {rest: 1})
         return image
 
-    def _monomial_image(self, images, names, exp):
-        """image(m) = image(m / v) * image(v), v the first of names that
-        divides m; a monomial in the passive variables is its own image.
+    def _monomial_image(self, exp):
+        """image(m) = image(m / v) * image(v), m a monomial in z and b
+        alone and v the first of `image_names` that divides it; the image
+        of 1 is 1.  Each image is cached on the descriptor.
 
-        Along `image_names` the image of z^a * B is gamma(z)^a times one
-        btilde_i after another.  For a monomial in the mapped variables
-        alone this is the series the carriers-first order gives:
-        truncated products are bilinear, and they fail to associate only
-        where an intermediate product drops a term at trunc_plus (the
-        degree caps and the b-weight cut are ideals).  Every factor is
-        homogeneous, gamma(z) of weight p and btilde_i of weight -p*i, so
-        the image of a monomial m' of weight w has weight p * w
+        The image of z^a * B is gamma(z)^a times one btilde_i after
+        another.  Truncated products are bilinear, and they fail to
+        associate only where an intermediate product drops a term at
+        trunc_plus (the degree caps and the b-weight cut are ideals).  No
+        term here reaches it: every factor is homogeneous, gamma(z) of
+        weight p and btilde_i of weight -p*i, so the image of a monomial
+        m' of weight w has weight p * w
         (`test_st_and_phi_multiply_the_weight_by_p`), and a term of
         b-weight <= bweight has positive degree <= p * deg + bweight,
-        below the trunc_plus of `make_context`.  A passive factor adds its
-        own degree to every intermediate term: t^k * gamma(z)^a can pass
-        trunc_plus before the b-tildes lower it, so `_images` strips such
-        a monomial carriers first: the b-tildes lower t^k before any
-        gamma(z) raises it.
+        below the trunc_plus of `make_context`.  So the chain gives the
+        exactly truncated image, in any order.
         """
+        images = self.memo("monomials", dict)
         img = images.get(exp)
         if img is not None:
             return img
         ctx = self.ctx
-        for n in names:
+        for n in self.image_names:
             i = ctx.table.index[n]
             if exp[i] > 0:
                 rest = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
-                img = self._monomial_image(images, names, rest) * (
+                img = self._monomial_image(rest) * (
                     self.gamma_at(n) if n in ctx.z_names
                     else self.btilde(ctx.b_names.index(n) + 1))
                 break
@@ -224,7 +214,7 @@ class OperationDescriptor(fgl.Memo):
 
     def phi_hat(self, u):
         """Coefficient map: substitute b_i -> btilde_i, all else passive."""
-        return self._substitute(u, self.ctx.b_names)
+        return _linear(u, self._images(self.ctx.b_names))
 
     def gamma_at(self, name):
         """gamma evaluated on a carrier variable (first Chern class rule)."""
@@ -234,7 +224,7 @@ class OperationDescriptor(fgl.Memo):
     def apply(self, e):
         """The ring map z -> gamma(z), b_i -> btilde_i, as a linear
         combination of the cached images of e's monomials."""
-        return self._substitute(e, self.image_names)
+        return _linear(e, self._images(self.image_names))
 
     def lifted_image(self, e):
         """D(apply(e)), D the lift of `FormalP.lift` at p: the sum of

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import operator
 import random
 import re
 import weakref
@@ -515,13 +516,14 @@ def test_multphi_reports_a_doubled_phi_inside_a_low_bweight(monkeypatch):
     assert summary["fail"] > 0 and summary["outside"] == 9
 
 
-def _perturb_the_cached_image_of_z(ctx, p, term):
-    """Each St at p over ctx, its caches full, with image(z) + term: only a
-    direct read of the image of z sees it."""
+def _perturb_the_cached_image_of_z(ctx, p, term, choices=None):
+    """Each St at p over ctx and the reps of choices (by default every rep
+    choice), its caches full, with image(z) + term: only a direct read of
+    the image of z sees it."""
     (z_exp, _c), = ctx.var("z1").sorted_terms()
-    for _rlabel, reps in op.rep_choices(p):
+    for reps in choices or [reps for _rlabel, reps in op.rep_choices(p)]:
         st = op.quillen_steenrod(ctx, p, reps)
-        images = st.memo(("monomials", st.image_names), dict)
+        images = st.memo("monomials", dict)
         images[z_exp] = images[z_exp] + term
 
 
@@ -553,6 +555,34 @@ def test_uv_reports_a_perturbed_cached_image(monkeypatch):
               if c["verdict"] == "fail"]
     assert failed == [("u=P1,v=z^1,q=1", w)
                       for w in ("-z1", "-z1", "-1/9*z1")]
+
+
+def test_soold_reports_a_perturbed_cached_image(monkeypatch):
+    """image(z) + z1 changes St(z) but not the cached quotient Phi reads:
+    the slices of e = z at q = 1 and q = 1 + t, the two whose constant
+    term is 1, miss by z1, and every other case still passes."""
+    monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
+    ctx = op.make_context(2, 4, 4)
+    assert verify.verify_soold(deg=4, bweight=4)["summary"]["fail"] == 0
+    _perturb_the_cached_image_of_z(ctx, 2, ctx.var("z1"), [(-1,)])
+    cases = verify.verify_soold(deg=4, bweight=4)["cases"]
+    failed = [(c["input"], c["witness"]) for c in cases
+              if c["verdict"] == "fail"]
+    assert failed == [("z,q=1", "z1"), ("z,q=1+t", "z1")]
+    assert len(cases) == 32
+
+
+def test_il3_reports_a_class_scaled_by_p(monkeypatch):
+    """p times [H(p^r, p)] keeps chi divisible by p, but chi / p is then
+    divisible by p too: each case fails with its chi as the witness."""
+    hypersurface = fgl.hypersurface_class
+    monkeypatch.setattr(fgl, "hypersurface_class", lambda ctx, n, d: (
+        fgl.LazardElement(ctx, hypersurface(ctx, n, d).series.scale(d),
+                          n - 1, "H(%d,%d)" % (n, d))))
+    cases = verify.verify_il3()["cases"]
+    assert [(c["input"], c["verdict"], c["witness"]) for c in cases] == [
+        ("H(2,2)", "fail", "chi=-4"), ("H(3,3)", "fail", "chi=45"),
+        ("H(4,2)", "fail", "chi=-20")]
 
 
 def test_f1_and_il1_report_an_eta_failure_with_its_witness(monkeypatch):
@@ -824,22 +854,32 @@ def test_st_apply_and_phi_hat_match_the_grouped_reference(p):
             assert st.phi_hat(e) == _reference_phi_hat(st, e, {})
 
 
-def _z_first_image(desc, exp):
-    """The image of the monomial exp with the carriers stripped first, then
-    b1, b2, ...: its passive monomial times the b-tildes of its b-part,
-    the highest b first, then one gamma(z) at a time."""
+def _exact_image(desc, exp, names):
+    """The image of the monomial exp under the ring map that sends each of
+    names to its image and fixes the other variables, as the exactly
+    truncated product.  The factors go passive monomial first, then the
+    carriers, then the b-tildes from the highest down, an order whose
+    products at trunc_plus lose terms.  Here every product is formed at
+    trunc_plus raised by the most the factors can lower a degree, and cut
+    back once.  Each factor is homogeneous of weight at most p, so it has
+    no term near trunc_plus for its own truncation to have dropped."""
     ctx = desc.ctx
     index = ctx.table.index
-    mapped = {index[n] for n in ctx.b_names + ctx.z_names}
+    factors = [desc.gamma_at(n) for n in ctx.z_names if n in names
+               for _ in range(exp[index[n]])]
+    factors += [desc.btilde(i) for i, n in reversed(list(enumerate(
+        ctx.b_names, 1))) if n in names for _ in range(exp[index[n]])]
+    mapped = {index[n] for n in names}
     rest = tuple(0 if i in mapped else k for i, k in enumerate(exp))
-    out = GradedSeries(ctx.table, ctx.trunc_plus, ctx.trunc_minus, {rest: 1})
-    for i, name in reversed(list(enumerate(ctx.b_names, 1))):
-        for _ in range(exp[index[name]]):
-            out = out * desc.btilde(i)
-    for name in ctx.z_names:
-        for _ in range(exp[index[name]]):
-            out = out * desc.gamma_at(name)
-    return out
+    wplus = [max(v.weight, 0) for v in ctx.table.variables]
+    margin = sum(max(0, -min(sum(map(operator.mul, e, wplus))
+                             for e, _c in f.sorted_terms()))
+                 for f in factors)
+    top = ctx.trunc_plus + margin
+    out = GradedSeries(ctx.table, top, ctx.trunc_minus, {rest: 1})
+    for f in factors:
+        out = out * f.retruncate(top, ctx.trunc_minus)
+    return out.retruncate(ctx.trunc_plus, ctx.trunc_minus)
 
 
 def _pairs_inside_bweight(ctx):
@@ -850,29 +890,49 @@ def _pairs_inside_bweight(ctx):
             if u.max_bweight() + v.max_bweight() <= ctx.bweight]
 
 
+def _assert_exact_images(st, exps):
+    ctx = st.ctx
+    for exp in exps:
+        m = GradedSeries(ctx.table, ctx.trunc_plus, ctx.trunc_minus, {exp: 1})
+        assert st.apply(m) == _exact_image(st, exp, st.image_names), (
+            st.reps, m.render())
+        assert st.phi_hat(m) == _exact_image(st, exp, ctx.b_names), (
+            st.reps, m.render())
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_images_along_the_b_first_chain_match_the_z_first_reference(p):
-    """St builds the image of z^a * B from gamma(z)^a times one btilde_i at
-    a time; on every monomial of the grid and of the grid-pair products
-    inside bweight it equals the image built with the carriers last.  A
-    monomial t^k * z^a * B keeps the carriers-last chain exactly: with k
-    near trunc_plus - bweight, t^k * gamma(z) would pass trunc_plus
-    before the b-tildes lower it."""
+def test_st_and_phi_hat_give_the_exactly_truncated_monomial_images(p):
+    """On every monomial of the grid, of the grid-pair products inside
+    bweight, and of t^k * {P1^2, P2, P1 P2, P1 z, P1 z^2} for k from 0 to
+    trunc_plus, St and phi_hat equal the exactly truncated products.  A
+    chain that starts from t^k loses terms there: t^k * btilde_j passes
+    trunc_plus before a later btilde_i would bring it back."""
     ctx = op.make_context(p, deg=6, bweight=6)
     pairs = _pairs_inside_bweight(ctx)
-    z_p1 = ctx.var("z1") * op.grid_elements(ctx)[3][1]
-    top = ctx.trunc_plus - ctx.bweight
+    z, p1, p2 = (ctx.var("z1"), op._ambient_class(ctx, 1),
+                 op._ambient_class(ctx, 2))
+    passive = [p1 * p1, p2, p1 * p2, p1 * z, p1 * z * z]
     exps = sorted({exp for u, v in pairs for e in (u, v, u * v)
                    for exp, _c in e.sorted_terms()}
-                  | {exp for k in range(top - 2, top + 4)
-                     for exp, _c in z_p1.shift_var("t", k).sorted_terms()})
+                  | {exp for k in range(ctx.trunc_plus + 1) for e in passive
+                     for exp, _c in e.shift_var("t", k).sorted_terms()})
     for _rlabel, reps in op.rep_choices(p):
         st = op.quillen_steenrod(ctx, p, reps)
         assert st.image_names == ctx.b_names + ctx.z_names
-        for exp in exps:
-            m = GradedSeries(ctx.table, ctx.trunc_plus, ctx.trunc_minus,
-                             {exp: 1})
-            assert st.apply(m) == _z_first_image(st, exp), (reps, m.render())
+        _assert_exact_images(st, exps)
+
+
+def test_st_of_t26_b1_squared_keeps_the_terms_its_b_tildes_bring_back():
+    """St(t^26 b1^2) at p = 2, deg = bweight = 8, reps (1,): the chain
+    t^26 * btilde_1 * btilde_1 at trunc_plus = 30 loses 37 of its terms."""
+    ctx = op.make_context(2, deg=8, bweight=8)
+    st = op.quillen_steenrod(ctx, 2, (1,))
+    m = ctx.mono({"t": 26, "b1": 2})
+    (exp, _c), = m.sorted_terms()
+    _assert_exact_images(st, [exp])
+    chain = m.coeff_of("b1", 2) * st.btilde(1) * st.btilde(1)
+    diff = st.apply(m) - chain
+    assert len(diff.sorted_terms()) == 37
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -903,9 +963,10 @@ def test_ln_apply_and_phi_hat_match_the_grouped_reference():
 def test_st_apply_product_terms_ceiling(monkeypatch):
     # output terms of every product St.apply makes over the grid at p = 3,
     # by `*` or inside `add_products`, each choice of reps: 5,930 with each
-    # monomial's image built once from the image of a smaller monomial,
-    # b first or carriers first alike on the grid (7,373 with Horner's
-    # rule, carriers outermost, and an apply memo by input)
+    # monomial's image built once from the image of a smaller monomial, b
+    # first, in one cache (the grid has no passive factor to multiply
+    # last; 7,373 with Horner's rule, carriers outermost, and an apply
+    # memo by input)
     monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
     ctx = op.make_context(3, deg=6, bweight=6)
     grid = op.grid_elements(ctx)

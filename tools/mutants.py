@@ -48,6 +48,8 @@ PRODUCT_COEFF = (ORACLE + "::test_product_coeff_matches_the_sliced"
                  "_full_product")
 APPLY_ORACLE = ("tests/test_operations.py"
                 "::test_st_apply_and_phi_hat_match_the_grouped_reference")
+EXACT_IMAGES = ("tests/test_operations.py::test_st_and_phi_hat_give_the"
+                "_exactly_truncated_monomial_images")
 PHI_ORACLE = ("tests/test_operations.py"
               "::test_phi_matches_the_division_of_the_whole_input")
 LIFT_CERTIFICATE = "tests/test_quotient.py::test_lift_certifies_its_remainder"
@@ -365,11 +367,12 @@ MUTANTS = [
            'return chow_trace(ctx, f.product_coeff(st.apply(e), "t", 0))',
            'return chow_trace(ctx, f.product_coeff(st.apply(e), "t", -1))',
            [UV]),
-    # the grouped reference, not a digest, must catch a wrong image cache
-    Mutant("apply and phi_hat share one monomial image cache", OPERATIONS,
-           'images = self.memo(("monomials", names), dict)',
-           'images = self.memo("monomials", dict)',
-           [APPLY_ORACLE]),
+    # the references, not a digest, must catch a coefficient map that moves
+    # the carriers: grad reads phi_hat only on coefficients free of z
+    Mutant("phi_hat maps the carriers", OPERATIONS,
+           "return _linear(u, self._images(self.ctx.b_names))",
+           "return _linear(u, self._images(self.image_names))",
+           [APPLY_ORACLE, EXACT_IMAGES]),
     # a quotient that fails its certificate must fail Phi, and only a
     # remainder at t^0, not below it, tells lo < 1 from lo < 0
     Mutant("the lift skips its certificate", QUOTIENT,
@@ -393,15 +396,15 @@ MUTANTS = [
     # an image or an image read as a quotient
     Mutant("the quotient cache is the image cache", OPERATIONS,
            'quotients = self.memo("quotients", dict)',
-           'quotients = self.memo(("monomials", self.image_names), dict)',
+           'quotients = self.memo("monomials", dict)',
            [PHI_ORACLE]),
-    # t^k * gamma(z) passes trunc_plus before the b-tildes lower it
-    Mutant("a monomial with a passive factor is stripped b first",
-           OPERATIONS,
-           "carriers_first if any(exp[i] for i in passive)",
-           "carriers_first if False",
-           ["tests/test_operations.py::test_images_along_the_b_first_chain"
-            "_match_the_z_first_reference"]),
+    # under St only: t^k * btilde_j passes trunc_plus before a later
+    # btilde_i would bring it back
+    Mutant("the chain starts from the passive monomial", OPERATIONS,
+           "head = tuple(k if i in mapped else 0 for i, k in enumerate(exp))",
+           "head = exp if names == self.image_names else tuple(\n"
+           "                k if i in mapped else 0 for i, k in enumerate(exp))",
+           [EXACT_IMAGES]),
     Mutant("the twisted exponential scales s by c, not by c^-1", OPERATIONS,
            'ctx.var("s") * self.c.mul_inverse()',
            'ctx.var("s") * self.c',
