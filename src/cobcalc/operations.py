@@ -37,6 +37,7 @@ context per normalized `make_context` argument tuple for the process.
 
 from __future__ import annotations
 
+from operator import mul
 import random
 
 from . import fgl
@@ -258,11 +259,24 @@ def quillen_steenrod(ctx, p, reps):
     """St(reps): gamma = x * prod_j (x +_F [i_j]t), target Laurent in t.
 
     One descriptor per (ctx, p, reps), cached on ctx; gamma is the context's
-    orbit product of x over reps.
+    orbit product of x over reps.  The Lazard ring is graded and F and
+    [i]t are homogeneous in it, so gamma has weight p; any other weight is
+    a FalsificationError whose witness is the first term of another weight.
     """
     reps = fgl._validate_reps(p, reps)
-    return ctx.memo(("st", p, reps), lambda: OperationDescriptor(
-        ctx, p, ctx.orbit_product("x", reps), reps=reps))
+
+    def build():
+        gamma = ctx.orbit_product("x", reps)
+        if gamma.weight() != p:
+            weights = ctx.table.weights
+            exp, c = next((e, c) for e, c in gamma.sorted_terms()
+                          if sum(map(mul, weights, e)) != p)
+            term = GradedSeries(ctx.table, gamma.trunc_plus,
+                                gamma.trunc_minus, {exp: c})
+            raise FalsificationError("gamma is not of weight %d" % p,
+                                     witness=term.render())
+        return OperationDescriptor(ctx, p, gamma, reps=reps)
+    return ctx.memo(("st", p, reps), build)
 
 
 def landweber_novikov(ctx):

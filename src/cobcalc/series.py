@@ -66,7 +66,7 @@ from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 import json
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 import re
 from types import MappingProxyType
@@ -508,7 +508,9 @@ class GradedSeries:
         return ((unpack(k), value(v)) for k, v in self._rows.items())
 
     def _compat(self, other):
-        if self.table != other.table:
+        # identity first: most operands share one table object, and
+        # VariableTable.__eq__ runs in Python
+        if self.table is not other.table and self.table != other.table:
             raise TableMismatch("series over different variable tables")
         if (self.trunc_plus != other.trunc_plus
                 or self.trunc_minus != other.trunc_minus):
@@ -1133,10 +1135,16 @@ class GradedSeries:
         order m < k in x vanish on x = y (Hasse, J. reine angew. Math. 175,
         1936): x^e goes to C(e, m) y^(e-m), and every coefficient of the sum
         must be 0.  Each term is keyed once with x^e moved onto y^e, which
-        relabels the terms of every order alike, so an order is one pass
-        that sums C(e, m) times the coefficients over each key; for k = 1,
-        order 0 alone, one pass adds each coefficient at its moved key
-        without grouping the terms first.  x - y is
+        relabels the terms of every order alike, so one pass adds each
+        coefficient v times the Pascal row of its exponent at its moved key,
+        and every order is summed at once.  For k = 1, order 0 alone, the
+        row is 1.  For k >= 2 the row P[e] = (1 + 2^w)^e mod 2^(w*k) packs
+        C(e, m), m < k, into fields of w bits (Kronecker's substitution),
+        built as P[e+1] = P[e] * (2^w + 1) up to the highest exponent top.
+        With w = bitlen(sum |v|) + (k - 1) * bitlen(top) + 1 the true sum
+        of every order satisfies |sum C(e, m) v| <= sum |v| * top^m
+        < 2^(w-1), so no field borrows from the next, and a packed sum is 0
+        exactly when each of its orders is.  x - y is
         monic in x, so a quotient of integer coefficients is integral, and a
         series with a denominator has none.  x and y must share one weight
         and carry no negative floor and no cap: then (x - y)^k is
@@ -1154,23 +1162,28 @@ class GradedSeries:
             return False
         off, mask, c = self._lay.fields[ix]
         step = self._lay.scale[iy] - self._lay.scale[ix]
+        rows = self._rows
+        sums = {}
+        get = sums.get
         if k == 1:
             # order 0 alone: one sum per moved key
-            sums = {}
-            get = sums.get
-            for key, v in self._rows.items():
+            for key, v in rows.items():
                 key += (((key >> off) & mask) - c) * step
                 sums[key] = get(key, 0) + v
             return not any(sums.values())
-        groups = {}
-        for key, v in self._rows.items():
-            e = ((key >> off) & mask) - c
-            groups.setdefault(key + e * step, []).append((e, v))
-        for m in range(k):
-            for terms in groups.values():
-                if sum(comb(e, m) * v for e, v in terms):
-                    return False
-        return True
+        exps = [((key >> off) & mask) - c for key in rows]
+        top = max(exps, default=0)
+        w = (sum(map(abs, rows.values())).bit_length()
+             + (k - 1) * top.bit_length() + 1)
+        full = (1 << (w * k)) - 1
+        pascal = [1 & full]  # k = 0 keeps no order
+        for _ in range(top):
+            row = pascal[-1]
+            pascal.append((row + (row << w)) & full)
+        for (key, v), e in zip(rows.items(), exps):
+            key += e * step
+            sums[key] = get(key, 0) + v * pascal[e]
+        return not any(sums.values())
 
     def compositional_inverse(self, name):
         """Series g with self(g) = name, for self = c1*name + higher order,

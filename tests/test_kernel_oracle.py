@@ -390,19 +390,21 @@ def test_exact_divide_roundtrip_fractions(pair, den):
 
 
 @st.composite
-def difference_powers(draw, ks=st.integers(0, 4)):
+def difference_powers(draw, ks=st.integers(0, 8)):
     """(q, bump, x - y, k): integer polynomials in x, y and maybe z, with x
-    and y of one weight; bounds that keep all of (x - y)^k, k <= 4."""
+    and y of one weight; bounds that keep all of (x - y)^k, k <= 8.  Some
+    coefficients reach 2^64, so the certificate's packed sums run wide."""
     w = draw(st.sampled_from([1, 2, -1]))
     variables = [Variable("x", w), Variable("y", w)]
     if draw(st.booleans()):
         variables.append(Variable("z", draw(st.sampled_from([-1, 1, 2]))))
     table = VariableTable(variables)
-    tp, tm = draw(st.integers(8, 14)), draw(st.integers(4, 10))
-    ints = st.integers(-3, 3)
+    k = draw(ks)
+    tp = draw(st.integers(max(8, 2 * k), max(8, 2 * k) + 6))
+    tm = draw(st.integers(max(4, k), max(4, k) + 6))
+    ints = st.one_of(st.integers(-3, 3), st.integers(-2 ** 64, 2 ** 64))
     q = series(draw, table, tp, tm, coeffs=ints, nonneg=True)
     x, y = (GradedSeries.monomial(table, tp, tm, {n: 1}) for n in "xy")
-    k = draw(ks)
     # a bump that keeps the factor, one a degree short of it, or any
     bump = series(draw, table, tp, tm, coeffs=ints, nonneg=True)
     bump = draw(st.sampled_from([bump * (x - y) ** k,

@@ -416,17 +416,22 @@ def _names_a_term(witness):
 
 
 def test_diagram_reports_a_perturbed_shift_image(monkeypatch):
-    """x +_F [2]t + x t^9 makes the canonical St differ from the +-1 St by
-    t^9 z^3, not a multiple of 3; so high a term keeps the Sq lift
-    integral."""
+    """x +_F [2]t + x^2 b1 keeps gamma of weight 3 and makes the canonical
+    St differ from the +-1 St by z^4 b1, not a multiple of 3.  The term
+    x t^9 has weight 10, and St refuses that gamma before any case."""
     assert verify.verify_diagram(p=3, deg=4, bweight=4)["summary"][
         "fail"] == 0
     _perturb_the_second_image(
-        monkeypatch, lambda ctx, name: ctx.mono({name: 1, "t": 9}))
+        monkeypatch, lambda ctx, name: ctx.mono({name: 2, "b1": 1}))
     cases = {c["input"]: c for c in verify.verify_diagram(
         p=3, deg=4, bweight=4)["cases"]}
     assert (cases["z reps"]["verdict"], cases["z reps"]["witness"]) == (
-        "fail", "t^9 * z1^3 (coefficient 1)")
+        "fail", "t^0 * z1^4*b1 (coefficient 1)")
+    _perturb_the_second_image(
+        monkeypatch, lambda ctx, name: ctx.mono({name: 1, "t": 9}))
+    with pytest.raises(FalsificationError) as exc:
+        verify.verify_diagram(p=3, deg=4, bweight=4)
+    assert exc.value.witness == "t^9*x^3"
 
 
 def test_tomdieck_reports_a_perturbed_shift_image(monkeypatch):
@@ -841,6 +846,21 @@ def test_st_and_phi_multiply_the_weight_by_p(p):
             phi = op.symmetric_operation(st, e)
             assert phi.weight() == p * w or (phi.is_zero and e == z), \
                 e.render()
+
+
+@pytest.mark.parametrize("p, witness", [(2, "x^3"), (3, "2*x^4")])
+def test_st_refuses_a_gamma_of_another_weight(monkeypatch, p, witness):
+    """The cached image x +_F t plus x^2, of weight 2, gives gamma a term
+    of weight p + 1 under every rep choice (each image is the first at
+    t = [i]t): St is not built, and the witness is that term."""
+    monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
+    ctx = op.make_context(p, 4, 4)
+    key = ("shift", "x", 1)
+    ctx._memo[key] = ctx.shift_image("x", 1) + ctx.mono({"x": 2})
+    for _rlabel, reps in op.rep_choices(p):
+        with pytest.raises(FalsificationError) as exc:
+            op.quillen_steenrod(ctx, p, reps)
+        assert exc.value.witness == witness, reps
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -439,6 +439,20 @@ def test_divisible_by_difference_examples():
             S(table, 6, 0).divisible_by_difference("x", "y", 1)
 
 
+def test_divisible_by_difference_fields_hold_every_order_sum():
+    """x^8 - y^8 has the factor x - y but not (x - y)^2: at the key y^8
+    its order-0 sum is 1 - 1 = 0 and its order-1 sum is 8 - 0 = 8.  The
+    certificate packs both orders of a term into one integer, in fields of
+    w = bitlen(2) + bitlen(8) + 1 = 7 bits.  Fields without the
+    (k - 1) * bitlen(top) term would be bitlen(2) + 1 = 3 bits wide, and
+    8 = 2^3 fills one exactly: it would read as 0, and the case pass."""
+    tb = VariableTable([Variable("x", 1), Variable("y", 1)])
+    f = mono(tb, 8, 0, {"x": 8}) - mono(tb, 8, 0, {"y": 8})
+    assert f.divisible_by_difference("x", "y", 1)
+    assert not f.divisible_by_difference("x", "y", 2)
+    assert not f.divisible_by_difference("y", "x", 2)
+
+
 def test_compositional_inverse():
     tb = table_tb()
     t = mono(tb, 8, 6, {"t": 1})

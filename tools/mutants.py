@@ -246,11 +246,21 @@ MUTANTS = [
     # the minor checks of criterion 02, not its digest, must catch a weak
     # divisibility certificate
     Mutant("the certificate stops one derivative order short", SERIES,
-           "for m in range(k):",
-           "for m in range(k - 1):",
+           "full = (1 << (w * k)) - 1",
+           "full = (1 << (w * (k - 1))) - 1",
            ["tests/test_series.py::test_divisible_by_difference_examples",
             CERTIFICATE + "reads_every_derivative_order",
             ORACLE + "::test_difference_power_certificate_matches_exact_divide"]),
+    Mutant("the Pascal rows keep order k", SERIES,
+           "full = (1 << (w * k)) - 1",
+           "full = (1 << (w * (k + 1))) - 1",
+           ["tests/test_series.py::test_divisible_by_difference_examples",
+            ORACLE + "::test_difference_power_certificate_matches_exact_divide"]),
+    Mutant("the fields lose the (k - 1) * bitlen(top) term", SERIES,
+           "+ (k - 1) * top.bit_length() + 1)",
+           "+ 1)",
+           ["tests/test_series.py"
+            "::test_divisible_by_difference_fields_hold_every_order_sum"]),
     Mutant("the first-order certificate sums at the unmoved key", SERIES,
            "key += (((key >> off) & mask) - c) * step",
            "key += 0",
@@ -405,6 +415,12 @@ MUTANTS = [
            "head = exp if names == self.image_names else tuple(\n"
            "                k if i in mapped else 0 for i, k in enumerate(exp))",
            [EXACT_IMAGES]),
+    # a gamma of another weight must be refused where St is built
+    Mutant("St drops the weight check of gamma", OPERATIONS,
+           "if gamma.weight() != p:",
+           "if False:",
+           ["tests/test_operations.py"
+            "::test_st_refuses_a_gamma_of_another_weight"]),
     Mutant("the twisted exponential scales s by c, not by c^-1", OPERATIONS,
            'ctx.var("s") * self.c.mul_inverse()',
            'ctx.var("s") * self.c',
