@@ -445,7 +445,7 @@ def test_divisible_by_difference_fields_hold_every_order_sum():
     certificate packs both orders of a term into one integer, in fields of
     w = bitlen(2) + bitlen(8) + 1 = 7 bits.  Fields without the
     (k - 1) * bitlen(top) term would be bitlen(2) + 1 = 3 bits wide, and
-    8 = 2^3 fills one exactly: it would read as 0, and the case pass."""
+    8 = 2^3 fills one exactly: it would read as 0, and k = 2 would pass."""
     tb = VariableTable([Variable("x", 1), Variable("y", 1)])
     f = mono(tb, 8, 0, {"x": 8}) - mono(tb, 8, 0, {"y": 8})
     assert f.divisible_by_difference("x", "y", 1)
