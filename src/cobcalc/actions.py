@@ -83,30 +83,16 @@ def laplace_step(level, row, zero):
     return out
 
 
-def maximal_minors(rows, one):
-    """All maximal minors of an n x m matrix (n <= m), one `laplace_step`
-    per row.  Yields (columns, minor) in itertools.combinations(range(m), n)
-    order."""
+def bareiss_det(rows, one):
+    """Determinant of a square matrix, one `laplace_step` per row.  The
+    name is kept for the benchmark's tracer, which wraps it."""
     n = len(rows)
-    m = len(rows[0]) if rows else 0
-    if n == 0 or any(len(r) != m for r in rows) or m < n:
-        raise SeriesError("maximal minors need a nonempty n x m matrix "
-                          "with n <= m")
-    zero = one - one
+    if n == 0 or any(len(r) != n for r in rows):
+        raise SeriesError("determinant of an empty or non-square matrix")
     level = {(): one}
     for row in rows:
-        level = laplace_step(level, row, zero)
-    return iter(level.items())
-
-
-def bareiss_det(rows, one):
-    """Determinant of a square matrix, its one maximal minor.  The name is
-    kept for the benchmark's tracer, which wraps it."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise SeriesError("determinant of a non-square matrix")
-    (_, det), = maximal_minors(rows, one)
-    return det
+        level = laplace_step(level, row, one - one)
+    return level[tuple(range(n))]
 
 
 def _composition_walk(n_total, width):

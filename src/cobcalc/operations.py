@@ -143,10 +143,15 @@ class OperationDescriptor(fgl.Memo):
         return out
 
     def btilde(self, i):
-        """Image of the ambient generator b_i."""
+        """Image of the ambient generator b_i, checked to have weight -p*i
+        when gamma has weight p (St, and Landweber-Novikov with p = 1)."""
         def build():
             e = self.twisted_exponential()
-            return [e.coeff_of("s", k + 1) for k in range(self.ctx.bweight + 1)]
+            out = [e.coeff_of("s", k + 1) for k in range(self.ctx.bweight + 1)]
+            if self.gamma.weight() == self.p:
+                for k, b in enumerate(out):
+                    _check_weight(b, -self.p * k, "btilde_%d" % k)
+            return out
         return self.memo("btilde", build)[i]
 
     def _images(self, names):
@@ -255,6 +260,18 @@ def _linear(e, image):
     return out
 
 
+def _check_weight(series, w, name):
+    """FalsificationError unless series is 0 or of weight w, witnessed by
+    its first term (graded-lexicographically) of another weight."""
+    if series.weight() != w and not series.is_zero:
+        exp, c = next((e, c) for e, c in series.sorted_terms()
+                      if sum(map(mul, series.table.weights, e)) != w)
+        term = GradedSeries(series.table, series.trunc_plus,
+                            series.trunc_minus, {exp: c})
+        raise FalsificationError("%s is not of weight %d" % (name, w),
+                                 witness=term.render())
+
+
 def quillen_steenrod(ctx, p, reps):
     """St(reps): gamma = x * prod_j (x +_F [i_j]t), target Laurent in t.
 
@@ -267,14 +284,7 @@ def quillen_steenrod(ctx, p, reps):
 
     def build():
         gamma = ctx.orbit_product("x", reps)
-        if gamma.weight() != p:
-            weights = ctx.table.weights
-            exp, c = next((e, c) for e, c in gamma.sorted_terms()
-                          if sum(map(mul, weights, e)) != p)
-            term = GradedSeries(ctx.table, gamma.trunc_plus,
-                                gamma.trunc_minus, {exp: c})
-            raise FalsificationError("gamma is not of weight %d" % p,
-                                     witness=term.render())
+        _check_weight(gamma, p, "gamma")
         return OperationDescriptor(ctx, p, gamma, reps=reps)
     return ctx.memo(("st", p, reps), build)
 

@@ -55,11 +55,6 @@ class FormalP:
             raise SeriesError("p must be a prime >= 2")
         self._certify(ctx.nseries(p).shift_var("t", -1), int(p))
 
-    @classmethod
-    def from_generator(cls, g, p):
-        """The FormalP of a given g, certified as FormalP(ctx, p) is."""
-        return cls.__new__(cls)._certify(g, p)
-
     def _certify(self, g, p):
         # g = p mod t: u^-1 = 1 mod t, so a t^0 digit lifts to itself
         if g.split_parts("t")[0] != GradedSeries.const(

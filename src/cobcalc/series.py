@@ -26,7 +26,7 @@ by positive degree; terms are ordered graded-lexicographically by exponent
 tuple (`_grlex`).  A series holds a dict from sorted keys to int numerators
 and one common denominator in lowest terms, as FLINT's fmpq_poly keeps one
 content per polynomial; `terms`, a read-only view by exponent tuple, is
-built only when something reads it.
+built anew on each read and never kept.
 
 The product is one sparse kernel in the manner of Monagan and Pearce
 (Sparse polynomial multiplication and division in Maple 14, 2009): both
@@ -410,31 +410,24 @@ class GradedSeries:
     """
 
     __slots__ = ("table", "trunc_plus", "trunc_minus", "_lay", "_rows",
-                 "_den", "_view")
+                 "_den")
 
     def __init__(self, table, trunc_plus, trunc_minus, terms):
         self.table = table
         self.trunc_plus = tp = int(trunc_plus)
         self.trunc_minus = tm = int(trunc_minus)
         lay = self._lay = table.layout(tp, tm)
-        self._view = None
-        floors = table.floors
         kept = {}
         for exp, c in terms.items():
             c = _norm_coeff(c)
             if c == 0:
                 continue
-            if len(exp) != len(floors):
+            if len(exp) != len(table.floors):
                 raise SeriesError("exponent arity mismatch")
             if _outside(table, tp, tm, exp):
                 continue
-            for i, e in enumerate(exp):
-                if e < 0:
-                    f = floors[i]
-                    if f is None or e < f:
-                        raise LaurentUnderflow(
-                            "exponent %d of %s below floor" %
-                            (e, table.variables[i].name))
+            if min(exp, default=0) < 0:
+                self._underflow(exp)
             kept[lay.key(exp)] = c
         self._rows, self._den = _from_values(dict(sorted(kept.items())))
 
@@ -448,7 +441,6 @@ class GradedSeries:
         s.table, s.trunc_plus, s.trunc_minus = table, trunc_plus, trunc_minus
         s._lay = lay or table.layout(trunc_plus, trunc_minus)
         s._rows, s._den = _content(rows, den)
-        s._view = None
         return s
 
     @classmethod
@@ -489,11 +481,6 @@ class GradedSeries:
     @property
     def terms(self):
         """Read-only map from exponent tuples to int or Fraction."""
-        if self._view is None:
-            self._view = self._tuple_view()
-        return self._view
-
-    def _tuple_view(self):
         return MappingProxyType(dict(self._items()))
 
     def _value(self, num):
@@ -912,8 +899,7 @@ class GradedSeries:
             s = GradedSeries.__new__(GradedSeries)
             s.table, s.trunc_plus, s.trunc_minus = (self.table, trunc_plus,
                                                     trunc_minus)
-            s._lay, s._rows, s._den, s._view = (new, self._rows, self._den,
-                                                self._view)
+            s._lay, s._rows, s._den = new, self._rows, self._den
             return s
         ptop = trunc_plus + old.pconst
         mtop = trunc_minus + old.mconst
@@ -1029,45 +1015,40 @@ class GradedSeries:
     # ----- inverses and division -------------------------------------------
 
     def mul_inverse(self):
-        """Multiplicative inverse when some term is an invertible monomial
-        dominating the rest (the remainder must be nilpotent under the
-        truncation: higher degree, capped, or growing negative weight)."""
+        """Multiplicative inverse from one lead, the graded-lexicographically
+        least term whose inverse is admissible: the rest over the lead must
+        be nilpotent under the truncation (higher degree, capped, or growing
+        negative weight), else NonUnitLowest.  One lead is enough for every
+        series the library inverts: u, c(t)/t^(p-1), gamma'(0), exp_t/t,
+        alpha/x and the Chow series are homogeneous, and in a table whose
+        only Laurent variable is t the only invertible term of weight w is
+        c * t^w."""
         if not self._rows:
             raise SeriesError("zero series has no inverse")
         table, lay = self.table, self._lay
-        floors = [f or 0 for f in table.floors]
-        unpacked = ((lay.unpack(k), k) for k in self._rows)
-        candidates = sorted((_grlex(e), k) for e, k in unpacked
-                            if all(-x >= f for x, f in zip(e, floors)))
-        if not candidates:
-            e0 = min(map(lay.unpack, self._rows), key=_grlex)
+        tp, tm = self.trunc_plus, self.trunc_minus
+        terms = sorted((_grlex(lay.unpack(k)), k) for k in self._rows)
+        inverses = [(tuple(-x for x in e), k) for (_sum, e), k in terms
+                    if all(-x >= (f or 0) for x, f in zip(e, table.floors))]
+        if not inverses:
             raise NonUnitLowest("no invertible term in %s"
-                                % table.monomial_str(e0))
-        bound = self.trunc_plus + self.trunc_minus + 4
-        for idxs, b in table.caps:
-            bound += b
-        for i in table._laurent:
-            f = table.floors[i]
-            if f is not None:
-                bound -= f
-        for (_sum, e0), k0 in candidates:
-            inv_exp = tuple(-x for x in e0)
-            if _outside(table, self.trunc_plus, self.trunc_minus, inv_exp):
-                # the inverse of this lead lies past the bounds: no inverse
-                # here starts with it
-                continue
+                                % table.monomial_str(terms[0][0][1]))
+        # a lead whose inverse lies past the bounds starts no inverse here
+        inv_exp, k0 = next(((e, k) for e, k in inverses
+                            if not _outside(table, tp, tm, e)), (None, None))
+        if k0 is not None:
             c_inv = Fraction(1, 1) / Fraction(self._value(self._rows[k0]))
+            bound = tp + tm + 4 + sum(b for _idxs, b in table.caps) - sum(
+                table.floors[i] for i in table._laurent)
             # the lead's inverse lowers either degree by its lift, so the
             # Neumann series runs that much deeper and is cut back after it
             lift = max(((k0 >> lay.pshift) & lay.pmask) - lay.pconst, 0)
             mlift = max((k0 >> lay.mshift) - lay.mconst, 0)
-            deep = self.retruncate(self.trunc_plus + lift,
-                                   self.trunc_minus + mlift)
+            deep = self.retruncate(tp + lift, tm + mlift)
             one = GradedSeries.one(table, deep.trunc_plus, deep.trunc_minus)
             try:
                 w = deep._times_monomial(inv_exp, c_inv) - one
-                acc = one
-                pw = one
+                acc = pw = one
                 for step in range(bound + lift + mlift):
                     if pw.is_zero:
                         break
@@ -1075,9 +1056,9 @@ class GradedSeries:
                     acc = acc + (pw if step % 2 == 1 else -pw)
                 if pw.is_zero:
                     return acc._times_monomial(inv_exp, c_inv).retruncate(
-                        self.trunc_plus, self.trunc_minus)
+                        tp, tm)
             except LaurentUnderflow:
-                continue
+                pass
         raise NonUnitLowest("no term of %s dominates the rest at this "
                             "truncation" % self.render())
 
@@ -1236,12 +1217,10 @@ class GradedSeries:
     # ----- serialization ------------------------------------------------------
 
     def to_json_dict(self):
-        vars_out = []
-        for v in self.table.variables:
-            vars_out.append({"name": v.name, "weight": v.weight,
-                             "laurent_floor": v.laurent_floor})
         doc = {
-            "vars": vars_out,
+            "vars": [{"name": v.name, "weight": v.weight,
+                      "laurent_floor": v.laurent_floor}
+                     for v in self.table.variables],
             "trunc_plus": self.trunc_plus,
             "trunc_minus": self.trunc_minus,
             "terms": [
@@ -1260,23 +1239,6 @@ class GradedSeries:
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, doc):
-        variables = [Variable(d["name"], d["weight"], d.get("laurent_floor"))
-                     for d in doc["vars"]]
-        caps = [(tuple(names), bound)
-                for names, bound in doc.get("degree_caps", [])]
-        table = VariableTable(variables, degree_caps=caps)
-        terms = {}
-        for t in doc["terms"]:
-            c = Fraction(int(t["num"]), int(t["den"]))
-            terms[tuple(t["exp"])] = c
-        return cls(table, doc["trunc_plus"], doc["trunc_minus"], terms)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
 
     # ----- display -------------------------------------------------------------
 

@@ -134,14 +134,22 @@ def _grid(ctx):
     return ctx.memo("grid", lambda: ops.grid_elements(ctx))
 
 
+def _st_or_refusal(ctx, q, reps):
+    """(St(reps), None), or (None, a failing case "St" tagged with reps)."""
+    try:
+        return ops.quillen_steenrod(ctx, q, reps), None
+    except FalsificationError as exc:
+        return None, _falsified("St", exc, reps=list(reps))
+
+
 def _st_cases(check, p, deg, bweight, seed):
     """The cases of check(ctx, st, rlabel) for St at each choice of reps,
-    tagged with the reps and the prime."""
+    tagged with the reps and the prime; a refused St is one failing case."""
     def at(q):
         ctx = ops.make_context(q, deg, bweight)
         for rlabel, reps in ops.rep_choices(q, seed):
-            st = ops.quillen_steenrod(ctx, q, reps)
-            for item in check(ctx, st, rlabel):
+            st, refused = _st_or_refusal(ctx, q, reps)
+            for item in [refused] if refused else check(ctx, st, rlabel):
                 yield _as_case(item, reps=list(reps))
     return _cases(at, p)
 
@@ -298,13 +306,16 @@ _F1_CLASSES = (
 def verify_f1(deg, bweight, seed):
     """deg of the t^{p dim} slice of Phi([U]) equals the Chow-side eta,
     over a fixed table of (prime, class)."""
-    cases = []
+    cases, refused = [], {}
     for q, label, n, d, dim in _F1_CLASSES:
         ctx = ops.make_context(q, deg, bweight)
         u = ops._ambient_class(ctx, n, d)
         model = fgl.ChowModel(n, d)
         for rlabel, reps in ops.rep_choices(q, seed):
-            st = ops.quillen_steenrod(ctx, q, reps)
+            st, case = _st_or_refusal(ctx, q, reps)
+            if case:  # one case per refused St, not one per class
+                refused[q, reps] = _as_case(case, p=q)
+                continue
             phi = ops.symmetric_operation(st, u)
             got = ops.slice_phi(ctx, phi, ctx.mono({"t": q * dim}))
             try:
@@ -321,7 +332,7 @@ def verify_f1(deg, bweight, seed):
                                witness=None if ok else
                                "slice %s vs eta %s" % (got.render(), eta),
                                p=q, reps=list(reps)))
-    return cases
+    return cases + list(refused.values())
 
 
 @_suite("uv")
@@ -387,8 +398,13 @@ def verify_diagram(p, deg, bweight):
     def check(q):
         ctx = ops.make_context(q, deg, bweight)
         # the canonical and the +-1 choices, which no seed changes
-        st1, st2 = (ops.quillen_steenrod(ctx, q, reps)
-                    for _rlabel, reps in ops.rep_choices(q)[:2])
+        pair = [_st_or_refusal(ctx, q, reps)
+                for _rlabel, reps in ops.rep_choices(q)[:2]]
+        refused = [case for _st, case in pair if case]
+        if refused:
+            yield from refused
+            return
+        (st1, _), (st2, _) = pair
         for label, e, _dim in _grid(ctx):
             a1 = st1.apply(e)
             ok, wit = _in_generator_ideal(a1 - st2.apply(e), q)
@@ -491,7 +507,10 @@ def verify_soold(deg, bweight):
     def check(q):
         ctx = ops.make_context(q, deg, bweight)
         g = formal_p(ctx, q).g
-        st = ops.quillen_steenrod(ctx, q, (-1,))
+        st, refused = _st_or_refusal(ctx, q, (-1,))
+        if refused:
+            yield refused
+            return
         qs = [("1", ctx.one()), ("t", ctx.var("t")),
               ("t^2", ctx.mono({"t": 2})), ("1+t", ctx.one() + ctx.var("t"))]
         for label, e, _dim in _grid(ctx):

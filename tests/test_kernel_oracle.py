@@ -38,7 +38,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cobcalc.actions import ShiftAction  # noqa: E402
 from cobcalc.fgl import Context  # noqa: E402
-from cobcalc.quotient import FormalP, PDivisibilityError  # noqa: E402
+from cobcalc.quotient import PDivisibilityError  # noqa: E402
 from cobcalc.series import (  # noqa: E402
     GradedSeries,
     LaurentUnderflow,
@@ -48,6 +48,8 @@ from cobcalc.series import (  # noqa: E402
     VariableTable,
     vp,
 )
+
+from helpers import formal_p_of, series_from_json  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
@@ -733,7 +735,7 @@ def formal_p_inputs(draw, floor=None):
                                 min_size=2, max_size=6))
     u = (GradedSeries(table, tp, tm, tail)
          + GradedSeries.const(table, tp, tm, 1))
-    return FormalP.from_generator(u.scale(p), p), table, tp, tm
+    return formal_p_of(u.scale(p), p), table, tp, tm
 
 
 def _digit_split(c, p):
@@ -1000,7 +1002,7 @@ def test_packed_results_match_the_tuple_oracle(case):
     # equal to the series built from tuples: one denominator, lowest terms
     assert product == GradedSeries(table, tp, tm, want)
     assert terms_of(product) == want
-    assert GradedSeries.from_json(product.to_json()) == product
+    assert series_from_json(product.to_json()) == product
     try:
         f = product * g
     except LaurentUnderflow:

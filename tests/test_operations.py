@@ -418,7 +418,9 @@ def _names_a_term(witness):
 def test_diagram_reports_a_perturbed_shift_image(monkeypatch):
     """x +_F [2]t + x^2 b1 keeps gamma of weight 3 and makes the canonical
     St differ from the +-1 St by z^4 b1, not a multiple of 3.  The term
-    x t^9 has weight 10, and St refuses that gamma before any case."""
+    x t^9 has weight 10: St refuses that gamma, which the suite reports as
+    one failing St case at p = 3, and p = 2, which never reads the image,
+    still passes."""
     assert verify.verify_diagram(p=3, deg=4, bweight=4)["summary"][
         "fail"] == 0
     _perturb_the_second_image(
@@ -429,9 +431,11 @@ def test_diagram_reports_a_perturbed_shift_image(monkeypatch):
         "fail", "t^0 * z1^4*b1 (coefficient 1)")
     _perturb_the_second_image(
         monkeypatch, lambda ctx, name: ctx.mono({name: 1, "t": 9}))
-    with pytest.raises(FalsificationError) as exc:
-        verify.verify_diagram(p=3, deg=4, bweight=4)
-    assert exc.value.witness == "t^9*x^3"
+    cases = verify.verify_diagram(deg=4, bweight=4)["cases"]
+    assert all(c["verdict"] == "pass" for c in cases if c["p"] == 2)
+    assert [c for c in cases if c["p"] == 3] == [
+        {"input": "St", "verdict": "fail", "witness": "t^9*x^3",
+         "reps": [1, 2], "p": 3}]
 
 
 def test_tomdieck_reports_a_perturbed_shift_image(monkeypatch):
@@ -861,6 +865,58 @@ def test_st_refuses_a_gamma_of_another_weight(monkeypatch, p, witness):
         with pytest.raises(FalsificationError) as exc:
             op.quillen_steenrod(ctx, p, reps)
         assert exc.value.witness == witness, reps
+
+
+def test_a_refused_st_is_one_failing_case_and_the_suite_runs_on(
+        monkeypatch):
+    """x +_F [-1]t + x t^9 gives every St with the rep -1 a gamma of
+    another weight.  emb (through `_st_cases`), f1 and soold each report
+    one failing "St" case per refused (p, reps), tagged with both and with
+    the term as witness, and check every other St."""
+    monkeypatch.setattr(op, "_CTX_CACHE", {})
+    image = fgl.Context.shift_image
+    monkeypatch.setattr(fgl.Context, "shift_image", lambda self, name, k: (
+        image(self, name, k) + self.mono({name: 1, "t": 9}) if k == -1
+        else image(self, name, k)))
+
+    def split(report):
+        refused = [(c["p"], c["reps"], c["witness"])
+                   for c in report["cases"] if c["input"] == "St"]
+        rest = [c for c in report["cases"] if c["input"] != "St"]
+        assert all(c["verdict"] == "pass" for c in rest), rest
+        return refused, rest
+    # at p = 3 only the +-1 reps (1, -1) read the image
+    refused, rest = split(verify.verify_emb(p=3, deg=4, bweight=4))
+    assert refused == [(3, [1, -1], "t^9*x^3")]
+    # five inputs for each of the other two St
+    assert len(rest) == 5 * 2
+    refused, rest = split(verify.verify_f1(deg=4, bweight=4))
+    assert refused == [(2, [-1], "t^9*x^2"), (3, [1, -1], "t^9*x^3")]
+    assert len(rest) == 2 * len(verify._F1_CLASSES)
+    refused, rest = split(verify.verify_soold(deg=4, bweight=4))
+    assert (refused, rest) == ([(2, [-1], "t^9*x^2")], [])
+
+
+def test_btilde_refuses_a_term_of_another_weight(monkeypatch):
+    """s^2 t in the twisted exponential gives btilde_1 the term t, of
+    weight 1: Phi(P1) under St (btilde_1 of weight -2 at p = 2) and LN(P1)
+    (weight -1) are refused with that term."""
+    monkeypatch.setattr(op, "_CTX_CACHE", {})
+    twisted = op.OperationDescriptor.twisted_exponential
+    monkeypatch.setattr(op.OperationDescriptor, "twisted_exponential",
+                        lambda self: twisted(self)
+                        + self.ctx.mono({"s": 2, "t": 1}))
+    ctx = op.make_context(2, deg=4, bweight=3, with_primes=True)
+    p1 = op._ambient_class(ctx, 1)
+    st = op.quillen_steenrod(ctx, 2, (1,))
+    with pytest.raises(FalsificationError, match="btilde_1 is not of "
+                       "weight -2") as exc:
+        op.symmetric_operation(st, p1)
+    assert exc.value.witness == "t"
+    with pytest.raises(FalsificationError, match="btilde_1 is not of "
+                       "weight -1") as exc:
+        op.landweber_novikov(ctx).apply(p1)
+    assert exc.value.witness == "t"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -12,6 +12,8 @@ from cobcalc.quotient import (FormalP, PDivisibilityError, coeffs_mod_p,
 from cobcalc.series import (FalsificationError, Geometry, GradedSeries,
                             SeriesError, Variable, VariableTable, vp)
 
+from helpers import formal_p_of, series_from_json
+
 
 @pytest.fixture(scope="module")
 def ctx():
@@ -217,7 +219,7 @@ def test_u_inverse_reaches_as_deep_as_the_t_floor():
     table = VariableTable([Variable("t", 1, laurent_floor=-2),
                            Variable("v0", 1)])
     u = GradedSeries(table, 3, 0, {(0, 0): 1, (1, 0): -3, (1, 1): -3})
-    fp = FormalP.from_generator(u.scale(2), 2)
+    fp = formal_p_of(u.scale(2), 2)
     t2 = GradedSeries.monomial(table, 3, 0, {"t": -2})
     assert fp.divide_by_formal_p(fp.g * t2) == t2
 
@@ -255,18 +257,18 @@ def test_normal_form_json_roundtrip(ctx, fp2):
     assert nf == ctx.var("t")
     assert nf.trunc_plus == ctx.trunc_plus
     doc = nf.to_json_dict()
-    assert GradedSeries.from_json_dict(doc) == nf
+    assert series_from_json(doc) == nf
     assert nf == fp2.normal_form(ctx.var("t"))
 
 
 def test_formal_p_refuses_a_generator_p_does_not_divide(ctx):
     g = FormalP(ctx, 3).g
-    assert FormalP.from_generator(g, 3).normal_form(g).is_zero
+    assert formal_p_of(g, 3).normal_form(g).is_zero
     with pytest.raises(SeriesError, match="p = 3 does not divide"):
-        FormalP.from_generator(g + ctx.mono({"t": 2, "b1": 1}), 3)
+        formal_p_of(g + ctx.mono({"t": 2, "b1": 1}), 3)
     with pytest.raises(SeriesError, match="p = 2 does not divide"):
-        FormalP.from_generator(ctx.const(2) + ctx.mono({"t": 1, "b1": 1},
-                                                      Fraction(2, 3)), 2)
+        formal_p_of(ctx.const(2) + ctx.mono({"t": 1, "b1": 1},
+                                           Fraction(2, 3)), 2)
     # a cap on t is no ideal once t has negative powers: t^-2 * t^2 = 1
     capped = Context(9, 6, tfloor=-8, degree_caps=(("t", 1),))
     with pytest.raises(SeriesError, match="cap on t"):
@@ -277,7 +279,7 @@ def test_formal_p_refuses_a_generator_that_is_not_p_modulo_t(ctx):
     # u^-1 = 1 mod t is what lets a t^0 digit lift to itself
     g = FormalP(ctx, 2).g
     with pytest.raises(SeriesError, match="p modulo t"):
-        FormalP.from_generator(g + ctx.mono({"b1": 1}, 2), 2)
+        formal_p_of(g + ctx.mono({"b1": 1}, 2), 2)
 
 
 def test_lift_passes_the_t0_digit_through(ctx, fp2, monkeypatch):

@@ -22,6 +22,8 @@ from cobcalc.series import (
     vp,
 )
 
+from helpers import series_from_json
+
 
 def table_tb(num_b=4, floor=-6):
     vs = [Variable("t", 1, laurent_floor=floor)]
@@ -503,10 +505,10 @@ def test_json_roundtrip():
     s = (mono(tb, 8, 6, {"t": -2}, c=Fraction(3, 7))
          + mono(tb, 8, 6, {"b2": 1, "t": 1}))
     doc = s.to_json_dict()
-    back = GradedSeries.from_json(json.dumps(doc))
+    back = series_from_json(json.dumps(doc))
     assert back == s
     # deterministic text form
-    assert s.to_json() == GradedSeries.from_json(s.to_json()).to_json()
+    assert s.to_json() == series_from_json(s.to_json()).to_json()
 
 
 def test_value_equal_tables_key_a_term_alike():
@@ -528,9 +530,9 @@ def test_value_equal_tables_key_a_term_alike():
             e = tuple(x + y for x, y in zip(ea, eb))
             want[e] = want.get(e, 0) + Fraction(ca) * cb
     assert dict((a * b).sorted_terms()) == {e: c for e, c in want.items() if c}
-    # from_json builds another table object, asked first for these bounds
+    # the reader builds another table object, asked first for these bounds
     deep = S(ta, 10, 2, terms)
-    assert GradedSeries.from_json(deep.to_json()) == deep
+    assert series_from_json(deep.to_json()) == deep
 
 
 def test_json_terms_sorted_canonically():

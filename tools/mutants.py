@@ -158,6 +158,13 @@ MUTANTS = [
            "return 0, exp",
            [ORACLE + "::test_sorted_terms_are_graded_lexicographic",
             ORACLE + "::test_mul_inverse_starts_from_the_least_invertible_term"]),
+    # the example whose least invertible term has its inverse past
+    # trunc_plus, not only the order of the leads, must catch this
+    Mutant("mul_inverse leads with a term whose inverse is past the bounds",
+           SERIES,
+           "if not _outside(table, tp, tm, e)), (None, None))",
+           "if True), (None, None))",
+           [ORACLE + "::test_mul_inverse_round_trip_with_floors_and_caps"]),
     Mutant("an exponent's guard bit admits one below its floor", SERIES,
            "fields[i] = (off, (2 << g) - 1, (1 << g) - lo)",
            "fields[i] = (off, (2 << g) - 1, (1 << g) - lo + 1)",
@@ -295,6 +302,10 @@ MUTANTS = [
            "                break\n"
            "            if True:\n",
            [MINORS, BAREISS, SUITE, ADD_PRODUCTS]),
+    Mutant("bareiss_det expands one row short", ACTIONS,
+           "for row in rows:",
+           "for row in rows[1:]:",
+           [BAREISS]),
     Mutant("a level is built out of combinations order", ACTIONS,
            "for cols in itertools.combinations(range(len(row)), k):",
            "for cols in sorted(itertools.combinations(range(len(row)), k),\n"
@@ -417,10 +428,23 @@ MUTANTS = [
            [EXACT_IMAGES]),
     # a gamma of another weight must be refused where St is built
     Mutant("St drops the weight check of gamma", OPERATIONS,
-           "if gamma.weight() != p:",
-           "if False:",
+           '_check_weight(gamma, p, "gamma")',
+           "pass",
            ["tests/test_operations.py"
             "::test_st_refuses_a_gamma_of_another_weight"]),
+    Mutant("btilde skips its weight check", OPERATIONS,
+           "if self.gamma.weight() == self.p:",
+           "if False:",
+           ["tests/test_operations.py"
+            "::test_btilde_refuses_a_term_of_another_weight"]),
+    # a refused St must fail one case, not end the suite
+    Mutant("a refused St ends the suite", VERIFY,
+           'return None, _falsified("St", exc, reps=list(reps))',
+           "raise",
+           ["tests/test_operations.py"
+            "::test_a_refused_st_is_one_failing_case_and_the_suite_runs_on",
+            "tests/test_operations.py"
+            "::test_diagram_reports_a_perturbed_shift_image"]),
     Mutant("the twisted exponential scales s by c, not by c^-1", OPERATIONS,
            'ctx.var("s") * self.c.mul_inverse()',
            'ctx.var("s") * self.c',
