@@ -157,10 +157,16 @@ def _refuse_unread(args, command, options, reads):
 
 
 def _emit(args, text, doc):
+    """Write text() in text format or doc() as JSON, to --out or stdout.
+
+    Both are functions, so only the output asked for is built: rendering
+    a series and writing its JSON each walk all its terms."""
     if args.format == "json":
-        out = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        out = json.dumps(doc(), sort_keys=True, indent=2) + "\n"
     else:
-        out = text if text.endswith("\n") else text + "\n"
+        out = text()
+        if not out.endswith("\n"):
+            out += "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -198,9 +204,9 @@ def _cmd_fgl(args):
         series = ctx.omega
     else:
         series = ctx.nseries(-1)
-    doc = {"command": "fgl", "what": what, "deg": deg, "bweight": bweight,
-           "result": series.to_json_dict()}
-    _emit(args, series.render(), doc)
+    _emit(args, series.render, lambda: {
+        "command": "fgl", "what": what, "deg": deg, "bweight": bweight,
+        "result": series.to_json_dict()})
     return 0
 
 
@@ -222,22 +228,28 @@ def _cmd_class(args):
         r = round(math.log(elem.dimension + 1, q)) if elem.dimension > 0 else 0
         if r >= 1 and q ** r - 1 == elem.dimension:
             flags["nu_%d_at_%d" % (r, q)] = elem.is_nu_r(q, r)
-    lines = ["%s  (dimension %d)" % (elem.provenance, elem.dimension),
-             "class: %s" % elem.series.render()]
-    for mono, c in table.items():
-        lines.append("  chi[%s] = %s" % (mono, _frac_str(c)))
-    if elem.dimension > 0:
-        lines.append("s-number: %s" % _frac_str(elem.s_number()))
-    for k in sorted(flags):
-        lines.append("%s: %s" % (k, flags[k]))
-    doc = {"command": "class", "kind": args.kind, "n": args.n, "d": args.d,
-           "dimension": elem.dimension,
-           "char_numbers": {k: _frac_str(v) for k, v in table.items()},
-           "flags": flags,
-           "result": elem.series.to_json_dict()}
-    if elem.dimension > 0:
-        doc["s_number"] = _frac_str(elem.s_number())
-    _emit(args, "\n".join(lines), doc)
+
+    def text():
+        lines = ["%s  (dimension %d)" % (elem.provenance, elem.dimension),
+                 "class: %s" % elem.series.render()]
+        for mono, c in table.items():
+            lines.append("  chi[%s] = %s" % (mono, _frac_str(c)))
+        if elem.dimension > 0:
+            lines.append("s-number: %s" % _frac_str(elem.s_number()))
+        for k in sorted(flags):
+            lines.append("%s: %s" % (k, flags[k]))
+        return "\n".join(lines)
+
+    def doc():
+        out = {"command": "class", "kind": args.kind, "n": args.n,
+               "d": args.d, "dimension": elem.dimension,
+               "char_numbers": {k: _frac_str(v) for k, v in table.items()},
+               "flags": flags,
+               "result": elem.series.to_json_dict()}
+        if elem.dimension > 0:
+            out["s_number"] = _frac_str(elem.s_number())
+        return out
+    _emit(args, text, doc)
     return 0
 
 
@@ -258,9 +270,9 @@ def _cmd_op(args):
         desc = ops.landweber_novikov(ctx)
         e = parse_element(ctx, args.input)
         series = desc.apply(e)
-        doc = {"command": "op", "kind": "ln", "input": args.input,
-               "result": series.to_json_dict()}
-        _emit(args, series.render(), doc)
+        _emit(args, series.render, lambda: {
+            "command": "op", "kind": "ln", "input": args.input,
+            "result": series.to_json_dict()})
         return 0
     p = 2 if args.p is None else args.p
     reps = _parse_reps(args.reps, p)
@@ -283,8 +295,8 @@ def _cmd_op(args):
         q = parse_element(ctx, args.q) if args.q else ctx.one()
         series = ops.slice_phi(ctx, phi, q)
         doc["q"] = args.q or "1"
-    doc["result"] = series.to_json_dict()
-    _emit(args, series.render(), doc)
+    _emit(args, series.render,
+          lambda: dict(doc, result=series.to_json_dict()))
     return 0
 
 
@@ -304,7 +316,8 @@ def _cmd_eta(args):
     value = model.eta(p, reps)
     doc = {"command": "eta", "U": text, "p": p, "reps": list(reps),
            "eta": _frac_str(value)}
-    _emit(args, "eta_%d(%s) = %s" % (p, text, _frac_str(value)), doc)
+    _emit(args, lambda: "eta_%d(%s) = %s" % (p, text, _frac_str(value)),
+          lambda: doc)
     return 0
 
 
@@ -344,7 +357,7 @@ def _cmd_verify(args):
                                                 case.get("witness", "")))
     doc = {"command": "verify", "name": args.name, "p": args.p,
            "seed": values["seed"], "reports": reports}
-    _emit(args, "\n".join(lines), doc)
+    _emit(args, lambda: "\n".join(lines), lambda: doc)
     return 1 if failed else 0
 
 

@@ -26,11 +26,12 @@ fewer, or, with no b left, one z fewer: each new image multiplies by a
 small btilde_i, and the powers of gamma(z) are shared by every z^a * B.
 The map fixes t, so a passive factor such as t^k multiplies the image
 last (`_images`).
-Neither `apply` nor `symmetric_operation` keeps a result by input: an
-input whose monomials are all cached costs St only scalings and sums,
-and Phi those plus the lift of e^p (none for a t-free e) and its
-p-divisibility check.  A verifier that reads Phi or St of one input
-twice keeps them for its own check.  The twisted exponential is not
+`symmetric_operation` keeps Phi(e) on its descriptor, by input, and e^p on
+the context, by p and input, since the verifiers read both again: the
+same input under another suite, and e^p under every choice of reps.
+`apply` keeps no result by input: an input whose monomials are all
+cached costs St only scalings and sums.  A verifier that reads St of one
+input twice keeps it for its own check.  The twisted exponential is not
 cached: only b-tilde reads it, once.  `_CTX_CACHE` keeps one Laurent
 context per normalized `make_context` argument tuple for the process.
 """
@@ -320,16 +321,23 @@ def symmetric_operation(st, e):
 
     That quotient is D(e^p - St(e))/p, D the lift of `FormalP.lift`, and
     D is linear: p * Phi(e) = D(e^p) - D(St(e)).  Only e^p is not linear
-    in e; D(St(e)) is summed from the descriptor's cached, certified
-    quotients of e's monomials (`lifted_image`).  A t-free e^p lifts to
-    itself.  The positive-t and p-divisibility checks run on the sum.
+    in e; it does not depend on the reps, so it is kept on the context.
+    D(St(e)) is summed from the descriptor's cached, certified quotients
+    of e's monomials (`lifted_image`).  A t-free e^p lifts to itself.  The
+    positive-t and p-divisibility checks run on the sum.  Phi(e) is kept
+    on the descriptor; a Phi that raises is not.
     """
-    fp = formal_p(st.ctx, st.p)
-    q = fp.lift(e ** st.p) - st.lifted_image(e)
-    hi = q.max_degree("t")
-    if hi is not None and hi > 0:
-        raise FalsificationError("Phi has positive t-powers")
-    return fp.over_p(q)
+    ctx, p = st.ctx, st.p
+
+    def build():
+        fp = formal_p(ctx, p)
+        power = ctx.memo(("power", p, e), lambda: e ** p)
+        q = fp.lift(power) - st.lifted_image(e)
+        hi = q.max_degree("t")
+        if hi is not None and hi > 0:
+            raise FalsificationError("Phi has positive t-powers")
+        return fp.over_p(q)
+    return st.memo(("phi", e), build)
 
 
 def slice_phi(ctx, phi, q):

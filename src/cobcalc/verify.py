@@ -14,6 +14,7 @@ perfbench's tracer does) sees every call a suite makes.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -77,6 +78,17 @@ def _falsified(label, exc, **extra):
     return _case(label, False, witness=exc.witness or str(exc), **extra)
 
 
+def _sides(label, compute):
+    """(label, got, want) from compute() -> (got, want), or, when a value
+    it reads is refused (a Phi that raises FalsificationError, say), the
+    failing case of that refusal: the suite goes on with its other cases."""
+    try:
+        got, want = compute()
+    except FalsificationError as exc:
+        return _falsified(label, exc)
+    return label, got, want
+
+
 def _outside(label, bound):
     """A case whose input truncation cut, so it checks nothing: its verdict
     "outside" names the bound and is neither a pass nor a fail."""
@@ -111,9 +123,10 @@ def _cases(check, primes, **tags):
 
 def _once(fn):
     """fn of one argument, each result kept by argument for as long as the
-    returned function lives: a check that reads Phi or St of one input
-    twice builds it once, and the library keeps no result by input.  A
-    hit hashes e once: a series hashes all its terms."""
+    returned function lives: multphi reads St and its tail of one input
+    more than once, and the library keeps no St by input (Phi it keeps on
+    the descriptor).  A hit hashes e once: a series hashes all its
+    terms."""
     seen = {}
 
     def once(e):
@@ -122,11 +135,6 @@ def _once(fn):
             out = seen[e] = fn(e)
         return out
     return once
-
-
-def _phi_of(st):
-    """Phi at st, once per input (`_once`), through the module attribute."""
-    return _once(lambda e: ops.symmetric_operation(st, e))
 
 
 def _grid(ctx):
@@ -197,10 +205,10 @@ def verify_sop(p, deg, bweight, seed):
 def verify_emb(p, deg, bweight, seed):
     """Phi vanishes on 1 and on powers of the cellular carrier."""
     def check(ctx, st, _rlabel):
-        z = ctx.var("z1")
-        yield "1", ops.symmetric_operation(st, ctx.one()), ctx.zero()
-        for k in range(1, 5):
-            yield "z^%d" % k, ops.symmetric_operation(st, z ** k), ctx.zero()
+        for label, e in [("1", ctx.one())] + [
+                ("z^%d" % k, ctx.var("z1") ** k) for k in range(1, 5)]:
+            yield _sides(label, lambda: (ops.symmetric_operation(st, e),
+                                         ctx.zero()))
     return _st_cases(check, p, deg, bweight, seed)
 
 
@@ -221,18 +229,27 @@ def _grid_pairs(ctx):
 
 @_suite("addphi")
 def verify_addphi(p, deg, bweight, seed):
-    """Phi(u+v) - Phi(u) - Phi(v) equals the binomial defect f_p(u,v)."""
+    """Phi(u+v) - Phi(u) - Phi(v) equals the binomial defect f_p(u,v).
+
+    The defect does not depend on the reps: it is built once per prime
+    and pair, and kept for this call only, so the three choices of reps
+    share it."""
+    defects = {}
+
     def check(ctx, st, _rlabel):
-        phi = _phi_of(st)
+        phi = functools.partial(ops.symmetric_operation, st)
         for label, u, v in _grid_pairs(ctx):
-            got = phi(u + v) - phi(u) - phi(v)
-            yield label, got, _binomial_defect(ctx, st.p, u, v)
+            key = st.p, label
+            if key not in defects:
+                defects[key] = _binomial_defect(ctx, st.p, u, v)
+            yield _sides(label, lambda: (
+                phi(u + v) - phi(u) - phi(v), defects[key]))
     return _st_cases(check, p, deg, bweight, seed)
 
 
-def _product_rule(st, phi):
+def _product_rule(st):
     """(u, v) -> Phi(u) St(v) + St(u) Phi(v) + Phi(u) Phi(v) g, the right
-    side of multphi before nonpos, with phi the Phi of st (`_phi_of`).
+    side of multphi before nonpos, with Phi that of st.
 
     It is formed as Phi(u) tail(v) + St(u) Phi(v), tail(v) = St(v) +
     Phi(v) g kept once per input (`_once`): two products per pair, not
@@ -243,6 +260,7 @@ def _product_rule(st, phi):
     weight w have weight p * w, and g has weight 0.
     """
     g = formal_p(st.ctx, st.p).g
+    phi = functools.partial(ops.symmetric_operation, st)
     st_of = _once(st.apply)
     tail = _once(lambda v: st_of(v) + phi(v) * g)
     return lambda u, v: st.ctx.zero().add_products(
@@ -257,19 +275,26 @@ def verify_multphi(p, deg, bweight, seed):
     shows the g-weighted cross term is what cancels the doubled g Phi Phi.
     The right side is formed in two products per pair (`_product_rule`).
     A pair whose b-weights sum past bweight is "outside": truncation would
-    cut uv on formation, so it is not checked.
+    cut uv on formation, so it is not checked.  uv does not depend on the
+    reps: it is formed once per prime and pair, and kept for this call
+    only, so the three choices of reps share it.
     """
+    products = {}
+
     def check(ctx, st, _rlabel):
-        phi = _phi_of(st)
-        rule = _product_rule(st, phi)
+        rule = _product_rule(st)
         for label, u, v in _grid_pairs(ctx):
             weight = u.max_bweight() + v.max_bweight()
             if weight > bweight:
                 yield _outside(label, "b-weight %d > bweight %d"
                                % (weight, bweight))
                 continue
-            want, _pos = rule(u, v).split_parts("t")
-            yield label, phi(u * v), want
+            key = st.p, label
+            if key not in products:
+                products[key] = u * v
+            yield _sides(label, lambda: (
+                ops.symmetric_operation(st, products[key]),
+                rule(u, v).split_parts("t")[0]))
     return _st_cases(check, p, deg, bweight, seed)
 
 
@@ -283,13 +308,13 @@ def verify_rr(p, deg, bweight, seed):
               ("t^2", ctx.mono({"t": 2})), ("P1*t", p1 * ctx.var("t"))]
         gs = [("1", ctx.one()), ("z", z), ("P1*z", p1 * z)]
         che = ops.omega_che(ctx, st.reps)
-        phi = _phi_of(st)
+        phi = functools.partial(ops.symmetric_operation, st)
         for ql, qser in qs:
             twisted = qser * che
             for gl, gser in gs:
-                lhs = ops.slice_phi(ctx, phi(z * gser), qser)
-                rhs = z * ops.slice_phi(ctx, phi(gser), twisted)
-                yield "q=%s,g=%s" % (ql, gl), lhs, rhs
+                yield _sides("q=%s,g=%s" % (ql, gl), lambda: (
+                    ops.slice_phi(ctx, phi(z * gser), qser),
+                    z * ops.slice_phi(ctx, phi(gser), twisted)))
     return _st_cases(check, p, deg, bweight, seed)
 
 
@@ -316,11 +341,11 @@ def verify_f1(deg, bweight, seed):
             if case:  # one case per refused St, not one per class
                 refused[q, reps] = _as_case(case, p=q)
                 continue
-            phi = ops.symmetric_operation(st, u)
-            got = ops.slice_phi(ctx, phi, ctx.mono({"t": q * dim}))
             try:
+                got = ops.slice_phi(ctx, ops.symmetric_operation(st, u),
+                                    ctx.mono({"t": q * dim}))
                 eta = model.eta(q, reps)
-            except fgl.EtaDivisibilityError as exc:
+            except FalsificationError as exc:  # Phi or eta refused
                 cases.append(_falsified(label, exc, p=q, reps=list(reps)))
                 continue
             ok = got == ctx.const(eta)
@@ -349,18 +374,21 @@ def verify_uv(p, deg, bweight, seed):
             eta = fgl.ChowModel(du).eta(q, reps)
             for k in (1, 2):
                 v = z ** k
-                phi = ops.symmetric_operation(st, u * v)
+                uv = u * v
+
+                def trace(qser):
+                    return ops.chow_trace(ctx, ops.slice_phi(
+                        ctx, ops.symmetric_operation(st, uv), qser))
                 for ql, qser in qs:
-                    lhs = ops.chow_trace(ctx, ops.slice_phi(ctx, phi, qser))
                     f = qser * ctx.mono({"t": -q * du})
-                    yield ("u=%s,v=z^%d,q=%s" % (ulabel, k, ql), lhs,
-                           ops.st_slice(ctx, st, v, f).scale(eta))
+                    yield _sides("u=%s,v=z^%d,q=%s" % (ulabel, k, ql),
+                                 lambda: (trace(qser), ops.st_slice(
+                                     ctx, st, v, f).scale(eta)))
                 kexp = q * du - (q - 1) * k
                 if kexp > 0:
-                    lhs = ops.chow_trace(ctx, ops.slice_phi(ctx, phi,
-                                                    ctx.mono({"t": kexp})))
-                    yield ("special u=%s,v=z^%d" % (ulabel, k), lhs,
-                           (z ** k).scale(eta * Fraction(i_s) ** k))
+                    yield _sides("special u=%s,v=z^%d" % (ulabel, k),
+                                 lambda: (trace(ctx.mono({"t": kexp})),
+                                          v.scale(eta * Fraction(i_s) ** k)))
     return _st_cases(check, p, deg, bweight, seed)
 
 
@@ -514,13 +542,13 @@ def verify_soold(deg, bweight):
         qs = [("1", ctx.one()), ("t", ctx.var("t")),
               ("t^2", ctx.mono({"t": 2})), ("1+t", ctx.one() + ctx.var("t"))]
         for label, e, _dim in _grid(ctx):
-            phi = ops.symmetric_operation(st, e)
             ste = st.apply(e)
             for ql, qser in qs:
-                lhs = ops.slice_phi(ctx, phi, g * qser)
-                rhs = (e ** q).scale(qser.constant()) \
-                    - ops.slice_phi(ctx, ste, qser)
-                yield "%s,q=%s" % (label, ql), lhs, rhs
+                yield _sides("%s,q=%s" % (label, ql), lambda: (
+                    ops.slice_phi(ctx, ops.symmetric_operation(st, e),
+                                  g * qser),
+                    (e ** q).scale(qser.constant())
+                    - ops.slice_phi(ctx, ste, qser)))
     return _cases(check, [2], reps=[-1])
 
 

@@ -385,19 +385,55 @@ def test_sop_reports_a_quotient_that_fails_its_certificate(monkeypatch):
 
 def test_sop_reports_a_perturbed_cached_quotient(monkeypatch):
     """N(z) + 1 leaves p * Phi(z) = -1, which 2 does not divide: z fails
-    with the term as its witness, and z^2 and the classes still pass."""
+    with the term as its witness, and z^2 and the classes still pass.
+    Phi is kept on its descriptor, so the clean run takes one fresh
+    context and the perturbed run another, whose N(z) is built and
+    perturbed before any Phi is."""
     monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
-    ctx = op.make_context(2, 4, 4)
     assert verify.verify_sop(p=2, deg=4, bweight=4)["summary"]["fail"] == 0
-    (z_exp, _c), = ctx.var("z1").sorted_terms()
+    monkeypatch.setattr(op, "_CTX_CACHE", {})
+    ctx = op.make_context(2, 4, 4)
+    z = ctx.var("z1")
+    (z_exp, _c), = z.sorted_terms()
     for _rlabel, reps in op.rep_choices(2):
-        quotients = op.quillen_steenrod(ctx, 2, reps).memo("quotients", dict)
+        st = op.quillen_steenrod(ctx, 2, reps)
+        st.lifted_image(z)  # builds and caches N(z), and no Phi
+        quotients = st.memo("quotients", dict)
         quotients[z_exp] = quotients[z_exp] + ctx.one()
     cases = verify.verify_sop(p=2, deg=4, bweight=4)["cases"]
     failed = [(c["input"], c["witness"]) for c in cases
               if c["verdict"] == "fail"]
     assert failed == [("z", "t^0 * 1")] * 3
     assert len(cases) == 24
+
+
+@pytest.mark.parametrize("name, target", [
+    ("emb", "z"), ("addphi", "P1*z"), ("multphi", "P1*z"), ("rr", "P1*z"),
+    ("uv", "P1*z"), ("soold", "P1*z"), ("f1", "P1")])
+def test_a_refused_phi_fails_only_the_cases_that_read_it(monkeypatch, name,
+                                                         target):
+    """With Phi refused on one grid input, each case that reads that Phi
+    fails with the refusal's witness, and the suite still reports every
+    other case, passing."""
+    def run():
+        return verify.run_verifier(name, p=2, deg=4, bweight=4)["cases"]
+    clean = run()
+    phi = op.symmetric_operation
+
+    def refusing(st, e):
+        grid = {label: x for label, x, _dim in verify._grid(st.ctx)}
+        if e == grid[target]:
+            raise FalsificationError("refused", witness="no Phi(%s)" % target)
+        return phi(st, e)
+    monkeypatch.setattr(op, "symmetric_operation", refusing)
+    cases = run()
+    assert len(cases) == len(clean)
+    failed = [c for c in cases if c["verdict"] == "fail"]
+    assert failed
+    assert len(failed) < len(cases)
+    assert all(c["witness"] == "no Phi(%s)" % target for c in failed)
+    assert all(c["verdict"] in ("pass", "outside") for c in cases
+               if c not in failed)
 
 
 def _perturb_the_second_image(monkeypatch, term):
@@ -832,6 +868,28 @@ def test_phi_matches_the_division_of_the_whole_input(p):
         assert got[-1][0] is PDivisibilityError
 
 
+def test_phi_is_kept_by_input_and_its_power_by_context(monkeypatch):
+    """Phi(e) is kept on its descriptor: a second call, with e or with an
+    equal series, returns the same object.  e^p is kept on the context:
+    the three choices of reps of one context find the one their first
+    Phi built, and keep no other."""
+    monkeypatch.setattr(op, "_CTX_CACHE", {})  # a context no test has used
+    ctx = op.make_context(3, 4, 4)
+    e = op._ambient_class(ctx, 1) * ctx.var("z1")
+    key = ("power", 3, e)
+    power = None
+    for _rlabel, reps in op.rep_choices(3):
+        st = op.quillen_steenrod(ctx, 3, reps)
+        phi = op.symmetric_operation(st, e)
+        assert op.symmetric_operation(st, e) is phi
+        assert op.symmetric_operation(st, e + ctx.zero()) is phi
+        if power is None:
+            power = ctx._memo[key]
+        assert ctx._memo[key] is power
+    assert power == e ** 3
+    assert [k for k in ctx._memo if k[:1] == ("power",)] == [key]
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_st_and_phi_multiply_the_weight_by_p(p):
     """The grading of the Lazard ring: gamma has weight p, btilde_i weight
@@ -1020,10 +1078,10 @@ def test_product_rule_matches_its_four_products(p):
     g = formal_p(ctx, p).g
     for _rlabel, reps in op.rep_choices(p):
         st = op.quillen_steenrod(ctx, p, reps)
-        phi = verify._phi_of(st)
-        rule = verify._product_rule(st, phi)
+        rule = verify._product_rule(st)
         for u, v in _pairs_inside_bweight(ctx):
-            pu, pv = phi(u), phi(v)
+            pu = op.symmetric_operation(st, u)
+            pv = op.symmetric_operation(st, v)
             want = (pu * st.apply(v) + st.apply(u) * pv) + (pu * pv) * g
             assert rule(u, v) == want, (reps, u.render(), v.render())
 

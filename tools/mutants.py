@@ -426,6 +426,13 @@ MUTANTS = [
            "head = exp if names == self.image_names else tuple(\n"
            "                k if i in mapped else 0 for i, k in enumerate(exp))",
            [EXACT_IMAGES]),
+    # Phi is kept on the descriptor by input: without e in the key every
+    # input reads the Phi of the first
+    Mutant("the Phi memo key drops the input", OPERATIONS,
+           'return st.memo(("phi", e), build)',
+           'return st.memo(("phi",), build)',
+           ["tests/test_operations.py::test_verifier_sop_p2",
+            "tests/test_operations.py::test_verifier_addphi_p2"]),
     # a gamma of another weight must be refused where St is built
     Mutant("St drops the weight check of gamma", OPERATIONS,
            '_check_weight(gamma, p, "gamma")',
@@ -472,6 +479,11 @@ MUTANTS = [
            "coeffs_mod_p(ops._ambient_class(fic, n, d), 2)",
            ["tests/test_operations.py"
             "::test_il1_tests_the_classes_in_each_ideal"]),
+    # the defect of p = 2 read again at p = 3
+    Mutant("the addphi defect key drops p", VERIFY,
+           "key = st.p, label\n            if key not in defects:",
+           "key = label\n            if key not in defects:",
+           ["tests/test_acceptance.py::test_criterion_10_additivity_defect"]),
     Mutant("the multphi tail drops Phi(v) g", VERIFY,
            "tail = _once(lambda v: st_of(v) + phi(v) * g)",
            "tail = _once(st_of)",
